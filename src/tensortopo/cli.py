@@ -131,7 +131,7 @@ def _cmd_connect(args) -> int:
 def _cmd_census(args) -> int:
     stratum = parse_stratum(args.stratum)
     report = census(stratum, args.trials, _resolve_seed(args.seed),
-                    threads=args.threads, tol=_policy(args))
+                    tol=_policy(args))
     _emit(dumps_canonical(report.to_json()), args.out)
     return 0 if report.verdict != "inconsistent" else 3
 
@@ -145,7 +145,7 @@ def _cmd_probe(args) -> int:
 
 def _cmd_verify_suite(args) -> int:
     summary = run_verify_suite(_resolve_seed(args.seed), quick=args.quick,
-                               threads=args.threads, tol=_policy(args))
+                               tol=_policy(args))
     _emit(dumps_canonical(strip_runtime(summary)), args.out)
     return 0 if summary["passed"] else 3
 
@@ -155,15 +155,12 @@ def _build_parser() -> _Parser:
                      description="rank strata: certify, classify, connect, census")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True, threads=False):
+    def common(p, seed=True):
         p.add_argument("--tol", type=float, default=None,
                        help="relative rank tolerance (default 1e-10)")
         if seed:
             p.add_argument("--seed", type=int, default=None,
                            help="master seed; TTK_SEED is the fallback")
-        if threads:
-            p.add_argument("--threads", type=int, default=None,
-                           help="worker threads (default: machine parallelism)")
         p.add_argument("--out", default=None, help="write output to this file")
 
     p = sub.add_parser("rank", help="multilinear rank and rank certificates")
@@ -190,7 +187,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("census", help="label census with path cross-checks")
     p.add_argument("--stratum", required=True)
     p.add_argument("--trials", type=int, required=True)
-    common(p, threads=True)
+    common(p)
     p.set_defaults(fn=_cmd_census)
 
     p = sub.add_parser("probe-monodromy",
@@ -203,7 +200,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify-suite", help="run the acceptance experiments")
     p.add_argument("--quick", action="store_true",
                    help="smaller trial counts, same checks")
-    common(p, threads=True)
+    common(p)
     p.set_defaults(fn=_cmd_verify_suite)
     return parser
 

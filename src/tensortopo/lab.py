@@ -5,16 +5,13 @@ label groups; pairwise experiments measure connector success rates; the
 identifiability experiment counts rank-two decompositions; the monodromy
 probe gathers orientation-transport evidence in the one genuinely open
 parameter regime. Per-trial seeds are derived from the master seed by index,
-and trials are aggregated by index, so reports are byte-reproducible no
-matter how the thread pool schedules them.
+so reports are byte-reproducible.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -39,10 +36,6 @@ _REP_BUDGET = 20  # representatives per label group for path attempts
 
 def _runtime_ms(t0: float) -> int:
     return int(round((time.perf_counter() - t0) * 1000))
-
-
-def _pool_size(threads: int | None) -> int:
-    return threads if threads else (os.cpu_count() or 1)
 
 
 def expected_component_count(stratum: StratumDescriptor) -> int | None:
@@ -181,7 +174,7 @@ class CensusReport:
 
 
 def census(stratum: StratumDescriptor, N: int, seed: int,
-           threads: int | None = None, path_samples: int | None = None,
+           path_samples: int | None = None,
            tol: TolerancePolicy = DEFAULT_TOL) -> CensusReport:
     """Sample N points, classify them, and attack the grouping with paths.
 
@@ -207,9 +200,7 @@ def census(stratum: StratumDescriptor, N: int, seed: int,
             return CensusTrial(i, trial_seed, None, True, str(exc)), None, None
         return CensusTrial(i, trial_seed, label, False, ""), value, witness
 
-    with ThreadPoolExecutor(max_workers=_pool_size(threads)) as pool:
-        outcomes = list(pool.map(trial, range(N)))
-
+    outcomes = [trial(i) for i in range(N)]
     diagnostics = [row for row, _v, _w in outcomes]
     rejected = sum(1 for row in diagnostics if row.rejected)
     groups: dict[str, list] = {}
@@ -292,8 +283,7 @@ class PairwiseReport:
 
 
 def pairwise_connect_experiment(stratum: StratumDescriptor, N: int, K: int,
-                                seed: int, threads: int | None = None,
-                                tol: TolerancePolicy = DEFAULT_TOL
+                                seed: int, tol: TolerancePolicy = DEFAULT_TOL
                                 ) -> PairwiseReport:
     """N independent endpoint pairs, connector plus K-sample verification."""
     t0 = time.perf_counter()
@@ -317,9 +307,7 @@ def pairwise_connect_experiment(stratum: StratumDescriptor, N: int, K: int,
             row["endpoint_defect"] = defect
         return row
 
-    with ThreadPoolExecutor(max_workers=_pool_size(threads)) as pool:
-        rows = list(pool.map(one, range(N)))
-
+    rows = [one(i) for i in range(N)]
     passes = sum(1 for row in rows if row["status"] == "pass")
     differents = sum(1 for row in rows
                      if row["status"].startswith("different-components"))
@@ -352,7 +340,7 @@ class IdentifiabilityReport:
 
 
 def identifiability_experiment(shape: tuple[int, ...], N: int, seed: int,
-                               field: str = REAL, threads: int | None = None,
+                               field: str = REAL,
                                tol: TolerancePolicy = DEFAULT_TOL
                                ) -> IdentifiabilityReport:
     """Decomposition counting on N random rank-two tensors.
@@ -367,9 +355,7 @@ def identifiability_experiment(shape: tuple[int, ...], N: int, seed: int,
         verdict, orderings = count_rank2_decompositions(A, tol)
         return verdict, len(orderings)
 
-    with ThreadPoolExecutor(max_workers=_pool_size(threads)) as pool:
-        rows = list(pool.map(one, range(N)))
-
+    rows = [one(i) for i in range(N)]
     unique = sum(1 for verdict, _n in rows
                  if verdict is DecompositionCount.UNIQUE_UP_TO_PERMUTATION)
     degenerate = N - unique
@@ -549,7 +535,6 @@ def _sign_triple_invariance(seed: int, trials: int,
 
 
 def run_verify_suite(seed: int = 0, quick: bool = False,
-                     threads: int | None = None,
                      tol: TolerancePolicy = DEFAULT_TOL) -> dict:
     """Machine-readable acceptance run; runtime fields are stripped so two
     runs with one seed emit identical bytes."""
@@ -565,7 +550,7 @@ def run_verify_suite(seed: int = 0, quick: bool = False,
 
     # 1: four components of the (2,2,2) border-rank-3 stratum
     st = parse_stratum("brank:r=3;shape=2,2,2;field=real")
-    rep = census(st, scaled(1000, 120), derive_seed(seed, 1), threads, tol=tol)
+    rep = census(st, scaled(1000, 120), derive_seed(seed, 1), tol=tol)
     need_within = scaled(50, 10)
     add(1, "border-rank-3 census on (2,2,2)",
         len(rep.label_counts) == 4 and rep.cross_label_connections == 0
@@ -588,7 +573,7 @@ def run_verify_suite(seed: int = 0, quick: bool = False,
 
     # 3: r+1 signature components, symmetric d=4 n=4 r=2
     st = parse_stratum("sym-rank:d=4;n=4;r=2;field=real")
-    rep = census(st, scaled(300, 60), derive_seed(seed, 3), threads, tol=tol)
+    rep = census(st, scaled(300, 60), derive_seed(seed, 3), tol=tol)
     add(3, "symmetric even-order census (d=4, n=4, r=2)",
         len(rep.label_counts) == 3 and rep.within_passes == rep.within_attempts
         and rep.within_attempts > 0 and rep.verdict == "consistent",
@@ -598,7 +583,7 @@ def run_verify_suite(seed: int = 0, quick: bool = False,
     # 4: odd-order symmetric connectivity (d=3, n=4, r=2)
     st = parse_stratum("sym-rank:d=3;n=4;r=2;field=real")
     rep = pairwise_connect_experiment(st, scaled(100, 20), 64,
-                                      derive_seed(seed, 4), threads, tol)
+                                      derive_seed(seed, 4), tol)
     endpoint_defects.append(rep.worst_endpoint_defect)
     add(4, "odd-order symmetric pairwise connectivity",
         rep.passes == rep.trials and rep.worst_margin >= 1e-8,
@@ -610,7 +595,7 @@ def run_verify_suite(seed: int = 0, quick: bool = False,
     for sub, fld in ((51, REAL), (52, COMPLEX)):
         st = parse_stratum(f"rank:r=1;shape=3,4,5;field={fld}")
         rep = pairwise_connect_experiment(st, scaled(100, 20), 64,
-                                          derive_seed(seed, sub), threads, tol)
+                                          derive_seed(seed, sub), tol)
         endpoint_defects.append(rep.worst_endpoint_defect)
         detail5[fld] = rep.to_json()
         ok5 = ok5 and rep.passes == rep.trials
@@ -620,24 +605,24 @@ def run_verify_suite(seed: int = 0, quick: bool = False,
     detail6 = {}
     st = parse_stratum("mrank:r=2,2,2;shape=3,3,3;field=real")
     rep = pairwise_connect_experiment(st, scaled(100, 20), 64,
-                                      derive_seed(seed, 61), threads, tol)
+                                      derive_seed(seed, 61), tol)
     endpoint_defects.append(rep.worst_endpoint_defect)
     ok6 = rep.passes == rep.trials
     detail6["a_slack"] = rep.to_json()
     st = parse_stratum("mrank:r=4,2,2;shape=4,2,2;field=real")
-    repb = census(st, scaled(500, 100), derive_seed(seed, 62), threads, tol=tol)
+    repb = census(st, scaled(500, 100), derive_seed(seed, 62), tol=tol)
     ok6 = ok6 and len(repb.label_counts) == 2 and repb.cross_label_connections == 0 \
         and repb.verdict == "consistent"
     detail6["b_saturated_square"] = repb.to_json()
     st = parse_stratum("mrank:r=4,2,2;shape=5,2,2;field=real")
     rep = pairwise_connect_experiment(st, scaled(100, 20), 64,
-                                      derive_seed(seed, 63), threads, tol)
+                                      derive_seed(seed, 63), tol)
     endpoint_defects.append(rep.worst_endpoint_defect)
     ok6 = ok6 and rep.passes == rep.trials
     detail6["c_mixed_roomy"] = rep.to_json()
     st = parse_stratum("mrank:r=2,2,2;shape=2,2,2;field=complex")
     rep = pairwise_connect_experiment(st, scaled(100, 20), 64,
-                                      derive_seed(seed, 64), threads, tol)
+                                      derive_seed(seed, 64), tol)
     endpoint_defects.append(rep.worst_endpoint_defect)
     ok6 = ok6 and rep.passes == rep.trials
     detail6["d_complex_saturated"] = rep.to_json()
@@ -645,9 +630,9 @@ def run_verify_suite(seed: int = 0, quick: bool = False,
 
     # 7: matrix case, det-sign components over the reals, one over C
     st = parse_stratum("mrank:r=2,2;shape=2,2;field=real")
-    rep_r = census(st, scaled(200, 60), derive_seed(seed, 7), threads, tol=tol)
+    rep_r = census(st, scaled(200, 60), derive_seed(seed, 7), tol=tol)
     st = parse_stratum("mrank:r=2,2;shape=2,2;field=complex")
-    rep_c = census(st, scaled(200, 60), derive_seed(seed, 71), threads, tol=tol)
+    rep_c = census(st, scaled(200, 60), derive_seed(seed, 71), tol=tol)
     add(7, "matrix determinant-sign components",
         len(rep_r.label_counts) == 2 and rep_r.verdict == "consistent"
         and len(rep_c.label_counts) == 1 and rep_c.verdict == "consistent",
@@ -655,7 +640,7 @@ def run_verify_suite(seed: int = 0, quick: bool = False,
 
     # 8: rank-two identifiability on (3,3,3)
     rep = identifiability_experiment((3, 3, 3), scaled(100, 20),
-                                     derive_seed(seed, 8), REAL, threads, tol)
+                                     derive_seed(seed, 8), REAL, tol)
     add(8, "rank-two identifiability on (3,3,3)",
         rep.unique == rep.trials and rep.orderings == [2],
         {"report": rep.to_json()})
@@ -672,8 +657,8 @@ def run_verify_suite(seed: int = 0, quick: bool = False,
 
     # 10: determinism of repeated runs with one seed
     st = parse_stratum("mrank:r=2,2;shape=2,2;field=real")
-    first = census(st, 40, derive_seed(seed, 10), threads, tol=tol)
-    second = census(st, 40, derive_seed(seed, 10), threads, tol=tol)
+    first = census(st, 40, derive_seed(seed, 10), tol=tol)
+    second = census(st, 40, derive_seed(seed, 10), tol=tol)
     bytes_a = dumps_canonical(strip_runtime(first.to_json()))
     bytes_b = dumps_canonical(strip_runtime(second.to_json()))
     add(10, "byte-deterministic reports", bytes_a == bytes_b,

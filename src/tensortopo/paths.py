@@ -1,6 +1,11 @@
 """Explicit continuous in-stratum paths between same-stratum tensors.
 
 A TensorPath is a chain of segments over equal sub-intervals of [0, 1].
+Segments come in three families, one per construction: term-sum curves
+through decompositions (rank and symmetric rank), Tucker curves moving a
+core and its frames (multilinear rank), and the conjugate pair (border rank
+three on 2x2x2).
+
 Rank-one and conjugate-pair constructions are in-stratum pointwise by
 construction; core interpolations are verified on a sample grid and repaired
 by recursive random-midpoint detours (each retry dodges a measure-zero bad
@@ -44,7 +49,9 @@ def _lerp(a, b, s: float):
     return (1.0 - s) * a + s * b
 
 
-def _track_eval(track: tuple, s: float) -> np.ndarray:
+def _track_eval(track: tuple, s: float):
+    """Point at s of a vector or scalar track: constant, straight, a two-leg
+    detour through a via point, or a phase rotation c * exp(i angle s)."""
     tag = track[0]
     if tag == "const":
         return track[1]
@@ -53,29 +60,26 @@ def _track_eval(track: tuple, s: float) -> np.ndarray:
     if tag == "detour":
         a, w, b = track[1], track[2], track[3]
         return _lerp(a, w, 2.0 * s) if s < 0.5 else _lerp(w, b, 2.0 * s - 1.0)
+    if tag == "phase":
+        return track[1] * cmath.exp(1j * _lerp(0.0, track[2], s))
     raise ValueError(f"unknown track {tag!r}")
 
 
-def _track_json(track: tuple) -> dict:
-    tag = track[0]
-    if tag == "const":
-        return {"tag": tag, "vector": array_to_json(track[1])}
-    if tag == "lerp":
-        return {"tag": tag, "start": array_to_json(track[1]),
-                "end": array_to_json(track[2])}
-    return {"tag": tag, "start": array_to_json(track[1]),
-            "via": array_to_json(track[2]), "end": array_to_json(track[3])}
-
-
-def _scalar_eval(track: tuple, s: float):
-    tag = track[0]
-    if tag == "const":
-        return track[1]
-    if tag == "lerp":
-        return _lerp(track[1], track[2], s)
-    if tag == "phase":
-        return track[1] * cmath.exp(1j * _lerp(0.0, track[2], s))
-    raise ValueError(f"unknown scalar track {tag!r}")
+def _track_json(x, field: str):
+    """Tracks as JSON lists [tag, point, ...]; a frame curve becomes its end
+    frames, and interpolator closures, fixed by their end points, are left
+    out."""
+    if x is None or isinstance(x, (str, int)):
+        return x
+    if isinstance(x, tuple):
+        return [_track_json(v, field) for v in x if not callable(v)]
+    if isinstance(x, np.ndarray):
+        return array_to_json(x)
+    if isinstance(x, SymTensor):
+        return [scalar_to_json(v, field) for v in x.packed]
+    if isinstance(x, (GrassmannGeodesic, OrientationLoop)):
+        return [array_to_json(x.frame(0.0)), array_to_json(x.frame(1.0))]
+    return scalar_to_json(x, field)
 
 
 def _detour_via(a: np.ndarray) -> np.ndarray:
@@ -86,173 +90,49 @@ def _detour_via(a: np.ndarray) -> np.ndarray:
     return e
 
 
-class RankOneSegment:
-    """One rank-one tensor with per-mode vector tracks and a scalar track."""
+class TermSumCurve:
+    """Sum of rank-one term curves: the segment family of rank and
+    symmetric-rank paths.
 
-    def __init__(self, kind: str, field: str, scalar_track: tuple,
-                 tracks: tuple):
+    A dense term is (scalar track, per-mode vector tracks) and traces
+    c(s) f_1(s) (x) ... (x) f_d(s); a rank-one segment is a one-term sum.
+    With ``order`` set the curve is symmetric: a term is (sign, vector track)
+    and traces sign * w(s)^(x order).
+    """
+
+    def __init__(self, kind: str, field: str, terms: tuple,
+                 order: int | None = None):
         self.kind = kind
         self.field = field
-        self.scalar_track = scalar_track
-        self.tracks = tracks
-
-    def value(self, s: float) -> Hypermatrix:
-        factors = tuple(_track_eval(tr, s) for tr in self.tracks)
-        c = _scalar_eval(self.scalar_track, s)
-        return outer_product(RankOneFactors(c, factors, self.field))
-
-    def witness(self, s: float) -> dict:
-        return {"kind": "rank-one",
-                "scalar": _scalar_eval(self.scalar_track, s),
-                "factors": [_track_eval(tr, s) for tr in self.tracks]}
-
-    def to_json(self) -> dict:
-        st = self.scalar_track
-        scalar = {"tag": st[0]}
-        if st[0] == "phase":
-            scalar["value"] = scalar_to_json(st[1], self.field)
-            scalar["angle"] = float(st[2])
-        else:
-            scalar["values"] = [scalar_to_json(v, self.field) for v in st[1:]]
-        return {"kind": self.kind, "scalar": scalar,
-                "modes": [_track_json(tr) for tr in self.tracks]}
-
-
-class SymPowerSegment:
-    """sign * w(t)^(x d) for a single vector track."""
-
-    def __init__(self, kind: str, field: str, order: int, sign, track: tuple):
-        self.kind = kind
-        self.field = field
-        self.order = order
-        self.sign = sign
-        self.track = track
-
-    def value(self, s: float) -> SymTensor:
-        w = _track_eval(self.track, s)
-        return sym_power(w, self.order, self.sign, self.field)
-
-    def witness(self, s: float) -> dict:
-        w = _track_eval(self.track, s)
-        nw = float(np.linalg.norm(w))
-        return {"kind": "sym-terms",
-                "coefficients": [self.sign * nw ** self.order]}
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "order": self.order,
-                "sign": scalar_to_json(self.sign, self.field),
-                "mode": _track_json(self.track)}
-
-
-class TermSumSegment:
-    """Sum of rank-one terms, each with per-mode tracks (scalars folded in)."""
-
-    def __init__(self, field: str, terms: tuple):
-        self.kind = "term-sum"
-        self.field = field
         self.terms = terms
-
-    def value(self, s: float) -> Hypermatrix:
-        total = None
-        for tracks in self.terms:
-            part = outer_product(RankOneFactors(
-                1.0, tuple(_track_eval(tr, s) for tr in tracks), self.field)).data
-            total = part if total is None else total + part
-        return Hypermatrix(total, self.field)
-
-    def witness(self, s: float) -> dict:
-        return {"kind": "terms",
-                "factors": [[_track_eval(tr, s) for tr in tracks]
-                            for tracks in self.terms]}
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind,
-                "terms": [[_track_json(tr) for tr in tracks]
-                          for tracks in self.terms]}
-
-
-class SymTermSumSegment:
-    """Sum of sign_k * w_k(t)^(x d) term curves."""
-
-    def __init__(self, field: str, order: int, terms: tuple):
-        self.kind = "sym-term-sum"
-        self.field = field
         self.order = order
-        self.terms = terms
 
-    def value(self, s: float) -> SymTensor:
+    def value(self, s: float):
+        if self.order is None:
+            total = None
+            for scalar, tracks in self.terms:
+                factors = tuple(_track_eval(tr, s) for tr in tracks)
+                part = outer_product(RankOneFactors(
+                    _track_eval(scalar, s), factors, self.field)).data
+                total = part if total is None else total + part
+            return Hypermatrix(total, self.field)
         packed = None
-        dim = None
         for sign, track in self.terms:
-            w = _track_eval(track, s)
-            part = sym_power(w, self.order, sign, self.field)
-            dim = part.dim
+            part = sym_power(_track_eval(track, s), self.order, sign, self.field)
             packed = part.packed if packed is None else packed + part.packed
-        return SymTensor(dim, self.order, self.field, packed)
+        return SymTensor(part.dim, self.order, self.field, packed)
 
-    def witness(self, s: float) -> dict:
-        coeffs = []
-        for sign, track in self.terms:
-            w = _track_eval(track, s)
-            coeffs.append(sign * float(np.linalg.norm(w)) ** self.order)
-        return {"kind": "sym-terms", "coefficients": coeffs}
+    def witness(self, s: float) -> list | None:
+        """Signed coefficient of each symmetric term at s, whose signs give
+        the signature; None for a dense sum."""
+        if self.order is None:
+            return None
+        return [sign * float(np.linalg.norm(_track_eval(track, s))) ** self.order
+                for sign, track in self.terms]
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "order": self.order,
-                "terms": [{"sign": scalar_to_json(sign, self.field),
-                           "mode": _track_json(track)}
-                          for sign, track in self.terms]}
-
-
-class FrameTransport:
-    """Per-mode geodesic frames carrying fixed core coefficients."""
-
-    def __init__(self, geodesics: tuple, core: np.ndarray, field: str):
-        self.kind = "frame-transport"
-        self.geodesics = geodesics
-        self.core = core
-        self.field = field
-
-    def value(self, s: float) -> Hypermatrix:
-        mats = [g.frame(s) for g in self.geodesics]
-        return Hypermatrix(mode_multiply(self.core, mats), self.field)
-
-    def witness(self, s: float):
-        return None
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "core": array_to_json(self.core),
-                "start_frames": [array_to_json(g.frame(0.0)) for g in self.geodesics],
-                "end_frames": [array_to_json(g.frame(1.0)) for g in self.geodesics]}
-
-
-class CoreLerp:
-    """Straight core interpolation under fixed frames (None = identity)."""
-
-    def __init__(self, frames: tuple, core0: np.ndarray, core1: np.ndarray,
-                 field: str):
-        self.kind = "core-lerp"
-        self.frames = frames
-        self.core0 = core0
-        self.core1 = core1
-        self.field = field
-
-    def core(self, s: float) -> np.ndarray:
-        return _lerp(self.core0, self.core1, s)
-
-    def value(self, s: float) -> Hypermatrix:
-        return Hypermatrix(mode_multiply(self.core(s), list(self.frames)),
-                           self.field)
-
-    def witness(self, s: float):
-        return None
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind,
-                "core_start": array_to_json(self.core0),
-                "core_end": array_to_json(self.core1),
-                "frames": [None if F is None else array_to_json(F)
-                           for F in self.frames]}
+                "terms": _track_json(self.terms, self.field)}
 
 
 def _unflatten_core(M: np.ndarray, ranks: tuple, mode: int) -> np.ndarray:
@@ -260,168 +140,101 @@ def _unflatten_core(M: np.ndarray, ranks: tuple, mode: int) -> np.ndarray:
     return np.moveaxis(M.reshape((ranks[mode],) + rest), 0, mode)
 
 
-class CoreTransform:
-    """Core route whose square-mode flattening follows an SVD interpolation.
+def gl_core_track(core0: np.ndarray, core1: np.ndarray, ranks: tuple,
+                  mode: int) -> tuple:
+    """Core track whose mode flattening follows an SVD interpolation.
 
     The flattening stays invertible with constant determinant sign by
     construction, which a straight core interpolation cannot promise.
     """
-
-    def __init__(self, frames: tuple, ranks: tuple, mode: int,
-                 core0: np.ndarray, core1: np.ndarray, field: str):
-        self.kind = "core-transform"
-        self.frames = frames
-        self.ranks = tuple(ranks)
-        self.mode = mode
-        self.core0 = core0
-        self.core1 = core1
-        self.field = field
-        n = core0.shape[mode]
-        self._interp = gl_interpolator(
-            np.moveaxis(core0, mode, 0).reshape(n, -1),
-            np.moveaxis(core1, mode, 0).reshape(n, -1))
-
-    def core(self, s: float) -> np.ndarray:
-        return _unflatten_core(self._interp(s), self.ranks, self.mode)
-
-    def value(self, s: float) -> Hypermatrix:
-        return Hypermatrix(mode_multiply(self.core(s), list(self.frames)),
-                           self.field)
-
-    def witness(self, s: float):
-        return None
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "mode": self.mode + 1,
-                "core_start": array_to_json(self.core0),
-                "core_end": array_to_json(self.core1),
-                "frames": [None if F is None else array_to_json(F)
-                           for F in self.frames]}
+    n = core0.shape[mode]
+    interp = gl_interpolator(np.moveaxis(core0, mode, 0).reshape(n, -1),
+                             np.moveaxis(core1, mode, 0).reshape(n, -1))
+    return ("gl", core0, core1, interp, tuple(ranks), mode)
 
 
-class FlipLoop:
-    """Orientation-reversing frame loop in one mode, core held fixed."""
-
-    def __init__(self, loop: OrientationLoop, mode: int, frames: tuple,
-                 core: np.ndarray, field: str):
-        self.kind = "flip-loop"
-        self.loop = loop
-        self.mode = mode
-        self.frames = frames
-        self.core = core
-        self.field = field
-
-    def value(self, s: float) -> Hypermatrix:
-        mats = list(self.frames)
-        mats[self.mode] = self.loop.frame(s)
-        return Hypermatrix(mode_multiply(self.core, mats), self.field)
-
-    def witness(self, s: float):
-        return None
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "mode": self.mode + 1,
-                "core": array_to_json(self.core)}
-
-
-class SymFrameTransport:
-    """Single shared-frame geodesic carrying a fixed symmetric core."""
-
-    def __init__(self, geodesic: GrassmannGeodesic, core: SymTensor):
-        self.kind = "sym-frame-transport"
-        self.geodesic = geodesic
-        self.core = core
-
-    def value(self, s: float) -> SymTensor:
-        F = self.geodesic.frame(s)
-        full = mode_multiply(sym_embed(self.core).data, [F] * self.core.order)
-        return sym_extract(Hypermatrix(full, self.core.field), _LOOSE)
-
-    def witness(self, s: float):
-        return None
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind,
-                "core": [scalar_to_json(v, self.core.field) for v in self.core.packed],
-                "start_frame": array_to_json(self.geodesic.frame(0.0)),
-                "end_frame": array_to_json(self.geodesic.frame(1.0))}
-
-
-class SymCoreLerp:
-    """Symmetric core interpolation under one fixed shared frame."""
-
-    def __init__(self, frame: np.ndarray, core0: SymTensor, core1: SymTensor):
-        self.kind = "sym-core-lerp"
-        self.frame = frame
-        self.core0 = core0
-        self.core1 = core1
-
-    def core(self, s: float) -> SymTensor:
-        packed = _lerp(self.core0.packed, self.core1.packed, s)
-        return SymTensor(self.core0.dim, self.core0.order, self.core0.field, packed)
-
-    def value(self, s: float) -> SymTensor:
-        core = self.core(s)
-        if self.frame is None:
-            return core
-        full = mode_multiply(sym_embed(core).data, [self.frame] * core.order)
-        return sym_extract(Hypermatrix(full, core.field), _LOOSE)
-
-    def witness(self, s: float):
-        return None
-
-    def to_json(self) -> dict:
-        field = self.core0.field
-        return {"kind": self.kind,
-                "core_start": [scalar_to_json(v, field) for v in self.core0.packed],
-                "core_end": [scalar_to_json(v, field) for v in self.core1.packed],
-                "frame": None if self.frame is None else array_to_json(self.frame)}
-
-
-class SymEigenCore:
-    """Order-2 symmetric core route through a shared eigenvector rotation.
+def eigen_core_track(core0: SymTensor, core1: SymTensor) -> tuple:
+    """Order-2 symmetric core track through a shared eigenvector rotation.
 
     Eigenvalues are interpolated slotwise after sorting, so with equal
     endpoint signatures no eigenvalue can cross zero and the signature is
     constant exactly.
     """
+    w0, Q0 = np.linalg.eigh(sym_embed(core0).data)
+    w1, Q1 = np.linalg.eigh(sym_embed(core1).data)
+    lam0, lam1 = w0[::-1], w1[::-1]
+    Q0, Q1 = Q0[:, ::-1], Q1[:, ::-1]
+    if np.linalg.det(Q0) * np.linalg.det(Q1) < 0:
+        Q1 = Q1.copy()
+        Q1[:, -1] = -Q1[:, -1]  # leaves Q1 diag(w1) Q1^T unchanged
+    return ("eigen", core0, core1, lam0, lam1, orthogonal_interpolator(Q0, Q1))
 
-    def __init__(self, frame: np.ndarray, core0: SymTensor, core1: SymTensor):
-        self.kind = "sym-eigen-core"
-        self.frame = frame
-        self.core0 = core0
-        self.core1 = core1
-        w0, Q0 = np.linalg.eigh(sym_embed(core0).data)
-        w1, Q1 = np.linalg.eigh(sym_embed(core1).data)
-        self._lam0, self._lam1 = w0[::-1], w1[::-1]
-        Q0, Q1 = Q0[:, ::-1], Q1[:, ::-1]
-        if np.linalg.det(Q0) * np.linalg.det(Q1) < 0:
-            Q1 = Q1.copy()
-            Q1[:, -1] = -Q1[:, -1]  # leaves Q1 diag(w1) Q1^T unchanged
-        self._q = orthogonal_interpolator(Q0, Q1)
 
-    def core(self, s: float) -> SymTensor:
-        lam = _lerp(self._lam0, self._lam1, s)
-        Q = self._q(s)
+def _core_eval(track: tuple, s: float):
+    tag = track[0]
+    if tag == "const":
+        return track[1]
+    core0, core1 = track[1], track[2]
+    if tag == "lerp":
+        if isinstance(core0, SymTensor):
+            return SymTensor(core0.dim, core0.order, core0.field,
+                             _lerp(core0.packed, core1.packed, s))
+        return _lerp(core0, core1, s)
+    if tag == "gl":
+        interp, ranks, mode = track[3:]
+        return _unflatten_core(interp(s), ranks, mode)
+    if tag == "eigen":
+        lam0, lam1, q = track[3:]
+        lam = _lerp(lam0, lam1, s)
+        Q = q(s)
         M = (Q * lam) @ Q.T
-        return sym_extract(Hypermatrix(M, self.core0.field), _LOOSE)
+        return sym_extract(Hypermatrix(M, core0.field), _LOOSE)
+    raise ValueError(f"unknown core track {tag!r}")
 
-    def value(self, s: float) -> SymTensor:
+
+def _frame_eval(track: tuple | None, s: float):
+    if track is None:
+        return None
+    return track[1] if track[0] == "fixed" else track[1].frame(s)
+
+
+class TuckerCurve:
+    """A core track carried by per-mode frame tracks: the segment family of
+    multilinear-rank paths, A(s) = C(s) x_1 F_1(s) ... x_d F_d(s).
+
+    Core tracks: ("const", C), ("lerp", C0, C1), ``gl_core_track`` and
+    ``eigen_core_track``. Frame tracks: None (identity), ("fixed", F),
+    ("geodesic", GrassmannGeodesic) or ("loop", OrientationLoop). A symmetric
+    core (a SymTensor) takes one frame track, shared by every mode.
+    """
+
+    def __init__(self, kind: str, field: str, core: tuple, frames):
+        self.kind = kind
+        self.field = field
+        self.core_track = core
+        self.frames = frames
+
+    def core(self, s: float):
+        return _core_eval(self.core_track, s)
+
+    def value(self, s: float):
         core = self.core(s)
-        if self.frame is None:
+        if not isinstance(core, SymTensor):
+            mats = [_frame_eval(tr, s) for tr in self.frames]
+            return Hypermatrix(mode_multiply(core, mats), self.field)
+        if self.frames is None:
             return core
-        full = mode_multiply(sym_embed(core).data, [self.frame] * 2)
+        F = _frame_eval(self.frames, s)
+        full = mode_multiply(sym_embed(core).data, [F] * core.order)
         return sym_extract(Hypermatrix(full, core.field), _LOOSE)
 
     def witness(self, s: float):
         return None
 
     def to_json(self) -> dict:
-        field = self.core0.field
         return {"kind": self.kind,
-                "core_start": [scalar_to_json(v, field) for v in self.core0.packed],
-                "core_end": [scalar_to_json(v, field) for v in self.core1.packed],
-                "frame": None if self.frame is None else array_to_json(self.frame)}
+                "core": _track_json(self.core_track, self.field),
+                "frames": _track_json(self.frames, self.field)}
 
 
 class ConjPairSegment:
@@ -451,8 +264,8 @@ class ConjPairSegment:
         T = np.multiply.outer(np.multiply.outer(x, y), z)
         return Hypermatrix(2.0 * np.real(T), REAL)
 
-    def witness(self, s: float) -> dict:
-        return {"kind": "conj-pair", "factors": self._factors(s)}
+    def witness(self, s: float):
+        return None
 
     def to_json(self) -> dict:
         return {"kind": self.kind,
@@ -500,10 +313,6 @@ def value_diff_norm(a, b) -> float:
     return float(np.linalg.norm((a.data - b.data).ravel()))
 
 
-def _value_norm(a) -> float:
-    return a.norm()
-
-
 def chebyshev_grid(K: int) -> list[float]:
     return [(1.0 - math.cos((2 * k + 1) * math.pi / (2 * K))) / 2.0
             for k in range(K)]
@@ -535,6 +344,9 @@ def connect_rank_one(A: Hypermatrix, B: Hypermatrix,
     def const_tracks():
         return [("const", f) for f in factors]
 
+    def add(kind: str, scalar: tuple, tracks: list):
+        segments.append(TermSumCurve(kind, field, ((scalar, tuple(tracks)),)))
+
     for m in range(A.order):
         a, b = factors[m], wb.factors[m]
         if np.linalg.norm(a - b) <= _SAME:
@@ -548,8 +360,7 @@ def connect_rank_one(A: Hypermatrix, B: Hypermatrix,
         else:
             tracks[m] = ("lerp", a, b)
             kind = "factor-lerp"
-        segments.append(RankOneSegment(kind, field, ("const", wa.scalar),
-                                       tuple(tracks)))
+        add(kind, ("const", wa.scalar), tracks)
         factors[m] = b
 
     lam, mu = wa.scalar, wb.scalar
@@ -558,28 +369,20 @@ def connect_rank_one(A: Hypermatrix, B: Hypermatrix,
             tracks = const_tracks()
             a = factors[0]
             tracks[0] = ("detour", a, _detour_via(a), -a)
-            segments.append(RankOneSegment("detour-arc", field,
-                                           ("const", lam), tuple(tracks)))
+            add("detour-arc", ("const", lam), tracks)
             factors[0] = -a
             mu = -mu
         if abs(lam - mu) > _SAME * max(abs(lam), abs(mu), 1.0):
-            segments.append(RankOneSegment("scalar-scale", field,
-                                           ("lerp", lam, mu),
-                                           tuple(const_tracks())))
+            add("scalar-scale", ("lerp", lam, mu), const_tracks())
     else:
         angle = cmath.phase(mu / lam)
         if abs(angle) > _SAME:
-            segments.append(RankOneSegment("complex-phase", field,
-                                           ("phase", lam, angle),
-                                           tuple(const_tracks())))
+            add("complex-phase", ("phase", lam, angle), const_tracks())
             lam = lam * cmath.exp(1j * angle)
         if abs(lam - mu) > _SAME * max(abs(lam), abs(mu), 1.0):
-            segments.append(RankOneSegment("scalar-scale", field,
-                                           ("lerp", lam, mu),
-                                           tuple(const_tracks())))
+            add("scalar-scale", ("lerp", lam, mu), const_tracks())
     if not segments:
-        segments.append(RankOneSegment("scalar-scale", field,
-                                       ("const", lam), tuple(const_tracks())))
+        add("scalar-scale", ("const", lam), const_tracks())
     stratum = StratumDescriptor("rank", field, 1, shape=A.shape)
     return TensorPath(segments, stratum)
 
@@ -656,7 +459,7 @@ def connect_sym_rank_one(Sa: SymTensor, Sb: SymTensor,
         raise DifferentComponents(sign_label(lam), sign_label(mu))
     sign, track = _sym_pair_track(lam, u, mu, v, d, field)
     kind = "detour-arc" if track[0] == "detour" else "factor-lerp"
-    seg = SymPowerSegment(kind, field, d, sign, track)
+    seg = TermSumCurve(kind, field, ((sign, track),), order=d)
     stratum = StratumDescriptor("sym-rank", field, 1, dim=Sa.dim, order=d)
     return TensorPath([seg], stratum)
 
@@ -713,12 +516,10 @@ def _match_sym_terms(terms_a: list, terms_b: list, d: int, field: str) -> list:
     return pairs
 
 
-def _sym_sum_segment(pairs: list, d: int, field: str) -> SymTermSumSegment:
-    terms = []
-    for ca, ua, cb, ub in pairs:
-        sign, track = _sym_pair_track(ca, ua, cb, ub, d, field)
-        terms.append((sign, track))
-    return SymTermSumSegment(field, d, tuple(terms))
+def _sym_sum_segment(pairs: list, d: int, field: str) -> TermSumCurve:
+    terms = tuple(_sym_pair_track(ca, ua, cb, ub, d, field)
+                  for ca, ua, cb, ub in pairs)
+    return TermSumCurve("sym-term-sum", field, terms, order=d)
 
 
 def _stratum_in_grid(path: TensorPath, expected: tuple, tol: TolerancePolicy) -> bool:
@@ -867,7 +668,7 @@ def connect_rank_r(A: Hypermatrix, B: Hypermatrix, r: int,
     stratum = StratumDescriptor("rank", field, 2, shape=A.shape)
     expected = expected_generic_mrank(A.shape, 2)
 
-    def build(terms_a, terms_b) -> TermSumSegment:
+    def build(terms_a, terms_b) -> TermSumCurve:
         pairings = [(0, 1), (1, 0)]
         best, best_score = None, -np.inf
         for p in pairings:
@@ -878,9 +679,10 @@ def connect_rank_r(A: Hypermatrix, B: Hypermatrix, r: int,
                              for fa, fb in zip(terms_a[k].factors, tb.factors))
             if score > best_score:
                 best, best_score = p, score
-        terms = tuple(_term_tracks(terms_a[k], terms_b[best[k]], field)
+        terms = tuple((("const", 1.0),
+                       _term_tracks(terms_a[k], terms_b[best[k]], field))
                       for k in range(2))
-        return TermSumSegment(field, terms)
+        return TermSumCurve("term-sum", field, terms)
 
     def recurse(terms_a, terms_b, budget: int) -> list:
         seg = build(terms_a, terms_b)
@@ -965,35 +767,25 @@ def _random_full_core(ranks: tuple, field: str, square_modes: list[int],
     raise RetryExhausted("could not draw a usable midpoint core")
 
 
-def _core_route(frames: tuple, core0: np.ndarray, core1: np.ndarray,
-                ranks: tuple, field: str, square_modes: list[int],
-                rng: SplitMix64, tol: TolerancePolicy, budget: int) -> list:
-    signed = field == REAL and bool(square_modes)
-    if signed:
-        seg = CoreTransform(frames, ranks, square_modes[0], core0, core1, field)
-        want = _core_det_signs(core0, square_modes)
-    else:
-        seg = CoreLerp(frames, core0, core1, field)
-        want = ()
-    ok = True
-    for t in [0.0, 1.0] + chebyshev_grid(tol.path_samples_default):
-        core_t = seg.core(t)
-        if _full_core_margin(core_t, ranks, tol) < tol.gap_min:
-            ok = False
-            break
-        if signed and _core_det_signs(core_t, square_modes) != want:
-            ok = False
-            break
-    if ok:
+def _core_route(segment, in_fiber, draw_mid, core0, core1,
+                tol: TolerancePolicy, budget: int) -> list:
+    """Core segments from core0 to core1 under fixed frames.
+
+    ``segment(c0, c1)`` builds the candidate TuckerCurve and ``in_fiber``
+    checks its core on the sample grid. A failing candidate is split at a
+    random midpoint core from ``draw_mid()``, at most ``budget`` levels deep.
+    """
+    seg = segment(core0, core1)
+    grid = [0.0, 1.0] + chebyshev_grid(tol.path_samples_default)
+    if all(in_fiber(seg.core(t)) for t in grid):
         return [seg]
     if budget <= 0:
         raise RetryExhausted(
             "core interpolation failed after exhausting random midpoint detours")
-    mid = _random_full_core(ranks, field, square_modes, want, rng, tol)
-    return (_core_route(frames, core0, mid, ranks, field, square_modes, rng,
-                        tol, budget - 1)
-            + _core_route(frames, mid, core1, ranks, field, square_modes, rng,
-                          tol, budget - 1))
+    mid = draw_mid()
+    return (_core_route(segment, in_fiber, draw_mid, core0, mid, tol, budget - 1)
+            + _core_route(segment, in_fiber, draw_mid, mid, core1, tol,
+                          budget - 1))
 
 
 def connect_mrank(A: Hypermatrix, B: Hypermatrix,
@@ -1029,7 +821,7 @@ def connect_mrank(A: Hypermatrix, B: Hypermatrix,
                  for i in range(A.order))
     target_core = mode_multiply(repB.core.data,
                                 [g.twist.conj().T for g in geos])
-    frames_a = tuple(p.frame for p in repA.frames)
+    frames_a = tuple(("fixed", p.frame) for p in repA.frames)
     core = repA.core.data.copy()
     total = math.prod(ranks)
     square_modes = [i for i, r in enumerate(ranks) if r * r == total]
@@ -1075,16 +867,37 @@ def connect_mrank(A: Hypermatrix, B: Hypermatrix,
                     conjectural=True)
             for k in chosen:
                 m = loop_modes[k]
-                loop = OrientationLoop(repA.frames[m])
-                segments.append(FlipLoop(loop, m, frames_a, core.copy(), field))
+                frames = list(frames_a)
+                frames[m] = ("loop", OrientationLoop(repA.frames[m]))
+                segments.append(TuckerCurve("flip-loop", field,
+                                            ("const", core.copy()),
+                                            tuple(frames)))
                 h = np.eye(ranks[m])
                 h[0, 0] = -1.0
                 core = mode_multiply(core, [h if j == m else None
                                             for j in range(A.order)])
 
-    segments.extend(_core_route(frames_a, core, target_core, ranks, field,
-                                square_modes, rng, tol, depth))
-    segments.append(FrameTransport(geos, target_core, field))
+    signed = field == REAL and bool(square_modes)
+    want = _core_det_signs(core, square_modes) if signed else ()
+
+    def segment(core0, core1) -> TuckerCurve:
+        if signed:
+            track = gl_core_track(core0, core1, ranks, square_modes[0])
+            return TuckerCurve("core-transform", field, track, frames_a)
+        return TuckerCurve("core-lerp", field, ("lerp", core0, core1), frames_a)
+
+    def in_fiber(core_t) -> bool:
+        if _full_core_margin(core_t, ranks, tol) < tol.gap_min:
+            return False
+        return not signed or _core_det_signs(core_t, square_modes) == want
+
+    segments.extend(_core_route(
+        segment, in_fiber,
+        lambda: _random_full_core(ranks, field, square_modes, want, rng, tol),
+        core, target_core, tol, depth))
+    segments.append(TuckerCurve("frame-transport", field,
+                                ("const", target_core),
+                                tuple(("geodesic", g) for g in geos)))
     return TensorPath(segments, stratum)
 
 
@@ -1127,35 +940,6 @@ def _random_sym_core(r: int, d: int, field: str, signature: int | None,
     raise RetryExhausted("could not draw a usable symmetric midpoint core")
 
 
-def _sym_core_route(frame: np.ndarray, core0: SymTensor, core1: SymTensor,
-                    r: int, signature: int | None, rng: SplitMix64,
-                    tol: TolerancePolicy, budget: int) -> list:
-    if signature is not None:
-        # eigenvalue lerp in a shared rotating eigenbasis keeps the
-        # signature exactly; a straight lerp does not
-        seg = SymEigenCore(frame, core0, core1)
-    else:
-        seg = SymCoreLerp(frame, core0, core1)
-    ok = True
-    for t in [0.0, 1.0] + chebyshev_grid(tol.path_samples_default):
-        core_t = seg.core(t)
-        if _sym_core_margin(core_t, r, tol) < tol.gap_min:
-            ok = False
-            break
-        if signature is not None and \
-                _sym_matrix_core_signature(core_t, tol) != signature:
-            ok = False
-            break
-    if ok:
-        return [seg]
-    if budget <= 0:
-        raise RetryExhausted(
-            "symmetric core interpolation failed after exhausting midpoint detours")
-    mid = _random_sym_core(r, core0.order, core0.field, signature, rng, tol)
-    return (_sym_core_route(frame, core0, mid, r, signature, rng, tol, budget - 1)
-            + _sym_core_route(frame, mid, core1, r, signature, rng, tol, budget - 1))
-
-
 def connect_sym_mrank(Sa: SymTensor, Sb: SymTensor, r: int,
                       tol: TolerancePolicy = DEFAULT_TOL,
                       rng: SplitMix64 | None = None,
@@ -1190,9 +974,28 @@ def connect_sym_mrank(Sa: SymTensor, Sb: SymTensor, r: int,
     geo = GrassmannGeodesic(frame_a, frame_b)
     twisted = mode_multiply(sym_embed(core_b).data, [geo.twist.conj().T] * d)
     target = sym_extract(Hypermatrix(twisted, field), _LOOSE)
-    segments = _sym_core_route(frame_a.frame, core_a, target, r, signature,
-                               rng, tol, depth)
-    segments.append(SymFrameTransport(geo, target))
+    frame = ("fixed", frame_a.frame)
+
+    def segment(core0, core1) -> TuckerCurve:
+        if signature is not None:
+            # eigenvalue lerp in a shared rotating eigenbasis keeps the
+            # signature exactly; a straight lerp does not
+            return TuckerCurve("sym-eigen-core", field,
+                               eigen_core_track(core0, core1), frame)
+        return TuckerCurve("sym-core-lerp", field, ("lerp", core0, core1), frame)
+
+    def in_fiber(core_t) -> bool:
+        if _sym_core_margin(core_t, r, tol) < tol.gap_min:
+            return False
+        return (signature is None
+                or _sym_matrix_core_signature(core_t, tol) == signature)
+
+    segments = _core_route(
+        segment, in_fiber,
+        lambda: _random_sym_core(r, d, field, signature, rng, tol),
+        core_a, target, tol, depth)
+    segments.append(TuckerCurve("sym-frame-transport", field,
+                                ("const", target), ("geodesic", geo)))
     stratum = StratumDescriptor("sym-mrank", field, r, dim=Sa.dim, order=d)
     return TensorPath(segments, stratum)
 
@@ -1306,10 +1109,10 @@ class PathReport:
         return header, rows
 
 
-def _witness_signature(witness: dict | None) -> int | None:
-    if witness is None or witness.get("kind") != "sym-terms":
+def _witness_signature(coefficients: list | None) -> int | None:
+    if coefficients is None:
         return None
-    return sum(1 for c in witness["coefficients"] if float(np.real(c)) > 0)
+    return sum(1 for c in coefficients if float(np.real(c)) > 0)
 
 
 def _certify_sample(stratum: StratumDescriptor, value, witness,
@@ -1341,10 +1144,10 @@ def _certify_sample(stratum: StratumDescriptor, value, witness,
                 ok = ok and is_rank_one(A, tol)[0]
                 label = SINGLE
             elif stratum.shape == (2, 2, 2) and stratum.field == REAL:
-                want = Kind222.RANK2 if r == 2 else Kind222.BORDER_RANK3
-                cls = classify_222(A, tol)
-                ok = ok and cls.kind is want
-                if r == 3 and ok:
+                if r == 2:
+                    ok = ok and classify_222(A, tol).kind is Kind222.RANK2
+                elif ok:
+                    # raises ToleranceError unless A is border-rank three
                     label = classify_brank3_222(A, tol)
             elif r == 2:
                 rank2_decompose(A, tol)
@@ -1352,10 +1155,8 @@ def _certify_sample(stratum: StratumDescriptor, value, witness,
             else:
                 note = "unverifiable-exactly"
         elif kind == "brank":
-            cls = classify_222(A, tol)
-            ok = cls.kind is Kind222.BORDER_RANK3
-            if ok:
-                label = classify_brank3_222(A, tol)
+            # raises ToleranceError unless A is border-rank three
+            label = classify_brank3_222(A, tol)
         elif kind == "sym-rank":
             r = stratum.rank
             expected = (min(r, stratum.dim),) * stratum.order
@@ -1408,7 +1209,7 @@ def path_verify(path: TensorPath, K: int | None = None,
     labels = {s.label for s in samples if s.label is not None}
     if len(labels) > 1:
         passed = False
-    scale = max(_value_norm(path.eval(0.0)), _value_norm(path.eval(1.0)), 1e-300)
+    scale = max(path.eval(0.0).norm(), path.eval(1.0).norm(), 1e-300)
     joint_defect = 0.0
     n = len(path.segments)
     for k in range(1, n):

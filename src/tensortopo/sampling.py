@@ -2,9 +2,12 @@
 
 Every sampler certifies its output with whatever certificate the stratum
 offers (multilinear rank with margins, the 2x2x2 classification, rank-two
-decomposability) and redraws on failure, at most 100 times. Gaussian factors
-make the target stratum carry full measure inside its closure, so redraws
-stay rare; exhaustion signals bad parameters, not bad luck.
+decomposability) and redraws on failure, at most 1000 times. Most strata
+accept nearly every draw, but not all: a sum of three real Gaussian rank-one
+terms on 2x2x2 lands in the border-rank-three region only about one draw in
+ten, so a cap of 100 gave up on that valid stratum about once in 30000
+draws. At 1000 the chance of that is below 1e-40; exhaustion signals bad
+parameters, not bad luck.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .errors import RetryExhausted, TensorTopoError
 from .geometry import GrassmannPoint, TuckerRep, tucker_expand
 from .rng import SplitMix64
 
-_MAX_REDRAWS = 100
+_MAX_REDRAWS = 1000
 
 
 def _gaussian_vector(rng: SplitMix64, n: int, field: str) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Grammar: ``kind:key=value;key=value;...`` with kinds
 
-    rank, brank, mrank            (ordinary tensors; keys r, shape, field)
-    sym-rank, sym-brank, sym-mrank (symmetric tensors; keys d, n, r, field)
+    rank, brank, mrank    (ordinary tensors; keys r, shape, field)
+    sym-rank, sym-mrank   (symmetric tensors; keys d, n, r, field)
 
 ``r`` is a single integer except for mrank, where it is a comma-separated
 tuple matching the shape length. Examples::
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from .core import REAL, COMPLEX
 from .errors import StratumSyntaxError
 
-KINDS = ("rank", "brank", "mrank", "sym-rank", "sym-brank", "sym-mrank")
-_SYM_KINDS = ("sym-rank", "sym-brank", "sym-mrank")
+KINDS = ("rank", "brank", "mrank", "sym-rank", "sym-mrank")
+_SYM_KINDS = ("sym-rank", "sym-mrank")
 
 
 @dataclass(frozen=True)

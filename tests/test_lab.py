@@ -66,13 +66,6 @@ def test_census_without_prediction_is_inconclusive():
     assert report.cross_label_connections == 0
 
 
-def test_census_thread_count_does_not_change_report():
-    st = parse_stratum("rank:r=1;shape=3,3;field=real")
-    a = census(st, 10, seed=8, threads=1, path_samples=8)
-    b = census(st, 10, seed=8, threads=4, path_samples=8)
-    assert strip_runtime(a.to_json()) == strip_runtime(b.to_json())
-
-
 def test_pairwise_experiment_sym_rank():
     st = parse_stratum("sym-rank:d=3;n=4;r=2;field=real")
     report = pairwise_connect_experiment(st, 6, 16, seed=9)

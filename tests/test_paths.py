@@ -12,8 +12,10 @@ from tensortopo import (COMPLEX, REAL, DifferentComponents, Hypermatrix,
                         sym_tucker_compress)
 from tensortopo.classifiers import classify_brank3_222
 from tensortopo.core import RankOneFactors
-from tensortopo.paths import (CoreTransform, SymEigenCore, TensorPath,
-                              chebyshev_grid, value_diff_norm)
+from tensortopo.io import dumps_canonical
+from tensortopo.paths import (TensorPath, TuckerCurve, chebyshev_grid,
+                              eigen_core_track, gl_core_track,
+                              value_diff_norm)
 
 GRID = np.linspace(0.0, 1.0, 17)
 
@@ -364,7 +366,8 @@ def test_core_transform_keeps_det_sign():
         core1 = rng.normals((2, 2))
         if np.linalg.det(core0) * np.linalg.det(core1) < 0:
             core1 = core1[::-1].copy()
-        seg = CoreTransform((None, None), (2, 2), 0, core0, core1, REAL)
+        seg = TuckerCurve("core-transform", REAL,
+                          gl_core_track(core0, core1, (2, 2), 0), (None, None))
         s0 = np.sign(np.linalg.det(core0))
         for t in GRID:
             assert np.sign(np.linalg.det(seg.core(t))) == s0
@@ -383,7 +386,9 @@ def test_core_transform_higher_order():
             break
     if d0 * d1 < 0:
         core1 = core1[::-1].copy()
-    seg = CoreTransform((None, None, None), (4, 2, 2), 0, core0, core1, REAL)
+    seg = TuckerCurve("core-transform", REAL,
+                      gl_core_track(core0, core1, (4, 2, 2), 0),
+                      (None, None, None))
     s0 = np.sign(np.linalg.det(core0.reshape(4, 4)))
     for t in GRID:
         assert np.sign(np.linalg.det(seg.core(t).reshape(4, 4))) == s0
@@ -403,13 +408,87 @@ def test_sym_eigen_core_keeps_signature():
     for signs in ((1, 1, -1), (1, -1, -1), (1, 1, 1)):
         c0 = random_core(signs)
         c1 = random_core(signs)
-        seg = SymEigenCore(None, c0, c1)
+        seg = TuckerCurve("sym-eigen-core", REAL, eigen_core_track(c0, c1),
+                          None)
         want = sum(1 for s in signs if s > 0)
         for t in GRID:
             lam = np.linalg.eigvalsh(sym_embed(seg.core(t)).data)
             assert int(np.sum(lam > 0)) == want
         assert value_diff_norm(seg.core(0.0), c0) <= 1e-9
         assert value_diff_norm(seg.core(1.0), c1) <= 1e-9
+
+
+# --- segment families --------------------------------------------------------
+
+RANK_ONE_KINDS = {"factor-lerp", "detour-arc", "scalar-scale", "complex-phase"}
+
+
+def _family_case(name):
+    """(path, kinds its segments may have, kinds it must have)."""
+    from tensortopo.classifiers import classify
+    if name == "rank-one":
+        rng = SplitMix64(240)
+        a, _ = sample_rank_r((3, 4, 5), 1, REAL, rng)
+        b = Hypermatrix(-sample_rank_r((3, 4, 5), 1, REAL, rng)[0].data, REAL)
+        return connect_rank_one(a, b), RANK_ONE_KINDS, {"factor-lerp"}
+    if name == "rank-one-complex":
+        rng = SplitMix64(241)
+        a, _ = sample_rank_r((3, 4, 5), 1, COMPLEX, rng)
+        b, _ = sample_rank_r((3, 4, 5), 1, COMPLEX, rng)
+        return connect_rank_one(a, b), RANK_ONE_KINDS, {"complex-phase"}
+    if name == "rank-2":
+        rng = SplitMix64(242)
+        a, _ = sample_rank_r((3, 3, 3), 2, REAL, rng)
+        b, _ = sample_rank_r((3, 3, 3), 2, REAL, rng)
+        path = connect(parse_stratum("rank:r=2;shape=3,3,3;field=real"), a, b,
+                       rng=SplitMix64(40))
+        return path, {"term-sum"}, {"term-sum"}
+    if name == "sym-rank":
+        rng = SplitMix64(243)
+        _, da = sample_sym_rank_r(4, 4, 2, signature=1, rng=rng)
+        _, db = sample_sym_rank_r(4, 4, 2, signature=1, rng=rng)
+        path = connect_sym_rank_r(da, db, rng=SplitMix64(41))
+        return path, {"sym-term-sum"}, {"sym-term-sum"}
+    if name == "mrank-flip-loop":
+        rng = SplitMix64(302)
+        a, _ = sample_fixed_mrank((5, 2, 2), (4, 2, 2), REAL, rng)
+        b, _ = sample_fixed_mrank((5, 2, 2), (4, 2, 2), REAL, rng)
+        path = connect(parse_stratum("mrank:r=4,2,2;shape=5,2,2;field=real"),
+                       a, b, rng=SplitMix64(1))
+        kinds = {"flip-loop", "core-transform", "frame-transport"}
+        return path, kinds | {"core-lerp"}, kinds
+    if name == "sym-mrank-order-2":
+        rng = SplitMix64(244)
+        st = parse_stratum("sym-mrank:d=2;n=4;r=3;field=real")
+        a = sample_sym_mrank(4, 2, 3, rng=rng)
+        while True:
+            b = sample_sym_mrank(4, 2, 3, rng=rng)
+            if str(classify(st, b)) == str(classify(st, a)):
+                break
+        kinds = {"sym-eigen-core", "sym-frame-transport"}
+        return connect(st, a, b, rng=SplitMix64(42)), kinds, kinds
+    rng = SplitMix64(245)
+    a = _brank3_with_label(rng, "sign-triple:-+-")
+    b = _brank3_with_label(rng, "sign-triple:-+-")
+    return connect_brank3_222(a, b), {"conj-pair"}, {"conj-pair"}
+
+
+@pytest.mark.parametrize("name", ["rank-one", "rank-one-complex", "rank-2",
+                                  "sym-rank", "mrank-flip-loop",
+                                  "sym-mrank-order-2", "brank3"])
+def test_segment_families_keep_kinds_and_witnesses(name):
+    path, allowed, required = _family_case(name)
+    doc = path.to_json()
+    kinds = [seg["kind"] for seg in doc["segments"]]
+    assert set(kinds) <= allowed and required <= set(kinds), kinds
+    dumps_canonical(doc)
+    for seg in path.segments:
+        for s in (0.0, 0.3, 1.0):
+            witness = seg.witness(s)
+            if seg.kind == "sym-term-sum":
+                assert len(witness) == len(seg.terms)
+            else:
+                assert witness is None
 
 
 # --- path mechanics ----------------------------------------------------------

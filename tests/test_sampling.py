@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from tensortopo import (COMPLEX, REAL, RetryExhausted, SplitMix64,
-                        expected_generic_mrank, is_rank_one, mrank,
+                        derive_seed, expected_generic_mrank, hyperdet222,
+                        is_rank_one, mrank,
                         outer_product, random_invertible, random_orthogonal,
                         sample_fixed_mrank, sample_rank_r, sample_sym_mrank,
                         sample_sym_rank_r, sym_embed)
@@ -115,3 +116,13 @@ def test_impossible_target_exhausts_retries():
     # rank 4 on (2, 2, 2) over R exceeds the maximal possible rank 3
     with pytest.raises((RetryExhausted, ValueError)):
         sample_rank_r((2, 2, 2), 4, REAL, SplitMix64(72))
+
+
+def test_rank3_222_real_survives_a_long_redraw_run():
+    # this stream rejects more than 100 draws in a row before one lands in
+    # the border-rank-three region (about one draw in ten does)
+    rng = SplitMix64(derive_seed(3304483664418628671, 140))
+    A, terms = sample_rank_r((2, 2, 2), 3, REAL, rng)
+    assert len(terms) == 3
+    assert classify_222(A).kind is Kind222.BORDER_RANK3
+    assert hyperdet222(A) == pytest.approx(-1.51, abs=0.01)
