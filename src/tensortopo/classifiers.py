@@ -7,13 +7,14 @@ joined by an in-stratum path when their labels agree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .certify import (Kind222, brank3_conj_pair, classify_222,
                       rank2_decompose)
-from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, REAL,
+from .core import (DEFAULT_TOL, Hypermatrix, REAL,
                    SymRankDecomposition, SymTensor, TolerancePolicy, flatten,
                    numerical_rank, sym_diagonal_sum, sym_embed)
 from .errors import ToleranceError, UnsupportedStratumError
@@ -170,13 +171,9 @@ def mrank_saturation(stratum: StratumDescriptor) -> str:
     the rank condition holds but some mode has ambient room; the component
     count there is an open experimental question, not a classifier.
     """
-    ranks = stratum.rank
-    shape = stratum.shape
-    total = int(np.prod(ranks))
-    touching = [i for i, r in enumerate(ranks) if r * r == total and shape[i] == r]
-    if not touching:
+    if square_mode(stratum) is None:
         return "none"
-    if all(n == r for n, r in zip(shape, ranks)):
+    if all(n == r for n, r in zip(stratum.shape, stratum.rank)):
         return "saturated-square"
     return "mixed"
 
@@ -184,7 +181,7 @@ def mrank_saturation(stratum: StratumDescriptor) -> str:
 def square_mode(stratum: StratumDescriptor) -> int | None:
     """1-based mode whose flattening is square in the saturated case."""
     ranks = stratum.rank
-    total = int(np.prod(ranks))
+    total = math.prod(ranks)
     for i, r in enumerate(ranks):
         if r * r == total and stratum.shape[i] == r:
             return i + 1
@@ -193,54 +190,14 @@ def square_mode(stratum: StratumDescriptor) -> int | None:
 
 def classify(stratum: StratumDescriptor, value,
              tol: TolerancePolicy = DEFAULT_TOL) -> ComponentLabel:
-    """Dispatch to the component invariant for this stratum.
+    """Component label from the stratum's record (see kinds.py).
 
     ``value`` is the tensor (Hypermatrix or SymTensor); strata whose
     invariant needs a decomposition witness accept a SymRankDecomposition.
     Strata the underlying results leave unclassified raise
     UnsupportedStratumError rather than guessing.
     """
-    if stratum.field == COMPLEX:
-        return SINGLE
-    kind = stratum.kind
-    if kind == "rank":
-        if stratum.rank == 1:
-            return SINGLE
-        raise UnsupportedStratumError(
-            f"no component classifier for real rank-{stratum.rank} strata")
-    if kind == "brank":
-        if stratum.rank == 3 and stratum.shape == (2, 2, 2):
-            return classify_brank3_222(value, tol)
-        raise UnsupportedStratumError(
-            "border-rank classifiers exist only for rank 3 on shape (2, 2, 2)")
-    if kind == "sym-rank":
-        if stratum.order % 2 == 1:
-            return SINGLE
-        if isinstance(value, SymRankDecomposition):
-            return sym_signature(value, tol)
-        if stratum.rank == 1:
-            return sym_sign_rank1(value, tol)
-        if stratum.rank == 2:
-            return sym_signature(_sym_rank2_witness(value, tol), tol)
-        raise UnsupportedStratumError(
-            "even-order symmetric classification above rank 2 needs a "
-            "decomposition witness")
-    if kind == "mrank":
-        case = mrank_saturation(stratum)
-        if case == "none":
-            return SINGLE
-        if case == "saturated-square":
-            return det_sign_mrank(value, square_mode(stratum), tol)
-        raise UnsupportedStratumError(
-            "mixed saturated multilinear rank is an open case; "
-            "use the monodromy probe, not a classifier")
-    if kind == "sym-mrank":
-        if stratum.order == 2:
-            return _sym_matrix_signature(value, stratum.rank, tol)
-        if stratum.rank == 1 and stratum.order % 2 == 0:
-            return sym_sign_rank1(value, tol)
-        return SINGLE
-    raise UnsupportedStratumError(f"no classifier for stratum kind {kind!r}")
+    return kinds.kind_of(stratum).classify(stratum, value, tol)
 
 
 def _sym_rank2_witness(S: SymTensor, tol: TolerancePolicy) -> SymRankDecomposition:
@@ -267,3 +224,7 @@ def _sym_rank2_witness(S: SymTensor, tol: TolerancePolicy) -> SymRankDecompositi
         coefficients.append(float(np.real(lam)))
         vectors.append(base)
     return SymRankDecomposition(S.order, tuple(coefficients), tuple(vectors), S.field)
+
+
+# The kind records are built from the invariants above, so they come last.
+from . import kinds  # noqa: E402

@@ -105,11 +105,6 @@ def save_tensor(path: str, value: Hypermatrix | SymTensor) -> None:
     atomic_write_text(path, dumps_canonical(obj) + "\n")
 
 
-def tucker_to_json(rep) -> dict:
-    return {"frames": [array_to_json(p.frame) for p in rep.frames],
-            "core": tensor_to_json(rep.core)}
-
-
 def dumps_canonical(obj) -> str:
     """Deterministic JSON with '%.17g' floats; dict order is preserved."""
     pieces: list[str] = []

@@ -17,18 +17,18 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .certify import DecompositionCount, count_rank2_decompositions, hyperdet222
-from .classifiers import classify, classify_brank3_222, mrank_saturation
-from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, REAL,
-                   SymRankDecomposition, TolerancePolicy, mode_multiply,
-                   mrank, numerical_rank)
+from .classifiers import classify, classify_brank3_222
+from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, REAL, TolerancePolicy,
+                   mode_multiply, mrank)
 from .errors import (DegenerateError, DifferentComponents, RetryExhausted,
                      TensorTopoError, ToleranceError, UnsupportedStratumError)
 from .geometry import GrassmannPoint, OrientationLoop
 from .io import dumps_canonical
-from .paths import chebyshev_grid, connect, path_verify, value_diff_norm
+from .kinds import kind_of
+from .paths import (_random_full_core, chebyshev_grid, connect, path_verify,
+                    value_diff_norm)
 from .rng import SplitMix64, derive_seed
-from .sampling import (random_invertible, sample_fixed_mrank, sample_rank_r,
-                       sample_sym_mrank, sample_sym_rank_r)
+from .sampling import random_invertible, sample_rank_r
 from .stratum import StratumDescriptor, format_stratum, parse_stratum
 
 _REP_BUDGET = 20  # representatives per label group for path attempts
@@ -40,82 +40,9 @@ def _runtime_ms(t0: float) -> int:
 
 def expected_component_count(stratum: StratumDescriptor) -> int | None:
     """Predicted number of connected components, None where no prediction
-    is available (exploratory strata)."""
-    if stratum.field == COMPLEX:
-        return 1
-    kind = stratum.kind
-    if kind == "rank":
-        return 1 if stratum.rank == 1 else None
-    if kind == "brank":
-        if stratum.rank == 3 and stratum.shape == (2, 2, 2):
-            return 4
-        return None
-    if kind == "sym-rank":
-        if stratum.order % 2 == 1:
-            return 1
-        return stratum.rank + 1
-    if kind == "mrank":
-        case = mrank_saturation(stratum)
-        if case == "none":
-            return 1
-        if case == "saturated-square":
-            return 2
-        return None
-    if kind == "sym-mrank":
-        if stratum.order == 2:
-            return stratum.rank + 1
-        if stratum.rank == 1 and stratum.order % 2 == 0:
-            return 2
-        return 1
-    return None
-
-
-def _stratum_sampler(stratum: StratumDescriptor, tol: TolerancePolicy):
-    """(value, witness) drawing function for the stratum, or raise."""
-    kind, field = stratum.kind, stratum.field
-
-    if kind == "rank":
-        def draw(rng):
-            A, terms = sample_rank_r(stratum.shape, stratum.rank, field, rng, tol)
-            return A, terms
-        return draw
-    if kind == "brank":
-        if not (stratum.rank == 3 and stratum.shape == (2, 2, 2) and field == REAL):
-            raise UnsupportedStratumError(
-                "border-rank sampling exists only for rank 3 on shape (2, 2, 2)")
-
-        def draw(rng):
-            A, terms = sample_rank_r((2, 2, 2), 3, REAL, rng, tol)
-            return A, terms
-        return draw
-    if kind == "sym-rank":
-        def draw(rng):
-            return sample_sym_rank_r(stratum.dim, stratum.order, stratum.rank,
-                                     field=field, rng=rng, tol=tol)
-        return draw
-    if kind == "mrank":
-        def draw(rng):
-            A, _rep = sample_fixed_mrank(stratum.shape, stratum.rank, field,
-                                         rng, tol)
-            return A, None
-        return draw
-    if kind == "sym-mrank":
-        def draw(rng):
-            S = sample_sym_mrank(stratum.dim, stratum.order, stratum.rank,
-                                 field=field, rng=rng, tol=tol)
-            return S, None
-        return draw
-    raise UnsupportedStratumError(f"no sampler for stratum kind {kind!r}")
-
-
-def _label_of(stratum: StratumDescriptor, value, witness,
-              tol: TolerancePolicy) -> str | None:
-    """Classifier label string, or None when the stratum has no classifier."""
-    target = value
-    if stratum.kind == "sym-rank" and isinstance(witness, SymRankDecomposition):
-        target = witness
+    is available (exploratory or unsupported strata)."""
     try:
-        return str(classify(stratum, target, tol))
+        return kind_of(stratum).components(stratum)
     except UnsupportedStratumError:
         return None
 
@@ -184,18 +111,21 @@ def census(stratum: StratumDescriptor, N: int, seed: int,
     The verdict can refute the expected component count, never prove it.
     """
     t0 = time.perf_counter()
-    sampler = _stratum_sampler(stratum, tol)
+    kind = kind_of(stratum)
     K = path_samples if path_samples else tol.path_samples_default
 
     def trial(i: int):
         trial_seed = derive_seed(seed, i)
         rng = SplitMix64(trial_seed)
         try:
-            value, witness = sampler(rng)
-        except (RetryExhausted, TensorTopoError) as exc:
+            value, witness = kind.draw(stratum, rng, tol)
+        except TensorTopoError as exc:
             return CensusTrial(i, trial_seed, None, True, str(exc)), None, None
         try:
-            label = _label_of(stratum, value, witness, tol)
+            label = str(classify(stratum, value if witness is None else witness,
+                                 tol))
+        except UnsupportedStratumError:
+            label = None
         except (ToleranceError, DegenerateError) as exc:
             return CensusTrial(i, trial_seed, None, True, str(exc)), None, None
         return CensusTrial(i, trial_seed, label, False, ""), value, witness
@@ -287,13 +217,14 @@ def pairwise_connect_experiment(stratum: StratumDescriptor, N: int, K: int,
                                 ) -> PairwiseReport:
     """N independent endpoint pairs, connector plus K-sample verification."""
     t0 = time.perf_counter()
-    sampler = _stratum_sampler(stratum, tol)
+    kind = kind_of(stratum)
 
     def one(i: int) -> dict:
         try:
-            a, wa = sampler(SplitMix64(derive_seed(seed, 2 * i)))
-            b, wb = sampler(SplitMix64(derive_seed(seed, 2 * i + 1)))
-        except (RetryExhausted, TensorTopoError) as exc:
+            a, wa = kind.draw(stratum, SplitMix64(derive_seed(seed, 2 * i)), tol)
+            b, wb = kind.draw(stratum, SplitMix64(derive_seed(seed, 2 * i + 1)),
+                              tol)
+        except TensorTopoError as exc:
             return {"pair": i, "status": "sampler-failed", "note": str(exc)}
         rng = SplitMix64(derive_seed(seed, 2 * N + i))
         status, path, report = _connect_and_verify(stratum, a, b, wa, wb,
@@ -411,23 +342,7 @@ def monodromy_probe(r: tuple[int, ...], n: tuple[int, ...], seed: int,
     d = len(r)
     K = samples if samples else tol.path_samples_default
 
-    core = None
-    for _ in range(200):
-        cand = rng.normals(r)
-        margins = []
-        good = True
-        for mode in range(d):
-            M = np.moveaxis(cand, mode, 0).reshape(r[mode], -1)
-            rank, margin = numerical_rank(M, tol)
-            if rank != r[mode]:
-                good = False
-                break
-            margins.append(margin)
-        if good and min(margins) >= 1e-3:
-            core = cand
-            break
-    if core is None:
-        raise RetryExhausted("could not draw a usable full-rank core")
+    core = _random_full_core(r, REAL, [], (), rng, tol)
     frames = []
     for mode in range(d):
         G = rng.normals((n[mode], r[mode]))

@@ -20,13 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import (Kind222, brank3_conj_pair, classify_222, is_rank_one,
-                      rank2_decompose)
-from .classifiers import (ComponentLabel, SINGLE, classify,
-                          classify_brank3_222, det_sign_mrank, sign_label,
-                          square_mode, mrank_saturation)
+from .certify import brank3_conj_pair, is_rank_one, rank2_decompose
+from .classifiers import (ComponentLabel, classify_brank3_222, det_sign_mrank,
+                          sign_label, square_mode, mrank_saturation)
 from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, RankOneFactors, REAL,
-                   SymRankDecomposition, SymTensor, TolerancePolicy, flatten,
+                   SymRankDecomposition, SymTensor, TolerancePolicy,
                    mode_multiply, mrank, numerical_rank, outer_product,
                    sym_embed, sym_extract, sym_packed_length, sym_power)
 from .errors import (DegenerateError, DifferentComponents, RetryExhausted,
@@ -122,13 +120,17 @@ class TermSumCurve:
             packed = part.packed if packed is None else packed + part.packed
         return SymTensor(part.dim, self.order, self.field, packed)
 
-    def witness(self, s: float) -> list | None:
-        """Signed coefficient of each symmetric term at s, whose signs give
-        the signature; None for a dense sum."""
+    def witness(self, s: float) -> SymRankDecomposition | None:
+        """The symmetric sum at s as a decomposition, whose coefficient
+        signs give the signature; None for a dense sum."""
         if self.order is None:
             return None
-        return [sign * float(np.linalg.norm(_track_eval(track, s))) ** self.order
-                for sign, track in self.terms]
+        ws = [_track_eval(track, s) for _sign, track in self.terms]
+        norms = [float(np.linalg.norm(w)) for w in ws]
+        return SymRankDecomposition(
+            self.order, tuple(sign * nw ** self.order
+                              for (sign, _track), nw in zip(self.terms, norms)),
+            tuple(w / nw for w, nw in zip(ws, norms)), self.field)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "order": self.order,
@@ -516,12 +518,6 @@ def _match_sym_terms(terms_a: list, terms_b: list, d: int, field: str) -> list:
     return pairs
 
 
-def _sym_sum_segment(pairs: list, d: int, field: str) -> TermSumCurve:
-    terms = tuple(_sym_pair_track(ca, ua, cb, ub, d, field)
-                  for ca, ua, cb, ub in pairs)
-    return TermSumCurve("sym-term-sum", field, terms, order=d)
-
-
 def _stratum_in_grid(path: TensorPath, expected: tuple, tol: TolerancePolicy) -> bool:
     """Internal acceptance: exact mrank pattern with margins >= gap_min."""
     ts = sorted(set([0.0, 1.0] + chebyshev_grid(tol.path_samples_default)
@@ -536,6 +532,21 @@ def _stratum_in_grid(path: TensorPath, expected: tuple, tol: TolerancePolicy) ->
         if tuple(mr.ranks) != expected or min(mr.margins) < tol.gap_min:
             return False
     return True
+
+
+def _detour_route(segment, accept, draw_mid, x0, x1, budget: int) -> list:
+    """Segments from x0 to x1: ``segment(x0, x1)`` if ``accept`` passes it
+    on the sample grid, else the routes through a random midpoint from
+    ``draw_mid()``, at most ``budget`` levels deep."""
+    seg = segment(x0, x1)
+    if accept(seg):
+        return [seg]
+    if budget <= 0:
+        raise RetryExhausted(
+            "path construction failed after exhausting random midpoint detours")
+    mid = draw_mid()
+    return (_detour_route(segment, accept, draw_mid, x0, mid, budget - 1)
+            + _detour_route(segment, accept, draw_mid, mid, x1, budget - 1))
 
 
 def connect_sym_rank_r(Da: SymRankDecomposition, Db: SymRankDecomposition,
@@ -567,23 +578,19 @@ def connect_sym_rank_r(Da: SymRankDecomposition, Db: SymRankDecomposition,
     expected = (min(r, n),) * d
     signature = Da.signature() if even else None
 
-    def recurse(Pa: SymRankDecomposition, Pb: SymRankDecomposition,
-                budget: int) -> list:
+    def segment(Pa: SymRankDecomposition, Pb: SymRankDecomposition):
         pairs = _match_sym_terms(_sym_canonical_terms(Pa),
                                  _sym_canonical_terms(Pb), d, field)
-        seg = _sym_sum_segment(pairs, d, field)
-        candidate = TensorPath([seg], stratum)
-        if _stratum_in_grid(candidate, expected, tol):
-            return [seg]
-        if budget <= 0:
-            raise RetryExhausted(
-                f"symmetric rank-{r} connection failed after exhausting "
-                f"{depth} random midpoint detours")
-        _, Dmid = sample_sym_rank_r(n, d, r, signature=signature, field=field,
-                                    rng=rng, tol=tol)
-        return recurse(Pa, Dmid, budget - 1) + recurse(Dmid, Pb, budget - 1)
+        terms = tuple(_sym_pair_track(ca, ua, cb, ub, d, field)
+                      for ca, ua, cb, ub in pairs)
+        return TermSumCurve("sym-term-sum", field, terms, order=d)
 
-    return TensorPath(recurse(Da, Db, depth), stratum)
+    return TensorPath(_detour_route(
+        segment,
+        lambda seg: _stratum_in_grid(TensorPath([seg], stratum), expected, tol),
+        lambda: sample_sym_rank_r(n, d, r, signature=signature, field=field,
+                                  rng=rng, tol=tol)[1],
+        Da, Db, depth), stratum)
 
 
 # ---------------------------------------------------------------------------
@@ -650,13 +657,12 @@ def connect_rank_r(A: Hypermatrix, B: Hypermatrix, r: int,
     """Term-matched curves for rank one and rank two.
 
     Rank two recovers witnesses through the slice-pencil decomposition; no
-    witnessed connector exists above rank two except border rank three on
-    (2, 2, 2), so those inputs are refused rather than guessed.
+    witnessed connector exists above rank two, so those inputs are refused
+    rather than guessed. (Rank three on real (2, 2, 2) is border rank three;
+    ``connect`` routes it to connect_brank3_222.)
     """
     if r == 1:
         return connect_rank_one(A, B, tol)
-    if r == 3 and A.shape == (2, 2, 2) and A.field == REAL:
-        return connect_brank3_222(A, B, tol)
     if r != 2:
         raise UnsupportedStratumError(
             f"no path construction is available for rank {r} on shape {A.shape}")
@@ -684,21 +690,13 @@ def connect_rank_r(A: Hypermatrix, B: Hypermatrix, r: int,
                       for k in range(2))
         return TermSumCurve("term-sum", field, terms)
 
-    def recurse(terms_a, terms_b, budget: int) -> list:
-        seg = build(terms_a, terms_b)
-        candidate = TensorPath([seg], stratum)
-        if _stratum_in_grid(candidate, expected, tol):
-            return [seg]
-        if budget <= 0:
-            raise RetryExhausted(
-                "rank-2 connection failed after exhausting random midpoint detours")
-        _, terms_m = sample_rank_r(A.shape, 2, field, rng, tol)
-        return (recurse(terms_a, terms_m, budget - 1)
-                + recurse(terms_m, terms_b, budget - 1))
-
     terms_a = list(rank2_decompose(A, tol))
     terms_b = list(rank2_decompose(B, tol))
-    return TensorPath(recurse(terms_a, terms_b, depth), stratum)
+    return TensorPath(_detour_route(
+        build,
+        lambda seg: _stratum_in_grid(TensorPath([seg], stratum), expected, tol),
+        lambda: sample_rank_r(A.shape, 2, field, rng, tol)[1],
+        terms_a, terms_b, depth), stratum)
 
 
 # ---------------------------------------------------------------------------
@@ -764,28 +762,14 @@ def _random_full_core(ranks: tuple, field: str, square_modes: list[int],
             if _core_det_signs(core, square_modes) != want_signs:
                 continue
         return core
-    raise RetryExhausted("could not draw a usable midpoint core")
+    raise RetryExhausted("could not draw a usable full-rank core")
 
 
-def _core_route(segment, in_fiber, draw_mid, core0, core1,
-                tol: TolerancePolicy, budget: int) -> list:
-    """Core segments from core0 to core1 under fixed frames.
-
-    ``segment(c0, c1)`` builds the candidate TuckerCurve and ``in_fiber``
-    checks its core on the sample grid. A failing candidate is split at a
-    random midpoint core from ``draw_mid()``, at most ``budget`` levels deep.
-    """
-    seg = segment(core0, core1)
+def _core_in_grid(in_fiber, tol: TolerancePolicy):
+    """Acceptance of a TuckerCurve under fixed frames: ``in_fiber`` holds
+    for its core on the sample grid."""
     grid = [0.0, 1.0] + chebyshev_grid(tol.path_samples_default)
-    if all(in_fiber(seg.core(t)) for t in grid):
-        return [seg]
-    if budget <= 0:
-        raise RetryExhausted(
-            "core interpolation failed after exhausting random midpoint detours")
-    mid = draw_mid()
-    return (_core_route(segment, in_fiber, draw_mid, core0, mid, tol, budget - 1)
-            + _core_route(segment, in_fiber, draw_mid, mid, core1, tol,
-                          budget - 1))
+    return lambda seg: all(in_fiber(seg.core(t)) for t in grid)
 
 
 def connect_mrank(A: Hypermatrix, B: Hypermatrix,
@@ -891,10 +875,10 @@ def connect_mrank(A: Hypermatrix, B: Hypermatrix,
             return False
         return not signed or _core_det_signs(core_t, square_modes) == want
 
-    segments.extend(_core_route(
-        segment, in_fiber,
+    segments.extend(_detour_route(
+        segment, _core_in_grid(in_fiber, tol),
         lambda: _random_full_core(ranks, field, square_modes, want, rng, tol),
-        core, target_core, tol, depth))
+        core, target_core, depth))
     segments.append(TuckerCurve("frame-transport", field,
                                 ("const", target_core),
                                 tuple(("geodesic", g) for g in geos)))
@@ -903,17 +887,6 @@ def connect_mrank(A: Hypermatrix, B: Hypermatrix,
 
 # ---------------------------------------------------------------------------
 # symmetric multilinear-rank connectivity
-
-
-def _sym_core_margin(core: SymTensor, r: int, tol: TolerancePolicy) -> float:
-    A = sym_embed(core)
-    worst = np.inf
-    for mode in range(1, core.order + 1):
-        rank, margin = numerical_rank(flatten(A, mode), tol)
-        if rank != r:
-            return 0.0
-        worst = min(worst, margin)
-    return float(worst)
 
 
 def _sym_matrix_core_signature(core: SymTensor, tol: TolerancePolicy) -> int:
@@ -935,7 +908,7 @@ def _random_sym_core(r: int, d: int, field: str, signature: int | None,
             packed = (rng.complex_normals((length,)) if field == COMPLEX
                       else rng.normals((length,)))
             core = SymTensor(r, d, field, packed)
-        if _sym_core_margin(core, r, tol) >= 1e-3:
+        if _full_core_margin(sym_embed(core).data, (r,) * d, tol) >= 1e-3:
             return core
     raise RetryExhausted("could not draw a usable symmetric midpoint core")
 
@@ -985,15 +958,15 @@ def connect_sym_mrank(Sa: SymTensor, Sb: SymTensor, r: int,
         return TuckerCurve("sym-core-lerp", field, ("lerp", core0, core1), frame)
 
     def in_fiber(core_t) -> bool:
-        if _sym_core_margin(core_t, r, tol) < tol.gap_min:
+        if _full_core_margin(sym_embed(core_t).data, (r,) * d, tol) < tol.gap_min:
             return False
         return (signature is None
                 or _sym_matrix_core_signature(core_t, tol) == signature)
 
-    segments = _core_route(
-        segment, in_fiber,
+    segments = _detour_route(
+        segment, _core_in_grid(in_fiber, tol),
         lambda: _random_sym_core(r, d, field, signature, rng, tol),
-        core_a, target, tol, depth)
+        core_a, target, depth)
     segments.append(TuckerCurve("sym-frame-transport", field,
                                 ("const", target), ("geodesic", geo)))
     stratum = StratumDescriptor("sym-mrank", field, r, dim=Sa.dim, order=d)
@@ -1037,38 +1010,10 @@ def connect_brank3_222(A: Hypermatrix, B: Hypermatrix,
 def connect(stratum: StratumDescriptor, a, b, *, witness_a=None,
             witness_b=None, tol: TolerancePolicy = DEFAULT_TOL,
             rng: SplitMix64 | None = None, depth: int = 8) -> TensorPath:
-    """Route to the constructor for this stratum; witnesses are
-    decomposition objects where the construction needs them."""
-    kind = stratum.kind
-    if kind == "rank":
-        return connect_rank_r(a, b, stratum.rank, tol, rng, depth)
-    if kind == "brank":
-        if stratum.rank == 3 and stratum.shape == (2, 2, 2) and stratum.field == REAL:
-            return connect_brank3_222(a, b, tol)
-        raise UnsupportedStratumError(
-            "border-rank paths exist only for rank 3 on shape (2, 2, 2)")
-    if kind == "sym-rank":
-        Da = witness_a if witness_a is not None else _derive_sym_witness(a, stratum, tol)
-        Db = witness_b if witness_b is not None else _derive_sym_witness(b, stratum, tol)
-        return connect_sym_rank_r(Da, Db, tol, rng, depth)
-    if kind == "mrank":
-        return connect_mrank(a, b, stratum.rank, tol, rng, depth)
-    if kind == "sym-mrank":
-        return connect_sym_mrank(a, b, stratum.rank, tol, rng, depth)
-    raise UnsupportedStratumError(f"no path construction for stratum kind {kind!r}")
-
-
-def _derive_sym_witness(S: SymTensor, stratum: StratumDescriptor,
-                        tol: TolerancePolicy) -> SymRankDecomposition:
-    from .classifiers import _sym_rank2_witness
-    r = stratum.rank
-    if r == 1:
-        lam, v = _sym_rank1_witness(S, tol)
-        return SymRankDecomposition(S.order, (lam,), (v,), S.field)
-    if r == 2:
-        return _sym_rank2_witness(S, tol)
-    raise UnsupportedStratumError(
-        f"symmetric rank-{r} paths need an explicit decomposition witness")
+    """Route to the constructor of the stratum's record (see kinds.py);
+    witnesses are decomposition objects where the construction needs them."""
+    return kinds.kind_of(stratum).connect(stratum, a, b, witness_a, witness_b,
+                                          tol, rng, depth)
 
 
 @dataclass
@@ -1109,15 +1054,10 @@ class PathReport:
         return header, rows
 
 
-def _witness_signature(coefficients: list | None) -> int | None:
-    if coefficients is None:
-        return None
-    return sum(1 for c in coefficients if float(np.real(c)) > 0)
-
-
 def _certify_sample(stratum: StratumDescriptor, value, witness,
                     tol: TolerancePolicy) -> SampleCheck:
-    kind = stratum.kind
+    """Flattening ranks and margin of one sample, judged by the stratum's
+    record (see kinds.py)."""
     A = sym_embed(value) if isinstance(value, SymTensor) else value
     try:
         mr = mrank(A, tol)
@@ -1125,64 +1065,11 @@ def _certify_sample(stratum: StratumDescriptor, value, witness,
         return SampleCheck(0.0, False, (), 0.0, None, f"mrank failed: {exc}")
     ranks = tuple(mr.ranks)
     margin = float(min(mr.margins))
-    ok = True
-    label: ComponentLabel | None = None
-    note = ""
     try:
-        if kind == "mrank":
-            ok = ranks == stratum.rank
-            case = mrank_saturation(stratum)
-            if stratum.field == REAL and case == "saturated-square" and ok:
-                label = det_sign_mrank(A, square_mode(stratum), tol)
-            elif case == "none":
-                label = SINGLE
-        elif kind == "rank":
-            r = stratum.rank
-            expected = expected_generic_mrank(stratum.shape, r)
-            ok = ranks == expected
-            if r == 1:
-                ok = ok and is_rank_one(A, tol)[0]
-                label = SINGLE
-            elif stratum.shape == (2, 2, 2) and stratum.field == REAL:
-                if r == 2:
-                    ok = ok and classify_222(A, tol).kind is Kind222.RANK2
-                elif ok:
-                    # raises ToleranceError unless A is border-rank three
-                    label = classify_brank3_222(A, tol)
-            elif r == 2:
-                rank2_decompose(A, tol)
-                note = "decomposition-certified"
-            else:
-                note = "unverifiable-exactly"
-        elif kind == "brank":
-            # raises ToleranceError unless A is border-rank three
-            label = classify_brank3_222(A, tol)
-        elif kind == "sym-rank":
-            r = stratum.rank
-            expected = (min(r, stratum.dim),) * stratum.order
-            ok = ranks == expected
-            sig = _witness_signature(witness)
-            if stratum.field == REAL and stratum.order % 2 == 0:
-                if sig is not None:
-                    label = ComponentLabel("signature", sig)
-                elif r == 1:
-                    label = classify(stratum, value, tol)
-            elif stratum.field == REAL:
-                label = SINGLE
-        elif kind == "sym-mrank":
-            ok = ranks == (stratum.rank,) * stratum.order
-            if ok:
-                try:
-                    label = classify(stratum, value, tol)
-                except UnsupportedStratumError:
-                    label = None
-        else:
-            ok = True
-            note = "unverifiable-exactly"
+        ok, label, note = kinds.kind_of(stratum).certify(stratum, value, ranks,
+                                                         witness, tol)
     except (ToleranceError, DegenerateError, UnsupportedStratumError) as exc:
         return SampleCheck(0.0, False, ranks, margin, None, str(exc))
-    if stratum.field == COMPLEX and label is None:
-        label = SINGLE
     return SampleCheck(0.0, ok, ranks, margin,
                        None if label is None else str(label), note)
 
@@ -1222,3 +1109,7 @@ def path_verify(path: TensorPath, K: int | None = None,
     label = labels.pop() if len(labels) == 1 else None
     return PathReport(format_stratum(path.stratum), passed, samples,
                       float(min_margin), float(joint_defect), exact, label)
+
+
+# The kind records are built from the connectors above, so they come last.
+from . import kinds  # noqa: E402

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from tensortopo import (REAL, SplitMix64, census, expected_component_count,
-                        identifiability_experiment, monodromy_probe,
-                        pairwise_connect_experiment, parse_stratum,
-                        strip_runtime)
+from tensortopo import (DEFAULT_TOL, REAL, SplitMix64, census, classify,
+                        expected_component_count, identifiability_experiment,
+                        monodromy_probe, pairwise_connect_experiment,
+                        parse_stratum, strip_runtime)
+from tensortopo.kinds import kind_of
 
 CENSUS_KEYS = {"stratum", "seed", "trials", "labels",
                "cross_label_connections", "verdict", "runtime_ms"}
+SIGN_TRIPLES = {"sign-triple:+++", "sign-triple:+--", "sign-triple:-+-",
+                "sign-triple:--+"}
 
 
 @pytest.mark.parametrize("text,count", [
@@ -17,9 +20,12 @@ CENSUS_KEYS = {"stratum", "seed", "trials", "labels",
     ("rank:r=2;shape=3,3,3;field=real", None),
     ("brank:r=3;shape=2,2,2;field=real", 4),
     ("brank:r=2;shape=3,3,3;field=real", None),
+    ("brank:r=3;shape=2,2,2;field=complex", None),
+    ("rank:r=3;shape=2,2,2;field=real", None),
     ("sym-rank:d=3;n=4;r=2;field=real", 1),
     ("sym-rank:d=4;n=4;r=2;field=real", 3),
     ("sym-rank:d=4;n=3;r=1;field=real", 2),
+    ("sym-rank:d=3;n=2;r=3;field=real", None),
     ("mrank:r=2,2,2;shape=3,3,3;field=real", 1),
     ("mrank:r=4,2,2;shape=5,2,2;field=real", 1),
     ("mrank:r=4,2,2;shape=4,2,2;field=real", 2),
@@ -45,6 +51,38 @@ def test_census_brank3_consistent():
     assert sum(cnt for _, cnt in report.label_counts) + report.rejected == 24
     assert report.within_passes == report.within_attempts > 0
     assert report.cross_attempts == 6
+
+
+def test_census_rank3_222_labels_sign_triples():
+    """Rank three on real 2x2x2 is labelled like border rank three; with no
+    predicted count the verdict is inconclusive, never inconsistent."""
+    st = parse_stratum("rank:r=3;shape=2,2,2;field=real")
+    report = census(st, 40, 3, path_samples=16)
+    assert {lab for lab, _ in report.label_counts} == SIGN_TRIPLES
+    assert report.verdict == "inconclusive"
+    assert report.cross_label_connections == 0
+    assert report.within_passes == report.within_attempts > 0
+
+
+@pytest.mark.parametrize("text", [
+    "rank:r=1;shape=2,2,3;field=real",
+    "rank:r=3;shape=2,2,2;field=real",
+    "brank:r=3;shape=2,2,2;field=real",
+    "mrank:r=2,2;shape=2,2;field=real",
+    "sym-rank:d=4;n=3;r=2;field=real",
+    "sym-mrank:d=2;n=3;r=2;field=real",
+    "mrank:r=2,2,2;shape=3,3,3;field=complex",
+])
+def test_census_labels_agree_with_classify(text):
+    """One stratum per kind record: the census does not refute its own
+    prediction, and each trial's label is what classify gives its value."""
+    st = parse_stratum(text)
+    report = census(st, 12, seed=21, path_samples=16)
+    assert report.verdict != "inconsistent"
+    for row in report.diagnostics:
+        assert not row.rejected
+        value, _witness = kind_of(st).draw(st, SplitMix64(row.seed), DEFAULT_TOL)
+        assert row.label == str(classify(st, value))
 
 
 def test_census_json_schema():

@@ -3,13 +3,14 @@ import pytest
 
 from tensortopo import (COMPLEX, REAL, DifferentComponents, Hypermatrix,
                         SplitMix64, SymTensor, TolerancePolicy,
-                        UnsupportedStratumError, connect, connect_brank3_222,
-                        connect_mrank, connect_rank_one, connect_sym_mrank,
-                        connect_sym_rank_one, connect_sym_rank_r, hyperdet222,
-                        mrank, outer_product, parse_stratum, path_verify,
-                        sample_fixed_mrank, sample_rank_r, sample_sym_mrank,
-                        sample_sym_rank_r, sym_embed, sym_power,
-                        sym_tucker_compress)
+                        UnsupportedStratumError, census, connect,
+                        connect_brank3_222, connect_mrank, connect_rank_one,
+                        connect_sym_mrank, connect_sym_rank_one,
+                        connect_sym_rank_r, expected_component_count,
+                        hyperdet222, mrank, outer_product, parse_stratum,
+                        path_verify, sample_fixed_mrank, sample_rank_r,
+                        sample_sym_mrank, sample_sym_rank_r, sym_embed,
+                        sym_power, sym_tucker_compress)
 from tensortopo.classifiers import classify_brank3_222
 from tensortopo.core import RankOneFactors
 from tensortopo.io import dumps_canonical
@@ -134,6 +135,32 @@ def test_sym_rank_complex_ignores_signs():
     _, db = sample_sym_rank_r(3, 4, 2, field=COMPLEX, rng=rng)
     path = connect_sym_rank_r(da, db, rng=SplitMix64(4))
     assert_connects(path, da.tensor(), db.tensor())
+
+
+def _binary_cubic_discriminant(S) -> float:
+    """Discriminant of the form sum_ijk S_ijk x_i x_j x_k. Below zero the
+    cubic has one real root, so by Sylvester its real rank is two."""
+    T = sym_embed(S).data
+    a, b, c, d = T[0, 0, 0], 3 * T[0, 0, 1], 3 * T[0, 1, 1], T[1, 1, 1]
+    return (b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * d
+            - 27 * a * a * d * d + 18 * a * b * c * d)
+
+
+def test_sym_rank_above_dimension_is_not_certified_exactly():
+    """Sums of three real binary cubes mostly have real rank two, so with
+    r > n neither a path nor a census may claim rank three."""
+    st = parse_stratum("sym-rank:d=3;n=2;r=3;field=real")
+    rng = SplitMix64(5)
+    draws = [sample_sym_rank_r(2, 3, 3, rng=rng) for _ in range(40)]
+    assert sum(_binary_cubic_discriminant(S) < 0 for S, _ in draws) == 38
+    (Sa, da), (Sb, db) = draws[:2]
+    path = connect(st, Sa, Sb, witness_a=da, witness_b=db, rng=SplitMix64(5))
+    report = path_verify(path, K=16)
+    assert report.passed
+    assert not report.exact_certificate
+    assert {s.note for s in report.samples} == {"unverifiable-exactly"}
+    assert expected_component_count(st) is None
+    assert census(st, 40, 5, path_samples=16).verdict == "inconclusive"
 
 
 # --- low rank on (2, 2, 2) and general rank 2 --------------------------------
