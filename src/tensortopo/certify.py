@@ -5,7 +5,8 @@ The degree-4 hyperdeterminant of a real 2x2x2 tensor separates the two
 generic regimes: positive on rank-two tensors, negative on the real
 border-rank-three stratum, zero on the boundary. It coincides with the
 discriminant of det(beta*S0 - alpha*S1) where S0, S1 are the mode-1 slices,
-which is also how rank-two decompositions are computed.
+which is also how rank-two decompositions are computed, and how the
+conjugate pair of the negative regime is read in closed form.
 """
 
 from __future__ import annotations
@@ -158,12 +159,17 @@ def _projective_roots(a, b, c, field: str, tol: TolerancePolicy):
                         dtype=np.complex128 if field == COMPLEX else np.float64)
         pair = fix_phase(pair / np.linalg.norm(pair))
         roots.append(pair)
-    separation = abs(roots[0][0] * roots[1][1] - roots[1][0] * roots[0][1])
+    _check_separation(abs(roots[0][0] * roots[1][1] - roots[1][0] * roots[0][1]),
+                      tol)
+    return roots
+
+
+def _check_separation(separation: float, tol: TolerancePolicy) -> None:
+    """ToleranceError unless two unit pencil roots are gap_min apart."""
     if separation < tol.gap_min:
         raise ToleranceError(
             f"slice pencil roots separated by {separation:.3e} < gap_min; "
             "rank-two decomposition is not identifiable here")
-    return roots
 
 
 def _rank_one_matrix_factors(M: np.ndarray, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
@@ -286,6 +292,45 @@ def count_rank2_decompositions(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TO
     except (ToleranceError, DegenerateError, ValueError):
         return DecompositionCount.CONTINUUM_OR_DEGENERATE, ()
     return DecompositionCount.UNIQUE_UP_TO_PERMUTATION, ((t1, t2), (t2, t1))
+
+
+def conj_pair_factors(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit factors x, y, z of a term T = c x (x) y (x) z with
+    A = T + conj(T), for real 2x2x2 inputs with negative hyperdeterminant,
+    read in closed form off the mode-1 slice pencil (derived in
+    classifiers.classify_brank3_222).
+
+    The roots of det(beta*S0 - alpha*S1) are x and conj(x) up to scalars;
+    at x the pencil M = beta*S0 - alpha*S1 is rank one, proportional to
+    conj(y) conj(z)^T. Raises ToleranceError when the two roots are closer
+    than gap_min, when M is not rank one to a 1e-6 singular-value ratio, or
+    when 2 Re(c x (x) y (x) z), with c fitted, misses A by more than
+    1e-8 ||A||.
+    """
+    if A.shape != (2, 2, 2) or A.field != REAL:
+        raise ValueError("conj_pair_factors needs a real tensor of shape (2, 2, 2)")
+    S = A.data
+    a, b, c = _pencil_coefficients(S)
+    # a alpha^2 + b alpha beta + c beta^2 with b^2 < 4ac has the root
+    # (t, a), t = -(b + i sqrt(4ac - b^2)) / 2, and its conjugate
+    root = np.array([-(b + 1j * math.sqrt(max(4.0 * a * c - b * b, 0.0))) / 2.0, a])
+    x = root / np.linalg.norm(root)
+    # |det[x | conj(x)]| = 2 |Im(x_0 conj(x_1))|
+    _check_separation(2.0 * abs((x[0] * np.conj(x[1])).imag), tol)
+    u, v = _rank_one_matrix_factors(x[1] * S[0] - x[0] * S[1], tol)
+    y, z = np.conj(u), np.conj(v)
+    E = np.multiply.outer(np.multiply.outer(x, y), z)
+    # A = c E + conj(c E) with ||E|| = 1, so <E, A> = c + conj(c h) with
+    # h = sum(E^2), and |h| < 1 unless a factor is real up to phase
+    p, h = np.vdot(E, S), np.sum(E * E)
+    coef = (p - np.conj(h * p)) / (1.0 - abs(h) ** 2)
+    residual = float(np.linalg.norm((2.0 * np.real(coef * E) - S).ravel()))
+    if not residual <= 1e-8 * max(A.norm(), 1e-300):
+        raise ToleranceError(
+            f"conjugate-pair reconstruction misses the input by {residual:.3e}; "
+            "input is not numerically border rank three")
+    return x, y, z
 
 
 def brank3_conj_pair(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL) -> RankOneFactors:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import (Kind222, brank3_conj_pair, classify_222,
+from .certify import (Kind222, classify_222, conj_pair_factors,
                       rank2_decompose)
 from .core import (DEFAULT_TOL, Hypermatrix, REAL,
                    SymRankDecomposition, SymTensor, TolerancePolicy, flatten,
@@ -121,26 +121,44 @@ def classify_brank3_222(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL
                         ) -> ComponentLabel:
     """Pairwise orientation signs of the conjugate-pair decomposition.
 
-    Writing A = T + conj(T) with T = x (x) y (x) z, each mode factor spans an
-    oriented real plane with area form w = det[Re | Im]; w rescales by |c|^2
-    under complex scaling and flips under conjugation, so the three pairwise
-    products sign(w_x w_y), sign(w_x w_z), sign(w_y w_z) are well-defined.
-    They take exactly four joint values (their product is always +).
+    Writing A = T + conj(T) with T = c x (x) y (x) z, each mode factor spans
+    an oriented real plane with area form w(v) = det[Re v | Im v] =
+    Im(conj(v_0) v_1); w rescales by |c|^2 under complex scaling and flips
+    under conjugation, so the three pairwise products sign(w_x w_y),
+    sign(w_x w_z), sign(w_y w_z) are well-defined. They take exactly four
+    joint values (their product is always +).
+
+    The factors come in closed form from the mode-1 slice pencil (de Silva
+    & Lim 2008, the negative-hyperdeterminant case). With S0 = A[0] and
+    S1 = A[1], S_i = c x_i y z^T + conj(c x_i y z^T), so
+
+        x_1 S0 - x_0 S1 = conj(c) (x_1 conj(x_0) - x_0 conj(x_1)) conj(y) conj(z)^T.
+
+    Hence det(beta*S0 - alpha*S1) vanishes at (alpha, beta) = x and at
+    conj(x): for hyperdeterminant < 0 it has one pair of conjugate roots,
+    and the unit root is x up to phase. At that root the pencil M is rank
+    one, and its leading singular pair u, v gives y ~ conj(u) and
+    z ~ conj(v). Taking the other root conjugates all three factors, which
+    leaves every pairwise product unchanged. One 2x2 SVD replaces the
+    complex rank-two decomposition of brank3_conj_pair, and every check of
+    that route stays: the classify_222 band, pencil-root separation, the
+    rank-one ratio of M, a rebuild of A within 1e-8 ||A|| and a per-mode
+    unit-factor area of at least gap_min (see certify.conj_pair_factors).
     """
     cls = classify_222(A, tol)
     if cls.kind is not Kind222.BORDER_RANK3:
         raise ToleranceError(
             f"classification is {cls.kind.value}, not border-rank3; "
             "the sign-triple label does not apply")
-    term = brank3_conj_pair(A, tol)
-    areas = []
-    for mode, x in enumerate(term.factors, start=1):
-        w = orientation_area(x)
+    areas = [orientation_area(v) for v in conj_pair_factors(A, tol)]
+    if areas[0] < 0:
+        # the conjugate term, whose first factor has positive orientation
+        areas = [-w for w in areas]
+    for mode, w in enumerate(areas, start=1):
         if abs(w) < tol.gap_min:
             raise ToleranceError(
                 f"mode-{mode} orientation area {w:.3e} is below gap_min; "
                 "too close to the stratum boundary to classify")
-        areas.append(w)
     return sign_triple_label(areas[0] * areas[1], areas[0] * areas[2],
                              areas[1] * areas[2])
 
@@ -205,7 +223,8 @@ def _sym_rank2_witness(S: SymTensor, tol: TolerancePolicy) -> SymRankDecompositi
 
     The rank-two decomposition of the embedded tensor is unique up to order,
     so for a symmetric input each term must itself be symmetric: all mode
-    factors of a term agree up to sign, which even powers absorb.
+    factors of a term agree up to a unit scalar (a sign over R, a phase over
+    C), which moves into the coefficient.
     """
     t1, t2 = rank2_decompose(sym_embed(S), tol)
     coefficients = []
@@ -214,14 +233,14 @@ def _sym_rank2_witness(S: SymTensor, tol: TolerancePolicy) -> SymRankDecompositi
         base = term.factors[0]
         lam = term.scalar
         for f in term.factors[1:]:
-            align = float(np.real(np.vdot(base, f)))
+            align = np.vdot(base, f)
             if abs(abs(align) - 1.0) > 1e-6:
                 raise ToleranceError(
                     "rank-two terms of a symmetric tensor should have "
                     "collinear factors; input is not symmetric rank two")
-            if align < 0:
-                lam = -lam
-        coefficients.append(float(np.real(lam)))
+            lam = lam * (align / abs(align))
+        coefficients.append(float(np.real(lam)) if S.field == REAL
+                            else complex(lam))
         vectors.append(base)
     return SymRankDecomposition(S.order, tuple(coefficients), tuple(vectors), S.field)
 

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -102,6 +103,16 @@ class MultilinearRank:
 
     def admissible(self) -> bool:
         return mrank_admissible(self.ranks)
+
+    def checked(self) -> "MultilinearRank":
+        """This read, or ToleranceError when it violates admissibility
+        (r_i <= prod_{j != i} r_j), which only an inconsistent numerical
+        read can give."""
+        if not self.admissible():
+            raise ToleranceError(
+                f"inadmissible multilinear rank read {self.ranks}; "
+                "tolerance thresholds are inconsistent for this input")
+        return self
 
 
 def mrank_admissible(ranks: tuple[int, ...]) -> bool:
@@ -222,41 +233,63 @@ def flatten(A: Hypermatrix, mode: int) -> np.ndarray:
         np.moveaxis(A.data, ax, 0).reshape(A.shape[ax], -1))
 
 
-def numerical_rank(M: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[int, float]:
-    """(rank, margin) with threshold tau = sigma_1 * max(m, n) * eps_rel.
+def _rank_read(sigma: np.ndarray, size: int,
+               tol: TolerancePolicy) -> list[tuple[int, float]]:
+    """(rank, margin) per row of a (K, p) stack of singular values, each row
+    in descending order, of matrices whose larger side is ``size``.
 
-    Singular values exactly on the threshold count as above it. The zero
-    matrix has rank 0. margin = sigma_r / sigma_1, and 1.0 when r = 0.
+    Threshold tau = sigma_1 * size * eps_rel; singular values exactly on the
+    threshold count as above it. The zero matrix has rank 0. margin =
+    sigma_r / sigma_1, and 1.0 when r = 0.
     """
+    reads = []
+    for row in sigma.tolist():
+        if not row or row[0] == 0.0:
+            reads.append((0, 1.0))
+            continue
+        tau = row[0] * size * tol.eps_rel
+        r = sum(1 for s in row if s >= tau)
+        reads.append((r, row[r - 1] / row[0] if r > 0 else 1.0))
+    return reads
+
+
+def numerical_rank(M: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[int, float]:
+    """(rank, margin) of one matrix under the threshold rule of _rank_read."""
     M = np.atleast_2d(M)
     sigma = np.linalg.svd(M, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0, 1.0
-    tau = sigma[0] * max(M.shape) * tol.eps_rel
-    r = int(np.sum(sigma >= tau))
-    margin = float(sigma[r - 1] / sigma[0]) if r > 0 else 1.0
-    return r, margin
+    return _rank_read(sigma[None], max(M.shape), tol)[0]
+
+
+def mrank_stack(tensors: Sequence[Hypermatrix],
+                tol: TolerancePolicy = DEFAULT_TOL) -> list[MultilinearRank]:
+    """Multilinear ranks of same-shape tensors, with per-mode margins, read
+    with one batched SVD per mode under the rule of numerical_rank.
+
+    Reads come back as they are, admissible or not; ``checked`` raises on
+    an inadmissible one.
+    """
+    data = np.stack([A.data for A in tensors])
+    K, axes = data.shape[0], range(1, data.ndim)
+    per_mode = []
+    for ax in axes:
+        # the mode-ax flattening of every tensor, as flatten lays it out
+        order = (0, ax) + tuple(k for k in axes if k != ax)
+        flat = data.transpose(order).reshape(K, data.shape[ax], -1)
+        sigma = np.linalg.svd(flat, compute_uv=False)
+        per_mode.append(_rank_read(sigma, max(flat.shape[1:]), tol))
+    return [MultilinearRank(tuple(r for r, _m in reads),
+                            tuple(m for _r, m in reads))
+            for reads in zip(*per_mode)]
 
 
 def mrank(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL) -> MultilinearRank:
     """Multilinear rank: the tuple of flattening ranks, with per-mode margins.
 
-    Raises ToleranceError when the reported tuple violates admissibility
-    (r_i <= prod_{j != i} r_j); that can only come from an inconsistent
-    numerical read.
+    The one-tensor case of mrank_stack. Raises ToleranceError when the
+    reported tuple violates admissibility (r_i <= prod_{j != i} r_j); that
+    can only come from an inconsistent numerical read.
     """
-    ranks = []
-    margins = []
-    for mode in range(1, A.order + 1):
-        r, m = numerical_rank(flatten(A, mode), tol)
-        ranks.append(r)
-        margins.append(m)
-    result = MultilinearRank(tuple(ranks), tuple(margins))
-    if not result.admissible():
-        raise ToleranceError(
-            f"inadmissible multilinear rank read {result.ranks}; "
-            "tolerance thresholds are inconsistent for this input")
-    return result
+    return mrank_stack([A], tol)[0].checked()
 
 
 def outer_product(f: RankOneFactors) -> Hypermatrix:

@@ -23,10 +23,11 @@ import numpy as np
 from .certify import brank3_conj_pair, is_rank_one, rank2_decompose
 from .classifiers import (ComponentLabel, classify_brank3_222, det_sign_mrank,
                           sign_label, square_mode, mrank_saturation)
-from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, RankOneFactors, REAL,
-                   SymRankDecomposition, SymTensor, TolerancePolicy,
-                   mode_multiply, mrank, numerical_rank, outer_product,
-                   sym_embed, sym_extract, sym_packed_length, sym_power)
+from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, MultilinearRank,
+                   RankOneFactors, REAL, SymRankDecomposition, SymTensor,
+                   TolerancePolicy, mode_multiply, mrank, mrank_stack,
+                   numerical_rank, outer_product, sym_embed, sym_extract,
+                   sym_packed_length, sym_power)
 from .errors import (DegenerateError, DifferentComponents, RetryExhausted,
                      ToleranceError, UnsupportedStratumError)
 from .geometry import (GrassmannGeodesic, OrientationLoop, gl_interpolator,
@@ -41,6 +42,7 @@ from .stratum import StratumDescriptor, format_stratum
 _LOOSE = TolerancePolicy(eps_rel=1e-8)
 _SAME = 1e-13          # below this, two unit vectors count as the same point
 _ANTIPODAL = 1e-9      # |<a,b> + 1| below this forces a detour
+_ENDPOINT_TOL = 1e-10  # relative miss allowed between a path end and its input
 
 
 def _lerp(a, b, s: float):
@@ -309,6 +311,10 @@ class TensorPath:
                 "segments": [seg.to_json() for seg in self.segments]}
 
 
+def _dense(value) -> Hypermatrix:
+    return sym_embed(value) if isinstance(value, SymTensor) else value
+
+
 def value_diff_norm(a, b) -> float:
     if isinstance(a, SymTensor):
         return SymTensor(a.dim, a.order, a.field, a.packed - b.packed).norm()
@@ -522,16 +528,9 @@ def _stratum_in_grid(path: TensorPath, expected: tuple, tol: TolerancePolicy) ->
     """Internal acceptance: exact mrank pattern with margins >= gap_min."""
     ts = sorted(set([0.0, 1.0] + chebyshev_grid(tol.path_samples_default)
                     + path.joints()))
-    for t in ts:
-        value = path.eval(t)
-        A = sym_embed(value) if isinstance(value, SymTensor) else value
-        try:
-            mr = mrank(A, tol)
-        except ToleranceError:
-            return False
-        if tuple(mr.ranks) != expected or min(mr.margins) < tol.gap_min:
-            return False
-    return True
+    return all(mr.admissible() and mr.ranks == expected
+               and min(mr.margins) >= tol.gap_min
+               for mr in mrank_stack([_dense(path.eval(t)) for t in ts], tol))
 
 
 def _detour_route(segment, accept, draw_mid, x0, x1, budget: int) -> list:
@@ -1011,9 +1010,21 @@ def connect(stratum: StratumDescriptor, a, b, *, witness_a=None,
             witness_b=None, tol: TolerancePolicy = DEFAULT_TOL,
             rng: SplitMix64 | None = None, depth: int = 8) -> TensorPath:
     """Route to the constructor of the stratum's record (see kinds.py);
-    witnesses are decomposition objects where the construction needs them."""
-    return kinds.kind_of(stratum).connect(stratum, a, b, witness_a, witness_b,
+    witnesses are decomposition objects where the construction needs them.
+
+    Raises ToleranceError when the path does not start at ``a`` and end at
+    ``b`` to within 1e-10 relative to each endpoint's norm, which a witness
+    that does not rebuild its endpoint would give.
+    """
+    path = kinds.kind_of(stratum).connect(stratum, a, b, witness_a, witness_b,
                                           tol, rng, depth)
+    for t, end in ((0.0, a), (1.0, b)):
+        miss = value_diff_norm(path.eval(t), end) / max(end.norm(), 1e-300)
+        if not miss <= _ENDPOINT_TOL:
+            raise ToleranceError(
+                f"path misses its endpoint at t={t:g} by {miss:.3e} "
+                "relative to its norm")
+    return path
 
 
 @dataclass
@@ -1054,16 +1065,15 @@ class PathReport:
         return header, rows
 
 
-def _certify_sample(stratum: StratumDescriptor, value, witness,
-                    tol: TolerancePolicy) -> SampleCheck:
-    """Flattening ranks and margin of one sample, judged by the stratum's
-    record (see kinds.py)."""
-    A = sym_embed(value) if isinstance(value, SymTensor) else value
+def _certify_sample(stratum: StratumDescriptor, value, mr: MultilinearRank,
+                    witness, tol: TolerancePolicy) -> SampleCheck:
+    """One sample with its multilinear rank read ``mr``, judged by the
+    stratum's record (see kinds.py)."""
     try:
-        mr = mrank(A, tol)
+        mr.checked()
     except ToleranceError as exc:
         return SampleCheck(0.0, False, (), 0.0, None, f"mrank failed: {exc}")
-    ranks = tuple(mr.ranks)
+    ranks = mr.ranks
     margin = float(min(mr.margins))
     try:
         ok, label, note = kinds.kind_of(stratum).certify(stratum, value, ranks,
@@ -1076,18 +1086,20 @@ def _certify_sample(stratum: StratumDescriptor, value, witness,
 
 def path_verify(path: TensorPath, K: int | None = None,
                 tol: TolerancePolicy = DEFAULT_TOL) -> PathReport:
-    """Evaluate on a Chebyshev grid plus endpoints and joints; certify each
-    sample for the target stratum; check joint continuity and classifier
-    constancy. Failures become report content, never exceptions."""
+    """Evaluate on a Chebyshev grid plus endpoints and joints, read every
+    sample's multilinear rank in one batch, certify each sample for the
+    target stratum; check joint continuity and classifier constancy.
+    Failures become report content, never exceptions."""
     if K is None:
         K = tol.path_samples_default
     ts = sorted(set([0.0, 1.0] + chebyshev_grid(K) + path.joints()))
+    values = [path.eval(t) for t in ts]
+    reads = mrank_stack([_dense(v) for v in values], tol)
     samples: list[SampleCheck] = []
     passed = True
     exact = True
-    for t in ts:
-        value = path.eval(t)
-        check = _certify_sample(path.stratum, value, path.witness(t), tol)
+    for t, value, mr in zip(ts, values, reads):
+        check = _certify_sample(path.stratum, value, mr, path.witness(t), tol)
         check.t = t
         if check.note in ("unverifiable-exactly",):
             exact = False

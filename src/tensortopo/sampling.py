@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-from .certify import Kind222, classify_222, is_rank_one, rank2_decompose
+from .certify import (Kind222, classify_222, hyperdet222, is_rank_one,
+                      rank2_decompose)
 from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, RankOneFactors, REAL,
                    SymRankDecomposition, SymTensor, TolerancePolicy,
                    mode_multiply, mrank, mrank_admissible, outer_product,
@@ -80,6 +81,7 @@ def sample_rank_r(shape: tuple[int, ...], r: int, field: str, rng: SplitMix64,
     if r > min(total // n for n in shape) or (shape == (2, 2, 2) and r > 3):
         raise ValueError(f"no tensors of rank {r} on shape {shape}")
     expected = expected_generic_mrank(shape, r)
+    border = shape == (2, 2, 2) and field == REAL and r == 3
     for _ in range(_MAX_REDRAWS + 1):
         terms = []
         total = None
@@ -90,6 +92,8 @@ def sample_rank_r(shape: tuple[int, ...], r: int, field: str, rng: SplitMix64,
             part = outer_product(term).data
             total = part if total is None else total + part
         A = Hypermatrix(total, field)
+        if border and not hyperdet222(A) < -(tol.eps_rel * A.norm() ** 4):
+            continue  # classify_222's border-rank-3 test, ahead of the SVDs
         try:
             mr = mrank(A, tol)
         except TensorTopoError:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from tensortopo import (COMPLEX, REAL, Hypermatrix, SplitMix64,
-                        SymRankDecomposition, ToleranceError,
-                        UnsupportedStratumError, hyperdet222, mode_multiply,
-                        parse_stratum, random_invertible, sample_rank_r,
-                        sample_sym_rank_r, sym_power)
+from tensortopo import (COMPLEX, REAL, DegenerateError, Hypermatrix,
+                        SplitMix64, SymRankDecomposition, ToleranceError,
+                        UnsupportedStratumError, connect, hyperdet222,
+                        mode_multiply, parse_stratum, random_invertible,
+                        sample_rank_r, sample_sym_rank_r, sym_power)
+from tensortopo.certify import Kind222, brank3_conj_pair, classify_222
 from tensortopo.classifiers import (ComponentLabel, classify,
                                     classify_brank3_222, det_sign_mrank,
                                     mrank_saturation, orientation_area,
@@ -188,3 +189,59 @@ def test_classify_unsupported_cases():
         classify(parse_stratum("rank:r=2;shape=3,3,3;field=real"), T)
     with pytest.raises(UnsupportedStratumError):
         classify(parse_stratum("mrank:r=4,2,2;shape=4,3,3;field=real"), T)
+
+
+def _label_via_conj_pair(A):
+    """The sign triple read off the complex rank-two decomposition of
+    brank3_conj_pair: the reference the closed form must agree with."""
+    if classify_222(A).kind is not Kind222.BORDER_RANK3:
+        raise ToleranceError("not border-rank3")
+    areas = [orientation_area(x) for x in brank3_conj_pair(A).factors]
+    if min(abs(w) for w in areas) < 1e-6:
+        raise ToleranceError("orientation area below gap_min")
+    return sign_triple_label(areas[0] * areas[1], areas[0] * areas[2],
+                             areas[1] * areas[2])
+
+
+def _outcome(classifier, A):
+    try:
+        return str(classifier(A))
+    except (ToleranceError, DegenerateError):
+        return "raises"
+
+
+def _closed_form_inputs():
+    """Gaussian draws, samples along brank3 paths, and conjugate pairs whose
+    factors approach real ones, so that Delta / ||A||^4 falls through the
+    1e-10 band of classify_222."""
+    rng = SplitMix64(90)
+    inputs = [Hypermatrix(rng.normals((2, 2, 2)), REAL) for _ in range(5000)]
+    st = parse_stratum("brank:r=3;shape=2,2,2;field=real")
+    groups = {}
+    for _ in range(48):
+        A, _terms = sample_rank_r((2, 2, 2), 3, REAL, rng)
+        groups.setdefault(str(classify_brank3_222(A)), []).append(A)
+    for members in groups.values():
+        for a, b in zip(members, members[1:]):
+            path = connect(st, a, b)
+            inputs += [path.eval(t) for t in np.linspace(0.0, 1.0, 57)]
+    for k in range(2500):
+        shrink = 10.0 ** (-7.0 * k / 2500)
+        x, y, z = (rng.normals((2,)) + 1j * shrink * rng.normals((2,))
+                   for _mode in range(3))
+        T = complex(rng.normal(), rng.normal()) * np.multiply.outer(
+            np.multiply.outer(x, y), z)
+        inputs.append(Hypermatrix(2.0 * np.real(T), REAL))
+    return inputs
+
+
+def test_closed_form_sign_triple_agrees_with_the_conj_pair_route():
+    inputs = _closed_form_inputs()
+    assert len(inputs) >= 10_000
+    outcomes = [(_outcome(_label_via_conj_pair, A),
+                 _outcome(classify_brank3_222, A)) for A in inputs]
+    differ = [i for i, (ref, got) in enumerate(outcomes) if ref != got]
+    assert differ == []
+    labels = [got for _ref, got in outcomes if got != "raises"]
+    assert set(labels) == ALL_TRIPLES
+    assert 1000 <= len(labels) <= len(inputs) - 1000

@@ -4,10 +4,12 @@ import pytest
 from tensortopo import (COMPLEX, REAL, Hypermatrix, SplitMix64, SymTensor,
                         TolerancePolicy, ToleranceError, flatten,
                         frobenius_inner, hypermatrix, mode_multiply, mrank,
-                        numerical_rank, outer_product, sym_diagonal_sum,
-                        sym_embed, sym_extract, sym_packed_length, sym_power)
+                        numerical_rank, outer_product, parse_stratum,
+                        sym_diagonal_sum, sym_embed, sym_extract,
+                        sym_packed_length, sym_power)
 from tensortopo.core import (MultilinearRank, RankOneFactors, fix_phase,
-                             mrank_admissible)
+                             mrank_admissible, mrank_stack)
+from tensortopo.kinds import kind_of
 
 
 def test_hypermatrix_coerces_dtype():
@@ -182,3 +184,54 @@ def test_fix_phase():
     assert np.allclose(np.abs(w), np.abs(v))
     z = fix_phase(np.array([1j, 0.0]))
     assert z[0] == pytest.approx(1.0)
+
+
+def _scalar_rank_rule(M, eps_rel=1e-10):
+    """The per-matrix threshold rule, written out as a plain loop."""
+    sigma = np.linalg.svd(M, compute_uv=False)
+    if sigma.size == 0 or sigma[0] == 0.0:
+        return 0, 1.0
+    tau = sigma[0] * max(M.shape) * eps_rel
+    r = int(np.sum(sigma >= tau))
+    return r, (float(sigma[r - 1] / sigma[0]) if r > 0 else 1.0)
+
+
+STACK_STRATA = ["rank:r=1;shape=3,4,5;field=real",
+                "rank:r=1;shape=3,4,5;field=complex",
+                "rank:r=2;shape=3,3,3;field=real",
+                "rank:r=2;shape=3,3,3;field=complex",
+                "brank:r=3;shape=2,2,2;field=real",
+                "sym-rank:d=4;n=3;r=2;field=real",
+                "sym-rank:d=3;n=3;r=2;field=complex",
+                "mrank:r=4,2,2;shape=4,2,2;field=real",
+                "mrank:r=2,2,2;shape=3,3,3;field=complex",
+                "sym-mrank:d=2;n=4;r=3;field=real",
+                "sym-mrank:d=3;n=3;r=2;field=complex"]
+
+
+@pytest.mark.parametrize("text", STACK_STRATA)
+def test_mrank_stack_matches_a_per_tensor_loop(text):
+    st = parse_stratum(text)
+    rng = SplitMix64(25)
+    values = [kind_of(st).draw(st, rng, TolerancePolicy())[0] for _ in range(6)]
+    tensors = [sym_embed(v) if isinstance(v, SymTensor) else v for v in values]
+    # a rank-one member and the zero tensor share the stack
+    shape, field = tensors[0].shape, tensors[0].field
+    one = np.ones(())
+    for n in shape:
+        one = np.multiply.outer(one, rng.normals((n,)))
+    tensors += [Hypermatrix(one, field), Hypermatrix(np.zeros(shape), field)]
+    for A, read in zip(tensors, mrank_stack(tensors)):
+        loop = [_scalar_rank_rule(flatten(A, m)) for m in range(1, A.order + 1)]
+        assert read.ranks == tuple(r for r, _m in loop)
+        assert read.margins == tuple(m for _r, m in loop)
+        assert mrank(A).margins == read.margins
+
+
+def test_checked_raises_on_an_inadmissible_read():
+    bad = MultilinearRank((2, 1, 1))
+    assert not bad.admissible()
+    with pytest.raises(ToleranceError, match="inadmissible multilinear rank"):
+        bad.checked()
+    zero = Hypermatrix(np.zeros((2, 2, 2)), REAL)
+    assert mrank_stack([zero])[0].checked().ranks == (0, 0, 0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tensortopo import (COMPLEX, REAL, DifferentComponents, Hypermatrix,
-                        SplitMix64, SymTensor, TolerancePolicy,
+                        SplitMix64, SymTensor, TolerancePolicy, ToleranceError,
                         UnsupportedStratumError, census, connect,
                         connect_brank3_222, connect_mrank, connect_rank_one,
                         connect_sym_mrank, connect_sym_rank_one,
@@ -11,9 +11,10 @@ from tensortopo import (COMPLEX, REAL, DifferentComponents, Hypermatrix,
                         path_verify, sample_fixed_mrank, sample_rank_r,
                         sample_sym_mrank, sample_sym_rank_r, sym_embed,
                         sym_power, sym_tucker_compress)
-from tensortopo.classifiers import classify_brank3_222
+from tensortopo.classifiers import classify, classify_brank3_222
 from tensortopo.core import RankOneFactors
 from tensortopo.io import dumps_canonical
+from tensortopo.kinds import kind_of
 from tensortopo.paths import (TensorPath, TuckerCurve, chebyshev_grid,
                               eigen_core_track, gl_core_track,
                               value_diff_norm)
@@ -594,3 +595,52 @@ def test_connect_passes_witnesses_through():
     st = parse_stratum("sym-rank:d=3;n=5;r=3;field=real")
     path = connect(st, Sa, Sb, witness_a=da, witness_b=db, rng=SplitMix64(17))
     assert_connects(path, Sa, Sb)
+
+
+ENDPOINT_STRATA = ["rank:r=1;shape=3,4,5;field=real",
+                   "rank:r=1;shape=3,4,5;field=complex",
+                   "rank:r=2;shape=3,3,3;field=real",
+                   "rank:r=2;shape=3,3,3;field=complex",
+                   "brank:r=3;shape=2,2,2;field=real",
+                   "sym-rank:d=4;n=3;r=1;field=real",
+                   "sym-rank:d=4;n=3;r=1;field=complex",
+                   "sym-rank:d=3;n=3;r=2;field=real",
+                   "sym-rank:d=3;n=3;r=2;field=complex",
+                   "mrank:r=2,2,2;shape=3,3,3;field=real",
+                   "mrank:r=2,2,2;shape=3,3,3;field=complex",
+                   "sym-mrank:d=3;n=3;r=2;field=real",
+                   "sym-mrank:d=3;n=3;r=2;field=complex"]
+
+
+@pytest.mark.parametrize("text", ENDPOINT_STRATA)
+def test_connect_without_witnesses_matches_both_endpoints(text):
+    st = parse_stratum(text)
+    rng = SplitMix64(3)
+    pending = {}
+    pairs = 0
+    while pairs < 4:
+        value, _witness = kind_of(st).draw(st, rng, TolerancePolicy())
+        try:
+            label = str(classify(st, value))
+        except UnsupportedStratumError:
+            label = "unlabeled"
+        if label not in pending:
+            pending[label] = value
+            continue
+        a = pending.pop(label)
+        # connect raises ToleranceError if an end misses; check it here too
+        path = connect(st, a, value, rng=SplitMix64(pairs))
+        for t, end in ((0.0, a), (1.0, value)):
+            assert value_diff_norm(path.eval(t), end) <= 1e-10 * end.norm()
+        pairs += 1
+
+
+def test_connect_refuses_a_witness_that_misses_its_endpoint():
+    rng = SplitMix64(235)
+    st = parse_stratum("sym-rank:d=3;n=3;r=2;field=complex")
+    Sa, _da = sample_sym_rank_r(3, 3, 2, field=COMPLEX, rng=rng)
+    Sb, db = sample_sym_rank_r(3, 3, 2, field=COMPLEX, rng=rng)
+    _Sc, dc = sample_sym_rank_r(3, 3, 2, field=COMPLEX, rng=rng)
+    # dc is the decomposition of another tensor, so the path starts off Sa
+    with pytest.raises(ToleranceError, match="misses its endpoint at t=0"):
+        connect(st, Sa, Sb, witness_a=dc, witness_b=db, rng=SplitMix64(7))
