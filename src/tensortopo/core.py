@@ -324,6 +324,11 @@ def sym_embed(S: SymTensor) -> Hypermatrix:
     return Hypermatrix(full, S.field)
 
 
+def dense(value) -> Hypermatrix:
+    """A SymTensor's embedding, or a Hypermatrix as it is."""
+    return sym_embed(value) if isinstance(value, SymTensor) else value
+
+
 def sym_extract(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL) -> SymTensor:
     """Pack a (numerically) symmetric full tensor; reject asymmetric input.
 

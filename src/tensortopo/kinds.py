@@ -12,7 +12,8 @@ global names at call time, so a wrapper installed here sees every call.
 
 from __future__ import annotations
 
-from .certify import Kind222, classify_222, is_rank_one, rank2_decompose
+from .certify import (Kind222, classify_222, hyperdet222, is_rank_one,
+                      rank2_decompose)
 from .classifiers import (SINGLE, _sym_matrix_signature, _sym_rank2_witness,
                           classify_brank3_222, det_sign_mrank,
                           mrank_saturation, square_mode, sym_sign_rank1,
@@ -33,6 +34,11 @@ class Kind:
     ``draw(stratum, rng, tol)`` returns ``(value, witness)``. A witness is a
     decomposition that ``classify`` and ``connect`` take in place of the
     value; kinds without one return None.
+
+    ``member(stratum, value, ranks, tol)`` is the kind's one membership
+    rule, ``(ok, note)`` for a value with flattening ranks ``ranks``: the
+    samplers keep a draw only if it passes, and ``certify`` applies it to
+    every path sample.
     """
 
     def classify(self, stratum, value, tol):
@@ -44,6 +50,11 @@ class Kind:
         if stratum.field == COMPLEX:
             return 1
         return self.real_components(stratum)
+
+    def screen(self, stratum, value, tol) -> bool:
+        """A test ``member`` also makes that needs no rank read; samplers
+        run it first."""
+        return True
 
     def certify(self, stratum, value, ranks: tuple, witness, tol) -> tuple:
         """(ok, label, note) for one path sample with flattening ranks
@@ -107,8 +118,14 @@ class BorderRank3(Rank):
     def connect(self, stratum, a, b, witness_a, witness_b, tol, rng, depth):
         return connect_brank3_222(a, b, tol)
 
+    def screen(self, stratum, A, tol):
+        # classify_222's border-rank-three test, a closed form: it turns
+        # away nine in ten sampler draws before their SVDs
+        return hyperdet222(A) < -(tol.eps_rel * A.norm() ** 4)
+
     def member(self, stratum, A, ranks, tol):
-        # the label raises ToleranceError unless A is border-rank three
+        if not self.screen(stratum, A, tol):
+            return False, "hyperdeterminant is not below -eps_rel ||A||^4"
         return ranks == (2, 2, 2), ""
 
 

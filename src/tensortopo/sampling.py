@@ -1,13 +1,16 @@
 """Rejection samplers for rank strata, driven by an explicit SplitMix64 state.
 
-Every sampler certifies its output with whatever certificate the stratum
-offers (multilinear rank with margins, the 2x2x2 classification, rank-two
-decomposability) and redraws on failure, at most 1000 times. Most strata
-accept nearly every draw, but not all: a sum of three real Gaussian rank-one
-terms on 2x2x2 lands in the border-rank-three region only about one draw in
-ten, so a cap of 100 gave up on that valid stratum about once in 30000
-draws. At 1000 the chance of that is below 1e-40; exhaustion signals bad
-parameters, not bad luck.
+Each sampler draws raw Gaussian candidates for its stratum and hands them to
+one redraw loop, ``_certified``. It keeps the first candidate whose
+multilinear rank read is admissible with every margin at least gap_min and
+which passes the membership rule of the stratum's kind record
+(``kinds.Kind.member``, the rule ``path_verify`` applies to path samples),
+and redraws otherwise, at most 1000 times. Most strata accept nearly every
+draw, but not all: a sum of three real Gaussian rank-one terms on 2x2x2
+lands in the border-rank-three region only about one draw in ten, so a cap
+of 100 gave up on that valid stratum about once in 30000 draws. At 1000 the
+chance of that is below 1e-40; exhaustion signals bad parameters, not bad
+luck.
 """
 
 from __future__ import annotations
@@ -16,15 +19,14 @@ import math
 
 import numpy as np
 
-from .certify import (Kind222, classify_222, hyperdet222, is_rank_one,
-                      rank2_decompose)
 from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, RankOneFactors, REAL,
-                   SymRankDecomposition, SymTensor, TolerancePolicy,
+                   SymRankDecomposition, SymTensor, TolerancePolicy, dense,
                    mode_multiply, mrank, mrank_admissible, outer_product,
                    sym_embed, sym_extract, sym_packed_length)
 from .errors import RetryExhausted, TensorTopoError
 from .geometry import GrassmannPoint, TuckerRep, tucker_expand
 from .rng import SplitMix64
+from .stratum import StratumDescriptor
 
 _MAX_REDRAWS = 1000
 
@@ -49,6 +51,12 @@ def _gaussian_scalar(rng: SplitMix64, field: str):
     return rng.normal()
 
 
+def _gaussian_matrix(rng: SplitMix64, n: int, m: int, field: str) -> np.ndarray:
+    if field == COMPLEX:
+        return rng.complex_normals((n, m))
+    return rng.normals((n, m))
+
+
 def expected_generic_mrank(shape: tuple[int, ...], r: int) -> tuple[int, ...]:
     """Multilinear rank of a generic rank-r tensor.
 
@@ -60,29 +68,43 @@ def expected_generic_mrank(shape: tuple[int, ...], r: int) -> tuple[int, ...]:
     return tuple(min(r, n, total // n) for n in shape)
 
 
-def _margins_ok(margins, tol: TolerancePolicy) -> bool:
-    return all(m >= tol.gap_min for m in margins)
+def _certified(stratum: StratumDescriptor, candidate, tol: TolerancePolicy):
+    """The first ``candidate()`` that is a member of ``stratum`` with every
+    margin at least gap_min, at most 1 + _MAX_REDRAWS candidates in.
+
+    ``candidate()`` returns ``(value, witness)``, or None for a raw draw
+    with a vanishing term. The record's ``screen`` runs before the rank
+    read, so a candidate it rejects costs no SVD.
+    """
+    rule = kinds.kind_of(stratum)
+    for _ in range(_MAX_REDRAWS + 1):
+        drawn = candidate()
+        if drawn is None or not rule.screen(stratum, drawn[0], tol):
+            continue
+        try:
+            mr = mrank(dense(drawn[0]), tol)
+            if (min(mr.margins) >= tol.gap_min
+                    and rule.member(stratum, drawn[0], mr.ranks, tol)[0]):
+                return drawn
+        except TensorTopoError:
+            continue
+    raise RetryExhausted(f"could not certify a sample of {stratum} "
+                         f"after {_MAX_REDRAWS} redraws")
 
 
 def sample_rank_r(shape: tuple[int, ...], r: int, field: str, rng: SplitMix64,
                   tol: TolerancePolicy = DEFAULT_TOL
                   ) -> tuple[Hypermatrix, list[RankOneFactors]]:
-    """Sum of r Gaussian rank-one terms, certified for its stratum.
-
-    Certification: multilinear rank equals the generic pattern with margins
-    at least gap_min; on (2,2,2) real the classification must match r (in
-    particular r=3 redraws until the negative-hyperdeterminant regime); for
-    r <= 2 the decomposition machinery must succeed on the sample.
-    """
+    """Sum of r Gaussian rank-one terms, certified for its stratum (on real
+    2x2x2 with r = 3, the border-rank-three region)."""
     if r < 1:
         raise ValueError("rank must be at least 1")
     # rank <= prod of the other dimensions, every mode; 2x2x2 tops out at 3
     total = math.prod(shape)
     if r > min(total // n for n in shape) or (shape == (2, 2, 2) and r > 3):
         raise ValueError(f"no tensors of rank {r} on shape {shape}")
-    expected = expected_generic_mrank(shape, r)
-    border = shape == (2, 2, 2) and field == REAL and r == 3
-    for _ in range(_MAX_REDRAWS + 1):
+
+    def candidate():
         terms = []
         total = None
         for _k in range(r):
@@ -91,45 +113,22 @@ def sample_rank_r(shape: tuple[int, ...], r: int, field: str, rng: SplitMix64,
             terms.append(term)
             part = outer_product(term).data
             total = part if total is None else total + part
-        A = Hypermatrix(total, field)
-        if border and not hyperdet222(A) < -(tol.eps_rel * A.norm() ** 4):
-            continue  # classify_222's border-rank-3 test, ahead of the SVDs
-        try:
-            mr = mrank(A, tol)
-        except TensorTopoError:
-            continue
-        if tuple(mr.ranks) != expected or not _margins_ok(mr.margins, tol):
-            continue
-        if shape == (2, 2, 2) and field == REAL and r <= 3:
-            want = {1: Kind222.RANK1, 2: Kind222.RANK2, 3: Kind222.BORDER_RANK3}[r]
-            if classify_222(A, tol).kind is not want:
-                continue
-        if r == 1:
-            ok, _ = is_rank_one(A, tol)
-            if not ok:
-                continue
-        if r == 2:
-            try:
-                rank2_decompose(A, tol)
-            except TensorTopoError:
-                continue
-        return A, terms
-    raise RetryExhausted(
-        f"could not certify a rank-{r} sample on shape {shape} over {field} "
-        f"after {_MAX_REDRAWS} redraws")
+        return Hypermatrix(total, field), terms
+
+    return _certified(StratumDescriptor("rank", field, r, shape=tuple(shape)),
+                      candidate, tol)
 
 
 def sample_sym_rank_r(n: int, d: int, r: int, signature: int | None = None,
                       field: str = REAL, rng: SplitMix64 | None = None,
                       tol: TolerancePolicy = DEFAULT_TOL
                       ) -> tuple[SymTensor, SymRankDecomposition]:
-    """Sum of r Gaussian symmetric powers lambda_k v_k^(x d).
+    """Sum of r Gaussian symmetric powers lambda_k v_k^(x d), certified for
+    its stratum.
 
     ``signature`` fixes the number of positive coefficients; it only means
     something over the reals with d even (elsewhere it is ignored). With
     signature None over real even d, a uniform signature in 0..r is drawn.
-    Certification: the embedded tensor has multilinear rank min(r, n) on
-    every mode with margins at least gap_min.
     """
     if rng is None:
         raise ValueError("sampler needs an explicit RNG state")
@@ -140,8 +139,8 @@ def sample_sym_rank_r(n: int, d: int, r: int, signature: int | None = None,
         signature = int(rng.integers(0, r + 1))
     if signed and not 0 <= signature <= r:
         raise ValueError(f"signature {signature} out of range 0..{r}")
-    expected = (min(r, n),) * d
-    for _ in range(_MAX_REDRAWS + 1):
+
+    def candidate():
         vectors = tuple(_unit_gaussian(rng, n, field) for _k in range(r))
         coefficients = []
         for k in range(r):
@@ -150,37 +149,28 @@ def sample_sym_rank_r(n: int, d: int, r: int, signature: int | None = None,
                 lam = abs(lam) if k < signature else -abs(lam)
             coefficients.append(lam)
         if any(abs(lam) < 1e-6 for lam in coefficients):
-            continue
+            return None
         decomp = SymRankDecomposition(d, tuple(coefficients), vectors, field)
-        S = decomp.tensor()
-        try:
-            mr = mrank(sym_embed(S), tol)
-        except TensorTopoError:
-            continue
-        if tuple(mr.ranks) != expected or not _margins_ok(mr.margins, tol):
-            continue
-        return S, decomp
-    raise RetryExhausted(
-        f"could not certify a symmetric rank-{r} sample (n={n}, d={d}) "
-        f"after {_MAX_REDRAWS} redraws")
+        return decomp.tensor(), decomp
+
+    return _certified(StratumDescriptor("sym-rank", field, r, dim=n, order=d),
+                      candidate, tol)
 
 
 def sample_fixed_mrank(shape: tuple[int, ...], ranks: tuple[int, ...],
                        field: str, rng: SplitMix64,
                        tol: TolerancePolicy = DEFAULT_TOL
                        ) -> tuple[Hypermatrix, TuckerRep]:
-    """Random orthonormal frames applied to a Gaussian full-rank core.
-
-    Certification: the expanded tensor's multilinear rank equals ``ranks``
-    with margins at least gap_min.
-    """
+    """Random orthonormal frames applied to a Gaussian full-rank core,
+    certified for its stratum."""
     if len(ranks) != len(shape):
         raise ValueError("need one rank per mode")
     if any(r < 1 or r > n for r, n in zip(ranks, shape)):
         raise ValueError(f"ranks {ranks} incompatible with shape {shape}")
     if not mrank_admissible(tuple(ranks)):
         raise ValueError(f"inadmissible multilinear rank {ranks}")
-    for _ in range(_MAX_REDRAWS + 1):
+
+    def candidate():
         frames = []
         for n, r in zip(shape, ranks):
             G = _gaussian_matrix(rng, n, r, field)
@@ -188,56 +178,35 @@ def sample_fixed_mrank(shape: tuple[int, ...], ranks: tuple[int, ...],
             frames.append(GrassmannPoint(Q, field))
         core_data = _gaussian_matrix(rng, math.prod(ranks), 1, field).reshape(ranks)
         rep = TuckerRep(tuple(frames), Hypermatrix(core_data, field))
-        A = tucker_expand(rep)
-        try:
-            mr = mrank(A, tol)
-        except TensorTopoError:
-            continue
-        if tuple(mr.ranks) != tuple(ranks) or not _margins_ok(mr.margins, tol):
-            continue
-        return A, rep
-    raise RetryExhausted(
-        f"could not certify a sample of multilinear rank {ranks} on shape "
-        f"{shape} after {_MAX_REDRAWS} redraws")
+        return tucker_expand(rep), rep
 
-
-def _gaussian_matrix(rng: SplitMix64, n: int, m: int, field: str) -> np.ndarray:
-    if field == COMPLEX:
-        return rng.complex_normals((n, m))
-    return rng.normals((n, m))
+    stratum = StratumDescriptor("mrank", field, tuple(int(r) for r in ranks),
+                                shape=tuple(shape))
+    return _certified(stratum, candidate, tol)
 
 
 def sample_sym_mrank(n: int, d: int, r: int, field: str = REAL,
                      rng: SplitMix64 | None = None,
                      tol: TolerancePolicy = DEFAULT_TOL) -> SymTensor:
-    """Gaussian symmetric core pushed through one shared orthonormal frame.
-
-    Certification: every flattening of the embedded tensor has rank r with
-    margins at least gap_min.
-    """
+    """Gaussian symmetric core pushed through one shared orthonormal frame,
+    certified for its stratum."""
     if rng is None:
         raise ValueError("sampler needs an explicit RNG state")
     if not 1 <= r <= n:
         raise ValueError(f"rank {r} incompatible with dimension {n}")
     length = sym_packed_length(r, d)
-    for _ in range(_MAX_REDRAWS + 1):
+
+    def candidate():
         packed = (rng.complex_normals((length,)) if field == COMPLEX
                   else rng.normals((length,)))
         core = SymTensor(r, d, field, packed)
         Q, _ = np.linalg.qr(_gaussian_matrix(rng, n, r, field))
         full = mode_multiply(sym_embed(core).data, [Q] * d)
-        S = sym_extract(Hypermatrix(full, field),
-                        TolerancePolicy(eps_rel=1e-8))
-        try:
-            mr = mrank(sym_embed(S), tol)
-        except TensorTopoError:
-            continue
-        if tuple(mr.ranks) != (r,) * d or not _margins_ok(mr.margins, tol):
-            continue
-        return S
-    raise RetryExhausted(
-        f"could not certify a symmetric multilinear-rank-{r} sample "
-        f"(n={n}, d={d}) after {_MAX_REDRAWS} redraws")
+        return sym_extract(Hypermatrix(full, field),
+                           TolerancePolicy(eps_rel=1e-8)), None
+
+    stratum = StratumDescriptor("sym-mrank", field, r, dim=n, order=d)
+    return _certified(stratum, candidate, tol)[0]
 
 
 def random_invertible(n: int, rng: SplitMix64, field: str = REAL,
@@ -267,3 +236,8 @@ def random_orthogonal(n: int, rng: SplitMix64, field: str = REAL) -> np.ndarray:
     d = np.diag(R)
     phase = np.where(np.abs(d) == 0, 1.0, d / np.where(np.abs(d) == 0, 1.0, np.abs(d)))
     return Q * phase
+
+
+# The membership rules live in the kind records, which are built from the
+# samplers above, so they come last.
+from . import kinds  # noqa: E402

@@ -4,6 +4,7 @@ Heavy experiments are shared through module-scoped fixtures; the endpoint
 fidelity criterion aggregates the defects recorded by the earlier ones.
 """
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -255,3 +256,6 @@ def test_c10_verify_suite_quick_is_byte_deterministic(tmp_path):
     assert main(["verify-suite", "--quick", "--seed", "0",
                  "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+    # the behaviour fingerprint: SHA-256 of the canonical suite document
+    assert hashlib.sha256(first.read_bytes().rstrip(b"\n")).hexdigest() == (
+        "cb9e6e0880aeebac56d931883bdf3d71573b2d1bb0f6b074a09632aeba07acaa")

@@ -130,14 +130,58 @@ def test_rank3_222_real_survives_a_long_redraw_run():
     assert hyperdet222(A) == pytest.approx(-1.51, abs=0.01)
 
 
-def test_rank3_222_real_draws_are_pinned():
-    # the hyperdeterminant pre-filter rejects only draws that classify_222
-    # rejects too, and every attempt draws its terms first, so the filter
-    # leaves the accepted stream as it is
+# SHA-256 of the first 20 draws from SplitMix64(0), one stratum or more per
+# kind record, recorded before the samplers shared one redraw loop: every
+# attempt draws its whole candidate first, and the membership rule accepts
+# exactly the draws the per-sampler checks accepted, so the streams hold
+_PINNED_DRAWS = {
+    "rank1-real": (
+        lambda rng: sample_rank_r((3, 4, 5), 1, REAL, rng)[0].data,
+        "16defe6a26f329e85dcae868b2a120c144e47f6577e0430de84e0af1e5275214"),
+    "rank1-complex": (
+        lambda rng: sample_rank_r((3, 4, 5), 1, COMPLEX, rng)[0].data,
+        "ead86d020818f3540d31b898e9cb392a58c91c15aff2e85dd5d2a76761157e52"),
+    "rank2-real-222": (
+        lambda rng: sample_rank_r((2, 2, 2), 2, REAL, rng)[0].data,
+        "91d4217e2dbaf7f57dbe24995bcfc5072a9c81783d4870b9924aff58de45e2e7"),
+    "rank2-real": (
+        lambda rng: sample_rank_r((3, 3, 3), 2, REAL, rng)[0].data,
+        "4d8dbffbc3d7620d4fc7a5efbe5e3e2bd6a2b9d981d46b58be061cf4ca4e411f"),
+    "rank2-complex": (
+        lambda rng: sample_rank_r((3, 3, 3), 2, COMPLEX, rng)[0].data,
+        "47a92d20269366340bffc0490a45f778963ddc85f52e507e9797fcbdc7714e29"),
+    "rank3-real-222": (
+        lambda rng: sample_rank_r((2, 2, 2), 3, REAL, rng)[0].data,
+        "237cfe7fd012e751d30b42fdb4ce49870dc83fc4bc5451855e15e6cb906945a4"),
+    "sym-rank-even": (
+        lambda rng: sample_sym_rank_r(4, 4, 2, rng=rng)[0].packed,
+        "135abf412da2040813210dc5e52fb6114f554ab069a8115ca7aaa100f7e209a4"),
+    "sym-rank-odd": (
+        lambda rng: sample_sym_rank_r(4, 3, 2, rng=rng)[0].packed,
+        "1fcda492dbbf26743a7243cb41601e8a64782f849a26a1d73332597f150de584"),
+    "sym-rank-complex": (
+        lambda rng: sample_sym_rank_r(3, 3, 2, field=COMPLEX, rng=rng)[0].packed,
+        "f761fa69c45a15c0109b821c2d9de127f7c03c93c8188ef01aacb9bef301f3fd"),
+    "mrank-real": (
+        lambda rng: sample_fixed_mrank((4, 2, 2), (4, 2, 2), REAL, rng)[0].data,
+        "e016316539aecbeec9355adbf85279f9aaa827d463e4fc7054ad9ddf1f8172e6"),
+    "mrank-complex": (
+        lambda rng: sample_fixed_mrank((2, 2, 2), (2, 2, 2), COMPLEX, rng)[0].data,
+        "7256012c0d2eba44bb38c1b4c8332cd3fce43297ec0a2bde10c45250170fd304"),
+    "sym-mrank": (
+        lambda rng: sample_sym_mrank(4, 3, 2, rng=rng).packed,
+        "3a5e7b9d4bc2ffe45728ad50db7181cd48651b328586beed4e12be969be84dbd"),
+    "sym-mrank-quadratic": (
+        lambda rng: sample_sym_mrank(4, 2, 3, rng=rng).packed,
+        "ef9e377b1f0e1c569ee5e7cf59cfe4ea0f91ae0fdc5c995c3e28d57f73d62abd"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_DRAWS))
+def test_sampler_draws_are_pinned(name):
+    draw, expected = _PINNED_DRAWS[name]
     rng = SplitMix64(0)
     digest = hashlib.sha256()
     for _ in range(20):
-        A, _terms = sample_rank_r((2, 2, 2), 3, REAL, rng)
-        digest.update(A.data.tobytes())
-    assert digest.hexdigest() == (
-        "237cfe7fd012e751d30b42fdb4ce49870dc83fc4bc5451855e15e6cb906945a4")
+        digest.update(draw(rng).tobytes())
+    assert digest.hexdigest() == expected
