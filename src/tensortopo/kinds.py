@@ -35,9 +35,9 @@ class Kind:
     decomposition that ``classify`` and ``connect`` take in place of the
     value; kinds without one return None.
 
-    ``member(stratum, value, ranks, tol)`` is the kind's one membership
-    rule, ``(ok, note)`` for a value with flattening ranks ``ranks``: the
-    samplers keep a draw only if it passes, and ``certify`` applies it to
+    ``member(stratum, value, ranks, tol)``, the kind's one membership rule,
+    gives ``(ok, note)`` for a value with flattening ranks ``ranks``;
+    samplers keep only draws that pass it, and ``certify`` applies it to
     every path sample.
     """
 

@@ -7,9 +7,13 @@ core and its frames (multilinear rank), and the conjugate pair (border rank
 three on 2x2x2).
 
 Rank-one and conjugate-pair constructions are in-stratum pointwise by
-construction; core interpolations are verified on a sample grid and repaired
-by recursive random-midpoint detours (each retry dodges a measure-zero bad
-set, depth is capped at 8).
+construction. The others are checked on a sample grid and repaired by
+recursive random-midpoint detours (each retry dodges a measure-zero bad set,
+depth is capped at 8): a core interpolation must keep its core at full
+multilinear rank, and a term-sum segment (rank two, symmetric rank r) must
+pass path_verify, which applies the kind record's membership rule to every
+sample, with every margin at least gap_min. A path of one such segment
+carries that report, so path_verify does not certify its samples again.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .classifiers import (ComponentLabel, classify_brank3_222, det_sign_mrank,
                           sign_label, square_mode, mrank_saturation)
 from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, MultilinearRank,
                    RankOneFactors, REAL, SymRankDecomposition, SymTensor,
-                   TolerancePolicy, mode_multiply, mrank, mrank_stack,
+                   TolerancePolicy, dense, mode_multiply, mrank, mrank_stack,
                    numerical_rank, outer_product, sym_embed, sym_extract,
                    sym_packed_length, sym_power)
 from .errors import (DegenerateError, DifferentComponents, RetryExhausted,
@@ -35,8 +39,8 @@ from .geometry import (GrassmannGeodesic, OrientationLoop, gl_interpolator,
                        tucker_compress)
 from .io import array_to_json, scalar_to_json
 from .rng import SplitMix64
-from .sampling import (expected_generic_mrank, random_orthogonal,
-                       sample_rank_r, sample_sym_rank_r)
+from .sampling import (field_normals, random_orthogonal, sample_rank_r,
+                       sample_sym_rank_r)
 from .stratum import StratumDescriptor, format_stratum
 
 _LOOSE = TolerancePolicy(eps_rel=1e-8)
@@ -285,6 +289,7 @@ class TensorPath:
             raise ValueError("a path needs at least one segment")
         self.segments = list(segments)
         self.stratum = stratum
+        self._verified = None  # (K, tol, report) of the last path_verify
 
     def _locate(self, t: float) -> tuple[int, float]:
         if not 0.0 <= t <= 1.0:
@@ -309,10 +314,6 @@ class TensorPath:
     def to_json(self) -> dict:
         return {"stratum": format_stratum(self.stratum),
                 "segments": [seg.to_json() for seg in self.segments]}
-
-
-def _dense(value) -> Hypermatrix:
-    return sym_embed(value) if isinstance(value, SymTensor) else value
 
 
 def value_diff_norm(a, b) -> float:
@@ -524,28 +525,37 @@ def _match_sym_terms(terms_a: list, terms_b: list, d: int, field: str) -> list:
     return pairs
 
 
-def _stratum_in_grid(path: TensorPath, expected: tuple, tol: TolerancePolicy) -> bool:
-    """Internal acceptance: exact mrank pattern with margins >= gap_min."""
-    ts = sorted(set([0.0, 1.0] + chebyshev_grid(tol.path_samples_default)
-                    + path.joints()))
-    return all(mr.admissible() and mr.ranks == expected
-               and min(mr.margins) >= tol.gap_min
-               for mr in mrank_stack([_dense(path.eval(t)) for t in ts], tol))
-
-
-def _detour_route(segment, accept, draw_mid, x0, x1, budget: int) -> list:
-    """Segments from x0 to x1: ``segment(x0, x1)`` if ``accept`` passes it
-    on the sample grid, else the routes through a random midpoint from
-    ``draw_mid()``, at most ``budget`` levels deep."""
-    seg = segment(x0, x1)
-    if accept(seg):
-        return [seg]
+def _detour_route(piece, accept, draw_mid, x0, x1, budget: int) -> list:
+    """Pieces from x0 to x1: ``piece(x0, x1)`` if ``accept`` passes it,
+    else the routes through a random midpoint from ``draw_mid()``, at most
+    ``budget`` levels deep."""
+    part = piece(x0, x1)
+    if accept(part):
+        return [part]
     if budget <= 0:
         raise RetryExhausted(
             "path construction failed after exhausting random midpoint detours")
     mid = draw_mid()
-    return (_detour_route(segment, accept, draw_mid, x0, mid, budget - 1)
-            + _detour_route(segment, accept, draw_mid, mid, x1, budget - 1))
+    return (_detour_route(piece, accept, draw_mid, x0, mid, budget - 1)
+            + _detour_route(piece, accept, draw_mid, mid, x1, budget - 1))
+
+
+def _term_sum_path(segment, draw_mid, x0, x1, stratum: StratumDescriptor,
+                   tol: TolerancePolicy, depth: int) -> TensorPath:
+    """Term-sum segments from x0 to x1, each accepted when path_verify
+    passes it as a path of its own with every margin at least gap_min. A
+    route of one segment is returned as the path that was verified, so it
+    carries its report."""
+
+    def accept(path: TensorPath) -> bool:
+        report = path_verify(path, None, tol)
+        return report.passed and report.min_margin >= tol.gap_min
+
+    parts = _detour_route(lambda p, q: TensorPath([segment(p, q)], stratum),
+                          accept, draw_mid, x0, x1, depth)
+    if len(parts) == 1:
+        return parts[0]
+    return TensorPath([part.segments[0] for part in parts], stratum)
 
 
 def connect_sym_rank_r(Da: SymRankDecomposition, Db: SymRankDecomposition,
@@ -574,7 +584,6 @@ def connect_sym_rank_r(Da: SymRankDecomposition, Db: SymRankDecomposition,
     if rng is None:
         rng = SplitMix64(0)
     stratum = StratumDescriptor("sym-rank", field, r, dim=n, order=d)
-    expected = (min(r, n),) * d
     signature = Da.signature() if even else None
 
     def segment(Pa: SymRankDecomposition, Pb: SymRankDecomposition):
@@ -584,12 +593,11 @@ def connect_sym_rank_r(Da: SymRankDecomposition, Db: SymRankDecomposition,
                       for ca, ua, cb, ub in pairs)
         return TermSumCurve("sym-term-sum", field, terms, order=d)
 
-    return TensorPath(_detour_route(
+    return _term_sum_path(
         segment,
-        lambda seg: _stratum_in_grid(TensorPath([seg], stratum), expected, tol),
         lambda: sample_sym_rank_r(n, d, r, signature=signature, field=field,
                                   rng=rng, tol=tol)[1],
-        Da, Db, depth), stratum)
+        Da, Db, stratum, tol, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +679,6 @@ def connect_rank_r(A: Hypermatrix, B: Hypermatrix, r: int,
         rng = SplitMix64(0)
     field = A.field
     stratum = StratumDescriptor("rank", field, 2, shape=A.shape)
-    expected = expected_generic_mrank(A.shape, 2)
 
     def build(terms_a, terms_b) -> TermSumCurve:
         pairings = [(0, 1), (1, 0)]
@@ -691,11 +698,9 @@ def connect_rank_r(A: Hypermatrix, B: Hypermatrix, r: int,
 
     terms_a = list(rank2_decompose(A, tol))
     terms_b = list(rank2_decompose(B, tol))
-    return TensorPath(_detour_route(
-        build,
-        lambda seg: _stratum_in_grid(TensorPath([seg], stratum), expected, tol),
-        lambda: sample_rank_r(A.shape, 2, field, rng, tol)[1],
-        terms_a, terms_b, depth), stratum)
+    return _term_sum_path(
+        build, lambda: sample_rank_r(A.shape, 2, field, rng, tol)[1],
+        terms_a, terms_b, stratum, tol, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -751,10 +756,7 @@ def _random_full_core(ranks: tuple, field: str, square_modes: list[int],
                       want_signs: tuple, rng: SplitMix64,
                       tol: TolerancePolicy) -> np.ndarray:
     for _ in range(200):
-        if field == COMPLEX:
-            core = rng.complex_normals(ranks)
-        else:
-            core = rng.normals(ranks)
+        core = field_normals(rng, ranks, field)
         if _full_core_margin(core, ranks, tol) < 1e-3:
             continue
         if field == REAL and square_modes:
@@ -904,9 +906,7 @@ def _random_sym_core(r: int, d: int, field: str, signature: int | None,
             core = sym_extract(Hypermatrix(M, field), _LOOSE)
         else:
             length = sym_packed_length(r, d)
-            packed = (rng.complex_normals((length,)) if field == COMPLEX
-                      else rng.normals((length,)))
-            core = SymTensor(r, d, field, packed)
+            core = SymTensor(r, d, field, field_normals(rng, (length,), field))
         if _full_core_margin(sym_embed(core).data, (r,) * d, tol) >= 1e-3:
             return core
     raise RetryExhausted("could not draw a usable symmetric midpoint core")
@@ -926,10 +926,9 @@ def connect_sym_mrank(Sa: SymTensor, Sb: SymTensor, r: int,
     if (Sa.dim, Sa.order, Sa.field) != (Sb.dim, Sb.order, Sb.field):
         raise ValueError("endpoints must share dimension, order and field")
     if r == 1:
-        path = connect_sym_rank_one(Sa, Sb, tol)
-        path.stratum = StratumDescriptor("sym-mrank", Sa.field, 1,
-                                         dim=Sa.dim, order=Sa.order)
-        return path
+        return TensorPath(connect_sym_rank_one(Sa, Sb, tol).segments,
+                          StratumDescriptor("sym-mrank", Sa.field, 1,
+                                            dim=Sa.dim, order=Sa.order))
     if rng is None:
         rng = SplitMix64(0)
     d, field = Sa.order, Sa.field
@@ -1089,12 +1088,16 @@ def path_verify(path: TensorPath, K: int | None = None,
     """Evaluate on a Chebyshev grid plus endpoints and joints, read every
     sample's multilinear rank in one batch, certify each sample for the
     target stratum; check joint continuity and classifier constancy.
-    Failures become report content, never exceptions."""
+    Failures become report content, never exceptions. A path that holds a
+    report for this K and tol, as connect's one-segment term-sum paths do,
+    gets that report back."""
     if K is None:
         K = tol.path_samples_default
+    if path._verified is not None and path._verified[:2] == (K, tol):
+        return path._verified[2]
     ts = sorted(set([0.0, 1.0] + chebyshev_grid(K) + path.joints()))
     values = [path.eval(t) for t in ts]
-    reads = mrank_stack([_dense(v) for v in values], tol)
+    reads = mrank_stack([dense(v) for v in values], tol)
     samples: list[SampleCheck] = []
     passed = True
     exact = True
@@ -1119,8 +1122,10 @@ def path_verify(path: TensorPath, K: int | None = None,
         passed = False
     min_margin = min((s.margin for s in samples), default=0.0)
     label = labels.pop() if len(labels) == 1 else None
-    return PathReport(format_stratum(path.stratum), passed, samples,
-                      float(min_margin), float(joint_defect), exact, label)
+    report = PathReport(format_stratum(path.stratum), passed, samples,
+                        float(min_margin), float(joint_defect), exact, label)
+    path._verified = (K, tol, report)
+    return report
 
 
 # The kind records are built from the connectors above, so they come last.

@@ -31,15 +31,18 @@ from .stratum import StratumDescriptor
 _MAX_REDRAWS = 1000
 
 
-def _gaussian_vector(rng: SplitMix64, n: int, field: str) -> np.ndarray:
+def field_normals(rng: SplitMix64, shape: tuple[int, ...], field: str
+                  ) -> np.ndarray:
+    """Standard Gaussian array over the field (real and imaginary parts
+    drawn as two whole arrays over C)."""
     if field == COMPLEX:
-        return rng.complex_normals((n,))
-    return rng.normals((n,))
+        return rng.complex_normals(shape)
+    return rng.normals(shape)
 
 
 def _unit_gaussian(rng: SplitMix64, n: int, field: str) -> np.ndarray:
     while True:
-        v = _gaussian_vector(rng, n, field)
+        v = field_normals(rng, (n,), field)
         nv = np.linalg.norm(v)
         if nv > 1e-6:
             return v / nv
@@ -49,12 +52,6 @@ def _gaussian_scalar(rng: SplitMix64, field: str):
     if field == COMPLEX:
         return complex(rng.normal(), rng.normal())
     return rng.normal()
-
-
-def _gaussian_matrix(rng: SplitMix64, n: int, m: int, field: str) -> np.ndarray:
-    if field == COMPLEX:
-        return rng.complex_normals((n, m))
-    return rng.normals((n, m))
 
 
 def expected_generic_mrank(shape: tuple[int, ...], r: int) -> tuple[int, ...]:
@@ -69,8 +66,8 @@ def expected_generic_mrank(shape: tuple[int, ...], r: int) -> tuple[int, ...]:
 
 
 def _certified(stratum: StratumDescriptor, candidate, tol: TolerancePolicy):
-    """The first ``candidate()`` that is a member of ``stratum`` with every
-    margin at least gap_min, at most 1 + _MAX_REDRAWS candidates in.
+    """The first of at most 1 + _MAX_REDRAWS ``candidate()`` draws that is
+    a member of ``stratum`` with every margin at least gap_min.
 
     ``candidate()`` returns ``(value, witness)``, or None for a raw draw
     with a vanishing term. The record's ``screen`` runs before the rank
@@ -173,14 +170,13 @@ def sample_fixed_mrank(shape: tuple[int, ...], ranks: tuple[int, ...],
     def candidate():
         frames = []
         for n, r in zip(shape, ranks):
-            G = _gaussian_matrix(rng, n, r, field)
-            Q, _ = np.linalg.qr(G)
+            Q, _ = np.linalg.qr(field_normals(rng, (n, r), field))
             frames.append(GrassmannPoint(Q, field))
-        core_data = _gaussian_matrix(rng, math.prod(ranks), 1, field).reshape(ranks)
-        rep = TuckerRep(tuple(frames), Hypermatrix(core_data, field))
+        core = Hypermatrix(field_normals(rng, tuple(ranks), field), field)
+        rep = TuckerRep(tuple(frames), core)
         return tucker_expand(rep), rep
 
-    stratum = StratumDescriptor("mrank", field, tuple(int(r) for r in ranks),
+    stratum = StratumDescriptor("mrank", field, tuple(ranks),
                                 shape=tuple(shape))
     return _certified(stratum, candidate, tol)
 
@@ -197,10 +193,8 @@ def sample_sym_mrank(n: int, d: int, r: int, field: str = REAL,
     length = sym_packed_length(r, d)
 
     def candidate():
-        packed = (rng.complex_normals((length,)) if field == COMPLEX
-                  else rng.normals((length,)))
-        core = SymTensor(r, d, field, packed)
-        Q, _ = np.linalg.qr(_gaussian_matrix(rng, n, r, field))
+        core = SymTensor(r, d, field, field_normals(rng, (length,), field))
+        Q, _ = np.linalg.qr(field_normals(rng, (n, r), field))
         full = mode_multiply(sym_embed(core).data, [Q] * d)
         return sym_extract(Hypermatrix(full, field),
                            TolerancePolicy(eps_rel=1e-8)), None
@@ -217,7 +211,7 @@ def random_invertible(n: int, rng: SplitMix64, field: str = REAL,
     comfortably invertible. det_sign is only meaningful over the reals.
     """
     for _ in range(_MAX_REDRAWS + 1):
-        M = _gaussian_matrix(rng, n, n, field)
+        M = field_normals(rng, (n, n), field)
         sigma = np.linalg.svd(M, compute_uv=False)
         if sigma[-1] < DEFAULT_TOL.gap_min * sigma[0]:
             continue
@@ -230,7 +224,7 @@ def random_invertible(n: int, rng: SplitMix64, field: str = REAL,
 
 
 def random_orthogonal(n: int, rng: SplitMix64, field: str = REAL) -> np.ndarray:
-    Q, R = np.linalg.qr(_gaussian_matrix(rng, n, n, field))
+    Q, R = np.linalg.qr(field_normals(rng, (n, n), field))
     # make the factorization unique so the draw is a deterministic function
     # of the Gaussian sample
     d = np.diag(R)

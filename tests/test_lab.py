@@ -118,6 +118,15 @@ def test_pairwise_experiment_sym_rank():
                         "worst_endpoint_defect", "failures", "runtime_ms"}
 
 
+def test_pairwise_rank2_222_real_passes_every_pair():
+    # pairs 1 and 51 failed path_verify while the connector accepted a
+    # segment by its flattening ranks alone: classify_222 rejects some of
+    # its samples, and the connector now applies that rule too
+    st = parse_stratum("rank:r=2;shape=2,2,2;field=real")
+    report = pairwise_connect_experiment(st, 60, 64, seed=7)
+    assert report.passes == 60, report.failures
+
+
 def test_pairwise_experiment_counts_splits():
     st = parse_stratum("sym-rank:d=4;n=4;r=1;field=real")
     report = pairwise_connect_experiment(st, 10, 12, seed=10)

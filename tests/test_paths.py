@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tensortopo.paths as paths_module
 from tensortopo import (COMPLEX, REAL, DifferentComponents, Hypermatrix,
                         SplitMix64, SymTensor, TolerancePolicy, ToleranceError,
                         UnsupportedStratumError, census, connect,
@@ -381,7 +382,7 @@ def test_sym_mrank_rank_one_delegates():
     b = sym_power(np.array([-1.0, 0.7, 0.4, 2.0]), 3, -0.6)
     path = connect(st, a, b, rng=SplitMix64(16))
     assert path.stratum.kind == "sym-mrank"
-    assert_connects(path, a, b)
+    assert assert_connects(path, a, b).stratum == str(st)
 
 
 # --- exact segment primitives ------------------------------------------------
@@ -644,3 +645,34 @@ def test_connect_refuses_a_witness_that_misses_its_endpoint():
     # dc is the decomposition of another tensor, so the path starts off Sa
     with pytest.raises(ToleranceError, match="misses its endpoint at t=0"):
         connect(st, Sa, Sb, witness_a=dc, witness_b=db, rng=SplitMix64(7))
+
+
+TERM_SUM_PAIRS = {
+    "rank:r=2;shape=3,3,3;field=real":
+        lambda rng: sample_rank_r((3, 3, 3), 2, REAL, rng)[0],
+    "sym-rank:d=4;n=4;r=2;field=real":
+        lambda rng: sample_sym_rank_r(4, 4, 2, signature=1, rng=rng)[0],
+}
+
+
+@pytest.mark.parametrize("text", sorted(TERM_SUM_PAIRS))
+def test_connect_hands_path_verify_its_report(text, monkeypatch):
+    st = parse_stratum(text)
+    rng = SplitMix64(237)
+    a, b = TERM_SUM_PAIRS[text](rng), TERM_SUM_PAIRS[text](rng)
+    path = connect(st, a, b, rng=SplitMix64(238))
+    assert len(path.segments) == 1
+    reads = []
+    stack = paths_module.mrank_stack
+    monkeypatch.setattr(paths_module, "mrank_stack",
+                        lambda values, tol: reads.append(len(values))
+                        or stack(values, tol))
+    report = path_verify(path)
+    assert reads == []  # the connector's report, not a second certification
+    fresh = path_verify(TensorPath(path.segments, path.stratum))
+    assert report.passed
+    assert (dumps_canonical(report.to_json())
+            == dumps_canonical(fresh.to_json()))
+    short = path_verify(path, K=16)
+    assert len(short.samples) == 18  # 16 Chebyshev nodes and both ends
+    assert reads == [66, 18]
