@@ -7,6 +7,14 @@ border-rank-three stratum, zero on the boundary. It coincides with the
 discriminant of det(beta*S0 - alpha*S1) where S0, S1 are the mode-1 slices,
 which is also how rank-two decompositions are computed, and how the
 conjugate pair of the negative regime is read in closed form.
+
+The hyperdeterminant and the rank-two decomposition run on a whole stack of
+same-shape tensors at once: ``rank2_certify`` gives every sample of a path
+grid its verdict with one batched SVD per step, and ``rank2_decompose`` is
+its one-tensor case. Each tensor of a stack gets the bits it gets alone:
+elementwise steps round as numpy's scalar arithmetic rounds (its array loops
+may fuse the multiply and add of a complex product, so ``_mul`` spells that
+product out), and every check and message is written once, for one tensor.
 """
 
 from __future__ import annotations
@@ -19,10 +27,43 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, RankOneFactors, REAL,
-                   TolerancePolicy, fix_phase, flatten, frobenius_inner,
-                   mode_multiply, numerical_rank, outer_product)
-from .errors import DegenerateError, ToleranceError
-from .geometry import TuckerRep, dominant_subspace, tucker_compress
+                   TolerancePolicy, _rank_read, fix_phase, flatten, flatten_stack,
+                   mode_multiply_stack, numerical_rank, outer_product)
+from .errors import DegenerateError, ToleranceError, caught
+from .geometry import check_orthonormal, dominant_frames, tucker_stack
+
+
+def _outer_stack(factors: list[np.ndarray]) -> np.ndarray:
+    """Outer product of one vector per mode, for each row of the (K, n_i)
+    factor stacks."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = out[..., None] * f.reshape(f.shape[:1] + (1,) * (out.ndim - 1) + f.shape[1:])
+    return out
+
+
+def _rank_one_stack(data: np.ndarray, field: str, tol: TolerancePolicy
+                    ) -> tuple[list, np.ndarray, list]:
+    """is_rank_one for every tensor of a (K, ...) stack, with batched SVDs
+    per mode: per tensor whether it is rank one, then the witness scalars
+    (K,) and unit factors, one (K, n_i) array per mode (garbage where not
+    rank one; both None when no tensor is)."""
+    K = data.shape[0]
+    ok = (np.vecdot(data.reshape(K, -1), data.reshape(K, -1)).real != 0.0).tolist()
+    factors = []
+    for mode in range(1, data.ndim):
+        M = flatten_stack(data, mode)
+        reads = _rank_read(np.linalg.svd(M, compute_uv=False), max(M.shape[1:]), tol)
+        ok = [okay and r == 1 for okay, (r, _margin) in zip(ok, reads)]
+        if not any(ok):
+            return ok, None, None
+        U, _, _ = np.linalg.svd(M, full_matrices=False)
+        factors.append(fix_phase(U[:, :, 0]))
+    # frobenius_inner(A, unit witness), rounded as for one tensor
+    unit = (_outer_stack(factors) * 1.0).reshape(K, -1)
+    flat = data.reshape(K, -1)
+    scalars = np.sum(flat * (unit if field == REAL else np.conj(unit)), axis=1)
+    return ok, scalars, factors
 
 
 def is_rank_one(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL
@@ -31,41 +72,53 @@ def is_rank_one(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL
 
     On success also returns a witness: unit factors recovered from leading
     singular vectors (first significant component positive real) and the
-    scalar carrying magnitude and phase.
+    scalar carrying magnitude and phase. The one-tensor case of
+    _rank_one_stack.
     """
-    if A.norm() == 0.0:
+    ok, scalars, factors = _rank_one_stack(A.data[None], A.field, tol)
+    if not ok[0]:
         return False, None
-    factors = []
-    for mode in range(1, A.order + 1):
-        M = flatten(A, mode)
-        r, _ = numerical_rank(M, tol)
-        if r != 1:
-            return False, None
-        U, _, _ = np.linalg.svd(M, full_matrices=False)
-        factors.append(fix_phase(U[:, 0]))
-    unit = RankOneFactors(1.0, tuple(factors), A.field)
-    scalar = frobenius_inner(A.data, unit.tensor().data)
-    if A.field == REAL:
-        scalar = float(np.real(scalar))
-    return True, RankOneFactors(scalar, tuple(factors), A.field)
+    scalar = float(scalars[0]) if A.field == REAL else complex(scalars[0])
+    return True, RankOneFactors(scalar, tuple(f[0] for f in factors), A.field)
 
 
-def hyperdet222(A: Hypermatrix) -> float:
-    """Cayley's degree-4 invariant of a real 2x2x2 tensor."""
-    if A.shape != (2, 2, 2) or A.field != REAL:
-        raise ValueError("hyperdet222 needs a real tensor of shape (2, 2, 2)")
-    a = A.data
-    a000, a001 = a[0, 0, 0], a[0, 0, 1]
-    a010, a011 = a[0, 1, 0], a[0, 1, 1]
-    a100, a101 = a[1, 0, 0], a[1, 0, 1]
-    a110, a111 = a[1, 1, 0], a[1, 1, 1]
-    square_terms = (a000 ** 2 * a111 ** 2 + a001 ** 2 * a110 ** 2
-                    + a010 ** 2 * a101 ** 2 + a100 ** 2 * a011 ** 2)
+def hyperdet222(A):
+    """Cayley's degree-4 invariant of a real 2x2x2 tensor, or, given a real
+    (K, 2, 2, 2) array, the K invariants of its tensors as an array."""
+    if isinstance(A, Hypermatrix):
+        if A.shape != (2, 2, 2) or A.field != REAL:
+            raise ValueError("hyperdet222 needs a real tensor of shape (2, 2, 2)")
+        a = A.data
+    else:
+        a = np.asarray(A)
+        if a.ndim != 4 or a.shape[1:] != (2, 2, 2) or a.dtype != np.float64:
+            raise ValueError("hyperdet222 needs a real (K, 2, 2, 2) array")
+    a000, a001, a010, a011, a100, a101, a110, a111 = a.reshape(a.shape[:-3] + (8,)).T
+    square_terms = ((a000 * a000) * (a111 * a111) + (a001 * a001) * (a110 * a110)
+                    + (a010 * a010) * (a101 * a101) + (a100 * a100) * (a011 * a011))
     pair_terms = (a000 * a001 * a110 * a111 + a000 * a010 * a101 * a111
                   + a000 * a100 * a011 * a111 + a001 * a010 * a101 * a110
                   + a001 * a100 * a011 * a110 + a010 * a100 * a011 * a101)
     quad_terms = a000 * a011 * a101 * a110 + a001 * a010 * a100 * a111
-    return float(square_terms - 2.0 * pair_terms + 4.0 * quad_terms)
+    det = square_terms - 2.0 * pair_terms + 4.0 * quad_terms
+    return float(det) if a.ndim == 3 else det
+
+
+def _band(scale: float, tol: TolerancePolicy) -> float:
+    """classify_222's decision band |Det| <= eps_rel * ||A||^4 for a tensor
+    of norm ``scale`` (degree matching: Det is quartic in the entries)."""
+    return tol.eps_rel * scale ** 4
+
+
+def hyperdet_signs(tensors: list, tol: TolerancePolicy = DEFAULT_TOL) -> list[int]:
+    """Per real 2x2x2 tensor, the sign of its hyperdeterminant outside
+    classify_222's band, and 0 inside it: one hyperdet222 call for the list."""
+    dets = hyperdet222(np.stack([A.data for A in tensors])).tolist()
+    signs = []
+    for det, A in zip(dets, tensors):
+        tau = _band(A.norm(), tol)
+        signs.append(1 if det > tau else -1 if det < -tau else 0)
+    return signs
 
 
 class Kind222(enum.Enum):
@@ -85,10 +138,10 @@ class Classification222:
 def classify_222(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL) -> Classification222:
     """Five-way classification of a real 2x2x2 tensor by hyperdeterminant sign.
 
-    The decision band is |Det| <= eps_rel * ||A||^4 (degree matching: Det is
-    quartic in the entries). Inside the band, inputs with a rank-deficient
-    flattening are genuine rank <= 2; the rest sit numerically on the
-    discriminant and are reported as Boundary rather than guessed.
+    The decision band is |Det| <= eps_rel * ||A||^4 (see _band). Inside the
+    band, inputs with a rank-deficient flattening are genuine rank <= 2; the
+    rest sit numerically on the discriminant and are reported as Boundary
+    rather than guessed.
     """
     if A.shape != (2, 2, 2) or A.field != REAL:
         raise ValueError("classify_222 needs a real tensor of shape (2, 2, 2)")
@@ -99,7 +152,7 @@ def classify_222(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL) -> Classifi
     ok, _ = is_rank_one(A, tol)
     if ok:
         return Classification222(Kind222.RANK1, det)
-    tau = tol.eps_rel * scale ** 4
+    tau = _band(scale, tol)
     if det < -tau:
         return Classification222(Kind222.BORDER_RANK3, det)
     if det > tau:
@@ -110,58 +163,100 @@ def classify_222(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL) -> Classifi
     return Classification222(Kind222.BOUNDARY, det)
 
 
+def _mul(x, y):
+    """x * y, rounded as numpy's scalar product rounds it. For complex
+    factors the product is spelt out: numpy's array loop may fuse its
+    multiply and add, which moves bits."""
+    if not (np.iscomplexobj(x) or np.iscomplexobj(y)):
+        return x * y
+    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+    re = xr * yr - xi * yi
+    out = np.empty(np.shape(re), dtype=np.complex128)
+    out.real = re
+    out.imag = xr * yi + xi * yr
+    return out
+
+
+def _abs(x):
+    """|x| elementwise, rounded as abs() of one numpy scalar rounds it."""
+    return np.hypot(x.real, x.imag) if np.iscomplexobj(x) else np.abs(x)
+
+
+# det(beta*S0 - alpha*S1) = a alpha^2 + b alpha beta + c beta^2 is a sum of
+# products of core entries (flat index 4*i + 2*j + k of core[i, j, k]):
+# a = det S1, b = -trace(adj(S0) S1), c = det S0, in this order of products
+_PENCIL_LEFT = np.array([4, 5, 3, 1, 2, 0, 0, 1])
+_PENCIL_RIGHT = np.array([7, 6, 4, 6, 5, 7, 3, 2])
+_PENCIL_SIGN = np.array([1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
+
+
 def _pencil_coefficients(core: np.ndarray) -> tuple:
-    """(a, b, c) with det(beta*S0 - alpha*S1) = a alpha^2 + b alpha beta + c beta^2."""
-    S0, S1 = core[0], core[1]
+    """(a, b, c) with det(beta*S0 - alpha*S1) = a alpha^2 + b alpha beta + c beta^2,
+    for a 2x2x2 core or, elementwise, for each core of a (K, 2, 2, 2) stack."""
+    flat = core.reshape(core.shape[:-3] + (8,))
+    p = _mul(flat[..., _PENCIL_LEFT] * _PENCIL_SIGN, flat[..., _PENCIL_RIGHT]).T
+    return p[0] - p[1], -(p[2] + p[3] + p[4] + p[5]), p[6] - p[7]
 
-    def det2(M):
-        return M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
 
-    adj0 = np.array([[S0[1, 1], -S0[0, 1]], [-S0[1, 0], S0[0, 0]]])
-    a = det2(S1)
-    b = -(adj0[0, 0] * S1[0, 0] + adj0[0, 1] * S1[1, 0]
-          + adj0[1, 0] * S1[0, 1] + adj0[1, 1] * S1[1, 1])
-    c = det2(S0)
-    return a, b, c
+def _check_pencil(scale: float, a_zero: bool, b_zero: bool,
+                  complex_roots: bool) -> None:
+    """_projective_roots' refusals before the root separation, for one
+    pencil of coefficient scale ``scale``, normalized a and b zero or not,
+    and real coefficients with a negative discriminant or not."""
+    if scale == 0.0:
+        raise ToleranceError("slice pencil determinant vanishes identically")
+    if a_zero and b_zero:
+        raise ToleranceError("slice pencil has a double root at infinity")
+    if complex_roots:
+        raise DegenerateError(
+            "slice pencil has complex roots: real rank exceeds two "
+            "(negative hyperdeterminant regime)")
 
 
 def _projective_roots(a, b, c, field: str, tol: TolerancePolicy):
-    """Unit-normalized projective roots (alpha, beta) of a x^2 + b xy + c y^2.
+    """Unit-normalized projective roots (alpha, beta) of a x^2 + b xy + c y^2
+    for each entry of the (K,) coefficient arrays: a (K, 2, 2) array indexed
+    (pencil, root, coordinate), and per pencil the error it raises, or None.
 
-    Raises DegenerateError over the reals when the roots are complex, and
-    ToleranceError when the two roots are closer than gap_min in chordal
+    The error is DegenerateError over the reals when the roots are complex,
+    and ToleranceError when the two roots are closer than gap_min in chordal
     distance (including double roots and the identically-zero pencil).
     """
-    scale = max(abs(a), abs(b), abs(c))
-    if scale == 0.0:
-        raise ToleranceError("slice pencil determinant vanishes identically")
-    a, b, c = a / scale, b / scale, c / scale
-    if a == 0.0:
-        if b == 0.0:
-            raise ToleranceError("slice pencil has a double root at infinity")
-        raw = [(1.0, 0.0), (-c, b)]
-    else:
-        disc = b * b - 4.0 * a * c
-        if field == REAL and disc < 0.0:
-            raise DegenerateError(
-                "slice pencil has complex roots: real rank exceeds two "
-                "(negative hyperdeterminant regime)")
-        sq = math.sqrt(disc) if field == REAL else cmath.sqrt(disc)
-        sgn = 1.0 if np.real(np.conj(b) * sq) >= 0.0 else -1.0
-        t = -(b + sgn * sq) / 2.0
-        if t == 0.0:
-            raw = [(0.0, 1.0), (0.0, 1.0)]
+    coefficients = np.stack((a, b, c))
+    scale = _abs(coefficients).max(axis=0)
+    with np.errstate(all="ignore"):
+        a, b, c = coefficients / scale
+        disc = _mul(b, b) - _mul(_mul(4.0, a), c)
+        if field == REAL:
+            sq = np.sqrt(disc)
+            sgn = np.where(b * sq >= 0.0, 1.0, -1.0)
         else:
-            raw = [(t, a), (c, t)]
-    roots = []
-    for alpha, beta in raw:
-        pair = np.array([alpha, beta],
-                        dtype=np.complex128 if field == COMPLEX else np.float64)
-        pair = fix_phase(pair / np.linalg.norm(pair))
-        roots.append(pair)
-    _check_separation(abs(roots[0][0] * roots[1][1] - roots[1][0] * roots[0][1]),
-                      tol)
-    return roots
+            sq = np.array([cmath.sqrt(z) for z in disc.tolist()], dtype=np.complex128)
+            sgn = np.where(_mul(np.conj(b), sq).real >= 0.0, 1.0, -1.0)
+        t = -(b + _mul(sgn, sq)) / 2.0
+        raw = np.stack((t, a, c, t), axis=-1).reshape(-1, 2, 2)
+        a_zero = a == 0.0
+        if a_zero.any() or (t == 0.0).any():
+            t_zero = ~a_zero & (t == 0.0)
+            raw[a_zero, 0] = (1.0, 0.0)
+            raw[a_zero, 1] = np.stack((-c[a_zero], b[a_zero]), axis=-1)
+            raw[t_zero] = (0.0, 1.0)
+        # np.linalg.norm of one 2-vector is a dot product; so is this matmul
+        if field == COMPLEX:
+            re, im = np.ascontiguousarray(raw.real), np.ascontiguousarray(raw.imag)
+            sq_norm = (np.matmul(re[..., None, :], re[..., :, None])
+                       + np.matmul(im[..., None, :], im[..., :, None]))
+        else:
+            sq_norm = np.matmul(raw[..., None, :], raw[..., :, None])
+        roots = fix_phase(raw / np.sqrt(sq_norm[..., 0]))
+    x, y = roots[:, 0], roots[:, 1]
+    separation = _abs(_mul(x[:, 0], y[:, 1]) - _mul(y[:, 0], x[:, 1]))
+    complex_roots = (disc < 0.0) & ~a_zero if field == REAL else np.zeros_like(a_zero)
+    errors = [caught(_check_pencil, *row) or caught(_check_separation, sep, tol)
+              for row, sep in zip(zip(scale.tolist(), a_zero.tolist(),
+                                      (b == 0.0).tolist(), complex_roots.tolist()),
+                                  separation.tolist())]
+    return roots, errors
 
 
 def _check_separation(separation: float, tol: TolerancePolicy) -> None:
@@ -172,14 +267,41 @@ def _check_separation(separation: float, tol: TolerancePolicy) -> None:
             "rank-two decomposition is not identifiable here")
 
 
-def _rank_one_matrix_factors(M: np.ndarray, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
-    """Unit row/column factors of a numerically rank-one matrix M = s * u w^T."""
-    U, sigma, Vh = np.linalg.svd(M)
+def _check_rank_one(sigma: list) -> None:
+    """ToleranceError unless singular values ``sigma`` (descending) are those
+    of a rank-one matrix to a 1e-6 ratio."""
     if sigma[0] == 0.0 or sigma[1] > 1e-6 * sigma[0]:
         raise ToleranceError(
             "pencil slice expected to be rank one is not "
             f"(sigma ratio {sigma[1] / max(sigma[0], 1e-300):.3e})")
-    return U[:, 0], Vh[0]
+
+
+def _rank_one_matrix_factors(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Unit row/column factors u, w of each numerically rank-one matrix
+    M = s * u w^T of a (K, m, n) stack, with one batched SVD, and per matrix
+    the ToleranceError when it is not rank one, or None."""
+    U, sigma, Vh = np.linalg.svd(M)
+    return U[..., 0], Vh[..., 0, :], [caught(_check_rank_one, row)
+                                      for row in sigma.tolist()]
+
+
+def _check_factor(norm: float) -> None:
+    if norm == 0.0:
+        raise ToleranceError("zero factor in rank-one term")
+
+
+def _check_tail(ok: bool) -> None:
+    if not ok:
+        raise ToleranceError(
+            "grouped trailing factor is not rank one; "
+            "input is not a rank-two tensor")
+
+
+def _check_rebuild(residual: float, scale: float) -> None:
+    if residual > 1e-8 * max(scale, 1e-300):
+        raise ToleranceError(
+            f"rank-two reconstruction misses the input by {residual:.3e} "
+            "relative to norm; input is not numerically rank two")
 
 
 def _normalized_term(scalar, factors, field: str) -> RankOneFactors:
@@ -187,8 +309,6 @@ def _normalized_term(scalar, factors, field: str) -> RankOneFactors:
     out = []
     for v in factors:
         nv = np.linalg.norm(v)
-        if nv == 0.0:
-            raise ToleranceError("zero factor in rank-one term")
         u = v / nv
         fixed = fix_phase(u)
         pivot = np.nonzero(np.abs(u) > 1e-8 * np.max(np.abs(u)))[0][0]
@@ -200,6 +320,130 @@ def _normalized_term(scalar, factors, field: str) -> RankOneFactors:
     return RankOneFactors(scalar, tuple(out), field)
 
 
+def _rank2_terms(tensors: list, ranks, tol: TolerancePolicy) -> list:
+    """Per tensor of a same-shape list: the ToleranceError or DegenerateError
+    rank2_decompose raises on it, or its two terms as (coefficient, factors)
+    pairs, the factors lifted through the Tucker frames but not normalized.
+
+    Each step runs on the tensors that passed the steps before it, so each
+    tensor gets the first error in rank2_decompose's order. ``ranks[k]`` is
+    tensor k's multilinear rank read (see tucker_stack), or None.
+    """
+    d, field = tensors[0].order, tensors[0].field
+    if d < 3:
+        raise ValueError("rank2_decompose needs an order >= 3 tensor")
+    data = np.stack([A.data for A in tensors])
+    outcome: list = [None] * len(tensors)
+    live = np.arange(len(tensors))
+    # per live tensor: its frames per mode (None where uncompressed), then
+    # the stages' arrays, all cut down together as tensors fail
+    state: dict = {"frames": [None] * d}
+
+    def settle(errors: list) -> bool:
+        """Record the errors of the live tensors and drop those tensors from
+        every state array; False when none is left."""
+        nonlocal live
+        if not any(errors):
+            return True
+        keep = np.array([e is None for e in errors], dtype=bool)
+        for i, e in zip(live.tolist(), errors):
+            if e is not None:
+                outcome[i] = e
+        live = live[keep]
+        for key, value in state.items():
+            state[key] = ([None if F is None else F[keep] for F in value]
+                          if isinstance(value, list) else value[keep])
+        return live.size > 0
+
+    if data.shape[1:] == (2,) * d:
+        state["core"] = data
+    else:
+        frames, state["core"], errors = tucker_stack(data, (2,) * d, ranks, tol)
+        state["frames"] = frames
+        if not settle(errors):
+            return outcome
+        for F in state["frames"]:
+            check_orthonormal(F)
+    # group modes {1}, {2}, {3..d}; compress the grouped mode back to 2
+    state["core"] = state["core"].reshape(live.size, 2, 2, -1)
+    if d > 3:
+        state["tail"], errors = dominant_frames(state["core"], 3, 2, None, tol)
+        if not settle(errors):
+            return outcome
+        check_orthonormal(state["tail"])
+        state["core"] = mode_multiply_stack(
+            state["core"], [None, None, np.conj(np.swapaxes(state["tail"], 1, 2))])
+
+    state["roots"], errors = _projective_roots(
+        *_pencil_coefficients(state["core"]), field, tol)
+    if not settle(errors):
+        return outcome
+    # term k's first factor is root k; the pencil at the other root is rank
+    # one, and its singular vectors are the term's next two factors
+    other = state["roots"][:, ::-1, :, None, None]
+    core = state["core"]
+    pencil = other[:, :, 1] * core[:, None, 0] - other[:, :, 0] * core[:, None, 1]
+    u2, u3, errors = _rank_one_matrix_factors(pencil.reshape(-1, 2, 2))
+    state["u2"], state["u3"] = u2.reshape(-1, 2, 2), u3.reshape(-1, 2, 2)
+    if not settle([e0 or e1 for e0, e1 in zip(errors[0::2], errors[1::2])]):
+        return outcome
+
+    n = live.size
+    u1, u2, u3 = state["roots"], state["u2"], state["u3"]
+    basis = _outer_stack([u1.reshape(-1, 2), u2.reshape(-1, 2),
+                          u3.reshape(-1, 2)]).reshape(n, 2, -1)
+    lam = np.array([np.linalg.lstsq(B.T, y.ravel(), rcond=None)[0]
+                    for B, y in zip(basis, state["core"])])
+    factors = [u1, u2]
+    tail_ok = [[True, True] for _ in range(n)]
+    if d > 3:
+        tails = np.matmul(state["tail"][:, None], u3[..., None])
+        ok, scalars, tail_factors = _rank_one_stack(
+            tails.reshape((2 * n,) + (2,) * (d - 2)), field, tol)
+        tail_ok = [ok[2 * i:2 * i + 2] for i in range(n)]
+        if scalars is None:
+            settle([caught(_check_tail, False) for _ in range(n)])
+            return outcome
+        lam = _mul(lam, np.where(ok, scalars, 1.0).reshape(n, 2))
+        factors += [f.reshape(n, 2, 2) for f in tail_factors]
+    else:
+        factors.append(u3)
+    state["lam"] = lam
+    state["lifted"] = [f if F is None else np.matmul(F[:, None], f[..., None])[..., 0]
+                       for f, F in zip(factors, state["frames"])]
+    # a factor's norm is zero exactly when its squared norm is
+    norms = np.min([np.vecdot(f, f).real for f in state["lifted"]], axis=0)
+    # per term: its trailing factor, then its factor norms
+    if not settle([caught(_check_tail, ok[0]) or caught(_check_factor, z[0])
+                   or caught(_check_tail, ok[1]) or caught(_check_factor, z[1])
+                   for ok, z in zip(tail_ok, norms.tolist())]):
+        return outcome
+
+    n, lam, lifted, A = live.size, state["lam"], state["lifted"], data[live]
+    recon = sum(lam[:, k].reshape((n,) + (1,) * d)
+                * _outer_stack([f[:, k] for f in lifted]) for k in (0, 1))
+    residual = np.linalg.norm((recon - A).reshape(n, -1), axis=1)
+    scale = np.linalg.norm(A.reshape(n, -1), axis=1)
+    errors = [caught(_check_rebuild, res, sc)
+              for res, sc in zip(residual.tolist(), scale.tolist())]
+    for row, i in enumerate(live.tolist()):
+        outcome[i] = errors[row] or [(lam[row, k], [f[row, k] for f in lifted])
+                                     for k in (0, 1)]
+    return outcome
+
+
+def rank2_certify(tensors: list, ranks, tol: TolerancePolicy = DEFAULT_TOL) -> list:
+    """rank2_decompose's verdict on every tensor of a same-shape list, in one
+    batched pass: per tensor None where it returns, else the ToleranceError
+    or DegenerateError it raises, with the same message. ``ranks[k]`` is
+    tensor k's multilinear rank read (mrank's), which the Tucker step's
+    ambiguity test takes in place of reading it again."""
+    if not tensors:
+        return []
+    return [None if isinstance(out, list) else out
+            for out in _rank2_terms(tensors, ranks, tol)]
+
+
 def rank2_decompose(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL
                     ) -> tuple[RankOneFactors, RankOneFactors]:
     """Split a rank-two tensor into its two rank-one terms.
@@ -208,69 +452,16 @@ def rank2_decompose(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL
     compress the grouped mode back to 2, solve the 2x2 slice pencil, read each
     term's first factor off a pencil root and the remaining factors off the
     rank-one matrix left by the other root, then lift through the frames.
+    The one-tensor case of rank2_certify, with the terms normalized.
 
     Real inputs in the negative-hyperdeterminant regime raise DegenerateError;
     pencil roots closer than gap_min raise ToleranceError.
     """
-    d = A.order
-    if d < 3:
-        raise ValueError("rank2_decompose needs an order >= 3 tensor")
-    if A.shape == (2,) * d:
-        rep = TuckerRep((), A)
-        frames = [None] * d
-    else:
-        rep = tucker_compress(A, (2,) * d, tol)
-        frames = [p.frame for p in rep.frames]
-    core = rep.core.data
-    grouped = Hypermatrix(core.reshape(2, 2, -1), A.field)
-    if d > 3:
-        tail = dominant_subspace(grouped, 3, 2, tol)
-        core3 = mode_multiply(grouped.data, [None, None, tail.frame.conj().T])
-    else:
-        tail = None
-        core3 = grouped.data
-
-    a, b, c = _pencil_coefficients(core3)
-    roots = _projective_roots(a, b, c, A.field, tol)
-    terms = []
-    for k in (0, 1):
-        alpha, beta = roots[k]
-        other_alpha, other_beta = roots[1 - k]
-        M = other_beta * core3[0] - other_alpha * core3[1]
-        u2, u3 = _rank_one_matrix_factors(M, tol)
-        terms.append((np.array([alpha, beta]), u2, u3))
-
-    basis = []
-    for u1, u2, u3 in terms:
-        E = np.multiply.outer(np.multiply.outer(u1, u2), u3)
-        basis.append(E.ravel())
-    coeffs, *_ = np.linalg.lstsq(np.stack(basis, axis=1), core3.ravel(), rcond=None)
-
-    results = []
-    for lam, (u1, u2, u3) in zip(coeffs, terms):
-        if d > 3:
-            tail_vec = tail.frame @ u3
-            tail_tensor = Hypermatrix(tail_vec.reshape((2,) * (d - 2)), A.field)
-            ok, witness = is_rank_one(tail_tensor, tol)
-            if not ok:
-                raise ToleranceError(
-                    "grouped trailing factor is not rank one; "
-                    "input is not a rank-two tensor")
-            lam = lam * witness.scalar
-            tail_factors = list(witness.factors)
-        else:
-            tail_factors = [u3]
-        core_factors = [u1, u2] + tail_factors
-        lifted = [f if F is None else F @ f for f, F in zip(core_factors, frames)]
-        results.append(_normalized_term(lam, lifted, A.field))
-
-    recon = outer_product(results[0]).data + outer_product(results[1]).data
-    residual = float(np.linalg.norm((recon - A.data).ravel()))
-    if residual > 1e-8 * max(A.norm(), 1e-300):
-        raise ToleranceError(
-            f"rank-two reconstruction misses the input by {residual:.3e} "
-            "relative to norm; input is not numerically rank two")
-    return results[0], results[1]
+    out = _rank2_terms([A], None, tol)[0]
+    if not isinstance(out, list):
+        raise out
+    t1, t2 = (_normalized_term(lam, lifted, A.field) for lam, lifted in out)
+    return t1, t2
 
 
 class DecompositionCount(enum.Enum):
@@ -318,8 +509,10 @@ def conj_pair_factors(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL
     x = root / np.linalg.norm(root)
     # |det[x | conj(x)]| = 2 |Im(x_0 conj(x_1))|
     _check_separation(2.0 * abs((x[0] * np.conj(x[1])).imag), tol)
-    u, v = _rank_one_matrix_factors(x[1] * S[0] - x[0] * S[1], tol)
-    y, z = np.conj(u), np.conj(v)
+    u, v, errors = _rank_one_matrix_factors((x[1] * S[0] - x[0] * S[1])[None])
+    if errors[0] is not None:
+        raise errors[0]
+    y, z = np.conj(u[0]), np.conj(v[0])
     E = np.multiply.outer(np.multiply.outer(x, y), z)
     # A = c E + conj(c E) with ||E|| = 1, so <E, A> = c + conj(c h) with
     # h = sum(E^2), and |h| < 1 unless a factor is real up to phase

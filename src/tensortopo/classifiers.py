@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import (Kind222, classify_222, conj_pair_factors,
+from .certify import (_band, classify_222, conj_pair_factors, hyperdet222,
                       rank2_decompose)
 from .core import (DEFAULT_TOL, Hypermatrix, REAL,
                    SymRankDecomposition, SymTensor, TolerancePolicy, flatten,
@@ -144,11 +144,15 @@ def classify_brank3_222(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL
     that route stays: the classify_222 band, pencil-root separation, the
     rank-one ratio of M, a rebuild of A within 1e-8 ||A|| and a per-mode
     unit-factor area of at least gap_min (see certify.conj_pair_factors).
+
+    The band is tested on the hyperdeterminant alone: below -eps_rel ||A||^4
+    no flattening has rank one (Det vanishes to second order on rank one),
+    so classify_222 would say border-rank3. It runs only to word a refusal.
     """
-    cls = classify_222(A, tol)
-    if cls.kind is not Kind222.BORDER_RANK3:
+    if (A.shape != (2, 2, 2) or A.field != REAL
+            or not hyperdet222(A) < -_band(A.norm(), tol)):
         raise ToleranceError(
-            f"classification is {cls.kind.value}, not border-rank3; "
+            f"classification is {classify_222(A, tol).kind.value}, not border-rank3; "
             "the sign-triple label does not apply")
     areas = [orientation_area(v) for v in conj_pair_factors(A, tol)]
     if areas[0] < 0:

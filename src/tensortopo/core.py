@@ -233,6 +233,14 @@ def flatten(A: Hypermatrix, mode: int) -> np.ndarray:
         np.moveaxis(A.data, ax, 0).reshape(A.shape[ax], -1))
 
 
+def flatten_stack(data: np.ndarray, mode: int) -> np.ndarray:
+    """The mode-i flattening (1-based mode) of every tensor of a (K, ...)
+    stack, laid out as flatten lays it out: shape (K, n_i, rest)."""
+    axes = range(1, data.ndim)
+    order = (0, mode) + tuple(k for k in axes if k != mode)
+    return data.transpose(order).reshape(data.shape[0], data.shape[mode], -1)
+
+
 def _rank_read(sigma: np.ndarray, size: int,
                tol: TolerancePolicy) -> list[tuple[int, float]]:
     """(rank, margin) per row of a (K, p) stack of singular values, each row
@@ -269,12 +277,9 @@ def mrank_stack(tensors: Sequence[Hypermatrix],
     an inadmissible one.
     """
     data = np.stack([A.data for A in tensors])
-    K, axes = data.shape[0], range(1, data.ndim)
     per_mode = []
-    for ax in axes:
-        # the mode-ax flattening of every tensor, as flatten lays it out
-        order = (0, ax) + tuple(k for k in axes if k != ax)
-        flat = data.transpose(order).reshape(K, data.shape[ax], -1)
+    for ax in range(1, data.ndim):
+        flat = flatten_stack(data, ax)
         sigma = np.linalg.svd(flat, compute_uv=False)
         per_mode.append(_rank_read(sigma, max(flat.shape[1:]), tol))
     return [MultilinearRank(tuple(r for r, _m in reads),
@@ -377,6 +382,24 @@ def mode_multiply(core: np.ndarray, matrices: list[np.ndarray | None]) -> np.nda
     return out
 
 
+def mode_multiply_stack(data: np.ndarray,
+                        matrices: list[np.ndarray | None]) -> np.ndarray:
+    """mode_multiply for every tensor of a (K, ...) stack, one batched
+    matmul per mode: matrices[k] is a (K, new_k, old_k) stack or None. Each
+    tensor's result has the bits mode_multiply gives it."""
+    out = data
+    for k, M in enumerate(matrices):
+        if M is None:
+            continue
+        ax, rest = k + 1, tuple(range(2, data.ndim))
+        moved = out.transpose((0, ax) + tuple(i for i in range(1, data.ndim) if i != ax))
+        shape = moved.shape
+        prod = np.matmul(M, moved.reshape(shape[0], shape[1], -1))
+        out = prod.reshape((shape[0], M.shape[1]) + shape[2:]).transpose(
+            (0,) + rest[:k] + (1,) + rest[k:])
+    return out
+
+
 def frobenius_inner(A: np.ndarray, B: np.ndarray) -> complex | float:
     """<A, B> = sum A * conj(B)."""
     return complex(np.sum(A * np.conj(B))) if np.iscomplexobj(A) or np.iscomplexobj(B) \
@@ -384,17 +407,27 @@ def frobenius_inner(A: np.ndarray, B: np.ndarray) -> complex | float:
 
 
 def fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate/flip a vector so its first significant component is positive real.
+    """Rotate/flip a vector, or each vector along the last axis of a stack,
+    so its first significant component is positive real.
 
     The component used is the first one whose magnitude exceeds 1e-8 times the
-    largest (a stable notion of "first nonzero" in floating point).
+    largest (a stable notion of "first nonzero" in floating point). A zero
+    vector is returned as it is.
     """
     v = np.asarray(v)
-    amax = float(np.max(np.abs(v)))
-    if amax == 0.0:
-        return v.copy()
-    idx = int(np.argmax(np.abs(v) > 1e-8 * amax))
-    pivot = v[idx]
-    if np.iscomplexobj(v):
-        return v * (np.conj(pivot) / abs(pivot))
-    return v * (1.0 if pivot > 0 else -1.0)
+    mag = np.abs(v)
+    amax = mag.max(axis=-1, keepdims=True)
+    idx = (mag > 1e-8 * amax).argmax(axis=-1)
+    if v.ndim == 1:
+        pivot = v[idx:idx + 1]
+    else:
+        flat = v.reshape(-1, v.shape[-1])
+        pivot = flat[np.arange(flat.shape[0]), idx.ravel()].reshape(idx.shape + (1,))
+    if v.dtype.kind == "c":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # an array division by the modulus rounds as numpy's scalar one
+            turn = np.conj(pivot) / np.hypot(pivot.real, pivot.imag)
+    else:
+        turn = np.sign(pivot)
+    turn[amax == 0.0] = 1.0
+    return v * turn

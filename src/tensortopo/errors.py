@@ -55,3 +55,14 @@ class StratumSyntaxError(TensorTopoError):
     def __init__(self, message: str, position: int):
         self.position = position
         super().__init__(f"stratum descriptor error at position {position}: {message}")
+
+
+def caught(check, *args) -> TensorTopoError | None:
+    """The TensorTopoError that ``check(*args)`` raises, or None when it
+    returns: how a batched routine keeps one verdict per tensor while each
+    rule and its message are written once, for one tensor."""
+    try:
+        check(*args)
+    except TensorTopoError as exc:
+        return exc
+    return None

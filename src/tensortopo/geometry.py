@@ -14,9 +14,9 @@ import numpy as np
 import scipy.linalg
 
 from .core import (DEFAULT_TOL, Hypermatrix, SymTensor, TolerancePolicy,
-                   flatten, fix_phase, mode_multiply, numerical_rank,
-                   sym_embed, sym_extract)
-from .errors import ToleranceError
+                   _rank_read, fix_phase, flatten_stack, mode_multiply,
+                   mode_multiply_stack, sym_embed, sym_extract)
+from .errors import ToleranceError, caught
 
 _FRAME_ORTHO_TOL = 1e-12
 
@@ -32,9 +32,7 @@ class GrassmannPoint:
         F = np.ascontiguousarray(self.frame)
         if F.ndim != 2:
             raise ValueError("frame must be a matrix")
-        gram = F.conj().T @ F
-        if np.max(np.abs(gram - np.eye(F.shape[1]))) > _FRAME_ORTHO_TOL:
-            raise ValueError("frame columns are not orthonormal to 1e-12")
+        check_orthonormal(F[None])
         object.__setattr__(self, "frame", F)
 
     @property
@@ -46,6 +44,52 @@ class GrassmannPoint:
         return self.frame.shape[1]
 
 
+def check_orthonormal(frames: np.ndarray) -> None:
+    """ValueError unless the columns of every frame of a (K, n, r) stack are
+    orthonormal to 1e-12."""
+    gram = np.matmul(np.conj(np.swapaxes(frames, 1, 2)), frames)
+    if np.max(np.abs(gram - np.eye(frames.shape[2])), initial=0.0) > _FRAME_ORTHO_TOL:
+        raise ValueError("frame columns are not orthonormal to 1e-12")
+
+
+def _check_subspace(sigma: list, rank: int, mode: int, r: int,
+                    tol: TolerancePolicy) -> None:
+    """dominant_subspace's ToleranceError for a mode flattening with
+    singular values ``sigma`` (descending) and numerical rank ``rank``."""
+    if sigma[0] == 0.0:
+        raise ToleranceError("zero tensor has no dominant subspace")
+    if sigma[r - 1] / sigma[0] < tol.gap_min:
+        raise ToleranceError(
+            f"mode-{mode} subspace margin {sigma[r-1]/sigma[0]:.3e} below gap_min")
+    if rank > r and (sigma[r - 1] - sigma[r]) / sigma[0] < tol.gap_min:
+        raise ToleranceError(
+            f"mode-{mode} dominant subspace of dimension {r} is ambiguous: "
+            f"relative gap {(sigma[r-1]-sigma[r])/sigma[0]:.3e} below gap_min")
+
+
+def dominant_frames(data: np.ndarray, mode: int, r: int, ranks,
+                    tol: TolerancePolicy = DEFAULT_TOL) -> tuple[np.ndarray, list]:
+    """dominant_subspace for every tensor of a (K, ...) stack, with one
+    batched SVD: the (K, n, r) frames, unchecked for orthonormality, and per
+    tensor the ToleranceError dominant_subspace raises on it, or None.
+
+    ``ranks[k]`` is the numerical rank of tensor k's mode flattening, as
+    mrank reads it; None reads them here.
+    """
+    M = flatten_stack(data, mode)
+    if r < 1 or r > min(M.shape[1:]):
+        raise ValueError(
+            f"cannot take a {r}-dimensional dominant subspace of {M.shape[1:]}")
+    U, sigma, _ = np.linalg.svd(M, full_matrices=False)
+    if ranks is None:
+        ranks = [rank for rank, _margin in _rank_read(
+            np.linalg.svd(M, compute_uv=False), max(M.shape[1:]), tol)]
+    errors = [caught(_check_subspace, row, rank, mode, r, tol)
+              for row, rank in zip(sigma.tolist(), ranks)]
+    frames = fix_phase(np.swapaxes(U[:, :, :r], 1, 2))
+    return np.ascontiguousarray(np.swapaxes(frames, 1, 2)), errors
+
+
 def dominant_subspace(A: Hypermatrix, mode: int, r: int,
                       tol: TolerancePolicy = DEFAULT_TOL) -> GrassmannPoint:
     """Span of the top r left singular vectors of the mode-i flattening.
@@ -53,25 +97,13 @@ def dominant_subspace(A: Hypermatrix, mode: int, r: int,
     Raises ToleranceError when the subspace is numerically ambiguous: either
     sigma_r / sigma_1 < gap_min (the subspace barely exists) or, when more
     than r significant values are present, the relative gap
-    (sigma_r - sigma_{r+1}) / sigma_1 < gap_min.
+    (sigma_r - sigma_{r+1}) / sigma_1 < gap_min. The one-tensor case of
+    dominant_frames.
     """
-    M = flatten(A, mode)
-    if r < 1 or r > min(M.shape):
-        raise ValueError(f"cannot take a {r}-dimensional dominant subspace of {M.shape}")
-    U, sigma, _ = np.linalg.svd(M, full_matrices=False)
-    if sigma[0] == 0.0:
-        raise ToleranceError("zero tensor has no dominant subspace")
-    if sigma[r - 1] / sigma[0] < tol.gap_min:
-        raise ToleranceError(
-            f"mode-{mode} subspace margin {sigma[r-1]/sigma[0]:.3e} below gap_min")
-    rank_here, _ = numerical_rank(M, tol)
-    if rank_here > r and (sigma[r - 1] - sigma[r]) / sigma[0] < tol.gap_min:
-        raise ToleranceError(
-            f"mode-{mode} dominant subspace of dimension {r} is ambiguous: "
-            f"relative gap {(sigma[r-1]-sigma[r])/sigma[0]:.3e} below gap_min")
-    frame = U[:, :r]
-    frame = np.column_stack([fix_phase(frame[:, k]) for k in range(r)])
-    return GrassmannPoint(frame, A.field)
+    frames, errors = dominant_frames(A.data[None], mode, r, None, tol)
+    if errors[0] is not None:
+        raise errors[0]
+    return GrassmannPoint(frames[0], A.field)
 
 
 def principal_angles(U: GrassmannPoint, V: GrassmannPoint) -> np.ndarray:
@@ -163,24 +195,58 @@ class TuckerRep:
         return self.core.shape
 
 
+def _check_round_trip(residual: float, scale: float, ranks) -> None:
+    """tucker_compress's ToleranceError for a round trip missing a tensor of
+    norm ``scale`` by ``residual``."""
+    if residual > 1e-10 * max(scale, 1e-300):
+        raise ToleranceError(
+            f"tucker round trip residual {residual:.3e} exceeds 1e-10 * norm; "
+            f"multilinear rank of the input exceeds {ranks}")
+
+
+def tucker_stack(data: np.ndarray, ranks: tuple[int, ...], mode_ranks,
+                 tol: TolerancePolicy = DEFAULT_TOL) -> tuple[list, np.ndarray, list]:
+    """tucker_compress for every tensor of a (K, ...) stack: the (K, n_i, r_i)
+    frames per mode, unchecked for orthonormality, the (K, *ranks) cores,
+    and per tensor the first ToleranceError tucker_compress raises on it, or
+    None.
+
+    ``mode_ranks[k]`` is tensor k's multilinear rank read, or None to read
+    it here (see dominant_frames).
+    """
+    K = data.shape[0]
+    if len(ranks) != data.ndim - 1:
+        raise ValueError("need one rank per mode")
+    errors = [None] * K
+    frames = []
+    for m, r in enumerate(ranks):
+        F, found = dominant_frames(
+            data, m + 1, r,
+            None if mode_ranks is None else [rk[m] for rk in mode_ranks], tol)
+        errors = [e or new for e, new in zip(errors, found)]
+        frames.append(F)
+    core = mode_multiply_stack(data, [np.conj(np.swapaxes(F, 1, 2)) for F in frames])
+    residual = np.linalg.norm((mode_multiply_stack(core, frames) - data).reshape(K, -1),
+                              axis=1)
+    scale = np.linalg.norm(data.reshape(K, -1), axis=1)
+    errors = [e or caught(_check_round_trip, res, sc, ranks)
+              for e, res, sc in zip(errors, residual.tolist(), scale.tolist())]
+    return frames, core, errors
+
+
 def tucker_compress(A: Hypermatrix, ranks: tuple[int, ...],
                     tol: TolerancePolicy = DEFAULT_TOL) -> TuckerRep:
     """Compress onto the dominant subspaces; exact when ranks = mrank(A).
 
     Raises ToleranceError if the round trip misses A by more than 1e-10
     relative (i.e. the requested ranks undershoot the true multilinear rank).
+    The one-tensor case of tucker_stack.
     """
-    if len(ranks) != A.order:
-        raise ValueError("need one rank per mode")
-    frames = tuple(dominant_subspace(A, m + 1, ranks[m], tol) for m in range(A.order))
-    core = mode_multiply(A.data, [f.frame.conj().T for f in frames])
-    rep = TuckerRep(frames, Hypermatrix(core, A.field))
-    residual = np.linalg.norm((tucker_expand(rep).data - A.data).ravel())
-    if residual > 1e-10 * max(A.norm(), 1e-300):
-        raise ToleranceError(
-            f"tucker round trip residual {residual:.3e} exceeds 1e-10 * norm; "
-            f"multilinear rank of the input exceeds {ranks}")
-    return rep
+    frames, core, errors = tucker_stack(A.data[None], tuple(ranks), None, tol)
+    if errors[0] is not None:
+        raise errors[0]
+    return TuckerRep(tuple(GrassmannPoint(F[0], A.field) for F in frames),
+                     Hypermatrix(core[0], A.field))
 
 
 def tucker_expand(rep: TuckerRep) -> Hypermatrix:

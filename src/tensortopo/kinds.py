@@ -2,9 +2,15 @@
 
 A record answers the five questions the paper asks of every kind of rank:
 how to draw a member with its witness, how to label its component, how to
-join two members by a path, how to certify one path sample, and how many
+join two members by a path, how to certify path samples, and how many
 components to expect. ``kind_of`` picks the record; ``classify``,
 ``connect``, ``path_verify`` and ``expected_component_count`` look it up.
+
+The membership rule runs on a stack of values: ``path_verify`` hands a
+record a path's whole grid in one call, and a sampler hands it a stack of
+one candidate. Rules that need more than the flattening ranks read the
+stack in one batched pass (the hyperdeterminant signs, the rank-two
+certificate).
 
 Records call samplers, invariants and connectors through this module's
 global names at call time, so a wrapper installed here sees every call.
@@ -12,14 +18,13 @@ global names at call time, so a wrapper installed here sees every call.
 
 from __future__ import annotations
 
-from .certify import (Kind222, classify_222, hyperdet222, is_rank_one,
-                      rank2_decompose)
+from .certify import hyperdet_signs, rank2_certify
 from .classifiers import (SINGLE, _sym_matrix_signature, _sym_rank2_witness,
                           classify_brank3_222, det_sign_mrank,
                           mrank_saturation, square_mode, sym_sign_rank1,
                           sym_signature)
 from .core import COMPLEX, REAL, SymRankDecomposition
-from .errors import UnsupportedStratumError
+from .errors import DegenerateError, ToleranceError, UnsupportedStratumError
 from .paths import (_sym_rank1_witness, connect_brank3_222, connect_mrank,
                     connect_rank_r, connect_sym_mrank, connect_sym_rank_r)
 from .sampling import (expected_generic_mrank, sample_fixed_mrank,
@@ -35,10 +40,10 @@ class Kind:
     decomposition that ``classify`` and ``connect`` take in place of the
     value; kinds without one return None.
 
-    ``member(stratum, value, ranks, tol)``, the kind's one membership rule,
-    gives ``(ok, note)`` for a value with flattening ranks ``ranks``;
-    samplers keep only draws that pass it, and ``certify`` applies it to
-    every path sample.
+    ``member(stratum, values, ranks, tol)``, the kind's one membership rule,
+    gives one ``(ok, note)`` per value of a stack, ``ranks[k]`` being the
+    flattening ranks of ``values[k]``; samplers keep only draws that pass
+    it, and ``certify`` applies it to a path's grid.
     """
 
     def classify(self, stratum, value, tol):
@@ -51,24 +56,31 @@ class Kind:
             return 1
         return self.real_components(stratum)
 
-    def screen(self, stratum, value, tol) -> bool:
-        """A test ``member`` also makes that needs no rank read; samplers
-        run it first."""
-        return True
+    def screen(self, stratum, values, tol) -> list[bool]:
+        """Per value, a test ``member`` also makes that needs no rank read;
+        samplers run it first."""
+        return [True] * len(values)
 
-    def certify(self, stratum, value, ranks: tuple, witness, tol) -> tuple:
-        """(ok, label, note) for one path sample with flattening ranks
-        ``ranks`` and the path's witness there. A sample outside the stratum
-        gets no label; "unverifiable-exactly" says the ranks do not bound
-        the rank."""
-        ok, note = self.member(stratum, value, ranks, tol)
-        if not ok:
-            return False, None, note
-        try:
-            label = self.classify(stratum, value, tol)
-        except UnsupportedStratumError:
-            label = None
-        return True, label, note
+    def certify(self, stratum, values, ranks: list, witnesses: list, tol) -> list:
+        """One (ok, label, note) per sample of a path grid: ``values[k]`` has
+        flattening ranks ``ranks[k]`` and the path's witness there is
+        ``witnesses[k]``. A sample outside the stratum gets no label, nor
+        does one whose label is refused (the refusal is its note);
+        "unverifiable-exactly" says the ranks do not bound the rank."""
+        verdicts = []
+        for value, (ok, note) in zip(values, self.member(stratum, values, ranks, tol)):
+            if not ok:
+                verdicts.append((False, None, note))
+                continue
+            try:
+                label = self.classify(stratum, value, tol)
+            except UnsupportedStratumError:
+                label = None
+            except (ToleranceError, DegenerateError) as exc:
+                verdicts.append((False, None, str(exc)))
+                continue
+            verdicts.append((True, label, note))
+        return verdicts
 
 
 class Rank(Kind):
@@ -90,17 +102,22 @@ class Rank(Kind):
     def connect(self, stratum, a, b, witness_a, witness_b, tol, rng, depth):
         return connect_rank_r(a, b, stratum.rank, tol, rng, depth)
 
-    def member(self, stratum, A, ranks, tol):
+    def member(self, stratum, values, ranks, tol):
         r = stratum.rank
-        ok = ranks == expected_generic_mrank(stratum.shape, r)
+        expected = expected_generic_mrank(stratum.shape, r)
+        oks = [rk == expected for rk in ranks]
         if r == 1:
-            return ok and is_rank_one(A, tol)[0], ""
+            # ranks (1, ..., 1): nonzero with every flattening of rank one
+            return [(ok, "") for ok in oks]
         if r == 2 and stratum.shape == (2, 2, 2) and stratum.field == REAL:
-            return ok and classify_222(A, tol).kind is Kind222.RANK2, ""
+            # classify_222's rank-two verdict once no flattening has rank one
+            return [(ok and sign > 0, "")
+                    for ok, sign in zip(oks, hyperdet_signs(values, tol))]
         if r == 2:
-            rank2_decompose(A, tol)
-            return ok, "decomposition-certified"
-        return ok, "unverifiable-exactly"
+            return [(ok, "decomposition-certified") if err is None
+                    else (False, str(err))
+                    for ok, err in zip(oks, rank2_certify(values, ranks, tol))]
+        return [(ok, "unverifiable-exactly") for ok in oks]
 
 
 class BorderRank3(Rank):
@@ -118,15 +135,15 @@ class BorderRank3(Rank):
     def connect(self, stratum, a, b, witness_a, witness_b, tol, rng, depth):
         return connect_brank3_222(a, b, tol)
 
-    def screen(self, stratum, A, tol):
+    def screen(self, stratum, values, tol):
         # classify_222's border-rank-three test, a closed form: it turns
         # away nine in ten sampler draws before their SVDs
-        return hyperdet222(A) < -(tol.eps_rel * A.norm() ** 4)
+        return [sign < 0 for sign in hyperdet_signs(values, tol)]
 
-    def member(self, stratum, A, ranks, tol):
-        if not self.screen(stratum, A, tol):
-            return False, "hyperdeterminant is not below -eps_rel ||A||^4"
-        return ranks == (2, 2, 2), ""
+    def member(self, stratum, values, ranks, tol):
+        return [(rk == (2, 2, 2), "") if below else
+                (False, "hyperdeterminant is not below -eps_rel ||A||^4")
+                for below, rk in zip(self.screen(stratum, values, tol), ranks)]
 
 
 class SymRank(Kind):
@@ -169,15 +186,15 @@ class SymRank(Kind):
         Db = witness_b if witness_b is not None else self.witness(stratum, b, tol)
         return connect_sym_rank_r(Da, Db, tol, rng, depth)
 
-    def member(self, stratum, S, ranks, tol):
+    def member(self, stratum, values, ranks, tol):
         r, n = stratum.rank, stratum.dim
-        return (ranks == (min(r, n),) * stratum.order,
-                "unverifiable-exactly" if r > n else "")
+        note = "unverifiable-exactly" if r > n else ""
+        return [(rk == (min(r, n),) * stratum.order, note) for rk in ranks]
 
-    def certify(self, stratum, S, ranks, witness, tol):
+    def certify(self, stratum, values, ranks, witnesses, tol):
         # a term-sum path's witness gives the signature without decomposing S
-        return super().certify(stratum, S if witness is None else witness,
-                               ranks, None, tol)
+        values = [S if w is None else w for S, w in zip(values, witnesses)]
+        return super().certify(stratum, values, ranks, witnesses, tol)
 
 
 class MRank(Kind):
@@ -203,8 +220,8 @@ class MRank(Kind):
     def connect(self, stratum, a, b, witness_a, witness_b, tol, rng, depth):
         return connect_mrank(a, b, stratum.rank, tol, rng, depth)
 
-    def member(self, stratum, A, ranks, tol):
-        return ranks == stratum.rank, ""
+    def member(self, stratum, values, ranks, tol):
+        return [(rk == stratum.rank, "") for rk in ranks]
 
 
 class SymMRank(Kind):
@@ -232,8 +249,8 @@ class SymMRank(Kind):
     def connect(self, stratum, a, b, witness_a, witness_b, tol, rng, depth):
         return connect_sym_mrank(a, b, stratum.rank, tol, rng, depth)
 
-    def member(self, stratum, S, ranks, tol):
-        return ranks == (stratum.rank,) * stratum.order, ""
+    def member(self, stratum, values, ranks, tol):
+        return [(rk == (stratum.rank,) * stratum.order, "") for rk in ranks]
 
 
 _RECORDS = {"rank": Rank(), "mrank": MRank(), "sym-rank": SymRank(),

@@ -11,9 +11,10 @@ construction. The others are checked on a sample grid and repaired by
 recursive random-midpoint detours (each retry dodges a measure-zero bad set,
 depth is capped at 8): a core interpolation must keep its core at full
 multilinear rank, and a term-sum segment (rank two, symmetric rank r) must
-pass path_verify, which applies the kind record's membership rule to every
-sample, with every margin at least gap_min. A path of one such segment
-carries that report, so path_verify does not certify its samples again.
+pass path_verify, which applies the kind record's membership rule to its
+whole sample grid in one call, with every margin at least gap_min. A path of
+one such segment carries that report, so path_verify does not certify its
+samples again.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ import numpy as np
 from .certify import brank3_conj_pair, is_rank_one, rank2_decompose
 from .classifiers import (ComponentLabel, classify_brank3_222, det_sign_mrank,
                           sign_label, square_mode, mrank_saturation)
-from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, MultilinearRank,
-                   RankOneFactors, REAL, SymRankDecomposition, SymTensor,
-                   TolerancePolicy, dense, mode_multiply, mrank, mrank_stack,
-                   numerical_rank, outer_product, sym_embed, sym_extract,
-                   sym_packed_length, sym_power)
+from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, RankOneFactors, REAL,
+                   SymRankDecomposition, SymTensor, TolerancePolicy, dense,
+                   mode_multiply, mrank, mrank_stack, numerical_rank,
+                   outer_product, sym_embed, sym_extract, sym_packed_length,
+                   sym_power)
 from .errors import (DegenerateError, DifferentComponents, RetryExhausted,
                      ToleranceError, UnsupportedStratumError)
 from .geometry import (GrassmannGeodesic, OrientationLoop, gl_interpolator,
@@ -1064,30 +1065,39 @@ class PathReport:
         return header, rows
 
 
-def _certify_sample(stratum: StratumDescriptor, value, mr: MultilinearRank,
-                    witness, tol: TolerancePolicy) -> SampleCheck:
-    """One sample with its multilinear rank read ``mr``, judged by the
-    stratum's record (see kinds.py)."""
+def _certify_grid(stratum: StratumDescriptor, ts: list, values: list,
+                  reads: list, witnesses: list, tol: TolerancePolicy) -> list:
+    """One SampleCheck per grid sample, the samples with an admissible rank
+    read judged by the stratum's record in one call (see kinds.py)."""
+    checks: list = [None] * len(ts)
+    grid = []
+    for i, mr in enumerate(reads):
+        try:
+            mr.checked()
+        except ToleranceError as exc:
+            checks[i] = SampleCheck(ts[i], False, (), 0.0, None, f"mrank failed: {exc}")
+            continue
+        grid.append(i)
+    if not grid:
+        return checks
     try:
-        mr.checked()
-    except ToleranceError as exc:
-        return SampleCheck(0.0, False, (), 0.0, None, f"mrank failed: {exc}")
-    ranks = mr.ranks
-    margin = float(min(mr.margins))
-    try:
-        ok, label, note = kinds.kind_of(stratum).certify(stratum, value, ranks,
-                                                         witness, tol)
+        verdicts = kinds.kind_of(stratum).certify(
+            stratum, [values[i] for i in grid], [reads[i].ranks for i in grid],
+            [witnesses[i] for i in grid], tol)
     except (ToleranceError, DegenerateError, UnsupportedStratumError) as exc:
-        return SampleCheck(0.0, False, ranks, margin, None, str(exc))
-    return SampleCheck(0.0, ok, ranks, margin,
-                       None if label is None else str(label), note)
+        verdicts = [(False, None, str(exc))] * len(grid)
+    for i, (ok, label, note) in zip(grid, verdicts):
+        checks[i] = SampleCheck(ts[i], ok, reads[i].ranks, float(min(reads[i].margins)),
+                                None if label is None else str(label), note)
+    return checks
 
 
 def path_verify(path: TensorPath, K: int | None = None,
                 tol: TolerancePolicy = DEFAULT_TOL) -> PathReport:
     """Evaluate on a Chebyshev grid plus endpoints and joints, read every
-    sample's multilinear rank in one batch, certify each sample for the
-    target stratum; check joint continuity and classifier constancy.
+    sample's multilinear rank in one batch, certify the whole grid for the
+    target stratum in one call of its record; check joint continuity and
+    classifier constancy.
     Failures become report content, never exceptions. A path that holds a
     report for this K and tol, as connect's one-segment term-sum paths do,
     gets that report back."""
@@ -1098,16 +1108,10 @@ def path_verify(path: TensorPath, K: int | None = None,
     ts = sorted(set([0.0, 1.0] + chebyshev_grid(K) + path.joints()))
     values = [path.eval(t) for t in ts]
     reads = mrank_stack([dense(v) for v in values], tol)
-    samples: list[SampleCheck] = []
-    passed = True
-    exact = True
-    for t, value, mr in zip(ts, values, reads):
-        check = _certify_sample(path.stratum, value, mr, path.witness(t), tol)
-        check.t = t
-        if check.note in ("unverifiable-exactly",):
-            exact = False
-        passed = passed and check.ok
-        samples.append(check)
+    samples = _certify_grid(path.stratum, ts, values, reads,
+                            [path.witness(t) for t in ts], tol)
+    passed = all(s.ok for s in samples)
+    exact = all(s.note != "unverifiable-exactly" for s in samples)
     labels = {s.label for s in samples if s.label is not None}
     if len(labels) > 1:
         passed = False

@@ -4,7 +4,8 @@ Each sampler draws raw Gaussian candidates for its stratum and hands them to
 one redraw loop, ``_certified``. It keeps the first candidate whose
 multilinear rank read is admissible with every margin at least gap_min and
 which passes the membership rule of the stratum's kind record
-(``kinds.Kind.member``, the rule ``path_verify`` applies to path samples),
+(``kinds.Kind.member``, the rule ``path_verify`` applies to a path's whole
+grid; a candidate is a stack of one, as ``mrank`` is ``mrank_stack([A])[0]``),
 and redraws otherwise, at most 1000 times. Most strata accept nearly every
 draw, but not all: a sum of three real Gaussian rank-one terms on 2x2x2
 lands in the border-rank-three region only about one draw in ten, so a cap
@@ -76,12 +77,12 @@ def _certified(stratum: StratumDescriptor, candidate, tol: TolerancePolicy):
     rule = kinds.kind_of(stratum)
     for _ in range(_MAX_REDRAWS + 1):
         drawn = candidate()
-        if drawn is None or not rule.screen(stratum, drawn[0], tol):
+        if drawn is None or not rule.screen(stratum, [drawn[0]], tol)[0]:
             continue
         try:
             mr = mrank(dense(drawn[0]), tol)
             if (min(mr.margins) >= tol.gap_min
-                    and rule.member(stratum, drawn[0], mr.ranks, tol)[0]):
+                    and rule.member(stratum, [drawn[0]], [mr.ranks], tol)[0][0]):
                 return drawn
         except TensorTopoError:
             continue

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from tensortopo import (COMPLEX, REAL, DegenerateError, Hypermatrix,
-                        SplitMix64, hyperdet222, outer_product)
+                        SplitMix64, ToleranceError, hyperdet222, outer_product)
 from tensortopo.certify import (DecompositionCount, Kind222, brank3_conj_pair,
                                 classify_222, count_rank2_decompositions,
-                                is_rank_one, rank2_decompose)
-from tensortopo.core import RankOneFactors
+                                is_rank_one, rank2_certify, rank2_decompose)
+from tensortopo.core import RankOneFactors, mrank_stack
 
 
 def _rank_one(rng, shape, field=REAL):
@@ -153,3 +153,88 @@ def test_hyperdet_scaling_degree_four():
     d = hyperdet222(T)
     scaled = hyperdet222(Hypermatrix(3.0 * T.data, REAL))
     assert scaled == pytest.approx(81.0 * d, rel=1e-12)
+
+
+def test_hyperdet_of_a_stack_is_each_tensors_hyperdet():
+    rng = SplitMix64(38)
+    stack = rng.normals((500, 2, 2, 2))
+    dets = hyperdet222(stack)
+    assert [float(d) for d in dets] == [hyperdet222(Hypermatrix(A, REAL))
+                                        for A in stack]
+    with pytest.raises(ValueError):
+        hyperdet222(stack.astype(np.complex128))
+
+
+def _unit(rng, n, field):
+    v = rng.complex_normals((n,)) if field == COMPLEX else rng.normals((n,))
+    return v / np.linalg.norm(v)
+
+
+def _term(factors, scalar):
+    out = np.asarray(scalar)
+    for v in factors:
+        out = np.multiply.outer(out, v)
+    return out
+
+
+def _rank2_inputs(rng, shape, field, count):
+    """Rank two, rank three, rank two with nearly shared factors, and rank
+    one plus a tiny second term, dealt in turn."""
+    def factors():
+        return [_unit(rng, n, field) for n in shape]
+
+    def scalar():
+        return complex(rng.normal(), rng.normal()) if field == COMPLEX else rng.normal()
+
+    inputs = []
+    for k in range(count):
+        kind = k % 4
+        if kind == 0:
+            data = _term(factors(), scalar()) + _term(factors(), scalar())
+        elif kind == 1:
+            data = sum(_term(factors(), scalar()) for _ in range(3))
+        elif kind == 2:
+            base = factors()
+            eps = 10.0 ** (-7.0 + 5.0 * rng.random())
+            near = [v + eps * _unit(rng, v.shape[0], field) for v in base]
+            data = _term(base, scalar()) + _term(near, scalar())
+        else:
+            tiny = 10.0 ** (-9.0 + 6.0 * rng.random())
+            data = _term(factors(), scalar()) + tiny * _term(factors(), scalar())
+        inputs.append(Hypermatrix(data, field))
+    return inputs
+
+
+def _verdict(call):
+    try:
+        call()
+    except (ToleranceError, DegenerateError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def test_rank2_certify_matches_rank2_decompose_on_each_tensor():
+    """One batched pass per shape and field gives every tensor the verdict
+    and message rank2_decompose gives it alone, including the tensors that
+    fail at each of its steps in between tensors that pass."""
+    rng = SplitMix64(39)
+    cases = [((2, 2, 2), 260), ((3, 3, 3), 260), ((2, 3, 4), 260),
+             ((4, 4, 4), 260), ((2, 2, 2, 2), 110), ((3, 2, 2, 2), 110)]
+    total = 0
+    messages = set()
+    for shape, count in cases:
+        for field in (REAL, COMPLEX):
+            tensors = _rank2_inputs(rng, shape, field, count * 4)
+            ranks = [mr.ranks for mr in mrank_stack(tensors)]
+            batched = [None if err is None else (type(err).__name__, str(err))
+                       for err in rank2_certify(tensors, ranks)]
+            single = [_verdict(lambda A=A: rank2_decompose(A)) for A in tensors]
+            assert batched == single, shape
+            total += len(tensors)
+            messages |= {v[1].split(" ")[0] + " " + v[1].split(" ")[1]
+                         for v in single if v is not None}
+    assert total >= 10_000
+    # passes and failures at the Tucker step, the pencil and its separation,
+    # the rank-one pencil slice and the trailing factor all occur
+    assert {"tucker round", "slice pencil", "pencil slice",
+            "grouped trailing"} <= messages

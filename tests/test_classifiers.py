@@ -245,3 +245,23 @@ def test_closed_form_sign_triple_agrees_with_the_conj_pair_route():
     labels = [got for _ref, got in outcomes if got != "raises"]
     assert set(labels) == ALL_TRIPLES
     assert 1000 <= len(labels) <= len(inputs) - 1000
+
+
+def test_band_read_off_the_hyperdeterminant_matches_classify_222():
+    """classify_brank3_222 tests the border-rank-three band on the
+    hyperdeterminant alone; it refuses exactly the inputs classify_222 does
+    not call border-rank3, and words each refusal with classify_222's kind."""
+    one = Hypermatrix(np.multiply.outer(np.multiply.outer([1.0, 2.0], [3.0, -1.0]),
+                                        [0.5, 1.0]), REAL)
+    zero = Hypermatrix(np.zeros((2, 2, 2)), REAL)
+    for A in _closed_form_inputs() + [one, zero]:
+        kind = classify_222(A).kind
+        try:
+            got = str(classify_brank3_222(A))
+        except (ToleranceError, DegenerateError) as exc:
+            got = str(exc)
+        if kind is Kind222.BORDER_RANK3:
+            assert not got.startswith("classification is")
+        else:
+            assert got == (f"classification is {kind.value}, not border-rank3; "
+                           "the sign-triple label does not apply")

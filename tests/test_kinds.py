@@ -1,0 +1,91 @@
+import numpy as np
+
+import tensortopo.certify as certify_module
+import tensortopo.classifiers as classifiers_module
+import tensortopo.cli as cli_module
+import tensortopo.kinds as kinds_module
+import tensortopo.paths as paths_module
+from tensortopo import (COMPLEX, REAL, Hypermatrix, SplitMix64, connect,
+                        parse_stratum, path_verify, random_orthogonal,
+                        sample_rank_r)
+from tensortopo.certify import is_rank_one
+from tensortopo.core import DEFAULT_TOL, mode_multiply, mrank_stack
+from tensortopo.kinds import kind_of
+from tensortopo.paths import TensorPath
+
+
+def _near_rank_one(rng, shape, field, ratio):
+    """Q1 (x) Q2 (x) Q3 applied to e1 (x) e1 (x) e1 + ratio e2 (x) e2 (x) e2:
+    every flattening has singular values 1 and ``ratio``."""
+    core = np.zeros(shape, dtype=np.complex128 if field == COMPLEX else np.float64)
+    core[(0,) * len(shape)] = 1.0
+    core[(1,) * len(shape)] = ratio
+    frames = [random_orthogonal(n, rng, field) for n in shape]
+    return Hypermatrix(mode_multiply(core, frames), field)
+
+
+def test_rank_one_rule_is_the_rank_read():
+    """r = 1 reads the flattening ranks alone, and agrees with is_rank_one
+    where sigma_2 / sigma_1 straddles each mode's threshold size * eps_rel
+    (20, 15 and 12 times 1e-10 on shape 3, 4, 5), and on the zero tensor."""
+    rng = SplitMix64(301)
+    for field in (REAL, COMPLEX):
+        st = parse_stratum(f"rank:r=1;shape=3,4,5;field={field}")
+        values = [Hypermatrix(np.zeros((3, 4, 5)), field)]
+        values += [_near_rank_one(rng, (3, 4, 5), field, ratio)
+                   for ratio in np.geomspace(5e-10, 5e-9, 60)]
+        ranks = [mr.ranks for mr in mrank_stack(values)]
+        rule = [ok for ok, _note in kind_of(st).member(st, values, ranks, DEFAULT_TOL)]
+        assert rule == [is_rank_one(A)[0] for A in values]
+        assert rule[0] is False and True in rule[1:] and False in rule[1:]
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of certify's ``name`` under every module name it could be
+    called by, the kind records' included."""
+    calls = []
+    fn = getattr(certify_module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    for module in (certify_module, classifiers_module, cli_module, kinds_module,
+                   paths_module):
+        monkeypatch.setattr(module, name, wrapper, raising=False)
+    return calls
+
+
+def _fresh(stratum, a, b):
+    """connect's path without the report it carries, so path_verify
+    certifies its grid."""
+    path = connect(stratum, a, b, rng=SplitMix64(302))
+    return TensorPath(path.segments, path.stratum)
+
+
+def test_path_verify_certifies_a_rank_two_grid_in_one_call(monkeypatch):
+    st = parse_stratum("rank:r=2;shape=3,3,3;field=real")
+    rng = SplitMix64(303)
+    path = _fresh(st, sample_rank_r((3, 3, 3), 2, REAL, rng)[0],
+                  sample_rank_r((3, 3, 3), 2, REAL, rng)[0])
+    grids = []
+    stack = kinds_module.rank2_certify
+    monkeypatch.setattr(kinds_module, "rank2_certify",
+                        lambda values, ranks, tol: grids.append(len(values))
+                        or stack(values, ranks, tol))
+    calls = _count_calls(monkeypatch, "rank2_decompose")
+    report = path_verify(path)
+    assert report.passed
+    assert grids == [len(report.samples)]
+    assert calls == []
+
+
+def test_path_verify_reads_a_rank_one_grid_without_is_rank_one(monkeypatch):
+    st = parse_stratum("rank:r=1;shape=3,4,5;field=real")
+    rng = SplitMix64(304)
+    path = _fresh(st, sample_rank_r((3, 4, 5), 1, REAL, rng)[0],
+                  sample_rank_r((3, 4, 5), 1, REAL, rng)[0])
+    calls = _count_calls(monkeypatch, "is_rank_one")
+    report = path_verify(path)
+    assert report.passed
+    assert calls == []
