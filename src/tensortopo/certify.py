@@ -285,11 +285,6 @@ def _rank_one_matrix_factors(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, lis
                                       for row in sigma.tolist()]
 
 
-def _check_factor(norm: float) -> None:
-    if norm == 0.0:
-        raise ToleranceError("zero factor in rank-one term")
-
-
 def _check_tail(ok: bool) -> None:
     if not ok:
         raise ToleranceError(
@@ -392,32 +387,22 @@ def _rank2_terms(tensors: list, ranks, tol: TolerancePolicy) -> list:
     u1, u2, u3 = state["roots"], state["u2"], state["u3"]
     basis = _outer_stack([u1.reshape(-1, 2), u2.reshape(-1, 2),
                           u3.reshape(-1, 2)]).reshape(n, 2, -1)
-    lam = np.array([np.linalg.lstsq(B.T, y.ravel(), rcond=None)[0]
-                    for B, y in zip(basis, state["core"])])
-    factors = [u1, u2]
-    tail_ok = [[True, True] for _ in range(n)]
+    state["lam"] = np.array([np.linalg.lstsq(B.T, y.ravel(), rcond=None)[0]
+                             for B, y in zip(basis, state["core"])])
+    state["factors"] = [u1, u2, u3]
     if d > 3:
+        # each term's trailing factor must be rank one over modes 3..d
         tails = np.matmul(state["tail"][:, None], u3[..., None])
         ok, scalars, tail_factors = _rank_one_stack(
             tails.reshape((2 * n,) + (2,) * (d - 2)), field, tol)
-        tail_ok = [ok[2 * i:2 * i + 2] for i in range(n)]
-        if scalars is None:
-            settle([caught(_check_tail, False) for _ in range(n)])
+        if scalars is not None:
+            state["lam"] = _mul(state["lam"], scalars.reshape(n, 2))
+            state["factors"] = [u1, u2] + [f.reshape(n, 2, 2) for f in tail_factors]
+        if not settle([caught(_check_tail, ok[2 * i]) or caught(_check_tail, ok[2 * i + 1])
+                       for i in range(n)]):
             return outcome
-        lam = _mul(lam, np.where(ok, scalars, 1.0).reshape(n, 2))
-        factors += [f.reshape(n, 2, 2) for f in tail_factors]
-    else:
-        factors.append(u3)
-    state["lam"] = lam
     state["lifted"] = [f if F is None else np.matmul(F[:, None], f[..., None])[..., 0]
-                       for f, F in zip(factors, state["frames"])]
-    # a factor's norm is zero exactly when its squared norm is
-    norms = np.min([np.vecdot(f, f).real for f in state["lifted"]], axis=0)
-    # per term: its trailing factor, then its factor norms
-    if not settle([caught(_check_tail, ok[0]) or caught(_check_factor, z[0])
-                   or caught(_check_tail, ok[1]) or caught(_check_factor, z[1])
-                   for ok, z in zip(tail_ok, norms.tolist())]):
-        return outcome
+                       for f, F in zip(state["factors"], state["frames"])]
 
     n, lam, lifted, A = live.size, state["lam"], state["lifted"], data[live]
     recon = sum(lam[:, k].reshape((n,) + (1,) * d)
