@@ -27,19 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, RankOneFactors, REAL,
-                   TolerancePolicy, _rank_read, fix_phase, flatten, flatten_stack,
-                   mode_multiply_stack, numerical_rank, outer_product)
+                   TolerancePolicy, _mul, _rank_read, fix_phase, flatten,
+                   flatten_stack, mode_multiply_stack, numerical_rank,
+                   outer_product, outer_stack)
 from .errors import DegenerateError, ToleranceError, caught
 from .geometry import check_orthonormal, dominant_frames, tucker_stack
-
-
-def _outer_stack(factors: list[np.ndarray]) -> np.ndarray:
-    """Outer product of one vector per mode, for each row of the (K, n_i)
-    factor stacks."""
-    out = factors[0]
-    for f in factors[1:]:
-        out = out[..., None] * f.reshape(f.shape[:1] + (1,) * (out.ndim - 1) + f.shape[1:])
-    return out
 
 
 def _rank_one_stack(data: np.ndarray, field: str, tol: TolerancePolicy
@@ -60,7 +52,7 @@ def _rank_one_stack(data: np.ndarray, field: str, tol: TolerancePolicy
         U, _, _ = np.linalg.svd(M, full_matrices=False)
         factors.append(fix_phase(U[:, :, 0]))
     # frobenius_inner(A, unit witness), rounded as for one tensor
-    unit = (_outer_stack(factors) * 1.0).reshape(K, -1)
+    unit = (outer_stack(factors) * 1.0).reshape(K, -1)
     flat = data.reshape(K, -1)
     scalars = np.sum(flat * (unit if field == REAL else np.conj(unit)), axis=1)
     return ok, scalars, factors
@@ -161,20 +153,6 @@ def classify_222(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL) -> Classifi
     if min(flat_ranks) <= 1:
         return Classification222(Kind222.RANK2, det)
     return Classification222(Kind222.BOUNDARY, det)
-
-
-def _mul(x, y):
-    """x * y, rounded as numpy's scalar product rounds it. For complex
-    factors the product is spelt out: numpy's array loop may fuse its
-    multiply and add, which moves bits."""
-    if not (np.iscomplexobj(x) or np.iscomplexobj(y)):
-        return x * y
-    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
-    re = xr * yr - xi * yi
-    out = np.empty(np.shape(re), dtype=np.complex128)
-    out.real = re
-    out.imag = xr * yi + xi * yr
-    return out
 
 
 def _abs(x):
@@ -385,7 +363,7 @@ def _rank2_terms(tensors: list, ranks, tol: TolerancePolicy) -> list:
 
     n = live.size
     u1, u2, u3 = state["roots"], state["u2"], state["u3"]
-    basis = _outer_stack([u1.reshape(-1, 2), u2.reshape(-1, 2),
+    basis = outer_stack([u1.reshape(-1, 2), u2.reshape(-1, 2),
                           u3.reshape(-1, 2)]).reshape(n, 2, -1)
     state["lam"] = np.array([np.linalg.lstsq(B.T, y.ravel(), rcond=None)[0]
                              for B, y in zip(basis, state["core"])])
@@ -406,7 +384,7 @@ def _rank2_terms(tensors: list, ranks, tol: TolerancePolicy) -> list:
 
     n, lam, lifted, A = live.size, state["lam"], state["lifted"], data[live]
     recon = sum(lam[:, k].reshape((n,) + (1,) * d)
-                * _outer_stack([f[:, k] for f in lifted]) for k in (0, 1))
+                * outer_stack([f[:, k] for f in lifted]) for k in (0, 1))
     residual = np.linalg.norm((recon - A).reshape(n, -1), axis=1)
     scale = np.linalg.norm(A.reshape(n, -1), axis=1)
     errors = [caught(_check_rebuild, res, sc)

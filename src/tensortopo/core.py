@@ -13,7 +13,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -268,15 +267,16 @@ def numerical_rank(M: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[i
     return _rank_read(sigma[None], max(M.shape), tol)[0]
 
 
-def mrank_stack(tensors: Sequence[Hypermatrix],
-                tol: TolerancePolicy = DEFAULT_TOL) -> list[MultilinearRank]:
+def mrank_stack(tensors, tol: TolerancePolicy = DEFAULT_TOL) -> list[MultilinearRank]:
     """Multilinear ranks of same-shape tensors, with per-mode margins, read
     with one batched SVD per mode under the rule of numerical_rank.
+    ``tensors`` is a (K, ...) array or a sequence of Hypermatrix.
 
     Reads come back as they are, admissible or not; ``checked`` raises on
     an inadmissible one.
     """
-    data = np.stack([A.data for A in tensors])
+    data = (tensors if isinstance(tensors, np.ndarray)
+            else np.stack([A.data for A in tensors]))
     per_mode = []
     for ax in range(1, data.ndim):
         flat = flatten_stack(data, ax)
@@ -285,6 +285,24 @@ def mrank_stack(tensors: Sequence[Hypermatrix],
     return [MultilinearRank(tuple(r for r, _m in reads),
                             tuple(m for _r, m in reads))
             for reads in zip(*per_mode)]
+
+
+def flattening_det_signs(data: np.ndarray, modes) -> list[tuple[int, ...]]:
+    """Per tensor of a (K, ...) stack, the determinant sign (1, or -1 for a
+    negative or zero determinant) of each listed square flattening (one or
+    more 1-based modes), with one batched slogdet per mode."""
+    signs = [np.linalg.slogdet(flatten_stack(data, m))[0].tolist() for m in modes]
+    return [tuple(1 if s > 0 else -1 for s in row) for row in zip(*signs)]
+
+
+def row_norms(data: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every tensor of a (K, ...) stack, rounded as
+    np.linalg.norm rounds it for one tensor (one BLAS dot per part)."""
+    flat = data.reshape(data.shape[0], -1)
+    if np.iscomplexobj(flat):
+        return np.sqrt(np.vecdot(flat.real, flat.real)
+                       + np.vecdot(flat.imag, flat.imag))
+    return np.sqrt(np.vecdot(flat, flat))
 
 
 def mrank(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL) -> MultilinearRank:
@@ -297,36 +315,75 @@ def mrank(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL) -> MultilinearRank
     return mrank_stack([A], tol)[0].checked()
 
 
+def _mul(x, y):
+    """x * y, rounded as numpy's scalar product rounds it. For complex
+    factors the product is spelt out: numpy's array loop may fuse its
+    multiply and add, which moves bits."""
+    if not (np.iscomplexobj(x) or np.iscomplexobj(y)):
+        return x * y
+    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+    re = xr * yr - xi * yi
+    out = np.empty(np.shape(re), dtype=np.complex128)
+    out.real = re
+    out.imag = xr * yi + xi * yr
+    return out
+
+
+def outer_stack(factors: list[np.ndarray]) -> np.ndarray:
+    """Outer product of one vector per mode, for each row of the (K, n_i)
+    factor stacks; each row has the bits np.multiply.outer gives it."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = out[..., None] * f.reshape(f.shape[:1] + (1,) * (out.ndim - 1) + f.shape[1:])
+    return out
+
+
 def outer_product(f: RankOneFactors) -> Hypermatrix:
-    out = np.asarray(f.factors[0], dtype=_dtype_for(f.field))
-    for v in f.factors[1:]:
-        out = np.multiply.outer(out, np.asarray(v, dtype=_dtype_for(f.field)))
+    dtype = _dtype_for(f.field)
+    out = outer_stack([np.asarray(v, dtype=dtype)[None] for v in f.factors])[0]
     return Hypermatrix(out * f.scalar, f.field)
+
+
+def _power_field(vectors, coefficient) -> str:
+    return (COMPLEX if np.iscomplexobj(vectors) or isinstance(coefficient, complex)
+            else REAL)
+
+
+def sym_power_stack(vectors: np.ndarray, d: int,
+                    coefficient: complex | float = 1.0,
+                    field: str | None = None) -> np.ndarray:
+    """coefficient * v^(x d) in packed form for every row v of a (K, n)
+    stack: the (K, L) packed rows. Each entry is the product coefficient *
+    v_i1 * ... * v_id taken left to right, rounded as numpy's scalar
+    products round it."""
+    dtype = _dtype_for(field or _power_field(vectors, coefficient))
+    V = np.asarray(vectors).astype(dtype)
+    indices, _, _ = _sym_index_tables(V.shape[1], d)
+    prod = coefficient
+    for column in np.array(indices, dtype=np.intp).reshape(-1, d).T:
+        prod = _mul(prod, V[:, column])
+    return np.asarray(prod).astype(dtype)
 
 
 def sym_power(v: np.ndarray, d: int, coefficient: complex | float = 1.0,
               field: str | None = None) -> SymTensor:
-    """coefficient * v^(x d) in packed form."""
+    """coefficient * v^(x d) in packed form; the one-vector case of
+    sym_power_stack."""
     v = np.asarray(v)
-    if field is None:
-        field = COMPLEX if np.iscomplexobj(v) or isinstance(coefficient, complex) else REAL
-    v = v.astype(_dtype_for(field))
-    n = v.shape[0]
-    indices, _, _ = _sym_index_tables(n, d)
-    packed = np.empty(len(indices), dtype=_dtype_for(field))
-    for p, idx in enumerate(indices):
-        prod = coefficient
-        for i in idx:
-            prod = prod * v[i]
-        packed[p] = prod
-    return SymTensor(n, d, field, packed)
+    field = field or _power_field(v, coefficient)
+    return SymTensor(v.shape[0], d, field,
+                     sym_power_stack(v[None], d, coefficient, field)[0])
+
+
+def sym_embed_stack(packed: np.ndarray, n: int, d: int) -> np.ndarray:
+    """The full (K, n, ..., n) arrays of a (K, L) stack of packed rows."""
+    _, position, _ = _sym_index_tables(n, d)
+    return packed[:, position].reshape((packed.shape[0],) + (n,) * d)
 
 
 def sym_embed(S: SymTensor) -> Hypermatrix:
     """Expand packed coefficients to the full n^d array."""
-    _, position, _ = _sym_index_tables(S.dim, S.order)
-    full = S.packed[position].reshape((S.dim,) * S.order)
-    return Hypermatrix(full, S.field)
+    return Hypermatrix(sym_embed_stack(S.packed[None], S.dim, S.order)[0], S.field)
 
 
 def dense(value) -> Hypermatrix:
@@ -334,31 +391,38 @@ def dense(value) -> Hypermatrix:
     return sym_embed(value) if isinstance(value, SymTensor) else value
 
 
+def sym_extract_stack(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    """sym_extract for every tensor of a (K, n, ..., n) stack: the (K, L)
+    packed rows, or the ToleranceError of the first tensor it rejects."""
+    K, shape = data.shape[0], data.shape[1:]
+    n, d = shape[0], len(shape)
+    if any(s != n for s in shape):
+        raise ValueError(f"not a symmetric shape: {shape}")
+    _, position, _ = _sym_index_tables(n, d)
+    flat = data.reshape(K, -1)
+    m = sym_packed_length(n, d)
+    sums = np.zeros((K, m), dtype=flat.dtype)
+    np.add.at(sums.T, position, flat.T)  # each slot summed in entry order
+    means = sums / np.bincount(position, minlength=m).astype(np.float64)
+    deviation = np.max(np.abs(flat - means[:, position]), axis=1, initial=0.0)
+    scale = row_norms(data)
+    for dev, sc in zip(deviation.tolist(), scale.tolist()):
+        if dev > tol.eps_rel * max(sc, 1e-300):
+            raise ToleranceError(
+                f"input is not symmetric: max orbit deviation {dev:.3e} "
+                f"exceeds {tol.eps_rel:.1e} * norm")
+    return means
+
+
 def sym_extract(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL) -> SymTensor:
     """Pack a (numerically) symmetric full tensor; reject asymmetric input.
 
     The maximal deviation between entries related by an index permutation must
-    not exceed eps_rel * ||A||. Entries are averaged over their orbit.
+    not exceed eps_rel * ||A||. Entries are averaged over their orbit. The
+    one-tensor case of sym_extract_stack.
     """
-    shape = A.shape
-    n, d = shape[0], A.order
-    if any(s != n for s in shape):
-        raise ValueError(f"not a symmetric shape: {shape}")
-    _, position, weights = _sym_index_tables(n, d)
-    flat = A.data.ravel()
-    m = sym_packed_length(n, d)
-    sums = np.zeros(m, dtype=flat.dtype)
-    counts = np.zeros(m, dtype=np.float64)
-    np.add.at(sums, position, flat)
-    np.add.at(counts, position, 1.0)
-    means = sums / counts
-    deviation = float(np.max(np.abs(flat - means[position]))) if flat.size else 0.0
-    scale = A.norm()
-    if deviation > tol.eps_rel * max(scale, 1e-300):
-        raise ToleranceError(
-            f"input is not symmetric: max orbit deviation {deviation:.3e} "
-            f"exceeds {tol.eps_rel:.1e} * norm")
-    return SymTensor(n, d, A.field, means)
+    return SymTensor(A.shape[0], A.order, A.field,
+                     sym_extract_stack(A.data[None], tol)[0])
 
 
 def sym_diagonal_sum(S: SymTensor) -> complex | float:
@@ -385,8 +449,9 @@ def mode_multiply(core: np.ndarray, matrices: list[np.ndarray | None]) -> np.nda
 def mode_multiply_stack(data: np.ndarray,
                         matrices: list[np.ndarray | None]) -> np.ndarray:
     """mode_multiply for every tensor of a (K, ...) stack, one batched
-    matmul per mode: matrices[k] is a (K, new_k, old_k) stack or None. Each
-    tensor's result has the bits mode_multiply gives it."""
+    matmul per mode: matrices[k] is a (K, new_k, old_k) stack, one
+    (new_k, old_k) matrix shared by every tensor, or None. Each tensor's
+    result has the bits mode_multiply gives it."""
     out = data
     for k, M in enumerate(matrices):
         if M is None:
@@ -395,7 +460,7 @@ def mode_multiply_stack(data: np.ndarray,
         moved = out.transpose((0, ax) + tuple(i for i in range(1, data.ndim) if i != ax))
         shape = moved.shape
         prod = np.matmul(M, moved.reshape(shape[0], shape[1], -1))
-        out = prod.reshape((shape[0], M.shape[1]) + shape[2:]).transpose(
+        out = prod.reshape((shape[0], M.shape[-2]) + shape[2:]).transpose(
             (0,) + rest[:k] + (1,) + rest[k:])
     return out
 

@@ -118,7 +118,8 @@ class GrassmannGeodesic:
     """Minimal geodesic between two subspaces, as a moving orthonormal frame.
 
     frame(0) is exactly the start frame; frame(1) equals end.frame @ twist for
-    an explicit orthogonal/unitary ``twist``.
+    an explicit orthogonal/unitary ``twist``. ``frame`` takes one t or an
+    array of them, whose frames come back stacked along a first axis.
     """
 
     def __init__(self, start: GrassmannPoint, end: GrassmannPoint):
@@ -140,8 +141,8 @@ class GrassmannGeodesic:
         self.twist = W @ V.conj().T
         self.start, self.end = start, end
 
-    def frame(self, t: float) -> np.ndarray:
-        a = self._theta * t
+    def frame(self, t) -> np.ndarray:
+        a = np.multiply.outer(t, self._theta)[..., None, :]
         return (self._P * np.cos(a) + self._G * np.sin(a)) @ self._Vh
 
     def angles(self) -> np.ndarray:
@@ -160,6 +161,7 @@ class OrientationLoop:
 
     The first frame column is rotated by pi through a fixed direction outside
     the subspace; the subspace returns to itself with one basis vector negated.
+    ``frame`` takes one t or an array of them, as GrassmannGeodesic's does.
     """
 
     def __init__(self, point: GrassmannPoint):
@@ -177,9 +179,10 @@ class OrientationLoop:
         h[0, 0] = -1.0
         self.holonomy = h
 
-    def frame(self, t: float) -> np.ndarray:
-        F = self._U.copy()
-        F[:, 0] = np.cos(np.pi * t) * self._U[:, 0] + np.sin(np.pi * t) * self._z
+    def frame(self, t) -> np.ndarray:
+        a = np.pi * np.asarray(t, dtype=np.float64)[..., None]
+        F = np.broadcast_to(self._U, a.shape[:-1] + self._U.shape).copy()
+        F[..., 0] = np.cos(a) * self._U[:, 0] + np.sin(a) * self._z
         return F
 
 
@@ -286,7 +289,9 @@ def so_rotation_path(Q: np.ndarray):
 
     Q must be real special orthogonal. Uses the real Schur form: rotation
     angles are scaled by t; -1 eigenvalue pairs become pi-rotations in their
-    invariant planes.
+    invariant planes. The callable takes one t or an array of them, whose
+    matrices come back stacked along a first axis, as do those of
+    orthogonal_interpolator and gl_interpolator.
     """
     r = Q.shape[0]
     if np.max(np.abs(Q @ Q.T - np.eye(r))) > 1e-10 or np.linalg.det(Q) < 0:
@@ -309,14 +314,15 @@ def so_rotation_path(Q: np.ndarray):
     for a, b in zip(pending_minus[::2], pending_minus[1::2]):
         planes.append((a, b, np.pi))
 
-    def path(t: float) -> np.ndarray:
-        M = np.eye(r)
+    def path(t) -> np.ndarray:
+        t = np.asarray(t, dtype=np.float64)
+        M = np.broadcast_to(np.eye(r), t.shape + (r, r)).copy()
         for a, b, theta in planes:
             c, s = np.cos(theta * t), np.sin(theta * t)
-            M[a, a] = c
-            M[a, b] = -s
-            M[b, a] = s
-            M[b, b] = c
+            M[..., a, a] = c
+            M[..., a, b] = -s
+            M[..., b, a] = s
+            M[..., b, b] = c
         return Z @ M @ Z.T
 
     return path
@@ -334,7 +340,7 @@ def orthogonal_interpolator(Q0: np.ndarray, Q1: np.ndarray):
     A0, A1 = Q0 @ flip, Q1 @ flip
     inner = so_rotation_path(A0.T @ A1)
 
-    def path(t: float) -> np.ndarray:
+    def path(t) -> np.ndarray:
         return A0 @ inner(t) @ flip
 
     return path
@@ -371,8 +377,9 @@ def gl_interpolator(M0: np.ndarray, M1: np.ndarray):
     u_path = orthogonal_interpolator(U0, U1)
     v_path = orthogonal_interpolator(V0, V1)
 
-    def path(t: float) -> np.ndarray:
-        s = (1.0 - t) * s0 + t * s1
-        return u_path(t) * s @ v_path(t).T
+    def path(t) -> np.ndarray:
+        w = np.asarray(t, dtype=np.float64)[..., None]
+        s = ((1.0 - w) * s0 + w * s1)[..., None, :]
+        return u_path(t) * s @ np.swapaxes(v_path(t), -1, -2)
 
     return path

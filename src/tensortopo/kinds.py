@@ -10,7 +10,8 @@ The membership rule runs on a stack of values: ``path_verify`` hands a
 record a path's whole grid in one call, and a sampler hands it a stack of
 one candidate. Rules that need more than the flattening ranks read the
 stack in one batched pass (the hyperdeterminant signs, the rank-two
-certificate).
+certificate), and so does the determinant-sign label of a saturated square
+multilinear rank.
 
 Records call samplers, invariants and connectors through this module's
 global names at call time, so a wrapper installed here sees every call.
@@ -18,12 +19,14 @@ global names at call time, so a wrapper installed here sees every call.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .certify import hyperdet_signs, rank2_certify
 from .classifiers import (SINGLE, _sym_matrix_signature, _sym_rank2_witness,
                           classify_brank3_222, det_sign_mrank,
-                          mrank_saturation, square_mode, sym_sign_rank1,
-                          sym_signature)
-from .core import COMPLEX, REAL, SymRankDecomposition
+                          mrank_saturation, sign_label, square_mode,
+                          sym_sign_rank1, sym_signature)
+from .core import COMPLEX, REAL, SymRankDecomposition, flattening_det_signs
 from .errors import DegenerateError, ToleranceError, UnsupportedStratumError
 from .paths import (_sym_rank1_witness, connect_brank3_222, connect_mrank,
                     connect_rank_r, connect_sym_mrank, connect_sym_rank_r)
@@ -222,6 +225,18 @@ class MRank(Kind):
 
     def member(self, stratum, values, ranks, tol):
         return [(rk == stratum.rank, "") for rk in ranks]
+
+    def certify(self, stratum, values, ranks, witnesses, tol):
+        if self.components(stratum) != 2:
+            return super().certify(stratum, values, ranks, witnesses, tol)
+        # det_sign_mrank's label for the whole grid, with one batched
+        # slogdet: a member's rank read has the square flattening at full
+        # rank, which is the singularity check det_sign_mrank makes
+        signs = flattening_det_signs(np.stack([A.data for A in values]),
+                                     [square_mode(stratum)])
+        return [(True, sign_label(sign), note) if ok else (False, None, note)
+                for (ok, note), (sign,) in zip(
+                    self.member(stratum, values, ranks, tol), signs)]
 
 
 class SymMRank(Kind):

@@ -6,15 +6,23 @@ through decompositions (rank and symmetric rank), Tucker curves moving a
 core and its frames (multilinear rank), and the conjugate pair (border rank
 three on 2x2x2).
 
+A segment evaluates a whole grid of parameters in one ``values`` call, which
+returns one stack: (K, ...) dense values, or (K, L) packed rows of symmetric
+ones. ``value(s)`` is its one-point case, and every row has the bits the
+one-point call gives it. path_verify evaluates its grid as one stack
+(``TensorPath.values``), and the multilinear-rank connectors read a core
+path's grid of cores as one stack too.
+
 Rank-one and conjugate-pair constructions are in-stratum pointwise by
 construction. The others are checked on a sample grid and repaired by
 recursive random-midpoint detours (each retry dodges a measure-zero bad set,
 depth is capped at 8): a core interpolation must keep its core at full
-multilinear rank, and a term-sum segment (rank two, symmetric rank r) must
-pass path_verify, which applies the kind record's membership rule to its
-whole sample grid in one call, with every margin at least gap_min. A path of
-one such segment carries that report, so path_verify does not certify its
-samples again.
+multilinear rank and its determinant signs or signature, each read for the
+whole grid with one batched SVD, slogdet or eigvalsh, and a term-sum
+segment (rank two, symmetric rank r) must pass path_verify, which applies
+the kind record's membership rule to its whole sample grid in one call,
+with every margin at least gap_min. A path of one such segment carries that
+report, so path_verify does not certify its samples again.
 """
 
 from __future__ import annotations
@@ -28,11 +36,12 @@ import numpy as np
 from .certify import brank3_conj_pair, is_rank_one, rank2_decompose
 from .classifiers import (ComponentLabel, classify_brank3_222, det_sign_mrank,
                           sign_label, square_mode, mrank_saturation)
-from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, RankOneFactors, REAL,
-                   SymRankDecomposition, SymTensor, TolerancePolicy, dense,
-                   mode_multiply, mrank, mrank_stack, numerical_rank,
-                   outer_product, sym_embed, sym_extract, sym_packed_length,
-                   sym_power)
+from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, REAL,
+                   SymRankDecomposition, SymTensor, TolerancePolicy,
+                   _dtype_for, flattening_det_signs, mode_multiply,
+                   mode_multiply_stack, mrank, mrank_stack, outer_stack,
+                   row_norms, sym_embed, sym_embed_stack, sym_extract,
+                   sym_extract_stack, sym_packed_length, sym_power_stack)
 from .errors import (DegenerateError, DifferentComponents, RetryExhausted,
                      ToleranceError, UnsupportedStratumError)
 from .geometry import (GrassmannGeodesic, OrientationLoop, gl_interpolator,
@@ -50,23 +59,28 @@ _ANTIPODAL = 1e-9      # |<a,b> + 1| below this forces a detour
 _ENDPOINT_TOL = 1e-10  # relative miss allowed between a path end and its input
 
 
-def _lerp(a, b, s: float):
+def _lerp(a, b, s):
     return (1.0 - s) * a + s * b
 
 
-def _track_eval(track: tuple, s: float):
-    """Point at s of a vector or scalar track: constant, straight, a two-leg
-    detour through a via point, or a phase rotation c * exp(i angle s)."""
+def _track_values(track: tuple, ss: np.ndarray) -> np.ndarray:
+    """Points of a vector or scalar track at every s of the 1-D array
+    ``ss``, stacked along a first axis. A track is constant, straight, a
+    two-leg detour through a via point, or a phase rotation
+    c * exp(i angle s); the phase is taken one s at a time with cmath, whose
+    exp numpy's array exp does not reproduce."""
     tag = track[0]
-    if tag == "const":
-        return track[1]
-    if tag == "lerp":
-        return _lerp(track[1], track[2], s)
-    if tag == "detour":
-        a, w, b = track[1], track[2], track[3]
-        return _lerp(a, w, 2.0 * s) if s < 0.5 else _lerp(w, b, 2.0 * s - 1.0)
     if tag == "phase":
-        return track[1] * cmath.exp(1j * _lerp(0.0, track[2], s))
+        return np.array([track[1] * cmath.exp(1j * _lerp(0.0, track[2], s))
+                         for s in ss.tolist()])
+    w = ss.reshape((-1,) + (1,) * np.ndim(track[1]))
+    if tag == "const":
+        return np.broadcast_to(track[1], ss.shape + np.shape(track[1]))
+    if tag == "lerp":
+        return _lerp(track[1], track[2], w)
+    if tag == "detour":
+        a, v, b = track[1], track[2], track[3]
+        return np.where(w < 0.5, _lerp(a, v, 2.0 * w), _lerp(v, b, 2.0 * w - 1.0))
     raise ValueError(f"unknown track {tag!r}")
 
 
@@ -95,7 +109,22 @@ def _detour_via(a: np.ndarray) -> np.ndarray:
     return e
 
 
-class TermSumCurve:
+class _Segment:
+    """What the three segment families share: ``value`` and ``witness`` are
+    the one-point cases of ``values`` and ``witnesses``, and a family
+    without witnesses has None at every s."""
+
+    def value(self, s: float):
+        return self.point(self.values([s])[0])
+
+    def witnesses(self, ss) -> list:
+        return [None] * len(ss)
+
+    def witness(self, s: float):
+        return self.witnesses([s])[0]
+
+
+class TermSumCurve(_Segment):
     """Sum of rank-one term curves: the segment family of rank and
     symmetric-rank paths.
 
@@ -112,41 +141,49 @@ class TermSumCurve:
         self.terms = terms
         self.order = order
 
-    def value(self, s: float):
-        if self.order is None:
-            total = None
-            for scalar, tracks in self.terms:
-                factors = tuple(_track_eval(tr, s) for tr in tracks)
-                part = outer_product(RankOneFactors(
-                    _track_eval(scalar, s), factors, self.field)).data
-                total = part if total is None else total + part
-            return Hypermatrix(total, self.field)
-        packed = None
-        for sign, track in self.terms:
-            part = sym_power(_track_eval(track, s), self.order, sign, self.field)
-            packed = part.packed if packed is None else packed + part.packed
-        return SymTensor(part.dim, self.order, self.field, packed)
+    def values(self, ss) -> np.ndarray:
+        """The curve at every s of ``ss`` as one stack: (K, ...) dense
+        values, or (K, L) packed rows for a symmetric sum."""
+        ss = np.asarray(ss, dtype=np.float64)
+        dtype = _dtype_for(self.field)
+        total = None
+        for head, tracks in self.terms:
+            if self.order is None:
+                factors = [np.asarray(_track_values(tr, ss), dtype=dtype)
+                           for tr in tracks]
+                scalar = _track_values(head, ss)
+                part = outer_stack(factors) * scalar.reshape(
+                    scalar.shape + (1,) * len(factors))
+            else:
+                part = sym_power_stack(_track_values(tracks, ss), self.order,
+                                       head, self.field)
+            total = part if total is None else total + part
+        return total.astype(dtype, copy=False)
 
-    def witness(self, s: float) -> SymRankDecomposition | None:
-        """The symmetric sum at s as a decomposition, whose coefficient
-        signs give the signature; None for a dense sum."""
+    def point(self, row: np.ndarray):
+        """The value one row of ``values`` stands for."""
         if self.order is None:
-            return None
-        ws = [_track_eval(track, s) for _sign, track in self.terms]
-        norms = [float(np.linalg.norm(w)) for w in ws]
-        return SymRankDecomposition(
-            self.order, tuple(sign * nw ** self.order
+            return Hypermatrix(row, self.field)
+        dim = len(self.terms[0][1][1])  # a track starts with its first point
+        return SymTensor(dim, self.order, self.field, row)
+
+    def witnesses(self, ss) -> list:
+        """The symmetric sum at every s of ``ss`` as a decomposition, whose
+        coefficient signs give the signature; None for a dense sum."""
+        if self.order is None:
+            return super().witnesses(ss)
+        ss = np.asarray(ss, dtype=np.float64)
+        ws = [_track_values(track, ss) for _sign, track in self.terms]
+        norms = [row_norms(W).tolist() for W in ws]
+        return [SymRankDecomposition(
+            self.order, tuple(sign * nw[k] ** self.order
                               for (sign, _track), nw in zip(self.terms, norms)),
-            tuple(w / nw for w, nw in zip(ws, norms)), self.field)
+            tuple(W[k] / nw[k] for W, nw in zip(ws, norms)), self.field)
+            for k in range(len(ss))]
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "order": self.order,
                 "terms": _track_json(self.terms, self.field)}
-
-
-def _unflatten_core(M: np.ndarray, ranks: tuple, mode: int) -> np.ndarray:
-    rest = tuple(r for k, r in enumerate(ranks) if k != mode)
-    return np.moveaxis(M.reshape((ranks[mode],) + rest), 0, mode)
 
 
 def gl_core_track(core0: np.ndarray, core1: np.ndarray, ranks: tuple,
@@ -179,35 +216,40 @@ def eigen_core_track(core0: SymTensor, core1: SymTensor) -> tuple:
     return ("eigen", core0, core1, lam0, lam1, orthogonal_interpolator(Q0, Q1))
 
 
-def _core_eval(track: tuple, s: float):
+def _core_values(track: tuple, ss: np.ndarray) -> np.ndarray:
+    """A core track at every s of ``ss``: (K, *ranks) dense cores, or (K, L)
+    packed rows of symmetric ones."""
     tag = track[0]
+    core0 = track[1]
+    packed = isinstance(core0, SymTensor)
+    start = core0.packed if packed else core0
+    w = ss.reshape((-1,) + (1,) * start.ndim)
     if tag == "const":
-        return track[1]
-    core0, core1 = track[1], track[2]
+        return np.broadcast_to(start, ss.shape + start.shape)
     if tag == "lerp":
-        if isinstance(core0, SymTensor):
-            return SymTensor(core0.dim, core0.order, core0.field,
-                             _lerp(core0.packed, core1.packed, s))
-        return _lerp(core0, core1, s)
+        return _lerp(start, track[2].packed if packed else track[2], w)
     if tag == "gl":
         interp, ranks, mode = track[3:]
-        return _unflatten_core(interp(s), ranks, mode)
+        rest = tuple(r for k, r in enumerate(ranks) if k != mode)
+        M = interp(ss).reshape(ss.shape + (ranks[mode],) + rest)
+        return np.moveaxis(M, 1, mode + 1)
     if tag == "eigen":
         lam0, lam1, q = track[3:]
-        lam = _lerp(lam0, lam1, s)
-        Q = q(s)
-        M = (Q * lam) @ Q.T
-        return sym_extract(Hypermatrix(M, core0.field), _LOOSE)
+        Q = q(ss)
+        M = (Q * _lerp(lam0, lam1, w)[:, None, :]) @ np.swapaxes(Q, 1, 2)
+        return sym_extract_stack(M, _LOOSE)
     raise ValueError(f"unknown core track {tag!r}")
 
 
-def _frame_eval(track: tuple | None, s: float):
+def _frame_values(track: tuple | None, ss: np.ndarray):
+    """A frame track at every s of ``ss``: None, one fixed frame, or a
+    (K, n, r) stack."""
     if track is None:
         return None
-    return track[1] if track[0] == "fixed" else track[1].frame(s)
+    return track[1] if track[0] == "fixed" else track[1].frame(ss)
 
 
-class TuckerCurve:
+class TuckerCurve(_Segment):
     """A core track carried by per-mode frame tracks: the segment family of
     multilinear-rank paths, A(s) = C(s) x_1 F_1(s) ... x_d F_d(s).
 
@@ -222,23 +264,41 @@ class TuckerCurve:
         self.field = field
         self.core_track = core
         self.frames = frames
+        self._sym = core[1] if isinstance(core[1], SymTensor) else None
+
+    def cores(self, ss) -> np.ndarray:
+        """The core at every s of ``ss`` as one stack (see _core_values)."""
+        return _core_values(self.core_track, np.asarray(ss, dtype=np.float64))
 
     def core(self, s: float):
-        return _core_eval(self.core_track, s)
+        row = self.cores([s])[0]
+        if self._sym is None:
+            return row
+        return SymTensor(self._sym.dim, self._sym.order, self._sym.field, row)
 
-    def value(self, s: float):
-        core = self.core(s)
-        if not isinstance(core, SymTensor):
-            mats = [_frame_eval(tr, s) for tr in self.frames]
-            return Hypermatrix(mode_multiply(core, mats), self.field)
+    def values(self, ss) -> np.ndarray:
+        """The curve at every s of ``ss`` as one stack: (K, ...) dense
+        values, or (K, L) packed rows for a symmetric core."""
+        ss = np.asarray(ss, dtype=np.float64)
+        cores = self.cores(ss)
+        if self._sym is None:
+            mats = [_frame_values(tr, ss) for tr in self.frames]
+            return mode_multiply_stack(cores, mats).astype(
+                _dtype_for(self.field), copy=False)
         if self.frames is None:
-            return core
-        F = _frame_eval(self.frames, s)
-        full = mode_multiply(sym_embed(core).data, [F] * core.order)
-        return sym_extract(Hypermatrix(full, core.field), _LOOSE)
+            return cores
+        r, d = self._sym.dim, self._sym.order
+        full = mode_multiply_stack(sym_embed_stack(cores, r, d),
+                                   [_frame_values(self.frames, ss)] * d)
+        return sym_extract_stack(full, _LOOSE)
 
-    def witness(self, s: float):
-        return None
+    def point(self, row: np.ndarray):
+        """The value one row of ``values`` stands for."""
+        if self._sym is None:
+            return Hypermatrix(row, self.field)
+        n = self._sym.dim if self.frames is None else _frame_values(
+            self.frames, np.zeros(0)).shape[-2]  # the frames' ambient dimension
+        return SymTensor(n, self._sym.order, self._sym.field, row)
 
     def to_json(self) -> dict:
         return {"kind": self.kind,
@@ -246,7 +306,7 @@ class TuckerCurve:
                 "frames": _track_json(self.frames, self.field)}
 
 
-class ConjPairSegment:
+class ConjPairSegment(_Segment):
     """A(t) = T(t) + conj(T(t)) with T = x(t) (x) y(t) (x) z(t).
 
     Each complex mode factor is encoded as the invertible real matrix
@@ -261,20 +321,18 @@ class ConjPairSegment:
         self.mats0 = mats0
         self.mats1 = mats1
 
-    def _factors(self, s: float) -> list[np.ndarray]:
-        out = []
+    def values(self, ss) -> np.ndarray:
+        """The segment at every s of ``ss`` as one (K, 2, 2, 2) stack."""
+        ss = np.asarray(ss, dtype=np.float64)
+        factors = []
         for interp in self.interpolators:
-            M = interp(s)
-            out.append(M[:, 0] + 1j * M[:, 1])
-        return out
+            M = interp(ss)
+            factors.append(M[:, :, 0] + 1j * M[:, :, 1])
+        return 2.0 * np.real(outer_stack(factors))
 
-    def value(self, s: float) -> Hypermatrix:
-        x, y, z = self._factors(s)
-        T = np.multiply.outer(np.multiply.outer(x, y), z)
-        return Hypermatrix(2.0 * np.real(T), REAL)
-
-    def witness(self, s: float):
-        return None
+    def point(self, row: np.ndarray) -> Hypermatrix:
+        """The value one row of ``values`` stands for."""
+        return Hypermatrix(row, REAL)
 
     def to_json(self) -> dict:
         return {"kind": self.kind,
@@ -304,9 +362,38 @@ class TensorPath:
         k, s = self._locate(t)
         return self.segments[k].value(s)
 
-    def witness(self, t: float):
-        k, s = self._locate(t)
-        return self.segments[k].witness(s)
+    def _by_segment(self, ts):
+        """(segment, positions in ts, local parameters) per segment that
+        holds some t of ``ts``."""
+        located = [self._locate(t) for t in ts]
+        for k, seg in enumerate(self.segments):
+            rows = [i for i, (j, _s) in enumerate(located) if j == k]
+            if rows:
+                yield seg, rows, [located[i][1] for i in rows]
+
+    def values(self, ts) -> np.ndarray:
+        """The path at every t of ``ts`` as one stack, each segment
+        evaluating its share of ``ts`` in one call; ``point`` turns a row
+        into a value."""
+        out = None
+        for seg, rows, ss in self._by_segment(ts):
+            part = seg.values(ss)
+            if out is None:
+                out = np.empty((len(ts),) + part.shape[1:], dtype=part.dtype)
+            out[rows] = part
+        return out
+
+    def point(self, row: np.ndarray):
+        """The value one row of ``values`` stands for."""
+        return self.segments[0].point(row)
+
+    def witnesses(self, ts) -> list:
+        """The segments' witnesses at every t of ``ts`` (see values)."""
+        out: list = [None] * len(ts)
+        for seg, rows, ss in self._by_segment(ts):
+            for i, w in zip(rows, seg.witnesses(ss)):
+                out[i] = w
+        return out
 
     def joints(self) -> list[float]:
         n = len(self.segments)
@@ -709,12 +796,8 @@ def connect_rank_r(A: Hypermatrix, B: Hypermatrix, r: int,
 
 
 def _core_det_signs(core: np.ndarray, square_modes: list[int]) -> tuple:
-    signs = []
-    for i in square_modes:
-        M = np.moveaxis(core, i, 0).reshape(core.shape[i], -1)
-        sign, _ = np.linalg.slogdet(M)
-        signs.append(1 if sign > 0 else -1)
-    return tuple(signs)
+    """Determinant signs of one core's square flattenings (0-based modes)."""
+    return flattening_det_signs(core[None], [i + 1 for i in square_modes])[0]
 
 
 def _solve_gf2(effects: list[int], target: int) -> list[int] | None:
@@ -741,16 +824,18 @@ def _solve_gf2(effects: list[int], target: int) -> list[int] | None:
     return [k for k in range(len(effects)) if combo >> k & 1]
 
 
+def _full_core_margins(cores: np.ndarray, ranks: tuple,
+                       tol: TolerancePolicy) -> list[float]:
+    """Per core of a (K, *ranks) stack, the least margin of its mode
+    flattenings, or 0.0 when one of them is below full rank; one batched
+    SVD per mode under numerical_rank's rule (mrank_stack)."""
+    return [float(min(mr.margins)) if mr.ranks == tuple(ranks) else 0.0
+            for mr in mrank_stack(cores, tol)]
+
+
 def _full_core_margin(core: np.ndarray, ranks: tuple,
                       tol: TolerancePolicy) -> float:
-    worst = np.inf
-    for i, r in enumerate(ranks):
-        M = np.moveaxis(core, i, 0).reshape(r, -1)
-        rank, margin = numerical_rank(M, tol)
-        if rank != r:
-            return 0.0
-        worst = min(worst, margin)
-    return float(worst)
+    return _full_core_margins(core[None], ranks, tol)[0]
 
 
 def _random_full_core(ranks: tuple, field: str, square_modes: list[int],
@@ -768,10 +853,10 @@ def _random_full_core(ranks: tuple, field: str, square_modes: list[int],
 
 
 def _core_in_grid(in_fiber, tol: TolerancePolicy):
-    """Acceptance of a TuckerCurve under fixed frames: ``in_fiber`` holds
-    for its core on the sample grid."""
+    """Acceptance of a TuckerCurve under fixed frames: ``in_fiber``, given
+    the stack of its cores on the sample grid, passes every one."""
     grid = [0.0, 1.0] + chebyshev_grid(tol.path_samples_default)
-    return lambda seg: all(in_fiber(seg.core(t)) for t in grid)
+    return lambda seg: all(in_fiber(seg.cores(grid)))
 
 
 def connect_mrank(A: Hypermatrix, B: Hypermatrix,
@@ -872,10 +957,12 @@ def connect_mrank(A: Hypermatrix, B: Hypermatrix,
             return TuckerCurve("core-transform", field, track, frames_a)
         return TuckerCurve("core-lerp", field, ("lerp", core0, core1), frames_a)
 
-    def in_fiber(core_t) -> bool:
-        if _full_core_margin(core_t, ranks, tol) < tol.gap_min:
-            return False
-        return not signed or _core_det_signs(core_t, square_modes) == want
+    def in_fiber(cores) -> list[bool]:
+        ok = [m >= tol.gap_min for m in _full_core_margins(cores, ranks, tol)]
+        if signed:
+            signs = flattening_det_signs(cores, [i + 1 for i in square_modes])
+            ok = [o and s == want for o, s in zip(ok, signs)]
+        return ok
 
     segments.extend(_detour_route(
         segment, _core_in_grid(in_fiber, tol),
@@ -891,9 +978,15 @@ def connect_mrank(A: Hypermatrix, B: Hypermatrix,
 # symmetric multilinear-rank connectivity
 
 
+def _sym_matrix_core_signatures(cores: np.ndarray, r: int) -> list[int]:
+    """Positive eigenvalue counts of a (K, L) stack of packed symmetric
+    r x r cores, with one batched eigvalsh."""
+    lam = np.linalg.eigvalsh(sym_embed_stack(cores, r, 2))
+    return np.sum(lam > 0, axis=1).tolist()
+
+
 def _sym_matrix_core_signature(core: SymTensor, tol: TolerancePolicy) -> int:
-    lam = np.linalg.eigvalsh(sym_embed(core).data)
-    return int(np.sum(lam > 0))
+    return _sym_matrix_core_signatures(core.packed[None], core.dim)[0]
 
 
 def _random_sym_core(r: int, d: int, field: str, signature: int | None,
@@ -956,11 +1049,13 @@ def connect_sym_mrank(Sa: SymTensor, Sb: SymTensor, r: int,
                                eigen_core_track(core0, core1), frame)
         return TuckerCurve("sym-core-lerp", field, ("lerp", core0, core1), frame)
 
-    def in_fiber(core_t) -> bool:
-        if _full_core_margin(sym_embed(core_t).data, (r,) * d, tol) < tol.gap_min:
-            return False
-        return (signature is None
-                or _sym_matrix_core_signature(core_t, tol) == signature)
+    def in_fiber(cores) -> list[bool]:
+        margins = _full_core_margins(sym_embed_stack(cores, r, d), (r,) * d, tol)
+        ok = [m >= tol.gap_min for m in margins]
+        if signature is not None:
+            ok = [o and sig == signature
+                  for o, sig in zip(ok, _sym_matrix_core_signatures(cores, r))]
+        return ok
 
     segments = _detour_route(
         segment, _core_in_grid(in_fiber, tol),
@@ -1106,16 +1201,19 @@ def path_verify(path: TensorPath, K: int | None = None,
     if path._verified is not None and path._verified[:2] == (K, tol):
         return path._verified[2]
     ts = sorted(set([0.0, 1.0] + chebyshev_grid(K) + path.joints()))
-    values = [path.eval(t) for t in ts]
-    reads = mrank_stack([dense(v) for v in values], tol)
-    samples = _certify_grid(path.stratum, ts, values, reads,
-                            [path.witness(t) for t in ts], tol)
+    stack = path.values(ts)
+    values = [path.point(row) for row in stack]
+    if isinstance(values[0], SymTensor):
+        reads = mrank_stack(sym_embed_stack(stack, values[0].dim, values[0].order), tol)
+    else:
+        reads = mrank_stack(stack, tol)
+    samples = _certify_grid(path.stratum, ts, values, reads, path.witnesses(ts), tol)
     passed = all(s.ok for s in samples)
     exact = all(s.note != "unverifiable-exactly" for s in samples)
     labels = {s.label for s in samples if s.label is not None}
     if len(labels) > 1:
         passed = False
-    scale = max(path.eval(0.0).norm(), path.eval(1.0).norm(), 1e-300)
+    scale = max(values[0].norm(), values[-1].norm(), 1e-300)  # t = 0 and t = 1
     joint_defect = 0.0
     n = len(path.segments)
     for k in range(1, n):

@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from tensortopo import (COMPLEX, REAL, Hypermatrix, SplitMix64, SymTensor,
                         sym_diagonal_sum, sym_embed, sym_extract,
                         sym_packed_length, sym_power)
 from tensortopo.core import (MultilinearRank, RankOneFactors, fix_phase,
-                             mrank_admissible, mrank_stack)
+                             mrank_admissible, mrank_stack, sym_embed_stack,
+                             sym_extract_stack, sym_power_stack)
 from tensortopo.kinds import kind_of
 
 
@@ -235,3 +238,37 @@ def test_checked_raises_on_an_inadmissible_read():
         bad.checked()
     zero = Hypermatrix(np.zeros((2, 2, 2)), REAL)
     assert mrank_stack([zero])[0].checked().ranks == (0, 0, 0)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_sym_power_stack_rounds_as_scalar_products(field):
+    """Each packed entry is coefficient * v_i1 * ... * v_id taken left to
+    right in numpy scalars, for every row of the stack."""
+    rng = SplitMix64(26)
+    draw = rng.complex_normals if field == COMPLEX else rng.normals
+    V = draw((30, 3))
+    coefficient = complex(0.5, -2.0) if field == COMPLEX else -1.5
+    rows = sym_power_stack(V, 4, coefficient, field)
+    indices = list(combinations_with_replacement(range(3), 4))
+    for v, row in zip(V, rows):
+        want = []
+        for idx in indices:
+            prod = coefficient
+            for i in idx:
+                prod = prod * v[i]
+            want.append(prod)
+        assert np.array_equal(row, np.array(want))
+        assert np.array_equal(row, sym_power(v, 4, coefficient, field).packed)
+
+
+def test_sym_extract_stack_packs_each_row_and_names_the_first_misfit():
+    rng = SplitMix64(27)
+    packed = rng.normals((5, sym_packed_length(3, 3)))
+    full = sym_embed_stack(packed, 3, 3)
+    rows = sym_extract_stack(full)
+    for A, row in zip(full, rows):
+        assert np.array_equal(row, sym_extract(Hypermatrix(A, REAL)).packed)
+    assert np.allclose(rows, packed, rtol=0.0, atol=1e-15)
+    full[3, 0, 1, 2] += 1e-3
+    with pytest.raises(ToleranceError, match="not symmetric"):
+        sym_extract_stack(full)

@@ -8,6 +8,7 @@ from tensortopo import (COMPLEX, REAL, GrassmannGeodesic, GrassmannPoint,
                         random_orthogonal, sym_power, sym_tucker_compress,
                         sym_tucker_expand, tucker_compress, tucker_expand)
 from tensortopo.geometry import principal_angles, so_rotation_path
+from tensortopo.paths import chebyshev_grid
 
 TS = np.linspace(0.0, 1.0, 9)
 
@@ -184,3 +185,42 @@ def test_gl_interpolator_rejects_rectangular():
     rng = SplitMix64(52)
     with pytest.raises(ValueError):
         gl_interpolator(rng.normals((2, 5)), rng.normals((2, 5)))
+
+
+def _stacked_interpolators():
+    """Per interpolator that takes an array of t: (callable of t, its ends)."""
+    rng = SplitMix64(53)
+    Q = random_orthogonal(4, rng)
+    if np.linalg.det(Q) < 0:
+        Q[:, 0] = -Q[:, 0]
+    Q0, Q1 = random_orthogonal(3, rng), random_orthogonal(3, rng)
+    if np.linalg.det(Q0) * np.linalg.det(Q1) < 0:
+        Q1[:, 0] = -Q1[:, 0]
+    M0, M1 = rng.normals((3, 3)), rng.normals((3, 3))
+    if np.linalg.det(M0) * np.linalg.det(M1) < 0:
+        M1[0] = -M1[0]
+    a, b = _frame(rng, 6, 2, COMPLEX), _frame(rng, 6, 2, COMPLEX)
+    geo = GrassmannGeodesic(a, b)
+    p = _frame(rng, 5, 3)
+    loop = OrientationLoop(p)
+    return {"so_rotation_path": (so_rotation_path(Q), np.eye(4), Q),
+            "orthogonal_interpolator": (orthogonal_interpolator(Q0, Q1), Q0, Q1),
+            "gl_interpolator": (gl_interpolator(M0, M1), M0, M1),
+            "GrassmannGeodesic.frame": (geo.frame, a.frame, b.frame @ geo.twist),
+            "OrientationLoop.frame": (loop.frame, p.frame, p.frame @ loop.holonomy)}
+
+
+@pytest.mark.parametrize("name", ["so_rotation_path", "orthogonal_interpolator",
+                                  "gl_interpolator", "GrassmannGeodesic.frame",
+                                  "OrientationLoop.frame"])
+def test_stacked_interpolators_match_their_scalar_calls(name):
+    f, start, end = _stacked_interpolators()[name]
+    ts = chebyshev_grid(64) + [0.0, 1.0]
+    rows = f(np.array(ts))
+    assert rows.shape == (len(ts),) + start.shape
+    for t, row in zip(ts, rows):
+        assert np.array_equal(row, f(t)), t
+    # both ends come out of the stack as the scalar calls give them
+    assert np.array_equal(rows[-2], f(0.0)) and np.array_equal(rows[-1], f(1.0))
+    assert np.allclose(rows[-2], start, atol=1e-9)
+    assert np.allclose(rows[-1], end, atol=1e-9)

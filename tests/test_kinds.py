@@ -1,14 +1,17 @@
 import numpy as np
+import pytest
 
 import tensortopo.certify as certify_module
 import tensortopo.classifiers as classifiers_module
 import tensortopo.cli as cli_module
+import tensortopo.core as core_module
 import tensortopo.kinds as kinds_module
 import tensortopo.paths as paths_module
 from tensortopo import (COMPLEX, REAL, Hypermatrix, SplitMix64, connect,
                         parse_stratum, path_verify, random_orthogonal,
                         sample_rank_r)
 from tensortopo.certify import is_rank_one
+from tensortopo.classifiers import classify, det_sign_mrank, square_mode
 from tensortopo.core import DEFAULT_TOL, mode_multiply, mrank_stack
 from tensortopo.kinds import kind_of
 from tensortopo.paths import TensorPath
@@ -40,19 +43,20 @@ def test_rank_one_rule_is_the_rank_read():
         assert rule[0] is False and True in rule[1:] and False in rule[1:]
 
 
-def _count_calls(monkeypatch, name):
-    """Count calls of certify's ``name`` under every module name it could be
-    called by, the kind records' included."""
+def _count_calls(monkeypatch, name, home=certify_module, note=None):
+    """Count calls of ``home``'s ``name`` under every module name it could
+    be called by, the kind records' included; each call records ``note()``."""
     calls = []
-    fn = getattr(certify_module, name)
+    fn = getattr(home, name)
 
     def wrapper(*args, **kwargs):
-        calls.append(name)
+        calls.append(name if note is None else note())
         return fn(*args, **kwargs)
 
-    for module in (certify_module, classifiers_module, cli_module, kinds_module,
-                   paths_module):
-        monkeypatch.setattr(module, name, wrapper, raising=False)
+    for module in (certify_module, classifiers_module, cli_module, core_module,
+                   kinds_module, paths_module):
+        if getattr(module, name, None) is fn:
+            monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -89,3 +93,47 @@ def test_path_verify_reads_a_rank_one_grid_without_is_rank_one(monkeypatch):
     report = path_verify(path)
     assert report.passed
     assert calls == []
+
+
+@pytest.mark.parametrize("text", ["mrank:r=4,2,2;shape=4,2,2;field=real",
+                                  "mrank:r=2,2,2;shape=3,3,3;field=real"])
+def test_mrank_paths_read_their_grids_as_stacks(text, monkeypatch):
+    """connect's core pre-filter and path_verify make no numerical_rank or
+    det_sign_mrank call per sample (the midpoint draws of _random_full_core
+    may), and TensorPath.eval runs only in connect's endpoint check; the
+    grid's labels are still det_sign_mrank's."""
+    st = parse_stratum(text)
+    rng = SplitMix64(305)
+    a, _ = kind_of(st).draw(st, rng, DEFAULT_TOL)
+    b, _ = kind_of(st).draw(st, rng, DEFAULT_TOL)
+    while classify(st, b) != classify(st, a):
+        b, _ = kind_of(st).draw(st, rng, DEFAULT_TOL)
+    drawing = []
+    draw = paths_module._random_full_core
+
+    def midpoint(*args):
+        drawing.append(True)
+        try:
+            return draw(*args)
+        finally:
+            drawing.pop()
+
+    monkeypatch.setattr(paths_module, "_random_full_core", midpoint)
+    ranks = _count_calls(monkeypatch, "numerical_rank", core_module,
+                         note=lambda: bool(drawing))
+    dets = _count_calls(monkeypatch, "det_sign_mrank", classifiers_module)
+    evals = []
+    one = TensorPath.eval
+    monkeypatch.setattr(TensorPath, "eval",
+                        lambda path, t: evals.append(t) or one(path, t))
+    path = connect(st, a, b, rng=SplitMix64(306))
+    report = path_verify(path)
+    assert report.passed
+    assert [inside for inside in ranks if not inside] == []
+    assert dets == []
+    assert evals == [0.0, 1.0]
+    monkeypatch.undo()
+    mode = square_mode(st)
+    want = ["single" if mode is None else str(det_sign_mrank(path.eval(s.t), mode))
+            for s in report.samples]
+    assert [s.label for s in report.samples] == want
