@@ -29,7 +29,7 @@ import numpy as np
 from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, RankOneFactors, REAL,
                    TolerancePolicy, _mul, _rank_read, fix_phase, flatten,
                    flatten_stack, mode_multiply_stack, numerical_rank,
-                   outer_product, outer_stack)
+                   outer_product, outer_stack, row_norms)
 from .errors import DegenerateError, ToleranceError, caught
 from .geometry import check_orthonormal, dominant_frames, tucker_stack
 
@@ -102,13 +102,13 @@ def _band(scale: float, tol: TolerancePolicy) -> float:
     return tol.eps_rel * scale ** 4
 
 
-def hyperdet_signs(tensors: list, tol: TolerancePolicy = DEFAULT_TOL) -> list[int]:
-    """Per real 2x2x2 tensor, the sign of its hyperdeterminant outside
-    classify_222's band, and 0 inside it: one hyperdet222 call for the list."""
-    dets = hyperdet222(np.stack([A.data for A in tensors])).tolist()
+def hyperdet_signs(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> list[int]:
+    """Per tensor of a real (K, 2, 2, 2) stack, the sign of its
+    hyperdeterminant outside classify_222's band, and 0 inside it: one
+    hyperdet222 call for the stack."""
     signs = []
-    for det, A in zip(dets, tensors):
-        tau = _band(A.norm(), tol)
+    for det, scale in zip(hyperdet222(data).tolist(), row_norms(data).tolist()):
+        tau = _band(scale, tol)
         signs.append(1 if det > tau else -1 if det < -tau else 0)
     return signs
 
@@ -293,8 +293,8 @@ def _normalized_term(scalar, factors, field: str) -> RankOneFactors:
     return RankOneFactors(scalar, tuple(out), field)
 
 
-def _rank2_terms(tensors: list, ranks, tol: TolerancePolicy) -> list:
-    """Per tensor of a same-shape list: the ToleranceError or DegenerateError
+def _rank2_terms(data: np.ndarray, ranks, tol: TolerancePolicy) -> list:
+    """Per tensor of a (K, ...) stack: the ToleranceError or DegenerateError
     rank2_decompose raises on it, or its two terms as (coefficient, factors)
     pairs, the factors lifted through the Tucker frames but not normalized.
 
@@ -302,12 +302,11 @@ def _rank2_terms(tensors: list, ranks, tol: TolerancePolicy) -> list:
     tensor gets the first error in rank2_decompose's order. ``ranks[k]`` is
     tensor k's multilinear rank read (see tucker_stack), or None.
     """
-    d, field = tensors[0].order, tensors[0].field
+    d, field = data.ndim - 1, COMPLEX if np.iscomplexobj(data) else REAL
     if d < 3:
         raise ValueError("rank2_decompose needs an order >= 3 tensor")
-    data = np.stack([A.data for A in tensors])
-    outcome: list = [None] * len(tensors)
-    live = np.arange(len(tensors))
+    outcome: list = [None] * len(data)
+    live = np.arange(len(data))
     # per live tensor: its frames per mode (None where uncompressed), then
     # the stages' arrays, all cut down together as tensors fail
     state: dict = {"frames": [None] * d}
@@ -395,16 +394,16 @@ def _rank2_terms(tensors: list, ranks, tol: TolerancePolicy) -> list:
     return outcome
 
 
-def rank2_certify(tensors: list, ranks, tol: TolerancePolicy = DEFAULT_TOL) -> list:
-    """rank2_decompose's verdict on every tensor of a same-shape list, in one
+def rank2_certify(data: np.ndarray, ranks, tol: TolerancePolicy = DEFAULT_TOL) -> list:
+    """rank2_decompose's verdict on every tensor of a (K, ...) stack, in one
     batched pass: per tensor None where it returns, else the ToleranceError
     or DegenerateError it raises, with the same message. ``ranks[k]`` is
     tensor k's multilinear rank read (mrank's), which the Tucker step's
     ambiguity test takes in place of reading it again."""
-    if not tensors:
+    if len(data) == 0:
         return []
     return [None if isinstance(out, list) else out
-            for out in _rank2_terms(tensors, ranks, tol)]
+            for out in _rank2_terms(data, ranks, tol)]
 
 
 def rank2_decompose(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL
@@ -420,7 +419,7 @@ def rank2_decompose(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL
     Real inputs in the negative-hyperdeterminant regime raise DegenerateError;
     pencil roots closer than gap_min raise ToleranceError.
     """
-    out = _rank2_terms([A], None, tol)[0]
+    out = _rank2_terms(A.data[None], None, tol)[0]
     if not isinstance(out, list):
         raise out
     t1, t2 = (_normalized_term(lam, lifted, A.field) for lam, lifted in out)

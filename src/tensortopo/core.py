@@ -267,16 +267,14 @@ def numerical_rank(M: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[i
     return _rank_read(sigma[None], max(M.shape), tol)[0]
 
 
-def mrank_stack(tensors, tol: TolerancePolicy = DEFAULT_TOL) -> list[MultilinearRank]:
-    """Multilinear ranks of same-shape tensors, with per-mode margins, read
-    with one batched SVD per mode under the rule of numerical_rank.
-    ``tensors`` is a (K, ...) array or a sequence of Hypermatrix.
+def mrank_stack(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> list[MultilinearRank]:
+    """Multilinear ranks of the tensors of a (K, ...) stack, with per-mode
+    margins, read with one batched SVD per mode under the rule of
+    numerical_rank.
 
     Reads come back as they are, admissible or not; ``checked`` raises on
     an inadmissible one.
     """
-    data = (tensors if isinstance(tensors, np.ndarray)
-            else np.stack([A.data for A in tensors]))
     per_mode = []
     for ax in range(1, data.ndim):
         flat = flatten_stack(data, ax)
@@ -285,6 +283,17 @@ def mrank_stack(tensors, tol: TolerancePolicy = DEFAULT_TOL) -> list[Multilinear
     return [MultilinearRank(tuple(r for r, _m in reads),
                             tuple(m for _r, m in reads))
             for reads in zip(*per_mode)]
+
+
+def sym_mrank_stack(packed: np.ndarray, n: int, d: int,
+                    tol: TolerancePolicy = DEFAULT_TOL) -> list[MultilinearRank]:
+    """mrank_stack of the full tensors of a (K, L) stack of packed rows,
+    bit for bit, with one batched SVD: every flattening of a symmetric
+    tensor is the same matrix, so the mode-1 read holds for every mode."""
+    flat = sym_embed_stack(packed, n, d).reshape(packed.shape[0], n, -1)
+    sigma = np.linalg.svd(flat, compute_uv=False)
+    return [MultilinearRank((r,) * d, (m,) * d)
+            for r, m in _rank_read(sigma, max(flat.shape[1:]), tol)]
 
 
 def flattening_det_signs(data: np.ndarray, modes) -> list[tuple[int, ...]]:
@@ -312,7 +321,7 @@ def mrank(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL) -> MultilinearRank
     reported tuple violates admissibility (r_i <= prod_{j != i} r_j); that
     can only come from an inconsistent numerical read.
     """
-    return mrank_stack([A], tol)[0].checked()
+    return mrank_stack(A.data[None], tol)[0].checked()
 
 
 def _mul(x, y):
@@ -384,11 +393,6 @@ def sym_embed_stack(packed: np.ndarray, n: int, d: int) -> np.ndarray:
 def sym_embed(S: SymTensor) -> Hypermatrix:
     """Expand packed coefficients to the full n^d array."""
     return Hypermatrix(sym_embed_stack(S.packed[None], S.dim, S.order)[0], S.field)
-
-
-def dense(value) -> Hypermatrix:
-    """A SymTensor's embedding, or a Hypermatrix as it is."""
-    return sym_embed(value) if isinstance(value, SymTensor) else value
 
 
 def sym_extract_stack(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:

@@ -6,12 +6,18 @@ join two members by a path, how to certify path samples, and how many
 components to expect. ``kind_of`` picks the record; ``classify``,
 ``connect``, ``path_verify`` and ``expected_component_count`` look it up.
 
-The membership rule runs on a stack of values: ``path_verify`` hands a
-record a path's whole grid in one call, and a sampler hands it a stack of
-one candidate. Rules that need more than the flattening ranks read the
-stack in one batched pass (the hyperdeterminant signs, the rank-two
-certificate), and so does the determinant-sign label of a saturated square
-multilinear rank.
+A record also owns what a member is. ``Kind.judge`` takes a stack of the
+stratum's values, (K, *shape) dense or (K, L) packed symmetric rows, reads
+their flattening ranks (one batched SVD per mode, or one in all for a
+symmetric stack, whose flattenings are all the same matrix), refuses an
+inadmissible read and applies the kind's ``member`` rule to the rest in one
+call. Every membership decision goes through it: path_verify hands a record
+a path's whole grid (``certify`` is judge plus labels), a sampler a stack of
+one candidate, and the multilinear-rank connectors a core path's grid of
+cores, judged as members of the core's own stratum. Rules that need more
+than the flattening ranks read the stack in one batched pass (the
+hyperdeterminant signs, the rank-two certificate), and so does the
+determinant-sign label of a saturated square multilinear rank.
 
 Records call samplers, invariants and connectors through this module's
 global names at call time, so a wrapper installed here sees every call.
@@ -19,15 +25,16 @@ global names at call time, so a wrapper installed here sees every call.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .certify import hyperdet_signs, rank2_certify
 from .classifiers import (SINGLE, _sym_matrix_signature, _sym_rank2_witness,
                           classify_brank3_222, det_sign_mrank,
                           mrank_saturation, sign_label, square_mode,
                           sym_sign_rank1, sym_signature)
-from .core import COMPLEX, REAL, SymRankDecomposition, flattening_det_signs
-from .errors import DegenerateError, ToleranceError, UnsupportedStratumError
+from .core import (COMPLEX, REAL, Hypermatrix, SymRankDecomposition,
+                   SymTensor, flattening_det_signs, mrank_stack,
+                   sym_mrank_stack)
+from .errors import (DegenerateError, ToleranceError, UnsupportedStratumError,
+                     caught)
 from .paths import (_sym_rank1_witness, connect_brank3_222, connect_mrank,
                     connect_rank_r, connect_sym_mrank, connect_sym_rank_r)
 from .sampling import (expected_generic_mrank, sample_fixed_mrank,
@@ -43,10 +50,9 @@ class Kind:
     decomposition that ``classify`` and ``connect`` take in place of the
     value; kinds without one return None.
 
-    ``member(stratum, values, ranks, tol)``, the kind's one membership rule,
+    ``member(stratum, stack, ranks, tol)``, the kind's one membership rule,
     gives one ``(ok, note)`` per value of a stack, ``ranks[k]`` being the
-    flattening ranks of ``values[k]``; samplers keep only draws that pass
-    it, and ``certify`` applies it to a path's grid.
+    flattening ranks of ``stack[k]``; ``judge`` is its one caller.
     """
 
     def classify(self, stratum, value, tol):
@@ -59,30 +65,56 @@ class Kind:
             return 1
         return self.real_components(stratum)
 
-    def screen(self, stratum, values, tol) -> list[bool]:
+    def screen(self, stratum, stack, tol) -> list[bool]:
         """Per value, a test ``member`` also makes that needs no rank read;
         samplers run it first."""
-        return [True] * len(values)
+        return [True] * len(stack)
 
-    def certify(self, stratum, values, ranks: list, witnesses: list, tol) -> list:
-        """One (ok, label, note) per sample of a path grid: ``values[k]`` has
-        flattening ranks ``ranks[k]`` and the path's witness there is
-        ``witnesses[k]``. A sample outside the stratum gets no label, nor
-        does one whose label is refused (the refusal is its note);
-        "unverifiable-exactly" says the ranks do not bound the rank."""
+    def labelled(self, stratum, row, witness):
+        """What ``invariant`` labels at a path sample: the value the row of
+        the grid stands for."""
+        if stratum.dim is None:
+            return Hypermatrix(row, stratum.field)
+        return SymTensor(stratum.dim, stratum.order, stratum.field, row)
+
+    def judge(self, stratum, stack, tol) -> list:
+        """One (ok, read, note) per value of a stack of the stratum's
+        values: ``read`` is its flattening ranks with their margins, or None
+        when the read is inadmissible, which only an inconsistent numerical
+        read can give. ``member`` judges the admissible ones in one call."""
+        reads = (mrank_stack(stack, tol) if stratum.dim is None
+                 else sym_mrank_stack(stack, stratum.dim, stratum.order, tol))
+        kept = [i for i, mr in enumerate(reads) if mr.admissible()]
+        try:
+            rules = self.member(stratum, stack[kept], [reads[i].ranks for i in kept], tol)
+        except (ToleranceError, DegenerateError, UnsupportedStratumError) as exc:
+            rules = [(False, str(exc))] * len(kept)
+        verdicts = {i: (ok, reads[i], note) for i, (ok, note) in zip(kept, rules)}
+        return [verdicts.get(i) or (False, None, f"mrank failed: {caught(mr.checked)}")
+                for i, mr in enumerate(reads)]
+
+    def certify(self, stratum, stack, witnesses: list, tol) -> list:
+        """judge plus labels: one (ok, read, label, note) per sample of a
+        path grid, the path's witness there being ``witnesses[k]``. A sample
+        outside the stratum gets no label, nor does one whose label is
+        refused (the refusal is its note); "unverifiable-exactly" says the
+        ranks do not bound the rank."""
+        single = self.components(stratum) == 1
         verdicts = []
-        for value, (ok, note) in zip(values, self.member(stratum, values, ranks, tol)):
+        for row, witness, (ok, read, note) in zip(
+                stack, witnesses, self.judge(stratum, stack, tol)):
             if not ok:
-                verdicts.append((False, None, note))
+                verdicts.append((False, read, None, note))
                 continue
             try:
-                label = self.classify(stratum, value, tol)
+                label = SINGLE if single else self.invariant(
+                    stratum, self.labelled(stratum, row, witness), tol)
             except UnsupportedStratumError:
                 label = None
             except (ToleranceError, DegenerateError) as exc:
-                verdicts.append((False, None, str(exc)))
+                verdicts.append((False, read, None, str(exc)))
                 continue
-            verdicts.append((True, label, note))
+            verdicts.append((True, read, label, note))
         return verdicts
 
 
@@ -102,10 +134,10 @@ class Rank(Kind):
     def real_components(self, stratum):
         return 1 if stratum.rank == 1 else None
 
-    def connect(self, stratum, a, b, witness_a, witness_b, tol, rng, depth):
-        return connect_rank_r(a, b, stratum.rank, tol, rng, depth)
+    def connect(self, stratum, a, b, witness_a, witness_b, tol, rng):
+        return connect_rank_r(a, b, stratum.rank, tol, rng)
 
-    def member(self, stratum, values, ranks, tol):
+    def member(self, stratum, stack, ranks, tol):
         r = stratum.rank
         expected = expected_generic_mrank(stratum.shape, r)
         oks = [rk == expected for rk in ranks]
@@ -115,11 +147,11 @@ class Rank(Kind):
         if r == 2 and stratum.shape == (2, 2, 2) and stratum.field == REAL:
             # classify_222's rank-two verdict once no flattening has rank one
             return [(ok and sign > 0, "")
-                    for ok, sign in zip(oks, hyperdet_signs(values, tol))]
+                    for ok, sign in zip(oks, hyperdet_signs(stack, tol))]
         if r == 2:
             return [(ok, "decomposition-certified") if err is None
                     else (False, str(err))
-                    for ok, err in zip(oks, rank2_certify(values, ranks, tol))]
+                    for ok, err in zip(oks, rank2_certify(stack, ranks, tol))]
         return [(ok, "unverifiable-exactly") for ok in oks]
 
 
@@ -135,18 +167,18 @@ class BorderRank3(Rank):
     def real_components(self, stratum):
         return 4 if stratum.kind == "brank" else None
 
-    def connect(self, stratum, a, b, witness_a, witness_b, tol, rng, depth):
+    def connect(self, stratum, a, b, witness_a, witness_b, tol, rng):
         return connect_brank3_222(a, b, tol)
 
-    def screen(self, stratum, values, tol):
+    def screen(self, stratum, stack, tol):
         # classify_222's border-rank-three test, a closed form: it turns
         # away nine in ten sampler draws before their SVDs
-        return [sign < 0 for sign in hyperdet_signs(values, tol)]
+        return [sign < 0 for sign in hyperdet_signs(stack, tol)]
 
-    def member(self, stratum, values, ranks, tol):
+    def member(self, stratum, stack, ranks, tol):
         return [(rk == (2, 2, 2), "") if below else
                 (False, "hyperdeterminant is not below -eps_rel ||A||^4")
-                for below, rk in zip(self.screen(stratum, values, tol), ranks)]
+                for below, rk in zip(self.screen(stratum, stack, tol), ranks)]
 
 
 class SymRank(Kind):
@@ -184,20 +216,19 @@ class SymRank(Kind):
     def real_components(self, stratum):
         return 1 if stratum.order % 2 == 1 else stratum.rank + 1
 
-    def connect(self, stratum, a, b, witness_a, witness_b, tol, rng, depth):
+    def connect(self, stratum, a, b, witness_a, witness_b, tol, rng):
         Da = witness_a if witness_a is not None else self.witness(stratum, a, tol)
         Db = witness_b if witness_b is not None else self.witness(stratum, b, tol)
-        return connect_sym_rank_r(Da, Db, tol, rng, depth)
+        return connect_sym_rank_r(Da, Db, tol, rng)
 
-    def member(self, stratum, values, ranks, tol):
+    def member(self, stratum, stack, ranks, tol):
         r, n = stratum.rank, stratum.dim
         note = "unverifiable-exactly" if r > n else ""
         return [(rk == (min(r, n),) * stratum.order, note) for rk in ranks]
 
-    def certify(self, stratum, values, ranks, witnesses, tol):
+    def labelled(self, stratum, row, witness):
         # a term-sum path's witness gives the signature without decomposing S
-        values = [S if w is None else w for S, w in zip(values, witnesses)]
-        return super().certify(stratum, values, ranks, witnesses, tol)
+        return super().labelled(stratum, row, None) if witness is None else witness
 
 
 class MRank(Kind):
@@ -220,23 +251,23 @@ class MRank(Kind):
     def real_components(self, stratum):
         return {"none": 1, "saturated-square": 2}.get(mrank_saturation(stratum))
 
-    def connect(self, stratum, a, b, witness_a, witness_b, tol, rng, depth):
-        return connect_mrank(a, b, stratum.rank, tol, rng, depth)
+    def connect(self, stratum, a, b, witness_a, witness_b, tol, rng):
+        return connect_mrank(a, b, stratum.rank, tol, rng)
 
-    def member(self, stratum, values, ranks, tol):
+    def member(self, stratum, stack, ranks, tol):
         return [(rk == stratum.rank, "") for rk in ranks]
 
-    def certify(self, stratum, values, ranks, witnesses, tol):
+    def certify(self, stratum, stack, witnesses, tol):
         if self.components(stratum) != 2:
-            return super().certify(stratum, values, ranks, witnesses, tol)
+            return super().certify(stratum, stack, witnesses, tol)
         # det_sign_mrank's label for the whole grid, with one batched
         # slogdet: a member's rank read has the square flattening at full
         # rank, which is the singularity check det_sign_mrank makes
-        signs = flattening_det_signs(np.stack([A.data for A in values]),
-                                     [square_mode(stratum)])
-        return [(True, sign_label(sign), note) if ok else (False, None, note)
-                for (ok, note), (sign,) in zip(
-                    self.member(stratum, values, ranks, tol), signs)]
+        signs = flattening_det_signs(stack, [square_mode(stratum)])
+        return [(True, read, sign_label(sign), note) if ok
+                else (False, read, None, note)
+                for (ok, read, note), (sign,) in zip(
+                    self.judge(stratum, stack, tol), signs)]
 
 
 class SymMRank(Kind):
@@ -261,10 +292,10 @@ class SymMRank(Kind):
             return 2
         return 1
 
-    def connect(self, stratum, a, b, witness_a, witness_b, tol, rng, depth):
-        return connect_sym_mrank(a, b, stratum.rank, tol, rng, depth)
+    def connect(self, stratum, a, b, witness_a, witness_b, tol, rng):
+        return connect_sym_mrank(a, b, stratum.rank, tol, rng)
 
-    def member(self, stratum, values, ranks, tol):
+    def member(self, stratum, stack, ranks, tol):
         return [(rk == (stratum.rank,) * stratum.order, "") for rk in ranks]
 
 
@@ -283,3 +314,10 @@ def kind_of(stratum) -> Kind:
         raise UnsupportedStratumError(
             "border rank is supported only for rank 3 on real shape (2, 2, 2)")
     return _RECORDS[stratum.kind]
+
+
+def clear_members(stratum, stack, margin: float, tol) -> list[bool]:
+    """Per value of a stack, whether the stratum's record judges it a
+    member with every flattening margin at least ``margin``."""
+    return [ok and min(read.margins) >= margin
+            for ok, read, _note in kind_of(stratum).judge(stratum, stack, tol)]

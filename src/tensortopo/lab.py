@@ -19,12 +19,12 @@ import numpy as np
 from .certify import DecompositionCount, count_rank2_decompositions, hyperdet222
 from .classifiers import classify, classify_brank3_222
 from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, REAL, TolerancePolicy,
-                   mode_multiply, mrank)
+                   mode_multiply, mode_multiply_stack)
 from .errors import (DegenerateError, DifferentComponents, RetryExhausted,
                      TensorTopoError, ToleranceError, UnsupportedStratumError)
 from .geometry import GrassmannPoint, OrientationLoop
 from .io import dumps_canonical
-from .kinds import kind_of
+from .kinds import clear_members, kind_of
 from .paths import (_random_full_core, chebyshev_grid, connect, path_verify,
                     value_diff_norm)
 from .rng import SplitMix64, derive_seed
@@ -350,25 +350,18 @@ def monodromy_probe(r: tuple[int, ...], n: tuple[int, ...], seed: int,
         frames.append(Q)
 
     sign_before = float(np.linalg.slogdet(core.reshape(r[0], -1))[0])
-    grid = sorted(set([0.0, 1.0] + chebyshev_grid(K)))
+    grid = np.array(sorted(set([0.0, 1.0] + chebyshev_grid(K))))
+    stratum = StratumDescriptor("mrank", REAL, r, shape=n)
+    cores = np.broadcast_to(core, grid.shape + core.shape)
     modes_report = []
     flip_observed = False
     for m in roomy:
         loop = OrientationLoop(GrassmannPoint(frames[m], REAL))
         exponent = math.prod(rk for k, rk in enumerate(r) if k not in (0, m))
-        in_stratum = True
-        for t in grid:
-            mats = list(frames)
-            mats[m] = loop.frame(t)
-            A = Hypermatrix(mode_multiply(core, mats), REAL)
-            try:
-                mr = mrank(A, tol)
-            except ToleranceError:
-                in_stratum = False
-                break
-            if tuple(mr.ranks) != r or min(mr.margins) < tol.gap_min:
-                in_stratum = False
-                break
+        mats = list(frames)
+        mats[m] = loop.frame(grid)
+        in_stratum = all(clear_members(
+            stratum, mode_multiply_stack(cores, mats), tol.gap_min, tol))
         h = np.eye(r[m])
         h[0, 0] = -1.0
         moved = mode_multiply(core, [h if k == m else None for k in range(d)])

@@ -15,14 +15,16 @@ path's grid of cores as one stack too.
 
 Rank-one and conjugate-pair constructions are in-stratum pointwise by
 construction. The others are checked on a sample grid and repaired by
-recursive random-midpoint detours (each retry dodges a measure-zero bad set,
-depth is capped at 8): a core interpolation must keep its core at full
-multilinear rank and its determinant signs or signature, each read for the
-whole grid with one batched SVD, slogdet or eigvalsh, and a term-sum
-segment (rank two, symmetric rank r) must pass path_verify, which applies
-the kind record's membership rule to its whole sample grid in one call,
-with every margin at least gap_min. A path of one such segment carries that
-report, so path_verify does not certify its samples again.
+recursive random-midpoint detours (each retry dodges a measure-zero bad set;
+at most _DETOUR_DEPTH levels). Every membership check here is the kind
+record's ``judge`` (kinds.py), which reads the ranks. A core interpolation
+must keep every core of its grid a member of the core's own stratum with
+every margin at least gap_min, and keep its determinant signs or signature
+(one batched slogdet or eigvalsh per grid); a term-sum segment (rank two,
+symmetric rank r) must pass path_verify, which certifies its whole grid in
+one call of the record, with every margin at least gap_min. A path of one
+such segment carries that report, so path_verify does not certify its
+samples again.
 """
 
 from __future__ import annotations
@@ -39,11 +41,11 @@ from .classifiers import (ComponentLabel, classify_brank3_222, det_sign_mrank,
 from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, REAL,
                    SymRankDecomposition, SymTensor, TolerancePolicy,
                    _dtype_for, flattening_det_signs, mode_multiply,
-                   mode_multiply_stack, mrank, mrank_stack, outer_stack,
-                   row_norms, sym_embed, sym_embed_stack, sym_extract,
-                   sym_extract_stack, sym_packed_length, sym_power_stack)
-from .errors import (DegenerateError, DifferentComponents, RetryExhausted,
-                     ToleranceError, UnsupportedStratumError)
+                   mode_multiply_stack, outer_stack, row_norms, sym_embed,
+                   sym_embed_stack, sym_extract, sym_extract_stack,
+                   sym_packed_length, sym_power_stack)
+from .errors import (DifferentComponents, RetryExhausted, ToleranceError,
+                     UnsupportedStratumError)
 from .geometry import (GrassmannGeodesic, OrientationLoop, gl_interpolator,
                        orthogonal_interpolator, sym_tucker_compress,
                        tucker_compress)
@@ -57,6 +59,7 @@ _LOOSE = TolerancePolicy(eps_rel=1e-8)
 _SAME = 1e-13          # below this, two unit vectors count as the same point
 _ANTIPODAL = 1e-9      # |<a,b> + 1| below this forces a detour
 _ENDPOINT_TOL = 1e-10  # relative miss allowed between a path end and its input
+_DETOUR_DEPTH = 8      # midpoint detour levels before a construction gives up
 
 
 def _lerp(a, b, s):
@@ -629,7 +632,7 @@ def _detour_route(piece, accept, draw_mid, x0, x1, budget: int) -> list:
 
 
 def _term_sum_path(segment, draw_mid, x0, x1, stratum: StratumDescriptor,
-                   tol: TolerancePolicy, depth: int) -> TensorPath:
+                   tol: TolerancePolicy) -> TensorPath:
     """Term-sum segments from x0 to x1, each accepted when path_verify
     passes it as a path of its own with every margin at least gap_min. A
     route of one segment is returned as the path that was verified, so it
@@ -640,7 +643,7 @@ def _term_sum_path(segment, draw_mid, x0, x1, stratum: StratumDescriptor,
         return report.passed and report.min_margin >= tol.gap_min
 
     parts = _detour_route(lambda p, q: TensorPath([segment(p, q)], stratum),
-                          accept, draw_mid, x0, x1, depth)
+                          accept, draw_mid, x0, x1, _DETOUR_DEPTH)
     if len(parts) == 1:
         return parts[0]
     return TensorPath([part.segments[0] for part in parts], stratum)
@@ -648,14 +651,13 @@ def _term_sum_path(segment, draw_mid, x0, x1, stratum: StratumDescriptor,
 
 def connect_sym_rank_r(Da: SymRankDecomposition, Db: SymRankDecomposition,
                        tol: TolerancePolicy = DEFAULT_TOL,
-                       rng: SplitMix64 | None = None,
-                       depth: int = 8) -> TensorPath:
+                       rng: SplitMix64 | None = None) -> TensorPath:
     """Simultaneous term-curve sum between two witnessed decompositions.
 
     Even order requires matching signatures (DifferentComponents otherwise).
     Membership is not guaranteed by the formula, so the candidate is checked
     on the sample grid and repaired through fresh random same-signature
-    midpoint decompositions, recursion depth at most ``depth``.
+    midpoint decompositions.
     """
     if (Da.order, Da.field) != (Db.order, Db.field) or len(Da) != len(Db):
         raise ValueError("decompositions must share order, field and length")
@@ -685,7 +687,7 @@ def connect_sym_rank_r(Da: SymRankDecomposition, Db: SymRankDecomposition,
         segment,
         lambda: sample_sym_rank_r(n, d, r, signature=signature, field=field,
                                   rng=rng, tol=tol)[1],
-        Da, Db, stratum, tol, depth)
+        Da, Db, stratum, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +750,7 @@ def _term_tracks(term_a: RankOneFactors, term_b: RankOneFactors,
 
 def connect_rank_r(A: Hypermatrix, B: Hypermatrix, r: int,
                    tol: TolerancePolicy = DEFAULT_TOL,
-                   rng: SplitMix64 | None = None, depth: int = 8) -> TensorPath:
+                   rng: SplitMix64 | None = None) -> TensorPath:
     """Term-matched curves for rank one and rank two.
 
     Rank two recovers witnesses through the slice-pencil decomposition; no
@@ -788,7 +790,7 @@ def connect_rank_r(A: Hypermatrix, B: Hypermatrix, r: int,
     terms_b = list(rank2_decompose(B, tol))
     return _term_sum_path(
         build, lambda: sample_rank_r(A.shape, 2, field, rng, tol)[1],
-        terms_a, terms_b, stratum, tol, depth)
+        terms_a, terms_b, stratum, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -824,26 +826,13 @@ def _solve_gf2(effects: list[int], target: int) -> list[int] | None:
     return [k for k in range(len(effects)) if combo >> k & 1]
 
 
-def _full_core_margins(cores: np.ndarray, ranks: tuple,
-                       tol: TolerancePolicy) -> list[float]:
-    """Per core of a (K, *ranks) stack, the least margin of its mode
-    flattenings, or 0.0 when one of them is below full rank; one batched
-    SVD per mode under numerical_rank's rule (mrank_stack)."""
-    return [float(min(mr.margins)) if mr.ranks == tuple(ranks) else 0.0
-            for mr in mrank_stack(cores, tol)]
-
-
-def _full_core_margin(core: np.ndarray, ranks: tuple,
-                      tol: TolerancePolicy) -> float:
-    return _full_core_margins(core[None], ranks, tol)[0]
-
-
 def _random_full_core(ranks: tuple, field: str, square_modes: list[int],
                       want_signs: tuple, rng: SplitMix64,
                       tol: TolerancePolicy) -> np.ndarray:
+    stratum = StratumDescriptor("mrank", field, ranks, shape=ranks)
     for _ in range(200):
         core = field_normals(rng, ranks, field)
-        if _full_core_margin(core, ranks, tol) < 1e-3:
+        if not kinds.clear_members(stratum, core[None], 1e-3, tol)[0]:
             continue
         if field == REAL and square_modes:
             if _core_det_signs(core, square_modes) != want_signs:
@@ -852,17 +841,24 @@ def _random_full_core(ranks: tuple, field: str, square_modes: list[int],
     raise RetryExhausted("could not draw a usable full-rank core")
 
 
-def _core_in_grid(in_fiber, tol: TolerancePolicy):
-    """Acceptance of a TuckerCurve under fixed frames: ``in_fiber``, given
-    the stack of its cores on the sample grid, passes every one."""
+def _core_in_grid(stratum: StratumDescriptor, kept, tol: TolerancePolicy):
+    """Acceptance of a TuckerCurve under fixed frames: every core of its
+    sample grid is a member of the core's own ``stratum`` with every margin
+    at least gap_min, and ``kept``, given the stack of cores, passes each
+    (None passes all)."""
     grid = [0.0, 1.0] + chebyshev_grid(tol.path_samples_default)
-    return lambda seg: all(in_fiber(seg.cores(grid)))
+
+    def accept(seg) -> bool:
+        cores = seg.cores(grid)
+        held = kept(cores) if kept else [True] * len(grid)
+        return all(ok and h for ok, h in zip(
+            kinds.clear_members(stratum, cores, tol.gap_min, tol), held))
+    return accept
 
 
-def connect_mrank(A: Hypermatrix, B: Hypermatrix,
-                  ranks: tuple[int, ...] | None = None,
+def connect_mrank(A: Hypermatrix, B: Hypermatrix, ranks: tuple[int, ...],
                   tol: TolerancePolicy = DEFAULT_TOL,
-                  rng: SplitMix64 | None = None, depth: int = 8) -> TensorPath:
+                  rng: SplitMix64 | None = None) -> TensorPath:
     """Frame geodesics plus in-fiber core interpolation.
 
     Stages: orientation flip loops at A when square-mode determinant signs
@@ -875,17 +871,15 @@ def connect_mrank(A: Hypermatrix, B: Hypermatrix,
     if A.shape != B.shape or A.field != B.field:
         raise ValueError("endpoints must share shape and field")
     field = A.field
-    ranks_a = tuple(mrank(A, tol).ranks)
-    ranks_b = tuple(mrank(B, tol).ranks)
-    if ranks is None:
-        ranks = ranks_a
     ranks = tuple(int(r) for r in ranks)
-    if ranks_a != ranks or ranks_b != ranks:
+    stratum = StratumDescriptor("mrank", field, ranks, shape=A.shape)
+    ends = kinds.kind_of(stratum).judge(stratum, np.stack([A.data, B.data]), tol)
+    if not all(ok for ok, _read, _note in ends):
         raise ToleranceError(
             f"endpoints do not both have multilinear rank {ranks}")
     if rng is None:
         rng = SplitMix64(0)
-    stratum = StratumDescriptor("mrank", field, ranks, shape=A.shape)
+    core_stratum = StratumDescriptor("mrank", field, ranks, shape=ranks)
     repA = tucker_compress(A, ranks, tol)
     repB = tucker_compress(B, ranks, tol)
     geos = tuple(GrassmannGeodesic(repA.frames[i], repB.frames[i])
@@ -957,17 +951,14 @@ def connect_mrank(A: Hypermatrix, B: Hypermatrix,
             return TuckerCurve("core-transform", field, track, frames_a)
         return TuckerCurve("core-lerp", field, ("lerp", core0, core1), frames_a)
 
-    def in_fiber(cores) -> list[bool]:
-        ok = [m >= tol.gap_min for m in _full_core_margins(cores, ranks, tol)]
-        if signed:
-            signs = flattening_det_signs(cores, [i + 1 for i in square_modes])
-            ok = [o and s == want for o, s in zip(ok, signs)]
-        return ok
+    def same_signs(cores) -> list[bool]:
+        return [s == want for s in
+                flattening_det_signs(cores, [i + 1 for i in square_modes])]
 
     segments.extend(_detour_route(
-        segment, _core_in_grid(in_fiber, tol),
+        segment, _core_in_grid(core_stratum, same_signs if signed else None, tol),
         lambda: _random_full_core(ranks, field, square_modes, want, rng, tol),
-        core, target_core, depth))
+        core, target_core, _DETOUR_DEPTH))
     segments.append(TuckerCurve("frame-transport", field,
                                 ("const", target_core),
                                 tuple(("geodesic", g) for g in geos)))
@@ -985,12 +976,9 @@ def _sym_matrix_core_signatures(cores: np.ndarray, r: int) -> list[int]:
     return np.sum(lam > 0, axis=1).tolist()
 
 
-def _sym_matrix_core_signature(core: SymTensor, tol: TolerancePolicy) -> int:
-    return _sym_matrix_core_signatures(core.packed[None], core.dim)[0]
-
-
 def _random_sym_core(r: int, d: int, field: str, signature: int | None,
                      rng: SplitMix64, tol: TolerancePolicy) -> SymTensor:
+    stratum = StratumDescriptor("sym-mrank", field, r, dim=r, order=d)
     for _ in range(200):
         if signature is not None:
             Q = random_orthogonal(r, rng, field)
@@ -1001,15 +989,14 @@ def _random_sym_core(r: int, d: int, field: str, signature: int | None,
         else:
             length = sym_packed_length(r, d)
             core = SymTensor(r, d, field, field_normals(rng, (length,), field))
-        if _full_core_margin(sym_embed(core).data, (r,) * d, tol) >= 1e-3:
+        if kinds.clear_members(stratum, core.packed[None], 1e-3, tol)[0]:
             return core
     raise RetryExhausted("could not draw a usable symmetric midpoint core")
 
 
 def connect_sym_mrank(Sa: SymTensor, Sb: SymTensor, r: int,
                       tol: TolerancePolicy = DEFAULT_TOL,
-                      rng: SplitMix64 | None = None,
-                      depth: int = 8) -> TensorPath:
+                      rng: SplitMix64 | None = None) -> TensorPath:
     """Shared-frame geodesic plus symmetric core interpolation.
 
     r = 1 delegates to the rank-one construction (sign components for even
@@ -1030,8 +1017,8 @@ def connect_sym_mrank(Sa: SymTensor, Sb: SymTensor, r: int,
     frame_b, core_b = sym_tucker_compress(Sb, r, tol)
     signature = None
     if field == REAL and d == 2:
-        sig_a = _sym_matrix_core_signature(core_a, tol)
-        sig_b = _sym_matrix_core_signature(core_b, tol)
+        sig_a, sig_b = _sym_matrix_core_signatures(
+            np.stack([core_a.packed, core_b.packed]), r)
         if sig_a != sig_b:
             raise DifferentComponents(ComponentLabel("signature", sig_a),
                                       ComponentLabel("signature", sig_b))
@@ -1040,6 +1027,7 @@ def connect_sym_mrank(Sa: SymTensor, Sb: SymTensor, r: int,
     twisted = mode_multiply(sym_embed(core_b).data, [geo.twist.conj().T] * d)
     target = sym_extract(Hypermatrix(twisted, field), _LOOSE)
     frame = ("fixed", frame_a.frame)
+    core_stratum = StratumDescriptor("sym-mrank", field, r, dim=r, order=d)
 
     def segment(core0, core1) -> TuckerCurve:
         if signature is not None:
@@ -1049,18 +1037,14 @@ def connect_sym_mrank(Sa: SymTensor, Sb: SymTensor, r: int,
                                eigen_core_track(core0, core1), frame)
         return TuckerCurve("sym-core-lerp", field, ("lerp", core0, core1), frame)
 
-    def in_fiber(cores) -> list[bool]:
-        margins = _full_core_margins(sym_embed_stack(cores, r, d), (r,) * d, tol)
-        ok = [m >= tol.gap_min for m in margins]
-        if signature is not None:
-            ok = [o and sig == signature
-                  for o, sig in zip(ok, _sym_matrix_core_signatures(cores, r))]
-        return ok
+    def same_signature(cores) -> list[bool]:
+        return [sig == signature for sig in _sym_matrix_core_signatures(cores, r)]
 
     segments = _detour_route(
-        segment, _core_in_grid(in_fiber, tol),
+        segment, _core_in_grid(core_stratum,
+                               None if signature is None else same_signature, tol),
         lambda: _random_sym_core(r, d, field, signature, rng, tol),
-        core_a, target, depth)
+        core_a, target, _DETOUR_DEPTH)
     segments.append(TuckerCurve("sym-frame-transport", field,
                                 ("const", target), ("geodesic", geo)))
     stratum = StratumDescriptor("sym-mrank", field, r, dim=Sa.dim, order=d)
@@ -1103,7 +1087,7 @@ def connect_brank3_222(A: Hypermatrix, B: Hypermatrix,
 
 def connect(stratum: StratumDescriptor, a, b, *, witness_a=None,
             witness_b=None, tol: TolerancePolicy = DEFAULT_TOL,
-            rng: SplitMix64 | None = None, depth: int = 8) -> TensorPath:
+            rng: SplitMix64 | None = None) -> TensorPath:
     """Route to the constructor of the stratum's record (see kinds.py);
     witnesses are decomposition objects where the construction needs them.
 
@@ -1112,7 +1096,7 @@ def connect(stratum: StratumDescriptor, a, b, *, witness_a=None,
     that does not rebuild its endpoint would give.
     """
     path = kinds.kind_of(stratum).connect(stratum, a, b, witness_a, witness_b,
-                                          tol, rng, depth)
+                                          tol, rng)
     for t, end in ((0.0, a), (1.0, b)):
         miss = value_diff_norm(path.eval(t), end) / max(end.norm(), 1e-300)
         if not miss <= _ENDPOINT_TOL:
@@ -1160,39 +1144,12 @@ class PathReport:
         return header, rows
 
 
-def _certify_grid(stratum: StratumDescriptor, ts: list, values: list,
-                  reads: list, witnesses: list, tol: TolerancePolicy) -> list:
-    """One SampleCheck per grid sample, the samples with an admissible rank
-    read judged by the stratum's record in one call (see kinds.py)."""
-    checks: list = [None] * len(ts)
-    grid = []
-    for i, mr in enumerate(reads):
-        try:
-            mr.checked()
-        except ToleranceError as exc:
-            checks[i] = SampleCheck(ts[i], False, (), 0.0, None, f"mrank failed: {exc}")
-            continue
-        grid.append(i)
-    if not grid:
-        return checks
-    try:
-        verdicts = kinds.kind_of(stratum).certify(
-            stratum, [values[i] for i in grid], [reads[i].ranks for i in grid],
-            [witnesses[i] for i in grid], tol)
-    except (ToleranceError, DegenerateError, UnsupportedStratumError) as exc:
-        verdicts = [(False, None, str(exc))] * len(grid)
-    for i, (ok, label, note) in zip(grid, verdicts):
-        checks[i] = SampleCheck(ts[i], ok, reads[i].ranks, float(min(reads[i].margins)),
-                                None if label is None else str(label), note)
-    return checks
-
-
 def path_verify(path: TensorPath, K: int | None = None,
                 tol: TolerancePolicy = DEFAULT_TOL) -> PathReport:
-    """Evaluate on a Chebyshev grid plus endpoints and joints, read every
-    sample's multilinear rank in one batch, certify the whole grid for the
-    target stratum in one call of its record; check joint continuity and
-    classifier constancy.
+    """Evaluate on a Chebyshev grid plus endpoints and joints and certify
+    the whole grid for the target stratum in one call of its record, which
+    reads every sample's flattening ranks and applies the membership rule
+    (see kinds.py); check joint continuity and classifier constancy.
     Failures become report content, never exceptions. A path that holds a
     report for this K and tol, as connect's one-segment term-sum paths do,
     gets that report back."""
@@ -1202,18 +1159,22 @@ def path_verify(path: TensorPath, K: int | None = None,
         return path._verified[2]
     ts = sorted(set([0.0, 1.0] + chebyshev_grid(K) + path.joints()))
     stack = path.values(ts)
-    values = [path.point(row) for row in stack]
-    if isinstance(values[0], SymTensor):
-        reads = mrank_stack(sym_embed_stack(stack, values[0].dim, values[0].order), tol)
-    else:
-        reads = mrank_stack(stack, tol)
-    samples = _certify_grid(path.stratum, ts, values, reads, path.witnesses(ts), tol)
+    try:
+        verdicts = kinds.kind_of(path.stratum).certify(
+            path.stratum, stack, path.witnesses(ts), tol)
+    except UnsupportedStratumError as exc:
+        verdicts = [(False, None, None, str(exc))] * len(ts)
+    samples = [SampleCheck(t, ok, () if read is None else read.ranks,
+                           0.0 if read is None else float(min(read.margins)),
+                           None if label is None else str(label), note)
+               for t, (ok, read, label, note) in zip(ts, verdicts)]
     passed = all(s.ok for s in samples)
     exact = all(s.note != "unverifiable-exactly" for s in samples)
     labels = {s.label for s in samples if s.label is not None}
     if len(labels) > 1:
         passed = False
-    scale = max(values[0].norm(), values[-1].norm(), 1e-300)  # t = 0 and t = 1
+    # t = 0 and t = 1
+    scale = max(path.point(stack[0]).norm(), path.point(stack[-1]).norm(), 1e-300)
     joint_defect = 0.0
     n = len(path.segments)
     for k in range(1, n):

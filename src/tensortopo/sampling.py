@@ -1,17 +1,16 @@
 """Rejection samplers for rank strata, driven by an explicit SplitMix64 state.
 
 Each sampler draws raw Gaussian candidates for its stratum and hands them to
-one redraw loop, ``_certified``. It keeps the first candidate whose
-multilinear rank read is admissible with every margin at least gap_min and
-which passes the membership rule of the stratum's kind record
-(``kinds.Kind.member``, the rule ``path_verify`` applies to a path's whole
-grid; a candidate is a stack of one, as ``mrank`` is ``mrank_stack([A])[0]``),
-and redraws otherwise, at most 1000 times. Most strata accept nearly every
-draw, but not all: a sum of three real Gaussian rank-one terms on 2x2x2
-lands in the border-rank-three region only about one draw in ten, so a cap
-of 100 gave up on that valid stratum about once in 30000 draws. At 1000 the
-chance of that is below 1e-40; exhaustion signals bad parameters, not bad
-luck.
+one redraw loop, ``_certified``. It keeps the first candidate that the
+stratum's kind record judges a member with every margin at least gap_min,
+and redraws otherwise, at most 1000 times. The rank read lives in the
+record (``kinds.Kind.judge``, the read and membership rule that
+``path_verify`` applies to a path's whole grid; a candidate is a stack of
+one). Most strata accept nearly every draw, but not all: a sum of three
+real Gaussian rank-one terms on 2x2x2 lands in the border-rank-three region
+only about one draw in ten, so a cap of 100 gave up on that valid stratum
+about once in 30000 draws. At 1000 the chance of that is below 1e-40;
+exhaustion signals bad parameters, not bad luck.
 """
 
 from __future__ import annotations
@@ -21,10 +20,10 @@ import math
 import numpy as np
 
 from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, RankOneFactors, REAL,
-                   SymRankDecomposition, SymTensor, TolerancePolicy, dense,
-                   mode_multiply, mrank, mrank_admissible, outer_product,
-                   sym_embed, sym_extract, sym_packed_length)
-from .errors import RetryExhausted, TensorTopoError
+                   SymRankDecomposition, SymTensor, TolerancePolicy,
+                   mode_multiply, mrank_admissible, outer_product, sym_embed,
+                   sym_extract, sym_packed_length)
+from .errors import RetryExhausted
 from .geometry import GrassmannPoint, TuckerRep, tucker_expand
 from .rng import SplitMix64
 from .stratum import StratumDescriptor
@@ -77,15 +76,13 @@ def _certified(stratum: StratumDescriptor, candidate, tol: TolerancePolicy):
     rule = kinds.kind_of(stratum)
     for _ in range(_MAX_REDRAWS + 1):
         drawn = candidate()
-        if drawn is None or not rule.screen(stratum, [drawn[0]], tol)[0]:
+        if drawn is None:
             continue
-        try:
-            mr = mrank(dense(drawn[0]), tol)
-            if (min(mr.margins) >= tol.gap_min
-                    and rule.member(stratum, [drawn[0]], [mr.ranks], tol)[0][0]):
-                return drawn
-        except TensorTopoError:
-            continue
+        value = drawn[0]
+        stack = (value.packed if isinstance(value, SymTensor) else value.data)[None]
+        if (rule.screen(stratum, stack, tol)[0]
+                and kinds.clear_members(stratum, stack, tol.gap_min, tol)[0]):
+            return drawn
     raise RetryExhausted(f"could not certify a sample of {stratum} "
                          f"after {_MAX_REDRAWS} redraws")
 

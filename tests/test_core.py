@@ -224,7 +224,7 @@ def test_mrank_stack_matches_a_per_tensor_loop(text):
     for n in shape:
         one = np.multiply.outer(one, rng.normals((n,)))
     tensors += [Hypermatrix(one, field), Hypermatrix(np.zeros(shape), field)]
-    for A, read in zip(tensors, mrank_stack(tensors)):
+    for A, read in zip(tensors, mrank_stack(np.stack([A.data for A in tensors]))):
         loop = [_scalar_rank_rule(flatten(A, m)) for m in range(1, A.order + 1)]
         assert read.ranks == tuple(r for r, _m in loop)
         assert read.margins == tuple(m for _r, m in loop)
@@ -237,7 +237,7 @@ def test_checked_raises_on_an_inadmissible_read():
     with pytest.raises(ToleranceError, match="inadmissible multilinear rank"):
         bad.checked()
     zero = Hypermatrix(np.zeros((2, 2, 2)), REAL)
-    assert mrank_stack([zero])[0].checked().ranks == (0, 0, 0)
+    assert mrank_stack(zero.data[None])[0].checked().ranks == (0, 0, 0)
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])

@@ -9,12 +9,15 @@ import tensortopo.kinds as kinds_module
 import tensortopo.paths as paths_module
 from tensortopo import (COMPLEX, REAL, Hypermatrix, SplitMix64, connect,
                         parse_stratum, path_verify, random_orthogonal,
-                        sample_rank_r)
+                        sample_rank_r, sample_sym_rank_r)
 from tensortopo.certify import is_rank_one
 from tensortopo.classifiers import classify, det_sign_mrank, square_mode
-from tensortopo.core import DEFAULT_TOL, mode_multiply, mrank_stack
+from tensortopo.core import (DEFAULT_TOL, mode_multiply, mrank_stack,
+                             sym_embed_stack, sym_mrank_stack,
+                             sym_packed_length, sym_power_stack)
 from tensortopo.kinds import kind_of
 from tensortopo.paths import TensorPath
+from tensortopo.sampling import field_normals
 
 
 def _near_rank_one(rng, shape, field, ratio):
@@ -37,8 +40,9 @@ def test_rank_one_rule_is_the_rank_read():
         values = [Hypermatrix(np.zeros((3, 4, 5)), field)]
         values += [_near_rank_one(rng, (3, 4, 5), field, ratio)
                    for ratio in np.geomspace(5e-10, 5e-9, 60)]
-        ranks = [mr.ranks for mr in mrank_stack(values)]
-        rule = [ok for ok, _note in kind_of(st).member(st, values, ranks, DEFAULT_TOL)]
+        stack = np.stack([A.data for A in values])
+        ranks = [mr.ranks for mr in mrank_stack(stack)]
+        rule = [ok for ok, _note in kind_of(st).member(st, stack, ranks, DEFAULT_TOL)]
         assert rule == [is_rank_one(A)[0] for A in values]
         assert rule[0] is False and True in rule[1:] and False in rule[1:]
 
@@ -93,6 +97,43 @@ def test_path_verify_reads_a_rank_one_grid_without_is_rank_one(monkeypatch):
     report = path_verify(path)
     assert report.passed
     assert calls == []
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_symmetric_read_is_the_full_tensor_read(field):
+    """One SVD of the mode-1 flattening reads a packed stack, ranks and
+    margins bit for bit as mrank_stack reads the full tensors: Gaussian
+    rows, the zero row, rank-one and rank-two rows, and rank-one rows plus
+    a second power whose weight straddles every threshold."""
+    rng = SplitMix64(307)
+    n = 3
+    for d in (2, 3, 4):
+        powers = sym_power_stack(field_normals(rng, (8, n), field), d, 1.0, field)
+        weights = np.geomspace(1e-13, 1e-5, 9)[:, None]
+        packed = np.concatenate([
+            field_normals(rng, (4, sym_packed_length(n, d)), field),
+            np.zeros_like(powers[:1]), powers[:2], powers[2:4] + powers[4:6],
+            powers[6] + weights * powers[7]])
+        want = mrank_stack(sym_embed_stack(packed, n, d))
+        got = sym_mrank_stack(packed, n, d)
+        assert [(mr.ranks, mr.margins) for mr in got] == [
+            (mr.ranks, mr.margins) for mr in want]
+        assert {mr.ranks for mr in got} >= {(0,) * d, (1,) * d, (2,) * d, (3,) * d}
+
+
+def test_path_verify_reads_a_symmetric_grid_with_one_svd(monkeypatch):
+    st = parse_stratum("sym-rank:d=4;n=4;r=2;field=real")
+    rng = SplitMix64(308)
+    path = _fresh(st, sample_sym_rank_r(4, 4, 2, signature=1, rng=rng)[0],
+                  sample_sym_rank_r(4, 4, 2, signature=1, rng=rng)[0])
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, *args, **kwargs: calls.append(a.shape)
+                        or svd(a, *args, **kwargs))
+    report = path_verify(path)
+    assert report.passed
+    assert calls == [(len(report.samples), 4, 64)]
 
 
 @pytest.mark.parametrize("text", ["mrank:r=4,2,2;shape=4,2,2;field=real",

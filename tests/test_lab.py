@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,9 @@ from tensortopo import (DEFAULT_TOL, REAL, SplitMix64, census, classify,
                         expected_component_count, identifiability_experiment,
                         monodromy_probe, pairwise_connect_experiment,
                         parse_stratum, strip_runtime)
+from tensortopo.io import dumps_canonical
 from tensortopo.kinds import kind_of
+from tensortopo.paths import _random_sym_core
 
 CENSUS_KEYS = {"stratum", "seed", "trials", "labels",
                "cross_label_connections", "verdict", "runtime_ms"}
@@ -118,6 +122,32 @@ def test_pairwise_experiment_sym_rank():
                         "worst_endpoint_defect", "failures", "runtime_ms"}
 
 
+# sha256 of the canonical pairwise report (runtime_ms stripped) and of
+# twenty midpoint cores drawn from SplitMix64(5): the symmetric core checks
+# above order 2, in the connector's pre-filter, its midpoint draws and
+# path_verify's rank read
+SYM_MRANK_ORDER_3_PINS = {
+    "complex": ("47744b2f05fa24faf4f4ee7b77aa583f26c87593b117040af864fb8d64496cbd",
+                "a99b5dbc933cea574c38cb20e4a66129e6425c770e916957576c9777d1644dfd"),
+    "real": ("85d1d9406fd82f71ebce7f3476a0ccaf3139bb31821e939debad85d0a390823a",
+             "8d2511a129cf0ed31c2dfe2c02a565640f0efdfcc8feed4a94e83d65a25bd485"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(SYM_MRANK_ORDER_3_PINS))
+def test_sym_mrank_order_three_reports_are_pinned(field):
+    report_pin, cores_pin = SYM_MRANK_ORDER_3_PINS[field]
+    st = parse_stratum(f"sym-mrank:d=3;n=4;r=2;field={field}")
+    report = pairwise_connect_experiment(st, 8, 16, seed=4)
+    assert report.passes == 8
+    doc = dumps_canonical(strip_runtime(report.to_json()))
+    assert hashlib.sha256(doc.encode()).hexdigest() == report_pin
+    rng = SplitMix64(5)
+    cores = np.stack([_random_sym_core(2, 3, field, None, rng, DEFAULT_TOL).packed
+                      for _ in range(20)])
+    assert hashlib.sha256(cores.tobytes()).hexdigest() == cores_pin
+
+
 def test_pairwise_rank2_222_real_passes_every_pair():
     # pairs 1 and 51 failed path_verify while the connector accepted a
     # segment by its flattening ranks alone: classify_222 rejects some of
@@ -166,6 +196,21 @@ def test_monodromy_odd_exponent_flips_in_stratum():
     doc = report.to_json()
     assert set(doc) == {"r", "n", "seed", "modes", "flip_observed", "note",
                         "runtime_ms"}
+
+
+@pytest.mark.parametrize("r,n,seed,pin", [
+    ((4, 2, 2), (4, 3, 3), 12,
+     "c7afb5bcedd7fe61cb09142d1a4fab1c732a475688ba3526dd2ba9424f9f62e0"),
+    ((6, 2, 3), (6, 3, 3), 13,
+     "1c2ac1c943617a3d7ef1d7ba6cafc8b01ca07ac76a11d7746e750b27ed06aaa4"),
+    ((4, 2, 2), (4, 3, 3), 3,
+     "434a9f62d14d01b66138d8755235edcdb7e1b110baa6a03ed7a0b18f7bdc8291"),
+])
+def test_monodromy_reports_are_pinned(r, n, seed, pin):
+    """sha256 of the canonical probe report, runtime_ms stripped."""
+    report = monodromy_probe(r, n, seed=seed, samples=16)
+    doc = dumps_canonical(strip_runtime(report.to_json()))
+    assert hashlib.sha256(doc.encode()).hexdigest() == pin
 
 
 @pytest.mark.parametrize("r,n", [

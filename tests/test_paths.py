@@ -3,7 +3,6 @@ import hashlib
 import numpy as np
 import pytest
 
-import tensortopo.paths as paths_module
 from tensortopo import (COMPLEX, REAL, DifferentComponents, Hypermatrix,
                         SplitMix64, SymTensor, TolerancePolicy, ToleranceError,
                         UnsupportedStratumError, census, connect,
@@ -17,7 +16,7 @@ from tensortopo import (COMPLEX, REAL, DifferentComponents, Hypermatrix,
 from tensortopo.classifiers import classify, classify_brank3_222
 from tensortopo.core import RankOneFactors
 from tensortopo.io import dumps_canonical
-from tensortopo.kinds import kind_of
+from tensortopo.kinds import Kind, kind_of
 from tensortopo.paths import (TensorPath, TuckerCurve, chebyshev_grid,
                               eigen_core_track, gl_core_track,
                               value_diff_norm)
@@ -700,10 +699,10 @@ def test_connect_hands_path_verify_its_report(text, monkeypatch):
     path = connect(st, a, b, rng=SplitMix64(238))
     assert len(path.segments) == 1
     reads = []
-    stack = paths_module.mrank_stack
-    monkeypatch.setattr(paths_module, "mrank_stack",
-                        lambda values, tol: reads.append(len(values))
-                        or stack(values, tol))
+    judge = Kind.judge
+    monkeypatch.setattr(Kind, "judge",
+                        lambda rule, stratum, stack, tol: reads.append(len(stack))
+                        or judge(rule, stratum, stack, tol))
     report = path_verify(path)
     assert reads == []  # the connector's report, not a second certification
     fresh = path_verify(TensorPath(path.segments, path.stratum))
