@@ -16,8 +16,7 @@ from .certify import classify_222, is_rank_one, rank2_decompose
 from .classifiers import classify
 from .core import DEFAULT_TOL, SymTensor, TolerancePolicy, mrank, sym_embed
 from .errors import (DegenerateError, DifferentComponents, RetryExhausted,
-                     StratumSyntaxError, TensorTopoError, ToleranceError,
-                     UnsupportedStratumError)
+                     TensorTopoError, ToleranceError)
 from .io import atomic_write_text, dumps_canonical, load_tensor, write_csv
 from .lab import census, monodromy_probe, run_verify_suite, strip_runtime
 from .paths import connect, path_verify
@@ -213,17 +212,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except StratumSyntaxError as exc:
-        print(f"{_PROG}: {exc}", file=sys.stderr)
-        return 1
     except json.JSONDecodeError as exc:
         print(f"{_PROG}: malformed tensor file: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:
         print(f"{_PROG}: {exc.strerror}: {exc.filename}", file=sys.stderr)
-        return 1
-    except (UnsupportedStratumError, ToleranceError, DegenerateError) as exc:
-        print(f"{_PROG}: {exc}", file=sys.stderr)
         return 1
     except RetryExhausted as exc:
         print(f"{_PROG}: {exc}", file=sys.stderr)

@@ -40,6 +40,7 @@ class TolerancePolicy:
 
 
 DEFAULT_TOL = TolerancePolicy()
+LOOSE_TOL = TolerancePolicy(eps_rel=1e-8)  # symmetry of tensors rebuilt by products
 
 
 def _dtype_for(field: str):

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import (DEFAULT_TOL, Hypermatrix, SymTensor, TolerancePolicy,
-                   _rank_read, fix_phase, flatten_stack, mode_multiply,
-                   mode_multiply_stack, sym_embed, sym_extract)
+from .core import (DEFAULT_TOL, LOOSE_TOL, Hypermatrix, SymTensor,
+                   TolerancePolicy, _rank_read, fix_phase, flatten_stack,
+                   mode_multiply, mode_multiply_stack, sym_embed, sym_extract)
 from .errors import ToleranceError, caught
 
 _FRAME_ORTHO_TOL = 1e-12
@@ -280,8 +280,7 @@ def sym_tucker_compress(S: SymTensor, r: int,
 
 def sym_tucker_expand(frame: GrassmannPoint, core: SymTensor) -> SymTensor:
     full = mode_multiply(sym_embed(core).data, [frame.frame] * core.order)
-    return sym_extract(Hypermatrix(full, core.field),
-                       TolerancePolicy(eps_rel=1e-8))
+    return sym_extract(Hypermatrix(full, core.field), LOOSE_TOL)
 
 
 def so_rotation_path(Q: np.ndarray):

@@ -25,14 +25,15 @@ global names at call time, so a wrapper installed here sees every call.
 
 from __future__ import annotations
 
+import math
+
 from .certify import hyperdet_signs, rank2_certify
 from .classifiers import (SINGLE, _sym_matrix_signature, _sym_rank2_witness,
                           classify_brank3_222, det_sign_mrank,
                           mrank_saturation, sign_label, square_mode,
                           sym_sign_rank1, sym_signature)
-from .core import (COMPLEX, REAL, Hypermatrix, SymRankDecomposition,
-                   SymTensor, flattening_det_signs, mrank_stack,
-                   sym_mrank_stack)
+from .core import (COMPLEX, REAL, SymRankDecomposition, flattening_det_signs,
+                   mrank_stack, sym_mrank_stack)
 from .errors import (DegenerateError, ToleranceError, UnsupportedStratumError,
                      caught)
 from .paths import (_sym_rank1_witness, connect_brank3_222, connect_mrank,
@@ -43,8 +44,9 @@ from .sampling import (expected_generic_mrank, sample_fixed_mrank,
 
 class Kind:
     """Answers shared by every kind, which supplies draw, invariant,
-    real_components, connect and member. Over C every stratum is connected,
-    and a connected stratum has the one label ``single``.
+    real_components, connect and member. Over C a stratum is connected
+    unless its kind claims no count, and a connected stratum has the one
+    label ``single``.
 
     ``draw(stratum, rng, tol)`` returns ``(value, witness)``. A witness is a
     decomposition that ``classify`` and ``connect`` take in place of the
@@ -73,9 +75,7 @@ class Kind:
     def labelled(self, stratum, row, witness):
         """What ``invariant`` labels at a path sample: the value the row of
         the grid stands for."""
-        if stratum.dim is None:
-            return Hypermatrix(row, stratum.field)
-        return SymTensor(stratum.dim, stratum.order, stratum.field, row)
+        return stratum.value(row)
 
     def judge(self, stratum, stack, tol) -> list:
         """One (ok, read, note) per value of a stack of the stratum's
@@ -128,8 +128,17 @@ class Rank(Kind):
         return A, None
 
     def invariant(self, stratum, A, tol):
-        raise UnsupportedStratumError(
-            f"no component classifier for real rank-{stratum.rank} strata")
+        raise UnsupportedStratumError(f"no component classifier for "
+                                      f"{stratum.field} rank-{stratum.rank} strata")
+
+    def components(self, stratum):
+        # over C one component is proved up to the generic rank, which is at
+        # least the dimension count prod n_i / (sum n_i - d + 1), rounded up
+        n = stratum.shape
+        if (stratum.field == COMPLEX and stratum.rank
+                > math.ceil(math.prod(n) / (sum(n) - len(n) + 1))):
+            return None
+        return super().components(stratum)
 
     def real_components(self, stratum):
         return 1 if stratum.rank == 1 else None
@@ -228,7 +237,7 @@ class SymRank(Kind):
 
     def labelled(self, stratum, row, witness):
         # a term-sum path's witness gives the signature without decomposing S
-        return super().labelled(stratum, row, None) if witness is None else witness
+        return stratum.value(row) if witness is None else witness
 
 
 class MRank(Kind):

@@ -141,34 +141,29 @@ def census(stratum: StratumDescriptor, N: int, seed: int,
         groups.setdefault(key, []).append((row.index, value, witness))
     label_counts = sorted((lab, len(members)) for lab, members in groups.items())
 
+    # (within a label?, rep, rep): each group's chain in label order, then
+    # the first representatives of every two labels
+    ordered = sorted(groups)
+    pairs = []
+    for lab in ordered:
+        reps = groups[lab][:_REP_BUDGET]
+        pairs += [(True, a, b) for a, b in zip(reps, reps[1:])]
+    pairs += [(False, groups[lab][0], groups[other][0])
+              for i, lab in enumerate(ordered) for other in ordered[i + 1:]]
     within_attempts = within_passes = 0
     cross_attempts = cross_success = 0
     contradiction = False
-    pair_index = 0
-    for lab in sorted(groups):
-        reps = groups[lab][:min(N, _REP_BUDGET)]
-        for (_, a, wa), (_, b, wb) in zip(reps, reps[1:]):
-            rng = SplitMix64(derive_seed(seed, N + pair_index))
-            pair_index += 1
-            status, _path, _report = _connect_and_verify(
-                stratum, a, b, wa, wb, rng, K, tol)
+    for pair_index, (within, (_, a, wa), (_, b, wb)) in enumerate(pairs):
+        rng = SplitMix64(derive_seed(seed, N + pair_index))
+        status, _path, _report = _connect_and_verify(
+            stratum, a, b, wa, wb, rng, K, tol)
+        if within:
             within_attempts += 1
-            if status == "pass":
-                within_passes += 1
-            elif status == "different-components":
-                contradiction = True
-    ordered = sorted(groups)
-    for i in range(len(ordered)):
-        for j in range(i + 1, len(ordered)):
-            a = groups[ordered[i]][0]
-            b = groups[ordered[j]][0]
-            rng = SplitMix64(derive_seed(seed, N + pair_index))
-            pair_index += 1
-            status, _path, _report = _connect_and_verify(
-                stratum, a[1], b[1], a[2], b[2], rng, K, tol)
+            within_passes += status == "pass"
+            contradiction |= status == "different-components"
+        else:
             cross_attempts += 1
-            if status == "pass":
-                cross_success += 1
+            cross_success += status == "pass"
 
     expected = expected_component_count(stratum)
     if cross_success > 0 or contradiction:

@@ -6,10 +6,15 @@ through decompositions (rank and symmetric rank), Tucker curves moving a
 core and its frames (multilinear rank), and the conjugate pair (border rank
 three on 2x2x2).
 
-A segment evaluates a whole grid of parameters in one ``values`` call, which
-returns one stack: (K, ...) dense values, or (K, L) packed rows of symmetric
-ones. ``value(s)`` is its one-point case, and every row has the bits the
-one-point call gives it. path_verify evaluates its grid as one stack
+A segment is built from tracks, curves that evaluate themselves (``Track``):
+``const``, ``lerp``, ``detour`` and ``phase`` for factors, scalars and cores,
+``gl_core_track`` and ``eigen_core_track`` for cores that keep a determinant
+sign or a signature, and ``fixed_frame`` and ``moving_frame`` for Tucker
+frames. A segment evaluates a whole grid of parameters in one ``values``
+call, which returns one stack: (K, ...) dense values, or (K, L) packed rows
+of symmetric ones. Every row has the bits the one-point call ``values([s])``
+gives it, and the path's stratum turns a row into a tensor
+(``StratumDescriptor.value``). path_verify evaluates its grid as one stack
 (``TensorPath.values``), and the multilinear-rank connectors read a core
 path's grid of cores as one stack too.
 
@@ -32,13 +37,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .certify import brank3_conj_pair, is_rank_one, rank2_decompose
 from .classifiers import (ComponentLabel, classify_brank3_222, det_sign_mrank,
                           sign_label, square_mode, mrank_saturation)
-from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, REAL,
+from .core import (COMPLEX, DEFAULT_TOL, LOOSE_TOL, Hypermatrix, REAL,
                    SymRankDecomposition, SymTensor, TolerancePolicy,
                    _dtype_for, flattening_det_signs, mode_multiply,
                    mode_multiply_stack, outer_stack, row_norms, sym_embed,
@@ -55,7 +61,6 @@ from .sampling import (field_normals, random_orthogonal, sample_rank_r,
                        sample_sym_rank_r)
 from .stratum import StratumDescriptor, format_stratum
 
-_LOOSE = TolerancePolicy(eps_rel=1e-8)
 _SAME = 1e-13          # below this, two unit vectors count as the same point
 _ANTIPODAL = 1e-9      # |<a,b> + 1| below this forces a detour
 _ENDPOINT_TOL = 1e-10  # relative miss allowed between a path end and its input
@@ -66,35 +71,77 @@ def _lerp(a, b, s):
     return (1.0 - s) * a + s * b
 
 
-def _track_values(track: tuple, ss: np.ndarray) -> np.ndarray:
-    """Points of a vector or scalar track at every s of the 1-D array
-    ``ss``, stacked along a first axis. A track is constant, straight, a
-    two-leg detour through a via point, or a phase rotation
-    c * exp(i angle s); the phase is taken one s at a time with cmath, whose
-    exp numpy's array exp does not reproduce."""
-    tag = track[0]
-    if tag == "phase":
-        return np.array([track[1] * cmath.exp(1j * _lerp(0.0, track[2], s))
-                         for s in ss.tolist()])
-    w = ss.reshape((-1,) + (1,) * np.ndim(track[1]))
-    if tag == "const":
-        return np.broadcast_to(track[1], ss.shape + np.shape(track[1]))
-    if tag == "lerp":
-        return _lerp(track[1], track[2], w)
-    if tag == "detour":
-        a, v, b = track[1], track[2], track[3]
-        return np.where(w < 0.5, _lerp(a, v, 2.0 * w), _lerp(v, b, 2.0 * w - 1.0))
-    raise ValueError(f"unknown track {tag!r}")
+def _column(ss: np.ndarray, x) -> np.ndarray:
+    """``ss`` shaped to scale a stack of points shaped like x."""
+    return ss.reshape((-1,) + (1,) * np.ndim(x))
+
+
+def _data(x):
+    """The array a point moves as: a SymTensor core as its packed row."""
+    return x.packed if isinstance(x, SymTensor) else x
+
+
+@dataclass(frozen=True, eq=False)
+class Track:
+    """A curve s -> point on [0, 1] that evaluates itself: ``at(ss)`` gives
+    its points at every s of a 1-D float array, stacked along a first axis
+    (a fixed frame gives its one matrix), and a path document prints
+    ``[tag, *parts]``."""
+
+    tag: str
+    parts: tuple
+    at: Callable[[np.ndarray], np.ndarray]
+
+
+def const(x) -> Track:
+    """A vector, scalar or core that does not move."""
+    data = _data(x)
+    return Track("const", (x,),
+                 lambda ss: np.broadcast_to(data, ss.shape + np.shape(data)))
+
+
+def lerp(a, b) -> Track:
+    """The straight line from a to b."""
+    x, y = _data(a), _data(b)
+    return Track("lerp", (a, b), lambda ss: _lerp(x, y, _column(ss, x)))
+
+
+def detour(a, via, b) -> Track:
+    """Straight legs from a to ``via`` over s < 1/2 and on to b."""
+
+    def at(ss):
+        w = _column(ss, a)
+        return np.where(w < 0.5, _lerp(a, via, 2.0 * w),
+                        _lerp(via, b, 2.0 * w - 1.0))
+    return Track("detour", (a, via, b), at)
+
+
+def phase(c, angle: float) -> Track:
+    """The rotation c * exp(i angle s), taken one s at a time with cmath,
+    whose exp numpy's array exp does not reproduce."""
+    return Track("phase", (c, angle), lambda ss: np.array(
+        [c * cmath.exp(1j * _lerp(0.0, angle, s)) for s in ss.tolist()]))
+
+
+def fixed_frame(F: np.ndarray) -> Track:
+    return Track("fixed", (F,), lambda ss: F)
+
+
+def moving_frame(tag: str, curve) -> Track:
+    """A GrassmannGeodesic ("geodesic") or OrientationLoop ("loop"); a path
+    document gives its end frames."""
+    return Track(tag, (curve,), curve.frame)
 
 
 def _track_json(x, field: str):
-    """Tracks as JSON lists [tag, point, ...]; a frame curve becomes its end
-    frames, and interpolator closures, fixed by their end points, are left
-    out."""
+    """Tracks as JSON lists [tag, part, ...]; a frame curve becomes its end
+    frames."""
+    if isinstance(x, Track):
+        return [x.tag] + _track_json(x.parts, field)
     if x is None or isinstance(x, (str, int)):
         return x
     if isinstance(x, tuple):
-        return [_track_json(v, field) for v in x if not callable(v)]
+        return [_track_json(v, field) for v in x]
     if isinstance(x, np.ndarray):
         return array_to_json(x)
     if isinstance(x, SymTensor):
@@ -113,12 +160,10 @@ def _detour_via(a: np.ndarray) -> np.ndarray:
 
 
 class _Segment:
-    """What the three segment families share: ``value`` and ``witness`` are
-    the one-point cases of ``values`` and ``witnesses``, and a family
-    without witnesses has None at every s."""
-
-    def value(self, s: float):
-        return self.point(self.values([s])[0])
+    """What the three segment families share: a stack of values from
+    ``values(ss)``, whose rows the path's stratum turns into tensors
+    (StratumDescriptor.value), and ``witness``, the one-point case of
+    ``witnesses``; a family without witnesses has None at every s."""
 
     def witnesses(self, ss) -> list:
         return [None] * len(ss)
@@ -134,7 +179,8 @@ class TermSumCurve(_Segment):
     A dense term is (scalar track, per-mode vector tracks) and traces
     c(s) f_1(s) (x) ... (x) f_d(s); a rank-one segment is a one-term sum.
     With ``order`` set the curve is symmetric: a term is (sign, vector track)
-    and traces sign * w(s)^(x order).
+    and traces sign * w(s)^(x order). Tracks come from ``const``, ``lerp``,
+    ``detour`` and ``phase``.
     """
 
     def __init__(self, kind: str, field: str, terms: tuple,
@@ -152,23 +198,15 @@ class TermSumCurve(_Segment):
         total = None
         for head, tracks in self.terms:
             if self.order is None:
-                factors = [np.asarray(_track_values(tr, ss), dtype=dtype)
-                           for tr in tracks]
-                scalar = _track_values(head, ss)
+                factors = [np.asarray(tr.at(ss), dtype=dtype) for tr in tracks]
+                scalar = head.at(ss)
                 part = outer_stack(factors) * scalar.reshape(
                     scalar.shape + (1,) * len(factors))
             else:
-                part = sym_power_stack(_track_values(tracks, ss), self.order,
-                                       head, self.field)
+                part = sym_power_stack(tracks.at(ss), self.order, head,
+                                       self.field)
             total = part if total is None else total + part
         return total.astype(dtype, copy=False)
-
-    def point(self, row: np.ndarray):
-        """The value one row of ``values`` stands for."""
-        if self.order is None:
-            return Hypermatrix(row, self.field)
-        dim = len(self.terms[0][1][1])  # a track starts with its first point
-        return SymTensor(dim, self.order, self.field, row)
 
     def witnesses(self, ss) -> list:
         """The symmetric sum at every s of ``ss`` as a decomposition, whose
@@ -176,7 +214,7 @@ class TermSumCurve(_Segment):
         if self.order is None:
             return super().witnesses(ss)
         ss = np.asarray(ss, dtype=np.float64)
-        ws = [_track_values(track, ss) for _sign, track in self.terms]
+        ws = [track.at(ss) for _sign, track in self.terms]
         norms = [row_norms(W).tolist() for W in ws]
         return [SymRankDecomposition(
             self.order, tuple(sign * nw[k] ** self.order
@@ -190,7 +228,7 @@ class TermSumCurve(_Segment):
 
 
 def gl_core_track(core0: np.ndarray, core1: np.ndarray, ranks: tuple,
-                  mode: int) -> tuple:
+                  mode: int) -> Track:
     """Core track whose mode flattening follows an SVD interpolation.
 
     The flattening stays invertible with constant determinant sign by
@@ -199,10 +237,16 @@ def gl_core_track(core0: np.ndarray, core1: np.ndarray, ranks: tuple,
     n = core0.shape[mode]
     interp = gl_interpolator(np.moveaxis(core0, mode, 0).reshape(n, -1),
                              np.moveaxis(core1, mode, 0).reshape(n, -1))
-    return ("gl", core0, core1, interp, tuple(ranks), mode)
+    ranks = tuple(ranks)
+    rest = tuple(r for k, r in enumerate(ranks) if k != mode)
+
+    def at(ss):
+        M = interp(ss).reshape(ss.shape + (ranks[mode],) + rest)
+        return np.moveaxis(M, 1, mode + 1)
+    return Track("gl", (core0, core1, ranks, mode), at)
 
 
-def eigen_core_track(core0: SymTensor, core1: SymTensor) -> tuple:
+def eigen_core_track(core0: SymTensor, core1: SymTensor) -> Track:
     """Order-2 symmetric core track through a shared eigenvector rotation.
 
     Eigenvalues are interpolated slotwise after sorting, so with equal
@@ -216,62 +260,38 @@ def eigen_core_track(core0: SymTensor, core1: SymTensor) -> tuple:
     if np.linalg.det(Q0) * np.linalg.det(Q1) < 0:
         Q1 = Q1.copy()
         Q1[:, -1] = -Q1[:, -1]  # leaves Q1 diag(w1) Q1^T unchanged
-    return ("eigen", core0, core1, lam0, lam1, orthogonal_interpolator(Q0, Q1))
+    rotation = orthogonal_interpolator(Q0, Q1)
 
-
-def _core_values(track: tuple, ss: np.ndarray) -> np.ndarray:
-    """A core track at every s of ``ss``: (K, *ranks) dense cores, or (K, L)
-    packed rows of symmetric ones."""
-    tag = track[0]
-    core0 = track[1]
-    packed = isinstance(core0, SymTensor)
-    start = core0.packed if packed else core0
-    w = ss.reshape((-1,) + (1,) * start.ndim)
-    if tag == "const":
-        return np.broadcast_to(start, ss.shape + start.shape)
-    if tag == "lerp":
-        return _lerp(start, track[2].packed if packed else track[2], w)
-    if tag == "gl":
-        interp, ranks, mode = track[3:]
-        rest = tuple(r for k, r in enumerate(ranks) if k != mode)
-        M = interp(ss).reshape(ss.shape + (ranks[mode],) + rest)
-        return np.moveaxis(M, 1, mode + 1)
-    if tag == "eigen":
-        lam0, lam1, q = track[3:]
-        Q = q(ss)
-        M = (Q * _lerp(lam0, lam1, w)[:, None, :]) @ np.swapaxes(Q, 1, 2)
-        return sym_extract_stack(M, _LOOSE)
-    raise ValueError(f"unknown core track {tag!r}")
-
-
-def _frame_values(track: tuple | None, ss: np.ndarray):
-    """A frame track at every s of ``ss``: None, one fixed frame, or a
-    (K, n, r) stack."""
-    if track is None:
-        return None
-    return track[1] if track[0] == "fixed" else track[1].frame(ss)
+    def at(ss):
+        Q = rotation(ss)
+        lam = _lerp(lam0, lam1, _column(ss, lam0))
+        return sym_extract_stack((Q * lam[:, None, :]) @ np.swapaxes(Q, 1, 2),
+                                 LOOSE_TOL)
+    return Track("eigen", (core0, core1, lam0, lam1), at)
 
 
 class TuckerCurve(_Segment):
     """A core track carried by per-mode frame tracks: the segment family of
     multilinear-rank paths, A(s) = C(s) x_1 F_1(s) ... x_d F_d(s).
 
-    Core tracks: ("const", C), ("lerp", C0, C1), ``gl_core_track`` and
-    ``eigen_core_track``. Frame tracks: None (identity), ("fixed", F),
-    ("geodesic", GrassmannGeodesic) or ("loop", OrientationLoop). A symmetric
-    core (a SymTensor) takes one frame track, shared by every mode.
+    Core tracks come from ``const``, ``lerp``, ``gl_core_track`` and
+    ``eigen_core_track``; frame tracks from ``fixed_frame`` and
+    ``moving_frame``, or None for the identity. A symmetric core (a
+    SymTensor) takes one frame track, shared by every mode.
     """
 
-    def __init__(self, kind: str, field: str, core: tuple, frames):
+    def __init__(self, kind: str, field: str, core: Track, frames):
         self.kind = kind
         self.field = field
         self.core_track = core
         self.frames = frames
-        self._sym = core[1] if isinstance(core[1], SymTensor) else None
+        start = core.parts[0]  # every core track starts with its first core
+        self._sym = start if isinstance(start, SymTensor) else None
 
     def cores(self, ss) -> np.ndarray:
-        """The core at every s of ``ss`` as one stack (see _core_values)."""
-        return _core_values(self.core_track, np.asarray(ss, dtype=np.float64))
+        """The core at every s of ``ss`` as one stack: (K, *ranks) dense
+        cores, or (K, L) packed rows of symmetric ones."""
+        return self.core_track.at(np.asarray(ss, dtype=np.float64))
 
     def core(self, s: float):
         row = self.cores([s])[0]
@@ -285,23 +305,15 @@ class TuckerCurve(_Segment):
         ss = np.asarray(ss, dtype=np.float64)
         cores = self.cores(ss)
         if self._sym is None:
-            mats = [_frame_values(tr, ss) for tr in self.frames]
+            mats = [None if tr is None else tr.at(ss) for tr in self.frames]
             return mode_multiply_stack(cores, mats).astype(
                 _dtype_for(self.field), copy=False)
         if self.frames is None:
             return cores
         r, d = self._sym.dim, self._sym.order
         full = mode_multiply_stack(sym_embed_stack(cores, r, d),
-                                   [_frame_values(self.frames, ss)] * d)
-        return sym_extract_stack(full, _LOOSE)
-
-    def point(self, row: np.ndarray):
-        """The value one row of ``values`` stands for."""
-        if self._sym is None:
-            return Hypermatrix(row, self.field)
-        n = self._sym.dim if self.frames is None else _frame_values(
-            self.frames, np.zeros(0)).shape[-2]  # the frames' ambient dimension
-        return SymTensor(n, self._sym.order, self._sym.field, row)
+                                   [self.frames.at(ss)] * d)
+        return sym_extract_stack(full, LOOSE_TOL)
 
     def to_json(self) -> dict:
         return {"kind": self.kind,
@@ -333,10 +345,6 @@ class ConjPairSegment(_Segment):
             factors.append(M[:, :, 0] + 1j * M[:, :, 1])
         return 2.0 * np.real(outer_stack(factors))
 
-    def point(self, row: np.ndarray) -> Hypermatrix:
-        """The value one row of ``values`` stands for."""
-        return Hypermatrix(row, REAL)
-
     def to_json(self) -> dict:
         return {"kind": self.kind,
                 "mode_matrices_start": [array_to_json(M) for M in self.mats0],
@@ -363,7 +371,7 @@ class TensorPath:
 
     def eval(self, t: float):
         k, s = self._locate(t)
-        return self.segments[k].value(s)
+        return self.stratum.value(self.segments[k].values([s])[0])
 
     def _by_segment(self, ts):
         """(segment, positions in ts, local parameters) per segment that
@@ -376,8 +384,8 @@ class TensorPath:
 
     def values(self, ts) -> np.ndarray:
         """The path at every t of ``ts`` as one stack, each segment
-        evaluating its share of ``ts`` in one call; ``point`` turns a row
-        into a value."""
+        evaluating its share of ``ts`` in one call; the stratum's ``value``
+        turns a row into a tensor."""
         out = None
         for seg, rows, ss in self._by_segment(ts):
             part = seg.values(ss)
@@ -385,10 +393,6 @@ class TensorPath:
                 out = np.empty((len(ts),) + part.shape[1:], dtype=part.dtype)
             out[rows] = part
         return out
-
-    def point(self, row: np.ndarray):
-        """The value one row of ``values`` stands for."""
-        return self.segments[0].point(row)
 
     def witnesses(self, ts) -> list:
         """The segments' witnesses at every t of ``ts`` (see values)."""
@@ -442,7 +446,7 @@ def connect_rank_one(A: Hypermatrix, B: Hypermatrix,
     segments: list = []
 
     def const_tracks():
-        return [("const", f) for f in factors]
+        return [const(f) for f in factors]
 
     def add(kind: str, scalar: tuple, tracks: list):
         segments.append(TermSumCurve(kind, field, ((scalar, tuple(tracks)),)))
@@ -455,12 +459,12 @@ def connect_rank_one(A: Hypermatrix, B: Hypermatrix,
         tracks = const_tracks()
         inner = np.vdot(a, b)
         if abs(inner + 1.0) <= _ANTIPODAL:
-            tracks[m] = ("detour", a, _detour_via(a), b)
+            tracks[m] = detour(a, _detour_via(a), b)
             kind = "detour-arc"
         else:
-            tracks[m] = ("lerp", a, b)
+            tracks[m] = lerp(a, b)
             kind = "factor-lerp"
-        add(kind, ("const", wa.scalar), tracks)
+        add(kind, const(wa.scalar), tracks)
         factors[m] = b
 
     lam, mu = wa.scalar, wb.scalar
@@ -468,21 +472,21 @@ def connect_rank_one(A: Hypermatrix, B: Hypermatrix,
         if lam * mu < 0:
             tracks = const_tracks()
             a = factors[0]
-            tracks[0] = ("detour", a, _detour_via(a), -a)
-            add("detour-arc", ("const", lam), tracks)
+            tracks[0] = detour(a, _detour_via(a), -a)
+            add("detour-arc", const(lam), tracks)
             factors[0] = -a
             mu = -mu
         if abs(lam - mu) > _SAME * max(abs(lam), abs(mu), 1.0):
-            add("scalar-scale", ("lerp", lam, mu), const_tracks())
+            add("scalar-scale", lerp(lam, mu), const_tracks())
     else:
         angle = cmath.phase(mu / lam)
         if abs(angle) > _SAME:
-            add("complex-phase", ("phase", lam, angle), const_tracks())
+            add("complex-phase", phase(lam, angle), const_tracks())
             lam = lam * cmath.exp(1j * angle)
         if abs(lam - mu) > _SAME * max(abs(lam), abs(mu), 1.0):
-            add("scalar-scale", ("lerp", lam, mu), const_tracks())
+            add("scalar-scale", lerp(lam, mu), const_tracks())
     if not segments:
-        add("scalar-scale", ("const", lam), const_tracks())
+        add("scalar-scale", const(lam), const_tracks())
     stratum = StratumDescriptor("rank", field, 1, shape=A.shape)
     return TensorPath(segments, stratum)
 
@@ -523,27 +527,30 @@ def _root(c, d: int, field: str):
 
 def _sym_pair_track(lam, u, mu, v, d: int, field: str):
     """(sign, track) for the curve sign * ((1-t) a + t b)^(x d)."""
+    sign = 1.0
     if field == REAL and d % 2 == 0:
         sign = 1.0 if lam > 0 else -1.0
         if float(np.dot(u, v)) < 0:
             v = -v
         a = abs(lam) ** (1.0 / d) * u
         b = abs(mu) ** (1.0 / d) * v
-        return sign, _plain_or_detour(a, b)
-    a = _root(lam, d, field) * u
-    b = _root(mu, d, field) * v
-    return 1.0, _plain_or_detour(a, b)
-
-
-def _plain_or_detour(a: np.ndarray, b: np.ndarray) -> tuple:
+    else:
+        a = _root(lam, d, field) * u
+        b = _root(mu, d, field) * v
     if np.linalg.norm(a - b) <= _SAME * max(np.linalg.norm(a), 1.0):
-        return ("const", a)
+        return sign, const(a)
+    return sign, _lerp_or_detour(a, b)
+
+
+def _lerp_or_detour(a: np.ndarray, b: np.ndarray) -> Track:
+    """The line from a to b, or, when they point nearly opposite ways, a
+    detour through the basis vector most independent from a, scaled to
+    their mean norm."""
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     inner = np.vdot(a / na, b / nb)
     if abs(inner + 1.0) <= _ANTIPODAL:
-        w = _detour_via(a / na) * (na + nb) / 2.0
-        return ("detour", a, w, b)
-    return ("lerp", a, b)
+        return detour(a, _detour_via(a / na) * (na + nb) / 2.0, b)
+    return lerp(a, b)
 
 
 def connect_sym_rank_one(Sa: SymTensor, Sb: SymTensor,
@@ -558,7 +565,7 @@ def connect_sym_rank_one(Sa: SymTensor, Sb: SymTensor,
     if field == REAL and d % 2 == 0 and lam * mu < 0:
         raise DifferentComponents(sign_label(lam), sign_label(mu))
     sign, track = _sym_pair_track(lam, u, mu, v, d, field)
-    kind = "detour-arc" if track[0] == "detour" else "factor-lerp"
+    kind = "detour-arc" if track.tag == "detour" else "factor-lerp"
     seg = TermSumCurve(kind, field, ((sign, track),), order=d)
     stratum = StratumDescriptor("sym-rank", field, 1, dim=Sa.dim, order=d)
     return TensorPath([seg], stratum)
@@ -735,17 +742,7 @@ def _term_tracks(term_a: RankOneFactors, term_b: RankOneFactors,
         correction = cmath.exp(-1j * drift / d)
         for m in range(d):
             vb[m] = vb[m] * correction
-    tracks = []
-    for m in range(d):
-        na = np.linalg.norm(va[m])
-        nb = np.linalg.norm(vb[m])
-        inner = np.vdot(va[m] / na, vb[m] / nb)
-        if abs(inner + 1.0) <= _ANTIPODAL:
-            w = _detour_via(va[m] / na) * (na + nb) / 2.0
-            tracks.append(("detour", va[m], w, vb[m]))
-        else:
-            tracks.append(("lerp", va[m], vb[m]))
-    return tuple(tracks)
+    return tuple(_lerp_or_detour(x, y) for x, y in zip(va, vb))
 
 
 def connect_rank_r(A: Hypermatrix, B: Hypermatrix, r: int,
@@ -781,7 +778,7 @@ def connect_rank_r(A: Hypermatrix, B: Hypermatrix, r: int,
                              for fa, fb in zip(terms_a[k].factors, tb.factors))
             if score > best_score:
                 best, best_score = p, score
-        terms = tuple((("const", 1.0),
+        terms = tuple((const(1.0),
                        _term_tracks(terms_a[k], terms_b[best[k]], field))
                       for k in range(2))
         return TermSumCurve("term-sum", field, terms)
@@ -886,7 +883,7 @@ def connect_mrank(A: Hypermatrix, B: Hypermatrix, ranks: tuple[int, ...],
                  for i in range(A.order))
     target_core = mode_multiply(repB.core.data,
                                 [g.twist.conj().T for g in geos])
-    frames_a = tuple(("fixed", p.frame) for p in repA.frames)
+    frames_a = tuple(fixed_frame(p.frame) for p in repA.frames)
     core = repA.core.data.copy()
     total = math.prod(ranks)
     square_modes = [i for i, r in enumerate(ranks) if r * r == total]
@@ -933,10 +930,9 @@ def connect_mrank(A: Hypermatrix, B: Hypermatrix, ranks: tuple[int, ...],
             for k in chosen:
                 m = loop_modes[k]
                 frames = list(frames_a)
-                frames[m] = ("loop", OrientationLoop(repA.frames[m]))
+                frames[m] = moving_frame("loop", OrientationLoop(repA.frames[m]))
                 segments.append(TuckerCurve("flip-loop", field,
-                                            ("const", core.copy()),
-                                            tuple(frames)))
+                                            const(core.copy()), tuple(frames)))
                 h = np.eye(ranks[m])
                 h[0, 0] = -1.0
                 core = mode_multiply(core, [h if j == m else None
@@ -949,7 +945,7 @@ def connect_mrank(A: Hypermatrix, B: Hypermatrix, ranks: tuple[int, ...],
         if signed:
             track = gl_core_track(core0, core1, ranks, square_modes[0])
             return TuckerCurve("core-transform", field, track, frames_a)
-        return TuckerCurve("core-lerp", field, ("lerp", core0, core1), frames_a)
+        return TuckerCurve("core-lerp", field, lerp(core0, core1), frames_a)
 
     def same_signs(cores) -> list[bool]:
         return [s == want for s in
@@ -959,9 +955,8 @@ def connect_mrank(A: Hypermatrix, B: Hypermatrix, ranks: tuple[int, ...],
         segment, _core_in_grid(core_stratum, same_signs if signed else None, tol),
         lambda: _random_full_core(ranks, field, square_modes, want, rng, tol),
         core, target_core, _DETOUR_DEPTH))
-    segments.append(TuckerCurve("frame-transport", field,
-                                ("const", target_core),
-                                tuple(("geodesic", g) for g in geos)))
+    segments.append(TuckerCurve("frame-transport", field, const(target_core),
+                                tuple(moving_frame("geodesic", g) for g in geos)))
     return TensorPath(segments, stratum)
 
 
@@ -985,7 +980,7 @@ def _random_sym_core(r: int, d: int, field: str, signature: int | None,
             lam = np.abs(rng.normals((r,))) + 0.1
             lam[signature:] *= -1.0
             M = (Q * lam) @ Q.T
-            core = sym_extract(Hypermatrix(M, field), _LOOSE)
+            core = sym_extract(Hypermatrix(M, field), LOOSE_TOL)
         else:
             length = sym_packed_length(r, d)
             core = SymTensor(r, d, field, field_normals(rng, (length,), field))
@@ -1025,8 +1020,8 @@ def connect_sym_mrank(Sa: SymTensor, Sb: SymTensor, r: int,
         signature = sig_a
     geo = GrassmannGeodesic(frame_a, frame_b)
     twisted = mode_multiply(sym_embed(core_b).data, [geo.twist.conj().T] * d)
-    target = sym_extract(Hypermatrix(twisted, field), _LOOSE)
-    frame = ("fixed", frame_a.frame)
+    target = sym_extract(Hypermatrix(twisted, field), LOOSE_TOL)
+    frame = fixed_frame(frame_a.frame)
     core_stratum = StratumDescriptor("sym-mrank", field, r, dim=r, order=d)
 
     def segment(core0, core1) -> TuckerCurve:
@@ -1035,7 +1030,7 @@ def connect_sym_mrank(Sa: SymTensor, Sb: SymTensor, r: int,
             # signature exactly; a straight lerp does not
             return TuckerCurve("sym-eigen-core", field,
                                eigen_core_track(core0, core1), frame)
-        return TuckerCurve("sym-core-lerp", field, ("lerp", core0, core1), frame)
+        return TuckerCurve("sym-core-lerp", field, lerp(core0, core1), frame)
 
     def same_signature(cores) -> list[bool]:
         return [sig == signature for sig in _sym_matrix_core_signatures(cores, r)]
@@ -1045,8 +1040,8 @@ def connect_sym_mrank(Sa: SymTensor, Sb: SymTensor, r: int,
                                None if signature is None else same_signature, tol),
         lambda: _random_sym_core(r, d, field, signature, rng, tol),
         core_a, target, _DETOUR_DEPTH)
-    segments.append(TuckerCurve("sym-frame-transport", field,
-                                ("const", target), ("geodesic", geo)))
+    segments.append(TuckerCurve("sym-frame-transport", field, const(target),
+                                moving_frame("geodesic", geo)))
     stratum = StratumDescriptor("sym-mrank", field, r, dim=Sa.dim, order=d)
     return TensorPath(segments, stratum)
 
@@ -1174,12 +1169,13 @@ def path_verify(path: TensorPath, K: int | None = None,
     if len(labels) > 1:
         passed = False
     # t = 0 and t = 1
-    scale = max(path.point(stack[0]).norm(), path.point(stack[-1]).norm(), 1e-300)
+    value = path.stratum.value
+    scale = max(value(stack[0]).norm(), value(stack[-1]).norm(), 1e-300)
     joint_defect = 0.0
     n = len(path.segments)
     for k in range(1, n):
-        left = path.segments[k - 1].value(1.0)
-        right = path.segments[k].value(0.0)
+        left = value(path.segments[k - 1].values([1.0])[0])
+        right = value(path.segments[k].values([0.0])[0])
         joint_defect = max(joint_defect, value_diff_norm(left, right) / scale)
     if joint_defect > 1e-10:
         passed = False

@@ -19,10 +19,10 @@ import math
 
 import numpy as np
 
-from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, RankOneFactors, REAL,
-                   SymRankDecomposition, SymTensor, TolerancePolicy,
-                   mode_multiply, mrank_admissible, outer_product, sym_embed,
-                   sym_extract, sym_packed_length)
+from .core import (COMPLEX, DEFAULT_TOL, LOOSE_TOL, Hypermatrix,
+                   RankOneFactors, REAL, SymRankDecomposition, SymTensor,
+                   TolerancePolicy, mode_multiply, mrank_admissible,
+                   outer_product, sym_embed, sym_extract, sym_packed_length)
 from .errors import RetryExhausted
 from .geometry import GrassmannPoint, TuckerRep, tucker_expand
 from .rng import SplitMix64
@@ -194,8 +194,7 @@ def sample_sym_mrank(n: int, d: int, r: int, field: str = REAL,
         core = SymTensor(r, d, field, field_normals(rng, (length,), field))
         Q, _ = np.linalg.qr(field_normals(rng, (n, r), field))
         full = mode_multiply(sym_embed(core).data, [Q] * d)
-        return sym_extract(Hypermatrix(full, field),
-                           TolerancePolicy(eps_rel=1e-8)), None
+        return sym_extract(Hypermatrix(full, field), LOOSE_TOL), None
 
     stratum = StratumDescriptor("sym-mrank", field, r, dim=n, order=d)
     return _certified(stratum, candidate, tol)[0]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import REAL, COMPLEX
+from .core import COMPLEX, REAL, Hypermatrix, SymTensor
 from .errors import StratumSyntaxError
 
 KINDS = ("rank", "brank", "mrank", "sym-rank", "sym-mrank")
@@ -73,6 +73,13 @@ class StratumDescriptor:
                             "r_i <= prod of the others must hold")
             elif not isinstance(self.rank, int) or self.rank < 0:
                 raise ValueError("rank must be a nonnegative int")
+
+    def value(self, row):
+        """The tensor one row of a stack of this stratum's values stands
+        for: a Hypermatrix, or a SymTensor given its packed entries."""
+        if self.dim is None:
+            return Hypermatrix(row, self.field)
+        return SymTensor(self.dim, self.order, self.field, row)
 
     def canonical(self) -> str:
         return format_stratum(self)

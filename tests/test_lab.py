@@ -19,6 +19,7 @@ SIGN_TRIPLES = {"sign-triple:+++", "sign-triple:+--", "sign-triple:-+-",
 
 @pytest.mark.parametrize("text,count", [
     ("rank:r=2;shape=3,3,3;field=complex", 1),
+    ("rank:r=3;shape=2,2,2;field=complex", None),
     ("sym-rank:d=4;n=4;r=3;field=complex", 1),
     ("rank:r=1;shape=3,4,5;field=real", 1),
     ("rank:r=2;shape=3,3,3;field=real", None),

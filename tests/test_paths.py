@@ -523,22 +523,30 @@ def test_segment_families_keep_kinds_and_witnesses(name):
 
 # SHA-256 of each family path's path_verify grid (its values stacked in t
 # order) and of its canonical report, recorded when the grid was still
-# evaluated one sample at a time.
+# evaluated one sample at a time, and of its canonical path document,
+# recorded when tracks were still tagged tuples.
 FAMILY_GRID_DIGESTS = {
     "rank-one": ("ff8b28cbd25b0aec755fa8ab25e70d6c9035ad3a65e704bda99085713de1dac5",
-                 "48f90068cc9dce570c1039cc6c02765caaae80bd6c379c4b109288bb1c765921"),
+                 "48f90068cc9dce570c1039cc6c02765caaae80bd6c379c4b109288bb1c765921",
+                 "4c918c85fd18ba6875fae507569aeb23d96571ef91895701207919ed883e37f7"),
     "rank-one-complex": ("20a1e6e3f92a5e93ee57dffe74c3031d686b60870d543ae08b3ba45b95371b06",
-                         "6ec97c9899bcdcc2b93fadc22fb02647c98e6530e756b5f3ec208be8ef6bb3b1"),
+                         "6ec97c9899bcdcc2b93fadc22fb02647c98e6530e756b5f3ec208be8ef6bb3b1",
+                         "c3f2e160b421d1e3bf5d908d8d8eba0c9dffde58410f301c319995966cd04cce"),
     "rank-2": ("677aac1e47859581f28d2a21127d1c763f06b68f821c167a9d476b0ad58c9a81",
-               "4af61d309398d087b223973e8165d68c80e8122af1953d30d3f18713ec828fcc"),
+               "4af61d309398d087b223973e8165d68c80e8122af1953d30d3f18713ec828fcc",
+               "6a59e06d7f03c334cbc36fa5002547ca88ee9f6cc889c3aa21d1baaf1f6a87c7"),
     "sym-rank": ("55382d278e29dc5c47e79552fcbed4f07a7d33841363754ec1de9237b5f52d8d",
-                 "f246775ddabcff5d391809ee3db0c8e41d976e142d710512099f2bc46e861930"),
+                 "f246775ddabcff5d391809ee3db0c8e41d976e142d710512099f2bc46e861930",
+                 "ec4c0b203d43c93fe39ee0df8b4a0b4320cd5311958d8f6bdc13f7d9fd344096"),
     "mrank-flip-loop": ("5f40adc8c9d85cafbd3b968fcf2965c63ead7b6c55f6762984e992af864d7ab0",
-                        "8495b99b23961c0e3cde3caed449f9d77d84d2b366af9e39da18918ec8dcd958"),
+                        "8495b99b23961c0e3cde3caed449f9d77d84d2b366af9e39da18918ec8dcd958",
+                        "54a37b26e944b9266e717e5b1d187b224a8d6f9ef378dc73bee5f407aed70cb7"),
     "sym-mrank-order-2": ("b4ed000d0ae940b6bc9b0b6ae15fb3c548de76f9a2268ea26d4d6d990a9f5ec3",
-                          "3bc3b6d33f3412f7d45a06b6038e737eb72100544ffbf4fb3b13b10e8e71ada4"),
+                          "3bc3b6d33f3412f7d45a06b6038e737eb72100544ffbf4fb3b13b10e8e71ada4",
+                          "eda07b3e358a6a5b161f65684755b63a82aa0613800018f9e9d1bdd9ea4cfeb5"),
     "brank3": ("07666e3092c2f20729753ba16c014ed3ea4b9d628d22bd29027aedf1d9fc2c45",
-               "6724ec2f40271a86f8edca795e45fe7382b13acf0453850dfa5555ad7be50fd2"),
+               "6724ec2f40271a86f8edca795e45fe7382b13acf0453850dfa5555ad7be50fd2",
+               "a29f647770bbb0c086b0fa9355b337fe77cfdf4561f9eda784525e61a3e7090d"),
 }
 
 
@@ -547,13 +555,15 @@ def test_segment_family_grids_are_pinned(name):
     path, _allowed, _required = _family_case(name)
     ts = sorted(set([0.0, 1.0] + chebyshev_grid(64) + path.joints()))
     stack = path.values(ts)
-    for t, row in zip(ts, stack):  # value(s) is the one-point case
+    for t, row in zip(ts, stack):  # values([s]) is the one-point case
         one = path.eval(t)
         assert np.array_equal(row, one.packed if isinstance(one, SymTensor) else one.data)
-    grid, report = FAMILY_GRID_DIGESTS[name]
+    grid, report, document = FAMILY_GRID_DIGESTS[name]
     assert hashlib.sha256(np.ascontiguousarray(stack).tobytes()).hexdigest() == grid
     doc = dumps_canonical(path_verify(path).to_json())
     assert hashlib.sha256(doc.encode()).hexdigest() == report
+    doc = dumps_canonical(path.to_json())
+    assert hashlib.sha256(doc.encode()).hexdigest() == document
 
 
 # --- path mechanics ----------------------------------------------------------
