@@ -29,14 +29,12 @@ COMPLEX = "complex"
 class TolerancePolicy:
     """Scale-relative thresholds shared by every operation.
 
-    eps_rel scales rank-decision thresholds, gap_min is the minimal relative
-    eigenvalue/singular-value separation treated as unambiguous, and
-    path_samples_default is the verification grid size.
+    eps_rel scales rank-decision thresholds, and gap_min is the minimal
+    relative eigenvalue/singular-value separation treated as unambiguous.
     """
 
     eps_rel: float = 1e-10
     gap_min: float = 1e-6
-    path_samples_default: int = 64
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -455,8 +453,10 @@ def mode_multiply_stack(data: np.ndarray,
                         matrices: list[np.ndarray | None]) -> np.ndarray:
     """mode_multiply for every tensor of a (K, ...) stack, one batched
     matmul per mode: matrices[k] is a (K, new_k, old_k) stack, one
-    (new_k, old_k) matrix shared by every tensor, or None. Each tensor's
-    result has the bits mode_multiply gives it."""
+    (new_k, old_k) matrix shared by every tensor, or None. With real
+    matrices each tensor's result has the bits mode_multiply gives it, real
+    or complex data alike; with a complex matrix the batched product may
+    round differently in the last bits."""
     out = data
     for k, M in enumerate(matrices):
         if M is None:

@@ -8,6 +8,7 @@ callers absorb that twist into core coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,6 +185,15 @@ class OrientationLoop:
         F = np.broadcast_to(self._U, a.shape[:-1] + self._U.shape).copy()
         F[..., 0] = np.cos(a) * self._U[:, 0] + np.sin(a) * self._z
         return F
+
+
+def flip_exponent(ranks: tuple[int, ...], i: int, m: int) -> int:
+    """How many times an orientation loop at mode m negates the determinant
+    of a core's square mode-i flattening (0-based modes): 1 when m = i,
+    else prod_{k not in {i, m}} r_k. Only its parity matters."""
+    if m == i:
+        return 1
+    return math.prod(r for k, r in enumerate(ranks) if k not in (i, m))
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,11 @@ from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, REAL, TolerancePolicy,
                    mode_multiply, mode_multiply_stack)
 from .errors import (DegenerateError, DifferentComponents, RetryExhausted,
                      TensorTopoError, ToleranceError, UnsupportedStratumError)
-from .geometry import GrassmannPoint, OrientationLoop
+from .geometry import GrassmannPoint, OrientationLoop, flip_exponent
 from .io import dumps_canonical
 from .kinds import clear_members, kind_of
-from .paths import (_random_full_core, chebyshev_grid, connect, path_verify,
-                    value_diff_norm)
+from .paths import (PATH_SAMPLES, _random_full_core, chebyshev_grid, connect,
+                    path_verify, value_diff_norm)
 from .rng import SplitMix64, derive_seed
 from .sampling import random_invertible, sample_rank_r
 from .stratum import StratumDescriptor, format_stratum, parse_stratum
@@ -112,7 +112,7 @@ def census(stratum: StratumDescriptor, N: int, seed: int,
     """
     t0 = time.perf_counter()
     kind = kind_of(stratum)
-    K = path_samples if path_samples else tol.path_samples_default
+    K = path_samples if path_samples else PATH_SAMPLES
 
     def trial(i: int):
         trial_seed = derive_seed(seed, i)
@@ -335,7 +335,7 @@ def monodromy_probe(r: tuple[int, ...], n: tuple[int, ...], seed: int,
     t0 = time.perf_counter()
     rng = SplitMix64(seed)
     d = len(r)
-    K = samples if samples else tol.path_samples_default
+    K = samples if samples else PATH_SAMPLES
 
     core = _random_full_core(r, REAL, [], (), rng, tol)
     frames = []
@@ -352,14 +352,13 @@ def monodromy_probe(r: tuple[int, ...], n: tuple[int, ...], seed: int,
     flip_observed = False
     for m in roomy:
         loop = OrientationLoop(GrassmannPoint(frames[m], REAL))
-        exponent = math.prod(rk for k, rk in enumerate(r) if k not in (0, m))
+        exponent = flip_exponent(r, 0, m)
         mats = list(frames)
         mats[m] = loop.frame(grid)
         in_stratum = all(clear_members(
             stratum, mode_multiply_stack(cores, mats), tol.gap_min, tol))
-        h = np.eye(r[m])
-        h[0, 0] = -1.0
-        moved = mode_multiply(core, [h if k == m else None for k in range(d)])
+        moved = mode_multiply(core, [loop.holonomy if k == m else None
+                                     for k in range(d)])
         sign_after = float(np.linalg.slogdet(moved.reshape(r[0], -1))[0])
         flipped = bool(sign_before != sign_after)
         flip_observed = flip_observed or (flipped and in_stratum)

@@ -18,6 +18,11 @@ gives it, and the path's stratum turns a row into a tensor
 (``TensorPath.values``), and the multilinear-rank connectors read a core
 path's grid of cores as one stack too.
 
+A multilinear-rank path mends a determinant-sign mismatch of the square
+flattenings with at most one orientation loop: those flattenings are one
+matrix and its transpose, or all the same scalar, so a loop negates all
+their signs or none (``geometry.flip_exponent``).
+
 Rank-one and conjugate-pair constructions are in-stratum pointwise by
 construction. The others are checked on a sample grid and repaired by
 recursive random-midpoint detours (each retry dodges a measure-zero bad set;
@@ -45,26 +50,27 @@ from .certify import brank3_conj_pair, is_rank_one, rank2_decompose
 from .classifiers import (ComponentLabel, classify_brank3_222, det_sign_mrank,
                           sign_label, square_mode, mrank_saturation)
 from .core import (COMPLEX, DEFAULT_TOL, LOOSE_TOL, Hypermatrix, REAL,
-                   SymRankDecomposition, SymTensor, TolerancePolicy,
-                   _dtype_for, flattening_det_signs, mode_multiply,
-                   mode_multiply_stack, outer_stack, row_norms, sym_embed,
-                   sym_embed_stack, sym_extract, sym_extract_stack,
+                   RankOneFactors, SymRankDecomposition, SymTensor,
+                   TolerancePolicy, _dtype_for, flattening_det_signs,
+                   mode_multiply, mode_multiply_stack, outer_stack, row_norms,
+                   sym_embed, sym_embed_stack, sym_extract, sym_extract_stack,
                    sym_packed_length, sym_power_stack)
 from .errors import (DifferentComponents, RetryExhausted, ToleranceError,
                      UnsupportedStratumError)
-from .geometry import (GrassmannGeodesic, OrientationLoop, gl_interpolator,
-                       orthogonal_interpolator, sym_tucker_compress,
-                       tucker_compress)
+from .geometry import (GrassmannGeodesic, GrassmannPoint, OrientationLoop,
+                       flip_exponent, gl_interpolator, orthogonal_interpolator,
+                       sym_tucker_compress, tucker_stack)
 from .io import array_to_json, scalar_to_json
 from .rng import SplitMix64
-from .sampling import (field_normals, random_orthogonal, sample_rank_r,
-                       sample_sym_rank_r)
+from .sampling import (_certified, field_normals, random_orthogonal,
+                       sample_rank_r, sample_sym_rank_r)
 from .stratum import StratumDescriptor, format_stratum
 
 _SAME = 1e-13          # below this, two unit vectors count as the same point
 _ANTIPODAL = 1e-9      # |<a,b> + 1| below this forces a detour
 _ENDPOINT_TOL = 1e-10  # relative miss allowed between a path end and its input
 _DETOUR_DEPTH = 8      # midpoint detour levels before a construction gives up
+PATH_SAMPLES = 64      # Chebyshev samples of a verification grid
 
 
 def _lerp(a, b, s):
@@ -799,43 +805,18 @@ def _core_det_signs(core: np.ndarray, square_modes: list[int]) -> tuple:
     return flattening_det_signs(core[None], [i + 1 for i in square_modes])[0]
 
 
-def _solve_gf2(effects: list[int], target: int) -> list[int] | None:
-    """Indices of a subset of ``effects`` (bitmasks) xoring to ``target``."""
-    basis: dict[int, tuple[int, int]] = {}  # high bit -> (mask, combo)
-
-    def reduce(vec: int, combo: int):
-        while vec:
-            hb = vec.bit_length() - 1
-            if hb not in basis:
-                return vec, combo, hb
-            bm, bc = basis[hb]
-            vec ^= bm
-            combo ^= bc
-        return vec, combo, None
-
-    for idx, e in enumerate(effects):
-        vec, combo, hb = reduce(e, 1 << idx)
-        if vec:
-            basis[hb] = (vec, combo)
-    vec, combo, _ = reduce(target, 0)
-    if vec:
-        return None
-    return [k for k in range(len(effects)) if combo >> k & 1]
-
-
 def _random_full_core(ranks: tuple, field: str, square_modes: list[int],
                       want_signs: tuple, rng: SplitMix64,
                       tol: TolerancePolicy) -> np.ndarray:
     stratum = StratumDescriptor("mrank", field, ranks, shape=ranks)
-    for _ in range(200):
+
+    def candidate():
         core = field_normals(rng, ranks, field)
-        if not kinds.clear_members(stratum, core[None], 1e-3, tol)[0]:
-            continue
-        if field == REAL and square_modes:
-            if _core_det_signs(core, square_modes) != want_signs:
-                continue
-        return core
-    raise RetryExhausted("could not draw a usable full-rank core")
+        if (field == REAL and square_modes
+                and _core_det_signs(core, square_modes) != want_signs):
+            return None
+        return Hypermatrix(core, field), None
+    return _certified(stratum, candidate, 1e-3, tol)[0].data
 
 
 def _core_in_grid(stratum: StratumDescriptor, kept, tol: TolerancePolicy):
@@ -843,7 +824,7 @@ def _core_in_grid(stratum: StratumDescriptor, kept, tol: TolerancePolicy):
     sample grid is a member of the core's own ``stratum`` with every margin
     at least gap_min, and ``kept``, given the stack of cores, passes each
     (None passes all)."""
-    grid = [0.0, 1.0] + chebyshev_grid(tol.path_samples_default)
+    grid = [0.0, 1.0] + chebyshev_grid(PATH_SAMPLES)
 
     def accept(seg) -> bool:
         cores = seg.cores(grid)
@@ -858,88 +839,78 @@ def connect_mrank(A: Hypermatrix, B: Hypermatrix, ranks: tuple[int, ...],
                   rng: SplitMix64 | None = None) -> TensorPath:
     """Frame geodesics plus in-fiber core interpolation.
 
-    Stages: orientation flip loops at A when square-mode determinant signs
-    disagree and ambient room allows a repair (parity bookkeeping over GF(2));
-    then a core interpolation inside A's fiber to B's transported core; then
-    frame transport along per-mode geodesics. Saturated square mismatches
-    with no repairable mode return DifferentComponents (definitive only when
-    every mode is saturated; the mixed case is flagged as conjectural).
+    Stages: one orientation flip loop at A when the square-mode determinant
+    signs of A's core and B's transported core disagree; then a core
+    interpolation inside A's fiber to B's transported core; then frame
+    transport along per-mode geodesics.
+
+    One loop always suffices. A core's square flattenings are one matrix
+    and its transpose, or all the same scalar (two square modes force every
+    other rank to 1, three force all ranks to 1), so their signs agree, and
+    a loop at mode m negates every one of them or none (flip_exponent has
+    the same parity for every square mode). The loop goes at the first mode
+    with ambient room whose flip exponent is odd. Without one, the endpoints
+    get DifferentComponents: definitive when every mode is saturated,
+    flagged as conjectural in the mixed case.
     """
     if A.shape != B.shape or A.field != B.field:
         raise ValueError("endpoints must share shape and field")
     field = A.field
     ranks = tuple(int(r) for r in ranks)
     stratum = StratumDescriptor("mrank", field, ranks, shape=A.shape)
-    ends = kinds.kind_of(stratum).judge(stratum, np.stack([A.data, B.data]), tol)
+    data = np.stack([A.data, B.data])
+    ends = kinds.kind_of(stratum).judge(stratum, data, tol)
     if not all(ok for ok, _read, _note in ends):
         raise ToleranceError(
             f"endpoints do not both have multilinear rank {ranks}")
     if rng is None:
         rng = SplitMix64(0)
     core_stratum = StratumDescriptor("mrank", field, ranks, shape=ranks)
-    repA = tucker_compress(A, ranks, tol)
-    repB = tucker_compress(B, ranks, tol)
-    geos = tuple(GrassmannGeodesic(repA.frames[i], repB.frames[i])
-                 for i in range(A.order))
-    target_core = mode_multiply(repB.core.data,
-                                [g.twist.conj().T for g in geos])
-    frames_a = tuple(fixed_frame(p.frame) for p in repA.frames)
-    core = repA.core.data.copy()
+    # both endpoints compressed at once, on the ranks the judge just read
+    frames, cores, errors = tucker_stack(
+        data, ranks, [read for _ok, read, _note in ends], tol)
+    for error in errors:
+        if error is not None:
+            raise error
+    points = [[GrassmannPoint(F[k], field) for F in frames] for k in (0, 1)]
+    geos = tuple(GrassmannGeodesic(pa, pb) for pa, pb in zip(*points))
+    core, core_b = np.ascontiguousarray(cores)
+    target_core = mode_multiply(core_b, [g.twist.conj().T for g in geos])
+    frames_a = tuple(fixed_frame(p.frame) for p in points[0])
     total = math.prod(ranks)
     square_modes = [i for i, r in enumerate(ranks) if r * r == total]
+    signed = field == REAL and bool(square_modes)
+    now, want = ((_core_det_signs(core, square_modes),
+                  _core_det_signs(target_core, square_modes)) if signed
+                 else ((), ()))
     segments: list = []
 
-    if field == REAL and square_modes:
-        s_now = _core_det_signs(core, square_modes)
-        s_want = _core_det_signs(target_core, square_modes)
-        need = 0
-        for pos, (x, y) in enumerate(zip(s_now, s_want)):
-            if x != y:
-                need |= 1 << pos
-        if need:
-            loop_modes = [m for m in range(A.order) if A.shape[m] > ranks[m]]
-            effects = []
-            for m in loop_modes:
-                mask = 0
-                for pos, i in enumerate(square_modes):
-                    if m == i:
-                        exponent = 1
-                    else:
-                        exponent = math.prod(
-                            r for k, r in enumerate(ranks) if k not in (i, m))
-                    if exponent % 2 == 1:
-                        mask |= 1 << pos
-                effects.append(mask)
-            chosen = _solve_gf2(effects, need)
-            if chosen is None:
-                if mrank_saturation(stratum) == "saturated-square":
-                    mode = square_mode(stratum)
-                    raise DifferentComponents(
-                        det_sign_mrank(A, mode, tol),
-                        det_sign_mrank(B, mode, tol),
-                        detail="square flattening determinant signs differ")
-                label_a = ComponentLabel("sign", "".join(
-                    "+" if s > 0 else "-" for s in s_now))
-                label_b = ComponentLabel("sign", "".join(
-                    "+" if s > 0 else "-" for s in s_want))
+    if now != want:
+        flips = [m for m in range(A.order) if A.shape[m] > ranks[m]
+                 and flip_exponent(ranks, square_modes[0], m) % 2]
+        if not flips:
+            if mrank_saturation(stratum) == "saturated-square":
+                mode = square_mode(stratum)
                 raise DifferentComponents(
-                    label_a, label_b,
-                    detail="square-mode core determinant signs cannot be "
-                           "reconciled by orientation loops",
-                    conjectural=True)
-            for k in chosen:
-                m = loop_modes[k]
-                frames = list(frames_a)
-                frames[m] = moving_frame("loop", OrientationLoop(repA.frames[m]))
-                segments.append(TuckerCurve("flip-loop", field,
-                                            const(core.copy()), tuple(frames)))
-                h = np.eye(ranks[m])
-                h[0, 0] = -1.0
-                core = mode_multiply(core, [h if j == m else None
-                                            for j in range(A.order)])
-
-    signed = field == REAL and bool(square_modes)
-    want = _core_det_signs(core, square_modes) if signed else ()
+                    det_sign_mrank(A, mode, tol),
+                    det_sign_mrank(B, mode, tol),
+                    detail="square flattening determinant signs differ")
+            label_a, label_b = (ComponentLabel("sign", "".join(
+                "+" if s > 0 else "-" for s in signs))
+                for signs in (now, want))
+            raise DifferentComponents(
+                label_a, label_b,
+                detail="square-mode core determinant signs cannot be "
+                       "reconciled by orientation loops",
+                conjectural=True)
+        m = flips[0]
+        loop = OrientationLoop(points[0][m])
+        frames = list(frames_a)
+        frames[m] = moving_frame("loop", loop)
+        segments.append(TuckerCurve("flip-loop", field, const(core.copy()),
+                                    tuple(frames)))
+        core = mode_multiply(core, [loop.holonomy if j == m else None
+                                    for j in range(A.order)])
 
     def segment(core0, core1) -> TuckerCurve:
         if signed:
@@ -974,19 +945,17 @@ def _sym_matrix_core_signatures(cores: np.ndarray, r: int) -> list[int]:
 def _random_sym_core(r: int, d: int, field: str, signature: int | None,
                      rng: SplitMix64, tol: TolerancePolicy) -> SymTensor:
     stratum = StratumDescriptor("sym-mrank", field, r, dim=r, order=d)
-    for _ in range(200):
-        if signature is not None:
-            Q = random_orthogonal(r, rng, field)
-            lam = np.abs(rng.normals((r,))) + 0.1
-            lam[signature:] *= -1.0
-            M = (Q * lam) @ Q.T
-            core = sym_extract(Hypermatrix(M, field), LOOSE_TOL)
-        else:
-            length = sym_packed_length(r, d)
-            core = SymTensor(r, d, field, field_normals(rng, (length,), field))
-        if kinds.clear_members(stratum, core.packed[None], 1e-3, tol)[0]:
-            return core
-    raise RetryExhausted("could not draw a usable symmetric midpoint core")
+
+    def candidate():
+        if signature is None:
+            packed = field_normals(rng, (sym_packed_length(r, d),), field)
+            return SymTensor(r, d, field, packed), None
+        Q = random_orthogonal(r, rng, field)
+        lam = np.abs(rng.normals((r,))) + 0.1
+        lam[signature:] *= -1.0
+        M = (Q * lam) @ Q.T
+        return sym_extract(Hypermatrix(M, field), LOOSE_TOL), None
+    return _certified(stratum, candidate, 1e-3, tol)[0]
 
 
 def connect_sym_mrank(Sa: SymTensor, Sb: SymTensor, r: int,
@@ -1149,7 +1118,7 @@ def path_verify(path: TensorPath, K: int | None = None,
     report for this K and tol, as connect's one-segment term-sum paths do,
     gets that report back."""
     if K is None:
-        K = tol.path_samples_default
+        K = PATH_SAMPLES
     if path._verified is not None and path._verified[:2] == (K, tol):
         return path._verified[2]
     ts = sorted(set([0.0, 1.0] + chebyshev_grid(K) + path.joints()))

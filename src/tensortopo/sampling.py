@@ -3,14 +3,15 @@
 Each sampler draws raw Gaussian candidates for its stratum and hands them to
 one redraw loop, ``_certified``. It keeps the first candidate that the
 stratum's kind record judges a member with every margin at least gap_min,
-and redraws otherwise, at most 1000 times. The rank read lives in the
-record (``kinds.Kind.judge``, the read and membership rule that
-``path_verify`` applies to a path's whole grid; a candidate is a stack of
-one). Most strata accept nearly every draw, but not all: a sum of three
-real Gaussian rank-one terms on 2x2x2 lands in the border-rank-three region
-only about one draw in ten, so a cap of 100 gave up on that valid stratum
-about once in 30000 draws. At 1000 the chance of that is below 1e-40;
-exhaustion signals bad parameters, not bad luck.
+and redraws otherwise, at most 1000 times (the multilinear-rank connectors
+draw their midpoint cores through it too, with a margin of 1e-3). The rank
+read lives in the record (``kinds.Kind.judge``, the read and membership
+rule that ``path_verify`` applies to a path's whole grid; a candidate is a
+stack of one). Most strata accept nearly every draw, but not all: a sum of
+three real Gaussian rank-one terms on 2x2x2 lands in the border-rank-three
+region only about one draw in ten, so a cap of 100 gave up on that valid
+stratum about once in 30000 draws. At 1000 the chance of that is below
+1e-40; exhaustion signals bad parameters, not bad luck.
 """
 
 from __future__ import annotations
@@ -65,13 +66,15 @@ def expected_generic_mrank(shape: tuple[int, ...], r: int) -> tuple[int, ...]:
     return tuple(min(r, n, total // n) for n in shape)
 
 
-def _certified(stratum: StratumDescriptor, candidate, tol: TolerancePolicy):
+def _certified(stratum: StratumDescriptor, candidate, margin: float,
+               tol: TolerancePolicy):
     """The first of at most 1 + _MAX_REDRAWS ``candidate()`` draws that is
-    a member of ``stratum`` with every margin at least gap_min.
+    a member of ``stratum`` with every margin at least ``margin``.
 
     ``candidate()`` returns ``(value, witness)``, or None for a raw draw
-    with a vanishing term. The record's ``screen`` runs before the rank
-    read, so a candidate it rejects costs no SVD.
+    it rejects itself (a vanishing term, a wrong determinant sign). The
+    record's ``screen`` runs before the rank read, so a candidate it
+    rejects costs no SVD.
     """
     rule = kinds.kind_of(stratum)
     for _ in range(_MAX_REDRAWS + 1):
@@ -81,7 +84,7 @@ def _certified(stratum: StratumDescriptor, candidate, tol: TolerancePolicy):
         value = drawn[0]
         stack = (value.packed if isinstance(value, SymTensor) else value.data)[None]
         if (rule.screen(stratum, stack, tol)[0]
-                and kinds.clear_members(stratum, stack, tol.gap_min, tol)[0]):
+                and kinds.clear_members(stratum, stack, margin, tol)[0]):
             return drawn
     raise RetryExhausted(f"could not certify a sample of {stratum} "
                          f"after {_MAX_REDRAWS} redraws")
@@ -111,7 +114,7 @@ def sample_rank_r(shape: tuple[int, ...], r: int, field: str, rng: SplitMix64,
         return Hypermatrix(total, field), terms
 
     return _certified(StratumDescriptor("rank", field, r, shape=tuple(shape)),
-                      candidate, tol)
+                      candidate, tol.gap_min, tol)
 
 
 def sample_sym_rank_r(n: int, d: int, r: int, signature: int | None = None,
@@ -149,7 +152,7 @@ def sample_sym_rank_r(n: int, d: int, r: int, signature: int | None = None,
         return decomp.tensor(), decomp
 
     return _certified(StratumDescriptor("sym-rank", field, r, dim=n, order=d),
-                      candidate, tol)
+                      candidate, tol.gap_min, tol)
 
 
 def sample_fixed_mrank(shape: tuple[int, ...], ranks: tuple[int, ...],
@@ -176,7 +179,7 @@ def sample_fixed_mrank(shape: tuple[int, ...], ranks: tuple[int, ...],
 
     stratum = StratumDescriptor("mrank", field, tuple(ranks),
                                 shape=tuple(shape))
-    return _certified(stratum, candidate, tol)
+    return _certified(stratum, candidate, tol.gap_min, tol)
 
 
 def sample_sym_mrank(n: int, d: int, r: int, field: str = REAL,
@@ -197,7 +200,7 @@ def sample_sym_mrank(n: int, d: int, r: int, field: str = REAL,
         return sym_extract(Hypermatrix(full, field), LOOSE_TOL), None
 
     stratum = StratumDescriptor("sym-mrank", field, r, dim=n, order=d)
-    return _certified(stratum, candidate, tol)[0]
+    return _certified(stratum, candidate, tol.gap_min, tol)[0]
 
 
 def random_invertible(n: int, rng: SplitMix64, field: str = REAL,

@@ -10,7 +10,8 @@ from tensortopo import (COMPLEX, REAL, Hypermatrix, SplitMix64, SymTensor,
                         sym_diagonal_sum, sym_embed, sym_extract,
                         sym_packed_length, sym_power)
 from tensortopo.core import (MultilinearRank, RankOneFactors, fix_phase,
-                             mrank_admissible, mrank_stack, sym_embed_stack,
+                             mode_multiply_stack, mrank_admissible,
+                             mrank_stack, sym_embed_stack,
                              sym_extract_stack, sym_power_stack)
 from tensortopo.kinds import kind_of
 
@@ -169,6 +170,35 @@ def test_mode_multiply_identity_and_composition():
     once = mode_multiply(mode_multiply(core, [None, M, None]), [None, N, None])
     both = mode_multiply(core, [None, N @ M, None])
     assert np.allclose(once, both, atol=1e-12)
+
+
+@pytest.mark.parametrize("data_field", [REAL, COMPLEX])
+@pytest.mark.parametrize("matrix_field", [REAL, COMPLEX])
+def test_mode_multiply_stack_matches_mode_multiply(data_field, matrix_field):
+    """Bit for bit with real matrices, on real or complex data; a complex
+    matrix's batched product may round differently in the last bits."""
+    rng = SplitMix64(26)
+
+    def draw(shape, field):
+        return rng.complex_normals(shape) if field == COMPLEX else rng.normals(shape)
+
+    for trial in range(60):
+        shape = tuple(rng.integers(1, 5) for _ in range(2 + trial % 3))
+        K = 3
+        data = draw((K,) + shape, data_field)
+        # per mode: identity, one shared matrix, or one matrix per tensor
+        mats = [None if (trial + k) % 3 == 0 else
+                draw((K, rng.integers(1, 5), n) if (trial + k) % 3 == 1
+                     else (rng.integers(1, 5), n), matrix_field)
+                for k, n in enumerate(shape)]
+        stacked = mode_multiply_stack(data, mats)
+        for i in range(K):
+            one = mode_multiply(data[i], [M if M is None or M.ndim == 2 else M[i]
+                                          for M in mats])
+            if matrix_field == REAL:
+                assert np.array_equal(stacked[i], one)
+            else:
+                assert np.allclose(stacked[i], one, rtol=1e-13, atol=1e-13)
 
 
 def test_frobenius_inner_conjugates_second_argument():

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,8 @@ from tensortopo import (COMPLEX, REAL, GrassmannGeodesic, GrassmannPoint,
                         mode_multiply, orthogonal_interpolator,
                         random_orthogonal, sym_power, sym_tucker_compress,
                         sym_tucker_expand, tucker_compress, tucker_expand)
-from tensortopo.geometry import principal_angles, so_rotation_path
+from tensortopo.core import flattening_det_signs, mrank_admissible
+from tensortopo.geometry import flip_exponent, principal_angles, so_rotation_path
 from tensortopo.paths import chebyshev_grid
 
 TS = np.linspace(0.0, 1.0, 9)
@@ -80,6 +84,57 @@ def test_orientation_loop_needs_room():
     rng = SplitMix64(45)
     with pytest.raises(ValueError):
         OrientationLoop(_frame(rng, 3, 3))
+
+
+def _admissible_rank_tuples(max_order=5, max_rank=6):
+    for d in range(2, max_order + 1):
+        for ranks in itertools.product(range(1, max_rank + 1), repeat=d):
+            if mrank_admissible(ranks):
+                yield ranks
+
+
+def _square_modes(ranks):
+    return [i for i, r in enumerate(ranks) if r * r == math.prod(ranks)]
+
+
+def test_flip_exponent_parity_is_shared_by_every_square_mode():
+    """Why connect_mrank never needs more than one orientation loop: a loop
+    at mode m negates all square-mode determinants or none."""
+    tuples = 0
+    for ranks in _admissible_rank_tuples():
+        square = _square_modes(ranks)
+        if not square:
+            continue
+        tuples += 1
+        for m in range(len(ranks)):
+            assert len({flip_exponent(ranks, i, m) % 2 for i in square}) == 1, (ranks, m)
+    assert tuples > 100
+
+
+def test_gaussian_core_square_flattenings_share_det_signs():
+    rng = SplitMix64(49)
+    seen = 0
+    for ranks in _admissible_rank_tuples():
+        square = [i + 1 for i in _square_modes(ranks)]
+        if len(square) < 2:
+            continue
+        seen += 1
+        for _ in range(3):
+            core = rng.normals(ranks)
+            signs = flattening_det_signs(core[None], square)[0]
+            assert len(set(signs)) == 1, (ranks, signs)
+            # a loop's holonomy at mode m multiplies the sign by
+            # (-1)^flip_exponent at every square mode
+            for m in range(len(ranks)):
+                h = np.eye(ranks[m])
+                h[0, 0] = -1.0
+                moved = mode_multiply(core, [h if k == m else None
+                                             for k in range(len(ranks))])
+                after = flattening_det_signs(moved[None], square)[0]
+                assert after == tuple(
+                    s * (-1) ** flip_exponent(ranks, i - 1, m)
+                    for s, i in zip(signs, square)), (ranks, m)
+    assert seen > 10
 
 
 def test_dominant_subspace_spans_mode_image():

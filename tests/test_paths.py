@@ -17,6 +17,7 @@ from tensortopo.classifiers import classify, classify_brank3_222
 from tensortopo.core import RankOneFactors
 from tensortopo.io import dumps_canonical
 from tensortopo.kinds import Kind, kind_of
+from tensortopo import paths as paths_module
 from tensortopo.paths import (TensorPath, TuckerCurve, chebyshev_grid,
                               eigen_core_track, gl_core_track,
                               value_diff_norm)
@@ -343,6 +344,92 @@ def test_mrank_validates_endpoints():
     full, _ = sample_fixed_mrank((3, 3, 3), (3, 3, 3), REAL, rng)
     with pytest.raises(ToleranceError):
         connect_mrank(a, full, (2, 2, 2))
+
+
+# SHA-256 of the canonical connect + path_verify documents (or refusals) of
+# four pairs per stratum drawn from SplitMix64(250), recorded when the loops
+# were still chosen by elimination over GF(2): two strata with two square
+# modes, one whose every rank is 1, and one whose mismatches no loop can mend.
+MRANK_LOOP_DIGESTS = {
+    "mrank:r=2,2,1;shape=3,2,2;field=real":
+        "c26ddd2a17c01430c3bcc5c14f83b9cfb518ce88f7dc1cae65a71923ee7e249f",
+    "mrank:r=3,3,1;shape=3,4,2;field=real":
+        "d79d0b4ac004e3789034cae914949bbec5d489073b45027333553df28dd8596f",
+    "mrank:r=1,1,1;shape=2,3,2;field=real":
+        "d9147d4f9d786dc61e879f3e0f55db28d500042e2eabc7b3a306a2e24ed776a9",
+    "mrank:r=2,2,1;shape=2,2,3;field=real":
+        "132144bbabfb433c9d85f3232ceba2e912d7783bef43da6f0f9d3d33dd8dae55",
+}
+
+
+def _mrank_loop_outcomes(text):
+    st = parse_stratum(text)
+    rng = SplitMix64(250)
+    outcomes = []
+    for i in range(4):
+        a, _ = kind_of(st).draw(st, rng, TolerancePolicy())
+        b, _ = kind_of(st).draw(st, rng, TolerancePolicy())
+        try:
+            path = connect(st, a, b, rng=SplitMix64(i))
+        except DifferentComponents as exc:
+            outcomes.append({"refused": str(exc), "conjectural": exc.conjectural})
+            continue
+        outcomes.append({"path": path.to_json(), "report": path_verify(path).to_json()})
+    return outcomes
+
+
+@pytest.mark.parametrize("text", sorted(MRANK_LOOP_DIGESTS))
+def test_mrank_loop_documents_are_pinned(text):
+    doc = dumps_canonical(_mrank_loop_outcomes(text))
+    assert hashlib.sha256(doc.encode()).hexdigest() == MRANK_LOOP_DIGESTS[text]
+
+
+def test_mrank_unmendable_mismatch_refusal_is_pinned():
+    """Both square modes saturated, and the roomy mode's flip exponent (the
+    other square rank, 2) is even: no loop mends the mismatch."""
+    refusals = [o for o in _mrank_loop_outcomes("mrank:r=2,2,1;shape=2,2,3;field=real")
+                if "refused" in o]
+    assert refusals == [{
+        "refused": "endpoints carry different component labels: sign:-- vs "
+                   "sign:++ (square-mode core determinant signs cannot be "
+                   "reconciled by orientation loops) [conjectural separation]",
+        "conjectural": True}] * 2
+
+
+@pytest.mark.parametrize("text", sorted(MRANK_LOOP_DIGESTS)
+                         + ["mrank:r=4,2,2;shape=5,2,2;field=real",
+                            "mrank:r=4,2,2;shape=4,3,3;field=real"])
+def test_mrank_paths_take_at_most_one_flip_loop(text):
+    loops = [sum(seg["kind"] == "flip-loop" for seg in o["path"]["segments"])
+             for o in _mrank_loop_outcomes(text) if "path" in o]
+    assert loops and max(loops) <= 1
+
+
+@pytest.mark.parametrize("shape, ranks", [((3, 3, 3), (2, 2, 2)),
+                                          ((5, 2, 2), (4, 2, 2)),
+                                          ((3, 3, 2, 2), (2, 2, 2, 2))])
+def test_mrank_endpoint_stage_reads_each_flattening_once(shape, ranks, monkeypatch):
+    """The judge's batched rank read (d SVDs) and one Tucker compression of
+    both endpoints on those ranks (d more) come before the first frame
+    geodesic: 2d SVD calls, not a second rank read per endpoint."""
+    rng = SplitMix64(251)
+    a, _ = sample_fixed_mrank(shape, ranks, REAL, rng)
+    b, _ = sample_fixed_mrank(shape, ranks, REAL, rng)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    before_geodesic = []
+    geodesic = paths_module.GrassmannGeodesic
+
+    def first_geodesic(*args):
+        if not before_geodesic:
+            before_geodesic.append(len(calls))
+        return geodesic(*args)
+
+    monkeypatch.setattr(paths_module, "GrassmannGeodesic", first_geodesic)
+    connect_mrank(a, b, ranks, rng=SplitMix64(252))
+    assert before_geodesic == [2 * len(shape)]
 
 
 # --- symmetric multilinear rank ----------------------------------------------
