@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -447,12 +446,76 @@ def count_rank2_decompositions(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TO
     return DecompositionCount.UNIQUE_UP_TO_PERMUTATION, ((t1, t2), (t2, t1))
 
 
+def _check_conj_rebuild(residual: float, scale: float) -> None:
+    if not residual <= 1e-8 * max(scale, 1e-300):
+        raise ToleranceError(
+            f"conjugate-pair reconstruction misses the input by {residual:.3e}; "
+            "input is not numerically border rank three")
+
+
+def conj_pair_stack(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
+                    ) -> tuple[np.ndarray, list]:
+    """conj_pair_factors for every tensor of a real (K, 2, 2, 2) stack, in
+    one batched pass: the unit factors as a (K, 3, 2) array, row k holding
+    x, y, z of tensor k, and per tensor None where conj_pair_factors
+    returns, else the ToleranceError it raises, with the same message.
+
+    Each check runs on the tensors that passed the checks before it, so each
+    tensor gets the first error in conj_pair_factors' order; the factor rows
+    of a tensor that fails mean nothing. The pencil SVDs are one batched
+    call (see _rank_one_matrix_factors).
+    """
+    K = len(data)
+    factors = np.zeros((K, 3, 2), dtype=np.complex128)
+    if K == 0:
+        return factors, []
+    a, b, c = _pencil_coefficients(data)
+    # a alpha^2 + b alpha beta + c beta^2 with b^2 < 4ac has the root
+    # (t, a), t = -(b + i sqrt(4ac - b^2)) / 2, and its conjugate
+    gap = 4.0 * a * c - b * b
+    root = np.stack((-(b + 1j * np.sqrt(np.where(0.0 > gap, 0.0, gap))) / 2.0,
+                     a.astype(np.complex128)), axis=-1)
+    x = root / row_norms(root)[:, None]
+    # |det[x | conj(x)]| = 2 |Im(x_0 conj(x_1))|
+    separation = 2.0 * np.abs(_mul(x[:, 0], np.conj(x[:, 1])).imag)
+    errors = [caught(_check_separation, sep, tol) for sep in separation.tolist()]
+
+    def live() -> list:
+        return [k for k, e in enumerate(errors) if e is None]
+
+    rows = live()
+    if rows:
+        S, x = data[rows], x[rows]
+        u, v, found = _rank_one_matrix_factors(x[:, 1, None, None] * S[:, 0]
+                                               - x[:, 0, None, None] * S[:, 1])
+        factors[rows] = np.stack((x, np.conj(u), np.conj(v)), axis=1)
+        for k, e in zip(rows, found):
+            errors[k] = e
+    rows = live()
+    if rows:
+        S, n = data[rows], len(rows)
+        E = outer_stack([factors[rows, m] for m in range(3)])
+        # A = c E + conj(c E) with ||E|| = 1, so <E, A> = c + conj(c h) with
+        # h = sum(E^2), and |h| < 1 unless a factor is real up to phase
+        p = np.vecdot(E.reshape(n, 8), S.reshape(n, 8))
+        h = np.sum((E * E).reshape(n, 8), axis=1)
+        # a numpy scalar's ** 2 is libm's pow, which an array's square does
+        # not always match
+        h2 = np.array([w ** 2 for w in _abs(h).tolist()])
+        coef = (p - np.conj(_mul(h, p))) / (1.0 - h2)
+        residual = row_norms(2.0 * np.real(coef[:, None, None, None] * E) - S)
+        for k, res, sc in zip(rows, residual.tolist(), row_norms(S).tolist()):
+            errors[k] = caught(_check_conj_rebuild, res, sc)
+    return factors, errors
+
+
 def conj_pair_factors(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unit factors x, y, z of a term T = c x (x) y (x) z with
     A = T + conj(T), for real 2x2x2 inputs with negative hyperdeterminant,
     read in closed form off the mode-1 slice pencil (derived in
-    classifiers.classify_brank3_222).
+    classifiers.classify_brank3_222). The one-tensor case of
+    conj_pair_stack.
 
     The roots of det(beta*S0 - alpha*S1) are x and conj(x) up to scalars;
     at x the pencil M = beta*S0 - alpha*S1 is rank one, proportional to
@@ -463,28 +526,10 @@ def conj_pair_factors(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL
     """
     if A.shape != (2, 2, 2) or A.field != REAL:
         raise ValueError("conj_pair_factors needs a real tensor of shape (2, 2, 2)")
-    S = A.data
-    a, b, c = _pencil_coefficients(S)
-    # a alpha^2 + b alpha beta + c beta^2 with b^2 < 4ac has the root
-    # (t, a), t = -(b + i sqrt(4ac - b^2)) / 2, and its conjugate
-    root = np.array([-(b + 1j * math.sqrt(max(4.0 * a * c - b * b, 0.0))) / 2.0, a])
-    x = root / np.linalg.norm(root)
-    # |det[x | conj(x)]| = 2 |Im(x_0 conj(x_1))|
-    _check_separation(2.0 * abs((x[0] * np.conj(x[1])).imag), tol)
-    u, v, errors = _rank_one_matrix_factors((x[1] * S[0] - x[0] * S[1])[None])
+    factors, errors = conj_pair_stack(A.data[None], tol)
     if errors[0] is not None:
         raise errors[0]
-    y, z = np.conj(u[0]), np.conj(v[0])
-    E = np.multiply.outer(np.multiply.outer(x, y), z)
-    # A = c E + conj(c E) with ||E|| = 1, so <E, A> = c + conj(c h) with
-    # h = sum(E^2), and |h| < 1 unless a factor is real up to phase
-    p, h = np.vdot(E, S), np.sum(E * E)
-    coef = (p - np.conj(h * p)) / (1.0 - abs(h) ** 2)
-    residual = float(np.linalg.norm((2.0 * np.real(coef * E) - S).ravel()))
-    if not residual <= 1e-8 * max(A.norm(), 1e-300):
-        raise ToleranceError(
-            f"conjugate-pair reconstruction misses the input by {residual:.3e}; "
-            "input is not numerically border rank three")
+    x, y, z = factors[0]
     return x, y, z
 
 

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import (_band, classify_222, conj_pair_factors, hyperdet222,
+from .certify import (classify_222, conj_pair_stack, hyperdet_signs,
                       rank2_decompose)
 from .core import (DEFAULT_TOL, Hypermatrix, REAL,
                    SymRankDecomposition, SymTensor, TolerancePolicy, flatten,
                    numerical_rank, sym_diagonal_sum, sym_embed)
-from .errors import ToleranceError, UnsupportedStratumError
+from .errors import ToleranceError, UnsupportedStratumError, caught
 from .stratum import StratumDescriptor
 
 
@@ -112,9 +112,54 @@ def det_sign_mrank(A: Hypermatrix, mode: int,
     return sign_label(float(sign))
 
 
-def orientation_area(x: np.ndarray) -> float:
-    """det[Re x | Im x] for a 2-dimensional complex vector."""
-    return float(np.real(x[0]) * np.imag(x[1]) - np.real(x[1]) * np.imag(x[0]))
+def orientation_area(x: np.ndarray):
+    """det[Re x | Im x] for a 2-dimensional complex vector, or, given a
+    (K, 2) stack, for each of its rows as an array."""
+    w = (np.real(x[..., 0]) * np.imag(x[..., 1])
+         - np.real(x[..., 1]) * np.imag(x[..., 0]))
+    return float(w) if np.ndim(x) == 1 else w
+
+
+def _check_areas(areas: list, tol: TolerancePolicy) -> None:
+    """ToleranceError unless every mode's orientation area is gap_min or
+    more in size, naming the first mode that is not."""
+    for mode, w in enumerate(areas, start=1):
+        if abs(w) < tol.gap_min:
+            raise ToleranceError(
+                f"mode-{mode} orientation area {w:.3e} is below gap_min; "
+                "too close to the stratum boundary to classify")
+
+
+def _not_border_rank3(A: Hypermatrix, tol: TolerancePolicy) -> ToleranceError:
+    """The refusal of an input the band test does not call border-rank3,
+    worded with classify_222's kind (classify_222 raises ValueError on an
+    input that is not a real 2x2x2 tensor)."""
+    return ToleranceError(
+        f"classification is {classify_222(A, tol).kind.value}, not border-rank3; "
+        "the sign-triple label does not apply")
+
+
+def brank3_labels(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL,
+                  signs: list | None = None) -> list:
+    """classify_brank3_222 for every tensor of a real (K, 2, 2, 2) stack,
+    with one conjugate-pair pass (certify.conj_pair_stack, one batched
+    pencil SVD): per tensor its label, or the ToleranceError it raises, with
+    the same message. ``signs`` are the stack's hyperdet_signs when the
+    caller has read them; otherwise they are read here, with one
+    hyperdet222 call."""
+    if signs is None:
+        signs = hyperdet_signs(data, tol)
+    below = [k for k, sign in enumerate(signs) if sign < 0]
+    factors, errors = conj_pair_stack(data[below], tol)
+    areas = orientation_area(factors.reshape(-1, 2)).reshape(-1, 3)
+    # the conjugate term, whose first factor has positive orientation
+    areas = np.where(areas[:, :1] < 0, -areas, areas).tolist()
+    labels = [None if sign < 0 else _not_border_rank3(Hypermatrix(A, REAL), tol)
+              for A, sign in zip(data, signs)]
+    for k, error, (w1, w2, w3) in zip(below, errors, areas):
+        labels[k] = (error or caught(_check_areas, (w1, w2, w3), tol)
+                     or sign_triple_label(w1 * w2, w1 * w3, w2 * w3))
+    return labels
 
 
 def classify_brank3_222(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL
@@ -139,32 +184,24 @@ def classify_brank3_222(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL
     and the unit root is x up to phase. At that root the pencil M is rank
     one, and its leading singular pair u, v gives y ~ conj(u) and
     z ~ conj(v). Taking the other root conjugates all three factors, which
-    leaves every pairwise product unchanged. One 2x2 SVD replaces the
-    complex rank-two decomposition of brank3_conj_pair, and every check of
-    that route stays: the classify_222 band, pencil-root separation, the
-    rank-one ratio of M, a rebuild of A within 1e-8 ||A|| and a per-mode
-    unit-factor area of at least gap_min (see certify.conj_pair_factors).
+    leaves every pairwise product unchanged. One batched 2x2 SVD per stack
+    replaces the complex rank-two decomposition of brank3_conj_pair, and
+    every check of that route stays: the classify_222 band, pencil-root
+    separation, the rank-one ratio of M, a rebuild of A within 1e-8 ||A||
+    and a per-mode unit-factor area of at least gap_min (see
+    certify.conj_pair_stack). This is the one-tensor case of brank3_labels,
+    which labels a whole path grid with one such SVD.
 
     The band is tested on the hyperdeterminant alone: below -eps_rel ||A||^4
     no flattening has rank one (Det vanishes to second order on rank one),
     so classify_222 would say border-rank3. It runs only to word a refusal.
     """
-    if (A.shape != (2, 2, 2) or A.field != REAL
-            or not hyperdet222(A) < -_band(A.norm(), tol)):
-        raise ToleranceError(
-            f"classification is {classify_222(A, tol).kind.value}, not border-rank3; "
-            "the sign-triple label does not apply")
-    areas = [orientation_area(v) for v in conj_pair_factors(A, tol)]
-    if areas[0] < 0:
-        # the conjugate term, whose first factor has positive orientation
-        areas = [-w for w in areas]
-    for mode, w in enumerate(areas, start=1):
-        if abs(w) < tol.gap_min:
-            raise ToleranceError(
-                f"mode-{mode} orientation area {w:.3e} is below gap_min; "
-                "too close to the stratum boundary to classify")
-    return sign_triple_label(areas[0] * areas[1], areas[0] * areas[2],
-                             areas[1] * areas[2])
+    if A.shape != (2, 2, 2) or A.field != REAL:
+        raise _not_border_rank3(A, tol)
+    label = brank3_labels(A.data[None], tol)[0]
+    if not isinstance(label, ComponentLabel):
+        raise label
+    return label
 
 
 def _sym_matrix_signature(S: SymTensor, r: int,

@@ -16,8 +16,10 @@ a path's whole grid (``certify`` is judge plus labels), a sampler a stack of
 one candidate, and the multilinear-rank connectors a core path's grid of
 cores, judged as members of the core's own stratum. Rules that need more
 than the flattening ranks read the stack in one batched pass (the
-hyperdeterminant signs, the rank-two certificate), and so does the
-determinant-sign label of a saturated square multilinear rank.
+hyperdeterminant signs, the rank-two certificate), and so do two labels:
+the determinant sign of a saturated square multilinear rank, and the
+border-rank-three sign triple, whose grid takes one batched 2x2 SVD on the
+signs ``member`` read (``classify_brank3_222`` is its one-tensor case).
 
 Records call samplers, invariants and connectors through this module's
 global names at call time, so a wrapper installed here sees every call.
@@ -28,7 +30,8 @@ from __future__ import annotations
 import math
 
 from .certify import hyperdet_signs, rank2_certify
-from .classifiers import (SINGLE, _sym_matrix_signature, _sym_rank2_witness,
+from .classifiers import (SINGLE, ComponentLabel, _sym_matrix_signature,
+                          _sym_rank2_witness, brank3_labels,
                           classify_brank3_222, det_sign_mrank,
                           mrank_saturation, sign_label, square_mode,
                           sym_sign_rank1, sym_signature)
@@ -66,6 +69,10 @@ class Kind:
         if stratum.field == COMPLEX:
             return 1
         return self.real_components(stratum)
+
+    # whether ``screen`` rejects values; samplers screen such a record's
+    # candidates in chunks
+    screens = False
 
     def screen(self, stratum, stack, tol) -> list[bool]:
         """Per value, a test ``member`` also makes that needs no rank read;
@@ -170,6 +177,8 @@ class BorderRank3(Rank):
     border rank; rank exactly three also holds tensors whose hyperdeterminant
     vanishes, so it gets no count."""
 
+    screens = True
+
     def invariant(self, stratum, A, tol):
         return classify_brank3_222(A, tol)
 
@@ -188,6 +197,22 @@ class BorderRank3(Rank):
         return [(rk == (2, 2, 2), "") if below else
                 (False, "hyperdeterminant is not below -eps_rel ||A||^4")
                 for below, rk in zip(self.screen(stratum, stack, tol), ranks)]
+
+    def certify(self, stratum, stack, witnesses, tol):
+        # classify_brank3_222's labels for the members, with one stacked
+        # conjugate-pair pass; member has read their hyperdeterminant signs,
+        # and accepts only values below the band
+        verdicts = self.judge(stratum, stack, tol)
+        kept = [k for k, (ok, _read, _note) in enumerate(verdicts) if ok]
+        labels = dict(zip(kept, brank3_labels(stack[kept], tol, [-1] * len(kept))))
+        out = []
+        for k, (ok, read, note) in enumerate(verdicts):
+            label = labels.get(k)
+            if isinstance(label, ComponentLabel):
+                out.append((True, read, label, note))
+            else:
+                out.append((False, read, None, note if label is None else str(label)))
+        return out
 
 
 class SymRank(Kind):

@@ -47,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .certify import brank3_conj_pair, is_rank_one, rank2_decompose
-from .classifiers import (ComponentLabel, classify_brank3_222, det_sign_mrank,
+from .classifiers import (ComponentLabel, brank3_labels, det_sign_mrank,
                           sign_label, square_mode, mrank_saturation)
 from .core import (COMPLEX, DEFAULT_TOL, LOOSE_TOL, Hypermatrix, REAL,
                    RankOneFactors, SymRankDecomposition, SymTensor,
@@ -1027,8 +1027,10 @@ def connect_brank3_222(A: Hypermatrix, B: Hypermatrix,
     mode's [Re | Im] factor matrix moves along a determinant-sign-preserving
     interpolation, so the hyperdeterminant stays negative at every t.
     """
-    la = classify_brank3_222(A, tol)
-    lb = classify_brank3_222(B, tol)
+    la, lb = brank3_labels(np.stack((A.data, B.data)), tol)
+    for label in (la, lb):
+        if not isinstance(label, ComponentLabel):
+            raise label
     if la != lb:
         raise DifferentComponents(la, lb)
 

@@ -56,6 +56,25 @@ class SplitMix64:
         self._spare = radius * math.sin(theta)
         return radius * math.cos(theta)
 
+    def state(self) -> tuple:
+        """The generator's whole state, for ``resume``."""
+        return self._state, self._spare
+
+    def resume(self, state: tuple) -> None:
+        """Put the generator back to a state that ``state`` returned."""
+        self._state, self._spare = state
+
+    def normal_runs(self, count: int, size: int) -> tuple[np.ndarray, list]:
+        """``count`` runs of ``size`` standard Gaussians, drawn as ``count``
+        calls of normals(size) draw them, as a (count, size) array, and the
+        generator's state after each run."""
+        normal = self.normal
+        runs, states = [], []
+        for _ in range(count):
+            runs.append([normal() for _ in range(size)])
+            states.append(self.state())
+        return np.array(runs, dtype=np.float64), states
+
     def normals(self, shape: tuple[int, ...] | int) -> np.ndarray:
         if isinstance(shape, int):
             shape = (shape,)

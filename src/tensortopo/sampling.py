@@ -12,10 +12,22 @@ three real Gaussian rank-one terms on 2x2x2 lands in the border-rank-three
 region only about one draw in ten, so a cap of 100 gave up on that valid
 stratum about once in 30000 draws. At 1000 the chance of that is below
 1e-40; exhaustion signals bad parameters, not bad luck.
+
+A record whose ``screen`` rejects draws (the border-rank-three one) gets
+its candidates in chunks: the sampler draws the normals of _CHUNK
+candidates in their usual order, builds them with one outer product and
+screens them with one hyperdeterminant call. The generator is then put
+back (its integer state and its cached Box-Muller spare) to where it stood
+right after the accepted candidate, so every draw, witness and later
+stream is the one that drawing a candidate at a time gives. A unit factor
+that would be redrawn ends the chunk before its candidate, which is then
+drawn alone. Every other record draws one candidate at a time, and the
+cap counts candidates either way.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -23,13 +35,17 @@ import numpy as np
 from .core import (COMPLEX, DEFAULT_TOL, LOOSE_TOL, Hypermatrix,
                    RankOneFactors, REAL, SymRankDecomposition, SymTensor,
                    TolerancePolicy, mode_multiply, mrank_admissible,
-                   outer_product, sym_embed, sym_extract, sym_packed_length)
+                   outer_product, outer_stack, sym_embed, sym_extract,
+                   sym_packed_length)
 from .errors import RetryExhausted
 from .geometry import GrassmannPoint, TuckerRep, tucker_expand
 from .rng import SplitMix64
 from .stratum import StratumDescriptor
 
 _MAX_REDRAWS = 1000
+# candidates drawn and screened at once for a record whose screen rejects
+# draws; about one in ten rank-three 2x2x2 candidates passes
+_CHUNK = 8
 
 
 def field_normals(rng: SplitMix64, shape: tuple[int, ...], field: str
@@ -67,25 +83,39 @@ def expected_generic_mrank(shape: tuple[int, ...], r: int) -> tuple[int, ...]:
 
 
 def _certified(stratum: StratumDescriptor, candidate, margin: float,
-               tol: TolerancePolicy):
-    """The first of at most 1 + _MAX_REDRAWS ``candidate()`` draws that is
-    a member of ``stratum`` with every margin at least ``margin``.
+               tol: TolerancePolicy, chunk=None):
+    """The first of at most 1 + _MAX_REDRAWS candidates that is a member of
+    ``stratum`` with every margin at least ``margin``.
 
-    ``candidate()`` returns ``(value, witness)``, or None for a raw draw
-    it rejects itself (a vanishing term, a wrong determinant sign). The
-    record's ``screen`` runs before the rank read, so a candidate it
-    rejects costs no SVD.
+    ``candidate()`` draws one candidate and returns ``(value, witness)``, or
+    None for a raw draw it rejects itself (a vanishing term, a wrong
+    determinant sign). The record's ``screen`` runs before the rank read,
+    so a candidate it rejects costs no SVD. When the screen rejects draws
+    (``Kind.screens``) and the sampler gives ``chunk``, candidates come
+    _CHUNK at a time: ``chunk(count)`` draws up to ``count`` candidates in
+    order, as ``candidate()`` would, and returns each with a callable that
+    puts the generator back to its state right after that candidate. One
+    screen call takes the chunk, and the generator is put back to the state
+    after the accepted candidate, so the draws that follow are those of one
+    candidate at a time.
     """
     rule = kinds.kind_of(stratum)
-    for _ in range(_MAX_REDRAWS + 1):
-        drawn = candidate()
-        if drawn is None:
+    size = _CHUNK if chunk is not None and rule.screens else 1
+    left = _MAX_REDRAWS + 1
+    while left > 0:
+        batch = chunk(min(size, left)) if size > 1 else [(candidate(), None)]
+        left -= len(batch)
+        batch = [(drawn, resume) for drawn, resume in batch if drawn is not None]
+        if not batch:
             continue
-        value = drawn[0]
-        stack = (value.packed if isinstance(value, SymTensor) else value.data)[None]
-        if (rule.screen(stratum, stack, tol)[0]
-                and kinds.clear_members(stratum, stack, margin, tol)[0]):
-            return drawn
+        stack = np.stack([value.packed if isinstance(value, SymTensor) else value.data
+                          for (value, _witness), _resume in batch])
+        for row, (drawn, resume), ok in zip(stack, batch,
+                                            rule.screen(stratum, stack, tol)):
+            if ok and kinds.clear_members(stratum, row[None], margin, tol)[0]:
+                if resume is not None:
+                    resume()
+                return drawn
     raise RetryExhausted(f"could not certify a sample of {stratum} "
                          f"after {_MAX_REDRAWS} redraws")
 
@@ -113,8 +143,49 @@ def sample_rank_r(shape: tuple[int, ...], r: int, field: str, rng: SplitMix64,
             total = part if total is None else total + part
         return Hypermatrix(total, field), terms
 
+    def chunk(count):
+        # count real candidates from one run of normals each: per term one
+        # factor per mode, then the scalar, as candidate() draws them
+        start = rng.state()
+        runs, states = rng.normal_runs(count, r * (sum(shape) + 1))
+        runs = runs.reshape(count, r, -1)
+        cuts = np.cumsum((0,) + tuple(shape))
+        units, redraw = [], count
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            v = np.ascontiguousarray(runs[:, :, lo:hi])
+            nv = np.sqrt(np.vecdot(v, v))
+            for j, k in zip(*np.nonzero(nv <= 2e-6)):
+                # _unit_gaussian's redraw test, on its own norm
+                nv[j, k] = np.linalg.norm(v[j, k])
+                if not nv[j, k] > 1e-6:
+                    redraw = min(redraw, int(j))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                units.append(v / nv[..., None])
+        if redraw == 0:
+            # the first candidate redraws a factor: draw it as candidate() does
+            rng.resume(start)
+            return [(candidate(), None)]
+        if redraw < count:
+            rng.resume(states[redraw - 1])
+        scalars = runs[:redraw, :, -1]
+        parts = (outer_stack([u[:redraw].reshape(redraw * r, -1) for u in units])
+                 .reshape((redraw, r) + tuple(shape))
+                 * scalars.reshape(scalars.shape + (1,) * len(shape)))
+        out = []
+        for j in range(redraw):
+            total = parts[j, 0]
+            for k in range(1, r):
+                total = total + parts[j, k]
+            terms = [RankOneFactors(float(scalars[j, k]),
+                                    tuple(u[j, k] for u in units), field)
+                     for k in range(r)]
+            out.append(((Hypermatrix(total, field), terms),
+                        functools.partial(rng.resume, states[j])))
+        return out
+
     return _certified(StratumDescriptor("rank", field, r, shape=tuple(shape)),
-                      candidate, tol.gap_min, tol)
+                      candidate, tol.gap_min, tol,
+                      chunk if field == REAL else None)
 
 
 def sample_sym_rank_r(n: int, d: int, r: int, signature: int | None = None,

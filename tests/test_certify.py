@@ -4,7 +4,8 @@ import pytest
 from tensortopo import (COMPLEX, REAL, DegenerateError, Hypermatrix,
                         SplitMix64, ToleranceError, hyperdet222, outer_product)
 from tensortopo.certify import (DecompositionCount, Kind222, brank3_conj_pair,
-                                classify_222, count_rank2_decompositions,
+                                classify_222, conj_pair_factors,
+                                conj_pair_stack, count_rank2_decompositions,
                                 is_rank_one, rank2_certify, rank2_decompose)
 from tensortopo.core import RankOneFactors, mrank_stack
 
@@ -137,6 +138,37 @@ def test_brank3_conj_pair_reconstructs():
         x = term.factors[0]
         w = np.column_stack([np.real(x), np.imag(x)])
         assert np.linalg.det(w) > 0
+
+
+def test_conj_pair_stack_matches_one_tensor_at_a_time():
+    """conj_pair_stack checks a whole stack in one pass; each tensor gets
+    the factors, bit for bit, or the refusal, message for message, that
+    conj_pair_factors gives it alone."""
+    rng = SplitMix64(47)
+    inputs = [rng.normals((2, 2, 2)) for _ in range(1500)]
+    for k in range(1500):
+        # conjugate pairs whose factors approach real ones
+        shrink = 10.0 ** (-7.0 * k / 1500)
+        x, y, z = (rng.normals((2,)) + 1j * shrink * rng.normals((2,))
+                   for _mode in range(3))
+        T = complex(rng.normal(), rng.normal()) * np.multiply.outer(
+            np.multiply.outer(x, y), z)
+        inputs.append(2.0 * np.real(T))
+    want = []
+    for A in inputs:
+        try:
+            want.append(b"".join(f.tobytes()
+                                 for f in conj_pair_factors(Hypermatrix(A, REAL))))
+        except ToleranceError as exc:
+            want.append(str(exc))
+    factors, errors = conj_pair_stack(np.stack(inputs))
+    got = [factors[k].tobytes() if e is None else str(e)
+           for k, e in enumerate(errors)]
+    assert got == want
+    refusals = [w for w in want if isinstance(w, str)]
+    assert 500 <= len(refusals) <= len(want) - 500
+    assert any(w.startswith("slice pencil roots") for w in refusals)
+    assert any(w.startswith("conjugate-pair reconstruction") for w in refusals)
 
 
 def test_brank3_conj_pair_rejects_rank2():

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from tensortopo import (COMPLEX, REAL, DegenerateError, Hypermatrix,
                         mode_multiply, parse_stratum, random_invertible,
                         sample_rank_r, sample_sym_rank_r, sym_power)
 from tensortopo.certify import Kind222, brank3_conj_pair, classify_222
-from tensortopo.classifiers import (ComponentLabel, classify,
+from tensortopo.classifiers import (ComponentLabel, brank3_labels, classify,
                                     classify_brank3_222, det_sign_mrank,
                                     mrank_saturation, orientation_area,
                                     sign_label, sign_triple_label,
@@ -210,6 +212,7 @@ def _outcome(classifier, A):
         return "raises"
 
 
+@functools.lru_cache(maxsize=1)
 def _closed_form_inputs():
     """Gaussian draws, samples along brank3 paths, and conjugate pairs whose
     factors approach real ones, so that Delta / ||A||^4 falls through the
@@ -245,6 +248,30 @@ def test_closed_form_sign_triple_agrees_with_the_conj_pair_route():
     labels = [got for _ref, got in outcomes if got != "raises"]
     assert set(labels) == ALL_TRIPLES
     assert 1000 <= len(labels) <= len(inputs) - 1000
+
+
+def _verdict(classifier, A):
+    try:
+        return str(classifier(A))
+    except (ToleranceError, DegenerateError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_stacked_labels_agree_with_the_per_sample_route():
+    """brank3_labels labels a whole stack with one conjugate-pair pass; each
+    tensor gets the label, or the refusal with its message, that
+    classify_brank3_222 gives it alone."""
+    inputs = _closed_form_inputs()
+    assert len(inputs) >= 10_000
+    stacked = brank3_labels(np.stack([A.data for A in inputs]))
+    got = [str(out) if isinstance(out, ComponentLabel)
+           else f"{type(out).__name__}: {out}" for out in stacked]
+    want = [_verdict(classify_brank3_222, A) for A in inputs]
+    assert [i for i, (g, w) in enumerate(zip(got, want)) if g != w] == []
+    assert ALL_TRIPLES <= set(got)
+    # inputs on the band's either side and inside it
+    assert any(w.startswith("ToleranceError: classification is rank2") for w in want)
+    assert any(w.startswith("ToleranceError: classification is boundary") for w in want)
 
 
 def test_band_read_off_the_hyperdeterminant_matches_classify_222():

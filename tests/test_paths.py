@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -231,6 +232,34 @@ def test_brank3_same_label_path_keeps_hyperdet_negative():
     assert report.label == "sign-triple:+--"
     for t in GRID:
         assert hyperdet222(path.eval(t)) < 0
+
+
+def test_brank3_grid_takes_one_hyperdet_and_one_pencil_svd(monkeypatch):
+    """path_verify labels a border-rank-three grid from the signs member
+    read, with one hyperdet222 call, and one batched pencil SVD beside the
+    three batched flattening SVDs of mrank_stack."""
+    rng = SplitMix64(216)
+    a = _brank3_with_label(rng, "sign-triple:-+-")
+    b = _brank3_with_label(rng, "sign-triple:-+-")
+    path = connect_brank3_222(a, b)
+    calls = {"hyperdet222": 0, "svd": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    hyperdet = counted("hyperdet222", hyperdet222)
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("tensortopo")
+                and getattr(module, "hyperdet222", None) is hyperdet222):
+            monkeypatch.setattr(module, "hyperdet222", hyperdet)
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    report = path_verify(path)
+    assert report.passed and report.label == "sign-triple:-+-"
+    assert len(report.samples) > 60
+    assert calls == {"hyperdet222": 1, "svd": 4}
 
 
 def test_brank3_cross_label_refused():

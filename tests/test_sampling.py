@@ -9,6 +9,7 @@ from tensortopo import (COMPLEX, REAL, RetryExhausted, SplitMix64,
                         outer_product, random_invertible, random_orthogonal,
                         sample_fixed_mrank, sample_rank_r, sample_sym_mrank,
                         sample_sym_rank_r, sym_embed)
+from tensortopo import kinds, sampling
 from tensortopo.certify import Kind222, classify_222
 
 
@@ -185,3 +186,104 @@ def test_sampler_draws_are_pinned(name):
     for _ in range(20):
         digest.update(draw(rng).tobytes())
     assert digest.hexdigest() == expected
+
+
+def _rank3_stream_digest(rng: SplitMix64, draws: int) -> str:
+    """SHA-256 over ``draws`` rank-three 2x2x2 draws: each tensor, its
+    witness terms (scalar type and bits, factor bits) and the generator's
+    whole state after the draw."""
+    digest = hashlib.sha256()
+    for _ in range(draws):
+        A, terms = sample_rank_r((2, 2, 2), 3, REAL, rng)
+        digest.update(A.data.tobytes())
+        for term in terms:
+            digest.update(type(term.scalar).__name__.encode())
+            digest.update(np.float64(term.scalar).tobytes())
+            for f in term.factors:
+                digest.update(f.tobytes())
+        digest.update(rng._state.to_bytes(8, "little"))
+        digest.update(b"-" if rng._spare is None
+                      else np.float64(rng._spare).tobytes())
+    return digest.hexdigest()
+
+
+# recorded while the rank-three sampler built and screened one candidate at
+# a time: screening candidates in chunks keeps every draw, every witness and
+# the generator state after each draw
+_RANK3_STREAMS = {
+    3: "b5e745b7c91a51c0ca6f886963e0f16d3304d3c04815adc6e6935d5abd644000",
+    5: "3d6308df914f2d4717e74199610cb96e24e037b346cb0765c6757ca459fe5449",
+    17: "605617ef5bb97f222e75767ff73db42a3ad7a0c71eb554e6990e5195c76eb293",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_RANK3_STREAMS))
+def test_rank3_sampler_witnesses_and_generator_state_are_pinned(seed):
+    assert _rank3_stream_digest(SplitMix64(seed), 200) == _RANK3_STREAMS[seed]
+
+
+class _ZeroingStream(SplitMix64):
+    """SplitMix64 with two normals in every 50 set to zero, so that some
+    unit-factor draws come out zero and are redrawn. Its state counts the
+    normals drawn."""
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.count = 0
+
+    def state(self) -> tuple:
+        return super().state() + (self.count,)
+
+    def resume(self, state: tuple) -> None:
+        super().resume(state[:2])
+        self.count = state[2]
+
+    def normal(self) -> float:
+        index, self.count = self.count, self.count + 1
+        z = super().normal()
+        return 0.0 if index % 50 < 2 else z
+
+
+def test_rank3_chunks_redraw_a_vanishing_factor_as_one_candidate_does(monkeypatch):
+    def stream(chunk):
+        monkeypatch.setattr(sampling, "_CHUNK", chunk)
+        rng = _ZeroingStream(4)
+        out = []
+        for _ in range(60):
+            A, terms = sample_rank_r((2, 2, 2), 3, REAL, rng)
+            out.append((A.data.tobytes(), rng.state(),
+                        [(t.scalar, [f.tobytes() for f in t.factors]) for t in terms]))
+        return out
+
+    zero_factors = []
+    field_normals = sampling.field_normals
+
+    def spy(rng, shape, field):
+        v = field_normals(rng, shape, field)
+        zero_factors.append(not v.any())
+        return v
+
+    monkeypatch.setattr(sampling, "field_normals", spy)
+    chunked = stream(16)
+    assert sum(zero_factors) > 0
+    assert chunked == stream(1)
+
+
+def test_rank3_screen_that_never_passes_exhausts_after_the_cap(monkeypatch):
+    screened = []
+
+    def never(self, stratum, stack, tol):
+        screened.append(len(stack))
+        return [False] * len(stack)
+
+    monkeypatch.setattr(kinds.BorderRank3, "screen", never)
+    rng = SplitMix64(9)
+    with pytest.raises(RetryExhausted) as info:
+        sample_rank_r((2, 2, 2), 3, REAL, rng)
+    assert str(info.value) == ("could not certify a sample of "
+                               "rank:r=3;shape=2,2,2;field=real after 1000 redraws")
+    assert sum(screened) == 1 + sampling._MAX_REDRAWS
+    # every candidate drew its 21 normals, and no more were drawn
+    reference = SplitMix64(9)
+    reference.normals(21 * (1 + sampling._MAX_REDRAWS))
+    assert (rng._state, rng._spare) == (reference._state, reference._spare)
