@@ -29,7 +29,7 @@ from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, RankOneFactors, REAL,
                    TolerancePolicy, _mul, _rank_read, fix_phase, flatten,
                    flatten_stack, mode_multiply_stack, numerical_rank,
                    outer_product, outer_stack, row_norms)
-from .errors import DegenerateError, ToleranceError, caught
+from .errors import DegenerateError, ToleranceError, caught, settled
 from .geometry import check_orthonormal, dominant_frames, tucker_stack
 
 
@@ -418,9 +418,7 @@ def rank2_decompose(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL
     Real inputs in the negative-hyperdeterminant regime raise DegenerateError;
     pencil roots closer than gap_min raise ToleranceError.
     """
-    out = _rank2_terms(A.data[None], None, tol)[0]
-    if not isinstance(out, list):
-        raise out
+    out = settled(_rank2_terms(A.data[None], None, tol)[0])
     t1, t2 = (_normalized_term(lam, lifted, A.field) for lam, lifted in out)
     return t1, t2
 
@@ -527,8 +525,7 @@ def conj_pair_factors(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL
     if A.shape != (2, 2, 2) or A.field != REAL:
         raise ValueError("conj_pair_factors needs a real tensor of shape (2, 2, 2)")
     factors, errors = conj_pair_stack(A.data[None], tol)
-    if errors[0] is not None:
-        raise errors[0]
+    settled(errors[0])
     x, y, z = factors[0]
     return x, y, z
 

@@ -16,8 +16,10 @@ from .certify import (classify_222, conj_pair_stack, hyperdet_signs,
                       rank2_decompose)
 from .core import (DEFAULT_TOL, Hypermatrix, REAL,
                    SymRankDecomposition, SymTensor, TolerancePolicy, flatten,
-                   numerical_rank, sym_diagonal_sum, sym_embed)
-from .errors import ToleranceError, UnsupportedStratumError, caught
+                   flattening_det_signs, numerical_rank, sym_diagonal_sum,
+                   sym_embed, sym_embed_stack)
+from .errors import (ToleranceError, UnsupportedStratumError, caught,
+                     settled)
 from .stratum import StratumDescriptor
 
 
@@ -85,19 +87,17 @@ def sym_signature(D: SymRankDecomposition, tol: TolerancePolicy = DEFAULT_TOL
     if D.field != REAL or D.order % 2 != 0:
         raise UnsupportedStratumError(
             "signature classifier needs a real decomposition of even order")
-    count = 0
     for lam, v in zip(D.coefficients, D.vectors):
         nv = float(np.linalg.norm(v))
         if nv == 0.0 or abs(lam) * nv ** D.order == 0.0:
             raise ToleranceError("zero term in decomposition; signature undefined")
-        if float(lam) > 0:
-            count += 1
-    return ComponentLabel("signature", count)
+    return ComponentLabel("signature", D.signature())
 
 
 def det_sign_mrank(A: Hypermatrix, mode: int,
                    tol: TolerancePolicy = DEFAULT_TOL) -> ComponentLabel:
-    """Sign of the determinant of the mode-i flattening (square case only)."""
+    """Sign of the determinant of the mode-i flattening (square case only),
+    read as flattening_det_signs reads a stack."""
     M = flatten(A, mode)
     if M.shape[0] != M.shape[1]:
         raise UnsupportedStratumError(
@@ -108,8 +108,7 @@ def det_sign_mrank(A: Hypermatrix, mode: int,
         raise ToleranceError(
             f"mode-{mode} flattening is numerically singular; "
             "determinant sign is undefined here")
-    sign, _ = np.linalg.slogdet(M)
-    return sign_label(float(sign))
+    return sign_label(flattening_det_signs(A.data[None], [mode])[0][0])
 
 
 def orientation_area(x: np.ndarray):
@@ -198,27 +197,36 @@ def classify_brank3_222(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL
     """
     if A.shape != (2, 2, 2) or A.field != REAL:
         raise _not_border_rank3(A, tol)
-    label = brank3_labels(A.data[None], tol)[0]
-    if not isinstance(label, ComponentLabel):
-        raise label
-    return label
+    return settled(brank3_labels(A.data[None], tol)[0])
+
+
+def sym_matrix_signatures(packed: np.ndarray, n: int, r: int,
+                          tol: TolerancePolicy = DEFAULT_TOL) -> list:
+    """Signature of the rank-r symmetric n x n matrix of every row of a
+    (K, L) packed stack, from its eigenvalues (one batched eigvalsh): per
+    matrix its label, or the ToleranceError that refuses it. An eigenvalue
+    counts when it exceeds n * eps_rel times the largest in size."""
+    lam = np.linalg.eigvalsh(sym_embed_stack(packed, n, 2))
+    scale = np.max(np.abs(lam), axis=1, keepdims=True)
+    tau = scale * n * tol.eps_rel
+    labels = []
+    for top, pos, neg in zip(scale[:, 0].tolist(), np.sum(lam > tau, axis=1).tolist(),
+                             np.sum(lam < -tau, axis=1).tolist()):
+        if top == 0.0:
+            labels.append(ToleranceError("zero matrix has no signature"))
+        elif pos + neg != r:
+            labels.append(ToleranceError(
+                f"eigenvalue signature ({pos}, {neg}) does not witness rank {r}"))
+        else:
+            labels.append(ComponentLabel("signature", pos))
+    return labels
 
 
 def _sym_matrix_signature(S: SymTensor, r: int,
                           tol: TolerancePolicy) -> ComponentLabel:
-    """Signature of a rank-r symmetric matrix, from its eigenvalues."""
-    M = sym_embed(S).data
-    lam = np.linalg.eigvalsh(M)
-    scale = float(np.max(np.abs(lam)))
-    if scale == 0.0:
-        raise ToleranceError("zero matrix has no signature")
-    tau = scale * M.shape[0] * tol.eps_rel
-    pos = int(np.sum(lam > tau))
-    neg = int(np.sum(lam < -tau))
-    if pos + neg != r:
-        raise ToleranceError(
-            f"eigenvalue signature ({pos}, {neg}) does not witness rank {r}")
-    return ComponentLabel("signature", pos)
+    """Signature of a rank-r symmetric matrix: the one-matrix case of
+    sym_matrix_signatures."""
+    return settled(sym_matrix_signatures(S.packed[None], S.dim, r, tol)[0])
 
 
 def mrank_saturation(stratum: StratumDescriptor) -> str:

@@ -453,10 +453,12 @@ def mode_multiply_stack(data: np.ndarray,
                         matrices: list[np.ndarray | None]) -> np.ndarray:
     """mode_multiply for every tensor of a (K, ...) stack, one batched
     matmul per mode: matrices[k] is a (K, new_k, old_k) stack, one
-    (new_k, old_k) matrix shared by every tensor, or None. With real
-    matrices each tensor's result has the bits mode_multiply gives it, real
-    or complex data alike; with a complex matrix the batched product may
-    round differently in the last bits."""
+    (new_k, old_k) matrix shared by every tensor, or None. Each tensor's
+    result has the bits mode_multiply gives it, real or complex data alike,
+    except where a complex matrix has one row or one column: the batched
+    product may round those differently in the last bits, which moves the
+    draws and paths of complex multilinear-rank strata with a rank-one
+    mode, so mode_multiply keeps its own loop."""
     out = data
     for k, M in enumerate(matrices):
         if M is None:

@@ -66,3 +66,11 @@ def caught(check, *args) -> TensorTopoError | None:
     except TensorTopoError as exc:
         return exc
     return None
+
+
+def settled(verdict):
+    """The inverse of ``caught`` for one verdict of a batched routine: the
+    verdict, or the TensorTopoError it holds raised."""
+    if isinstance(verdict, TensorTopoError):
+        raise verdict
+    return verdict

@@ -17,7 +17,7 @@ import scipy.linalg
 from .core import (DEFAULT_TOL, LOOSE_TOL, Hypermatrix, SymTensor,
                    TolerancePolicy, _rank_read, fix_phase, flatten_stack,
                    mode_multiply, mode_multiply_stack, sym_embed, sym_extract)
-from .errors import ToleranceError, caught
+from .errors import ToleranceError, caught, settled
 
 _FRAME_ORTHO_TOL = 1e-12
 
@@ -102,8 +102,7 @@ def dominant_subspace(A: Hypermatrix, mode: int, r: int,
     dominant_frames.
     """
     frames, errors = dominant_frames(A.data[None], mode, r, None, tol)
-    if errors[0] is not None:
-        raise errors[0]
+    settled(errors[0])
     return GrassmannPoint(frames[0], A.field)
 
 
@@ -145,9 +144,6 @@ class GrassmannGeodesic:
     def frame(self, t) -> np.ndarray:
         a = np.multiply.outer(t, self._theta)[..., None, :]
         return (self._P * np.cos(a) + self._G * np.sin(a)) @ self._Vh
-
-    def angles(self) -> np.ndarray:
-        return self._theta.copy()
 
 
 def geodesic(start: GrassmannPoint, end: GrassmannPoint,
@@ -256,8 +252,7 @@ def tucker_compress(A: Hypermatrix, ranks: tuple[int, ...],
     The one-tensor case of tucker_stack.
     """
     frames, core, errors = tucker_stack(A.data[None], tuple(ranks), None, tol)
-    if errors[0] is not None:
-        raise errors[0]
+    settled(errors[0])
     return TuckerRep(tuple(GrassmannPoint(F[0], A.field) for F in frames),
                      Hypermatrix(core[0], A.field))
 

@@ -12,14 +12,25 @@ their flattening ranks (one batched SVD per mode, or one in all for a
 symmetric stack, whose flattenings are all the same matrix), refuses an
 inadmissible read and applies the kind's ``member`` rule to the rest in one
 call. Every membership decision goes through it: path_verify hands a record
-a path's whole grid (``certify`` is judge plus labels), a sampler a stack of
-one candidate, and the multilinear-rank connectors a core path's grid of
-cores, judged as members of the core's own stratum. Rules that need more
-than the flattening ranks read the stack in one batched pass (the
-hyperdeterminant signs, the rank-two certificate), and so do two labels:
-the determinant sign of a saturated square multilinear rank, and the
-border-rank-three sign triple, whose grid takes one batched 2x2 SVD on the
-signs ``member`` read (``classify_brank3_222`` is its one-tensor case).
+a path's whole grid, a sampler a stack of one candidate, and the
+multilinear-rank connectors a core path's grid of cores, judged as members
+of the core's own stratum. Rules that need more than the flattening ranks
+read the stack in one batched pass (the hyperdeterminant signs, the
+rank-two certificate).
+
+A record labels its members in one stacked step too. ``Kind.labels`` takes
+a stack of values that ``judge`` accepted and gives one result per value: a
+ComponentLabel, None where the kind has no invariant, or the ToleranceError
+or DegenerateError that refuses the value. By default a connected stratum's
+members are all ``single`` and others get the kind's ``invariant`` one at a
+time; three records read the whole stack at once instead: the determinant
+sign of a saturated square multilinear rank (one slogdet), the signature of
+a real quadratic form (one eigvalsh) and the border-rank-three sign triple
+(one 2x2 SVD; ``member`` accepts only values below the band, so the
+hyperdeterminant is not read again). ``Kind.certify``, the one merge, is
+judge plus labels on a path grid; ``census`` labels its draws, which the
+sampler judged members, with one ``labels`` call. ``classify`` is the
+one-tensor label of any value, member or not, through ``invariant``.
 
 Records call samplers, invariants and connectors through this module's
 global names at call time, so a wrapper installed here sees every call.
@@ -30,11 +41,10 @@ from __future__ import annotations
 import math
 
 from .certify import hyperdet_signs, rank2_certify
-from .classifiers import (SINGLE, ComponentLabel, _sym_matrix_signature,
-                          _sym_rank2_witness, brank3_labels,
-                          classify_brank3_222, det_sign_mrank,
+from .classifiers import (SINGLE, _sym_matrix_signature, _sym_rank2_witness,
+                          brank3_labels, classify_brank3_222, det_sign_mrank,
                           mrank_saturation, sign_label, square_mode,
-                          sym_sign_rank1, sym_signature)
+                          sym_matrix_signatures, sym_sign_rank1, sym_signature)
 from .core import (COMPLEX, REAL, SymRankDecomposition, flattening_det_signs,
                    mrank_stack, sym_mrank_stack)
 from .errors import (DegenerateError, ToleranceError, UnsupportedStratumError,
@@ -100,29 +110,38 @@ class Kind:
         return [verdicts.get(i) or (False, None, f"mrank failed: {caught(mr.checked)}")
                 for i, mr in enumerate(reads)]
 
+    def labels(self, stratum, stack, witnesses: list, tol) -> list:
+        """One label per value of a stack of members that ``judge``
+        accepted, ``witnesses[k]`` being the witness of ``stack[k]``: a
+        ComponentLabel, None where the kind has no invariant, or the
+        ToleranceError or DegenerateError that refuses the value."""
+        if self.components(stratum) == 1:
+            return [SINGLE] * len(stack)
+        out = []
+        for row, witness in zip(stack, witnesses):
+            try:
+                out.append(self.invariant(
+                    stratum, self.labelled(stratum, row, witness), tol))
+            except UnsupportedStratumError:
+                out.append(None)
+            except (ToleranceError, DegenerateError) as exc:
+                out.append(exc)
+        return out
+
     def certify(self, stratum, stack, witnesses: list, tol) -> list:
         """judge plus labels: one (ok, read, label, note) per sample of a
         path grid, the path's witness there being ``witnesses[k]``. A sample
         outside the stratum gets no label, nor does one whose label is
         refused (the refusal is its note); "unverifiable-exactly" says the
         ranks do not bound the rank."""
-        single = self.components(stratum) == 1
-        verdicts = []
-        for row, witness, (ok, read, note) in zip(
-                stack, witnesses, self.judge(stratum, stack, tol)):
-            if not ok:
-                verdicts.append((False, read, None, note))
-                continue
-            try:
-                label = SINGLE if single else self.invariant(
-                    stratum, self.labelled(stratum, row, witness), tol)
-            except UnsupportedStratumError:
-                label = None
-            except (ToleranceError, DegenerateError) as exc:
-                verdicts.append((False, read, None, str(exc)))
-                continue
-            verdicts.append((True, read, label, note))
-        return verdicts
+        verdicts = self.judge(stratum, stack, tol)
+        kept = [k for k, (ok, _read, _note) in enumerate(verdicts) if ok]
+        labels = dict(zip(kept, self.labels(
+            stratum, stack[kept], [witnesses[k] for k in kept], tol)))
+        return [(False, read, None, str(label)) if isinstance(label, Exception)
+                else (ok, read, label, note)
+                for (ok, read, note), label in zip(
+                    verdicts, map(labels.get, range(len(verdicts))))]
 
 
 class Rank(Kind):
@@ -198,21 +217,10 @@ class BorderRank3(Rank):
                 (False, "hyperdeterminant is not below -eps_rel ||A||^4")
                 for below, rk in zip(self.screen(stratum, stack, tol), ranks)]
 
-    def certify(self, stratum, stack, witnesses, tol):
-        # classify_brank3_222's labels for the members, with one stacked
-        # conjugate-pair pass; member has read their hyperdeterminant signs,
-        # and accepts only values below the band
-        verdicts = self.judge(stratum, stack, tol)
-        kept = [k for k, (ok, _read, _note) in enumerate(verdicts) if ok]
-        labels = dict(zip(kept, brank3_labels(stack[kept], tol, [-1] * len(kept))))
-        out = []
-        for k, (ok, read, note) in enumerate(verdicts):
-            label = labels.get(k)
-            if isinstance(label, ComponentLabel):
-                out.append((True, read, label, note))
-            else:
-                out.append((False, read, None, note if label is None else str(label)))
-        return out
+    def labels(self, stratum, stack, witnesses, tol):
+        # classify_brank3_222's labels with one stacked conjugate-pair pass;
+        # member accepts only values below the band
+        return brank3_labels(stack, tol, [-1] * len(stack))
 
 
 class SymRank(Kind):
@@ -291,17 +299,14 @@ class MRank(Kind):
     def member(self, stratum, stack, ranks, tol):
         return [(rk == stratum.rank, "") for rk in ranks]
 
-    def certify(self, stratum, stack, witnesses, tol):
+    def labels(self, stratum, stack, witnesses, tol):
         if self.components(stratum) != 2:
-            return super().certify(stratum, stack, witnesses, tol)
-        # det_sign_mrank's label for the whole grid, with one batched
-        # slogdet: a member's rank read has the square flattening at full
-        # rank, which is the singularity check det_sign_mrank makes
-        signs = flattening_det_signs(stack, [square_mode(stratum)])
-        return [(True, read, sign_label(sign), note) if ok
-                else (False, read, None, note)
-                for (ok, read, note), (sign,) in zip(
-                    self.judge(stratum, stack, tol), signs)]
+            return super().labels(stratum, stack, witnesses, tol)
+        # det_sign_mrank's label with one batched slogdet: a member's rank
+        # read has the square flattening at full rank, which is the
+        # singularity check det_sign_mrank makes
+        return [sign_label(sign) for (sign,) in
+                flattening_det_signs(stack, [square_mode(stratum)])]
 
 
 class SymMRank(Kind):
@@ -318,6 +323,11 @@ class SymMRank(Kind):
         if stratum.order == 2:
             return _sym_matrix_signature(S, stratum.rank, tol)
         return sym_sign_rank1(S, tol)
+
+    def labels(self, stratum, stack, witnesses, tol):
+        if stratum.order != 2 or self.components(stratum) == 1:
+            return super().labels(stratum, stack, witnesses, tol)
+        return sym_matrix_signatures(stack, stratum.dim, stratum.rank, tol)
 
     def real_components(self, stratum):
         if stratum.order == 2:

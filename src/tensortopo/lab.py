@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .certify import DecompositionCount, count_rank2_decompositions, hyperdet222
-from .classifiers import classify, classify_brank3_222
+from .classifiers import classify_brank3_222
 from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, REAL, TolerancePolicy,
                    mode_multiply, mode_multiply_stack)
 from .errors import (DegenerateError, DifferentComponents, RetryExhausted,
@@ -26,7 +26,7 @@ from .geometry import GrassmannPoint, OrientationLoop, flip_exponent
 from .io import dumps_canonical
 from .kinds import clear_members, kind_of
 from .paths import (PATH_SAMPLES, _random_full_core, chebyshev_grid, connect,
-                    path_verify, value_diff_norm)
+                    path_verify)
 from .rng import SplitMix64, derive_seed
 from .sampling import random_invertible, sample_rank_r
 from .stratum import StratumDescriptor, format_stratum, parse_stratum
@@ -103,7 +103,8 @@ class CensusReport:
 def census(stratum: StratumDescriptor, N: int, seed: int,
            path_samples: int | None = None,
            tol: TolerancePolicy = DEFAULT_TOL) -> CensusReport:
-    """Sample N points, classify them, and attack the grouping with paths.
+    """Sample N points, label them with one call of the stratum's record,
+    and attack the grouping with paths.
 
     Within each label group up to 20 representatives are chained by
     connector paths (these must all pass); across groups the first
@@ -116,29 +117,27 @@ def census(stratum: StratumDescriptor, N: int, seed: int,
 
     def trial(i: int):
         trial_seed = derive_seed(seed, i)
-        rng = SplitMix64(trial_seed)
         try:
-            value, witness = kind.draw(stratum, rng, tol)
+            value, witness = kind.draw(stratum, SplitMix64(trial_seed), tol)
         except TensorTopoError as exc:
             return CensusTrial(i, trial_seed, None, True, str(exc)), None, None
-        try:
-            label = str(classify(stratum, value if witness is None else witness,
-                                 tol))
-        except UnsupportedStratumError:
-            label = None
-        except (ToleranceError, DegenerateError) as exc:
-            return CensusTrial(i, trial_seed, None, True, str(exc)), None, None
-        return CensusTrial(i, trial_seed, label, False, ""), value, witness
+        return CensusTrial(i, trial_seed, None, False), value, witness
 
     outcomes = [trial(i) for i in range(N)]
     diagnostics = [row for row, _v, _w in outcomes]
-    rejected = sum(1 for row in diagnostics if row.rejected)
+    # the draws are members, judged so by the sampler: one labels call
+    drawn = [outcome for outcome in outcomes if not outcome[0].rejected]
+    labels = kind.labels(stratum, stratum.stack([v for _r, v, _w in drawn]),
+                         [w for _r, _v, w in drawn], tol) if drawn else []
     groups: dict[str, list] = {}
-    for row, value, witness in outcomes:
-        if row.rejected:
+    for (row, value, witness), label in zip(drawn, labels):
+        if isinstance(label, Exception):
+            row.rejected, row.note = True, str(label)
             continue
-        key = row.label if row.label is not None else "unlabeled"
-        groups.setdefault(key, []).append((row.index, value, witness))
+        row.label = None if label is None else str(label)
+        groups.setdefault(row.label or "unlabeled", []).append(
+            (row.index, value, witness))
+    rejected = sum(1 for row in diagnostics if row.rejected)
     label_counts = sorted((lab, len(members)) for lab, members in groups.items())
 
     # (within a label?, rep, rep): each group's chain in label order, then
@@ -227,10 +226,7 @@ def pairwise_connect_experiment(stratum: StratumDescriptor, N: int, K: int,
         row = {"pair": i, "status": status}
         if report is not None:
             row["min_margin"] = report.min_margin
-            defect = max(
-                value_diff_norm(path.eval(0.0), a) / max(a.norm(), 1e-300),
-                value_diff_norm(path.eval(1.0), b) / max(b.norm(), 1e-300))
-            row["endpoint_defect"] = defect
+            row["endpoint_defect"] = path.endpoint_defect
         return row
 
     rows = [one(i) for i in range(N)]

@@ -48,7 +48,8 @@ import numpy as np
 
 from .certify import brank3_conj_pair, is_rank_one, rank2_decompose
 from .classifiers import (ComponentLabel, brank3_labels, det_sign_mrank,
-                          sign_label, square_mode, mrank_saturation)
+                          sign_label, square_mode, mrank_saturation,
+                          sym_matrix_signatures)
 from .core import (COMPLEX, DEFAULT_TOL, LOOSE_TOL, Hypermatrix, REAL,
                    RankOneFactors, SymRankDecomposition, SymTensor,
                    TolerancePolicy, _dtype_for, flattening_det_signs,
@@ -56,7 +57,7 @@ from .core import (COMPLEX, DEFAULT_TOL, LOOSE_TOL, Hypermatrix, REAL,
                    sym_embed, sym_embed_stack, sym_extract, sym_extract_stack,
                    sym_packed_length, sym_power_stack)
 from .errors import (DifferentComponents, RetryExhausted, ToleranceError,
-                     UnsupportedStratumError)
+                     UnsupportedStratumError, settled)
 from .geometry import (GrassmannGeodesic, GrassmannPoint, OrientationLoop,
                        flip_exponent, gl_interpolator, orthogonal_interpolator,
                        sym_tucker_compress, tucker_stack)
@@ -366,6 +367,8 @@ class TensorPath:
         self.segments = list(segments)
         self.stratum = stratum
         self._verified = None  # (K, tol, report) of the last path_verify
+        # connect's larger relative miss between a path end and its input
+        self.endpoint_defect = None
 
     def _locate(self, t: float) -> tuple[int, float]:
         if not 0.0 <= t <= 1.0:
@@ -870,8 +873,7 @@ def connect_mrank(A: Hypermatrix, B: Hypermatrix, ranks: tuple[int, ...],
     frames, cores, errors = tucker_stack(
         data, ranks, [read for _ok, read, _note in ends], tol)
     for error in errors:
-        if error is not None:
-            raise error
+        settled(error)
     points = [[GrassmannPoint(F[k], field) for F in frames] for k in (0, 1)]
     geos = tuple(GrassmannGeodesic(pa, pb) for pa, pb in zip(*points))
     core, core_b = np.ascontiguousarray(cores)
@@ -935,13 +937,6 @@ def connect_mrank(A: Hypermatrix, B: Hypermatrix, ranks: tuple[int, ...],
 # symmetric multilinear-rank connectivity
 
 
-def _sym_matrix_core_signatures(cores: np.ndarray, r: int) -> list[int]:
-    """Positive eigenvalue counts of a (K, L) stack of packed symmetric
-    r x r cores, with one batched eigvalsh."""
-    lam = np.linalg.eigvalsh(sym_embed_stack(cores, r, 2))
-    return np.sum(lam > 0, axis=1).tolist()
-
-
 def _random_sym_core(r: int, d: int, field: str, signature: int | None,
                      rng: SplitMix64, tol: TolerancePolicy) -> SymTensor:
     stratum = StratumDescriptor("sym-mrank", field, r, dim=r, order=d)
@@ -981,12 +976,11 @@ def connect_sym_mrank(Sa: SymTensor, Sb: SymTensor, r: int,
     frame_b, core_b = sym_tucker_compress(Sb, r, tol)
     signature = None
     if field == REAL and d == 2:
-        sig_a, sig_b = _sym_matrix_core_signatures(
-            np.stack([core_a.packed, core_b.packed]), r)
-        if sig_a != sig_b:
-            raise DifferentComponents(ComponentLabel("signature", sig_a),
-                                      ComponentLabel("signature", sig_b))
-        signature = sig_a
+        label_a, label_b = (settled(label) for label in sym_matrix_signatures(
+            np.stack([core_a.packed, core_b.packed]), r, r, tol))
+        if label_a != label_b:
+            raise DifferentComponents(label_a, label_b)
+        signature = label_a.value
     geo = GrassmannGeodesic(frame_a, frame_b)
     twisted = mode_multiply(sym_embed(core_b).data, [geo.twist.conj().T] * d)
     target = sym_extract(Hypermatrix(twisted, field), LOOSE_TOL)
@@ -1002,7 +996,8 @@ def connect_sym_mrank(Sa: SymTensor, Sb: SymTensor, r: int,
         return TuckerCurve("sym-core-lerp", field, lerp(core0, core1), frame)
 
     def same_signature(cores) -> list[bool]:
-        return [sig == signature for sig in _sym_matrix_core_signatures(cores, r)]
+        return [label == label_a
+                for label in sym_matrix_signatures(cores, r, r, tol)]
 
     segments = _detour_route(
         segment, _core_in_grid(core_stratum,
@@ -1027,10 +1022,8 @@ def connect_brank3_222(A: Hypermatrix, B: Hypermatrix,
     mode's [Re | Im] factor matrix moves along a determinant-sign-preserving
     interpolation, so the hyperdeterminant stays negative at every t.
     """
-    la, lb = brank3_labels(np.stack((A.data, B.data)), tol)
-    for label in (la, lb):
-        if not isinstance(label, ComponentLabel):
-            raise label
+    la, lb = (settled(label) for label in
+              brank3_labels(np.stack((A.data, B.data)), tol))
     if la != lb:
         raise DifferentComponents(la, lb)
 
@@ -1059,16 +1052,19 @@ def connect(stratum: StratumDescriptor, a, b, *, witness_a=None,
 
     Raises ToleranceError when the path does not start at ``a`` and end at
     ``b`` to within 1e-10 relative to each endpoint's norm, which a witness
-    that does not rebuild its endpoint would give.
+    that does not rebuild its endpoint would give; otherwise records the
+    larger relative miss as the path's ``endpoint_defect``.
     """
     path = kinds.kind_of(stratum).connect(stratum, a, b, witness_a, witness_b,
                                           tol, rng)
+    misses = []
     for t, end in ((0.0, a), (1.0, b)):
-        miss = value_diff_norm(path.eval(t), end) / max(end.norm(), 1e-300)
-        if not miss <= _ENDPOINT_TOL:
+        misses.append(value_diff_norm(path.eval(t), end) / max(end.norm(), 1e-300))
+        if not misses[-1] <= _ENDPOINT_TOL:
             raise ToleranceError(
-                f"path misses its endpoint at t={t:g} by {miss:.3e} "
+                f"path misses its endpoint at t={t:g} by {misses[-1]:.3e} "
                 "relative to its norm")
+    path.endpoint_defect = max(misses)
     return path
 
 

@@ -108,8 +108,7 @@ def _certified(stratum: StratumDescriptor, candidate, margin: float,
         batch = [(drawn, resume) for drawn, resume in batch if drawn is not None]
         if not batch:
             continue
-        stack = np.stack([value.packed if isinstance(value, SymTensor) else value.data
-                          for (value, _witness), _resume in batch])
+        stack = stratum.stack([value for (value, _witness), _resume in batch])
         for row, (drawn, resume), ok in zip(stack, batch,
                                             rule.screen(stratum, stack, tol)):
             if ok and kinds.clear_members(stratum, row[None], margin, tol)[0]:

@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import COMPLEX, REAL, Hypermatrix, SymTensor
 from .errors import StratumSyntaxError
 
@@ -80,6 +82,10 @@ class StratumDescriptor:
         if self.dim is None:
             return Hypermatrix(row, self.field)
         return SymTensor(self.dim, self.order, self.field, row)
+
+    def stack(self, values) -> np.ndarray:
+        """The stack whose rows ``value`` turns into ``values``."""
+        return np.stack([v.data if self.dim is None else v.packed for v in values])
 
     def canonical(self) -> str:
         return format_stratum(self)

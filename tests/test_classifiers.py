@@ -3,18 +3,20 @@ import functools
 import numpy as np
 import pytest
 
-from tensortopo import (COMPLEX, REAL, DegenerateError, Hypermatrix,
-                        SplitMix64, SymRankDecomposition, ToleranceError,
+from tensortopo import (COMPLEX, DEFAULT_TOL, REAL, DegenerateError,
+                        Hypermatrix, SplitMix64, SymRankDecomposition,
+                        SymTensor, ToleranceError,
                         UnsupportedStratumError, connect, hyperdet222,
                         mode_multiply, parse_stratum, random_invertible,
-                        sample_rank_r, sample_sym_rank_r, sym_power)
+                        sample_rank_r, sample_sym_rank_r, sym_extract,
+                        sym_power)
 from tensortopo.certify import Kind222, brank3_conj_pair, classify_222
 from tensortopo.classifiers import (ComponentLabel, brank3_labels, classify,
                                     classify_brank3_222, det_sign_mrank,
                                     mrank_saturation, orientation_area,
                                     sign_label, sign_triple_label,
-                                    square_mode, sym_sign_rank1,
-                                    sym_signature)
+                                    square_mode, sym_matrix_signatures,
+                                    sym_sign_rank1, sym_signature)
 
 ALL_TRIPLES = {"sign-triple:+++", "sign-triple:+--",
                "sign-triple:-+-", "sign-triple:--+"}
@@ -119,6 +121,32 @@ def test_sym_signature_from_decomposition():
     rng = SplitMix64(84)
     _, dec = sample_sym_rank_r(4, 4, 2, signature=1, rng=rng)
     assert str(sym_signature(dec)) == "signature:1"
+    zero = SymRankDecomposition(4, (0.0, -1.0), dec.vectors, REAL)
+    with pytest.raises(ToleranceError, match="zero term in decomposition"):
+        sym_signature(zero)
+
+
+def test_sym_matrix_signatures_label_or_refuse_each_form():
+    """One eigvalsh labels a stack of quadratic forms; a form whose rank is
+    not r, and the zero form, get their refusals, and classify says the
+    same of each form alone."""
+    st = parse_stratum("sym-mrank:d=2;n=3;r=2;field=real")
+    forms = [np.diag([2.0, -1.0, 0.0]), np.diag([1.0, 3.0, 1e-20]),
+             np.diag([-1.0, 0.0, 0.0]), np.zeros((3, 3))]
+    packed = np.stack([sym_extract(Hypermatrix(M, REAL)).packed for M in forms])
+    labels = sym_matrix_signatures(packed, 3, 2, DEFAULT_TOL)
+    assert [str(label) for label in labels] == [
+        "signature:1", "signature:2",
+        "eigenvalue signature (0, 1) does not witness rank 2",
+        "zero matrix has no signature"]
+    for row, label in zip(packed, labels):
+        form = SymTensor(3, 2, REAL, row)
+        if isinstance(label, ToleranceError):
+            with pytest.raises(ToleranceError) as info:
+                classify(st, form)
+            assert str(info.value) == str(label)
+        else:
+            assert classify(st, form) == label
 
 
 def test_det_sign_mrank():

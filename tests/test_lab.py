@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -7,9 +8,12 @@ from tensortopo import (DEFAULT_TOL, REAL, SplitMix64, census, classify,
                         expected_component_count, identifiability_experiment,
                         monodromy_probe, pairwise_connect_experiment,
                         parse_stratum, strip_runtime)
+from tensortopo import lab as lab_module
+from tensortopo.classifiers import brank3_labels
+from tensortopo.errors import UnsupportedStratumError
 from tensortopo.io import dumps_canonical
 from tensortopo.kinds import kind_of
-from tensortopo.paths import _random_sym_core
+from tensortopo.paths import TensorPath, _random_sym_core
 
 CENSUS_KEYS = {"stratum", "seed", "trials", "labels",
                "cross_label_connections", "verdict", "runtime_ms"}
@@ -77,17 +81,65 @@ def test_census_rank3_222_labels_sign_triples():
     "sym-rank:d=4;n=3;r=2;field=real",
     "sym-mrank:d=2;n=3;r=2;field=real",
     "mrank:r=2,2,2;shape=3,3,3;field=complex",
+    "mrank:r=4,2,2;shape=5,2,2;field=real",
+    "sym-mrank:d=4;n=3;r=1;field=real",
+    "rank:r=2;shape=3,3,3;field=real",
+    "mrank:r=4,2,2;shape=4,3,3;field=real",
 ])
 def test_census_labels_agree_with_classify(text):
     """One stratum per kind record: the census does not refute its own
-    prediction, and each trial's label is what classify gives its value."""
+    prediction, and each trial's label is what classify gives its value
+    (none where classify finds no invariant)."""
     st = parse_stratum(text)
     report = census(st, 12, seed=21, path_samples=16)
     assert report.verdict != "inconsistent"
     for row in report.diagnostics:
         assert not row.rejected
         value, _witness = kind_of(st).draw(st, SplitMix64(row.seed), DEFAULT_TOL)
-        assert row.label == str(classify(st, value))
+        try:
+            want = str(classify(st, value))
+        except UnsupportedStratumError:
+            want = None
+        assert row.label == want
+
+
+def test_census_labels_its_draws_in_one_call(monkeypatch):
+    """A border-rank-three census labels all its draws with one
+    brank3_labels call, on the stack of every draw."""
+    stacks = []
+
+    def counted(fn):
+        def wrapper(data, *args):
+            stacks.append(len(data))
+            return fn(data, *args)
+        return wrapper
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("tensortopo")
+                and getattr(module, "brank3_labels", None) is brank3_labels):
+            monkeypatch.setattr(module, "brank3_labels", counted(brank3_labels))
+    # no paths: what is left of the census is its draws and their labels
+    monkeypatch.setattr(lab_module, "_connect_and_verify",
+                        lambda *args: ("pass", None, None))
+    report = census(parse_stratum("brank:r=3;shape=2,2,2;field=real"), 10,
+                    seed=5, path_samples=8)
+    assert sum(cnt for _, cnt in report.label_counts) == 10
+    assert stacks == [10]
+
+
+def test_pairwise_reads_each_path_end_once(monkeypatch):
+    """connect measures each end's miss and records the larger one;
+    pairwise_connect_experiment reports it without evaluating the path
+    again: two TensorPath.eval calls per connected pair."""
+    calls = []
+    evaluate = TensorPath.eval
+    monkeypatch.setattr(TensorPath, "eval",
+                        lambda path, t: calls.append(t) or evaluate(path, t))
+    report = pairwise_connect_experiment(
+        parse_stratum("rank:r=1;shape=3,4,5;field=real"), 3, 8, seed=4)
+    assert report.passes == 3
+    assert calls == [0.0, 1.0] * 3
+    assert 0.0 <= report.worst_endpoint_defect <= 1e-10
 
 
 def test_census_json_schema():

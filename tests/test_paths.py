@@ -484,6 +484,27 @@ def test_sym_mrank_matrix_signature_components():
         connect(st, a, c, rng=SplitMix64(14))
 
 
+def test_sym_mrank_order_2_grid_takes_one_eigvalsh(monkeypatch):
+    """path_verify labels a quadratic-form path's whole grid with one
+    batched eigvalsh."""
+    rng = SplitMix64(226)
+    st = parse_stratum("sym-mrank:d=2;n=4;r=2;field=real")
+    a = sample_sym_mrank(4, 2, 2, rng=rng)
+    while True:
+        b = sample_sym_mrank(4, 2, 2, rng=rng)
+        if classify(st, b) == classify(st, a):
+            break
+    path = connect(st, a, b, rng=SplitMix64(17))
+    label = str(classify(st, a))
+    stacks = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda M: stacks.append(M.shape) or eigvalsh(M))
+    report = path_verify(path, K=16)
+    assert report.passed and report.label == label
+    assert stacks == [(len(report.samples), 4, 4)]
+
+
 def test_sym_mrank_higher_order_connects():
     rng = SplitMix64(225)
     st = parse_stratum("sym-mrank:d=3;n=4;r=2;field=real")
