@@ -51,19 +51,27 @@ from .errors import (DegenerateError, ToleranceError, UnsupportedStratumError,
                      caught)
 from .paths import (_sym_rank1_witness, connect_brank3_222, connect_mrank,
                     connect_rank_r, connect_sym_mrank, connect_sym_rank_r)
-from .sampling import (expected_generic_mrank, sample_fixed_mrank,
-                       sample_rank_r, sample_sym_mrank, sample_sym_rank_r)
+from .sampling import (expected_generic_mrank, fixed_mrank_draws,
+                       rank_r_draws, sym_mrank_draws, sym_rank_r_draws)
+
+
+def _unwitnessed(draws: list) -> list:
+    """Sampler draws with their witnesses dropped (errors kept)."""
+    return [drawn if isinstance(drawn, Exception) else (drawn[0], None)
+            for drawn in draws]
 
 
 class Kind:
-    """Answers shared by every kind, which supplies draw, invariant,
+    """Answers shared by every kind, which supplies draws, invariant,
     real_components, connect and member. Over C a stratum is connected
     unless its kind claims no count, and a connected stratum has the one
     label ``single``.
 
-    ``draw(stratum, rng, tol)`` returns ``(value, witness)``. A witness is a
-    decomposition that ``classify`` and ``connect`` take in place of the
-    value; kinds without one return None.
+    ``draws(stratum, rngs, tol)`` draws one member per generator, all in
+    lockstep (see ``sampling``): per generator ``(value, witness)``, or the
+    error that ended its stream. A witness is a decomposition that
+    ``classify`` and ``connect`` take in place of the value; kinds without
+    one give None.
 
     ``member(stratum, stack, ranks, tol)``, the kind's one membership rule,
     gives one ``(ok, note)`` per value of a stack, ``ranks[k]`` being the
@@ -80,8 +88,8 @@ class Kind:
             return 1
         return self.real_components(stratum)
 
-    # whether ``screen`` rejects values; samplers screen such a record's
-    # candidates in chunks
+    # whether ``screen`` rejects values; a sampler draws such a record's
+    # candidates several per stream and round
     screens = False
 
     def screen(self, stratum, stack, tol) -> list[bool]:
@@ -148,10 +156,9 @@ class Rank(Kind):
     """Tensor rank r: term-sum paths. Rank one is connected; rank two is
     certified by its decomposition but has no component invariant."""
 
-    def draw(self, stratum, rng, tol):
-        A, _terms = sample_rank_r(stratum.shape, stratum.rank, stratum.field,
-                                  rng, tol)
-        return A, None
+    def draws(self, stratum, rngs, tol):
+        return _unwitnessed(rank_r_draws(stratum.shape, stratum.rank,
+                                         stratum.field, rngs, tol))
 
     def invariant(self, stratum, A, tol):
         raise UnsupportedStratumError(f"no component classifier for "
@@ -230,9 +237,9 @@ class SymRank(Kind):
     at most, so above n no sample is certified exactly and no count is
     claimed."""
 
-    def draw(self, stratum, rng, tol):
-        return sample_sym_rank_r(stratum.dim, stratum.order, stratum.rank,
-                                 field=stratum.field, rng=rng, tol=tol)
+    def draws(self, stratum, rngs, tol):
+        return sym_rank_r_draws(stratum.dim, stratum.order, stratum.rank, None,
+                                stratum.field, rngs, tol)
 
     def witness(self, stratum, S, tol) -> SymRankDecomposition:
         if stratum.rank == 1:
@@ -278,10 +285,9 @@ class MRank(Kind):
     square stratum has two components, told apart by the determinant sign
     of its square flattening; the mixed saturated case is open."""
 
-    def draw(self, stratum, rng, tol):
-        A, _rep = sample_fixed_mrank(stratum.shape, stratum.rank,
-                                     stratum.field, rng, tol)
-        return A, None
+    def draws(self, stratum, rngs, tol):
+        return _unwitnessed(fixed_mrank_draws(stratum.shape, stratum.rank,
+                                              stratum.field, rngs, tol))
 
     def invariant(self, stratum, A, tol):
         if mrank_saturation(stratum) == "mixed":
@@ -314,10 +320,9 @@ class SymMRank(Kind):
     frame geodesic. Quadratic forms have r + 1 signature components and
     even-order rank one two signs; every other stratum is connected."""
 
-    def draw(self, stratum, rng, tol):
-        S = sample_sym_mrank(stratum.dim, stratum.order, stratum.rank,
-                             field=stratum.field, rng=rng, tol=tol)
-        return S, None
+    def draws(self, stratum, rngs, tol):
+        return sym_mrank_draws(stratum.dim, stratum.order, stratum.rank,
+                               stratum.field, rngs, tol)
 
     def invariant(self, stratum, S, tol):
         if stratum.order == 2:

@@ -115,18 +115,16 @@ def census(stratum: StratumDescriptor, N: int, seed: int,
     kind = kind_of(stratum)
     K = path_samples if path_samples else PATH_SAMPLES
 
-    def trial(i: int):
-        trial_seed = derive_seed(seed, i)
-        try:
-            value, witness = kind.draw(stratum, SplitMix64(trial_seed), tol)
-        except TensorTopoError as exc:
-            return CensusTrial(i, trial_seed, None, True, str(exc)), None, None
-        return CensusTrial(i, trial_seed, None, False), value, witness
-
-    outcomes = [trial(i) for i in range(N)]
-    diagnostics = [row for row, _v, _w in outcomes]
+    # every trial from its own stream, all drawn in lockstep by one call
+    rngs = [SplitMix64(derive_seed(seed, i)) for i in range(N)]
+    diagnostics, drawn = [], []
+    for i, (rng, draw) in enumerate(zip(rngs, kind.draws(stratum, rngs, tol))):
+        if isinstance(draw, TensorTopoError):
+            diagnostics.append(CensusTrial(i, rng.seed, None, True, str(draw)))
+            continue
+        diagnostics.append(CensusTrial(i, rng.seed, None, False))
+        drawn.append((diagnostics[-1],) + tuple(draw))
     # the draws are members, judged so by the sampler: one labels call
-    drawn = [outcome for outcome in outcomes if not outcome[0].rejected]
     labels = kind.labels(stratum, stratum.stack([v for _r, v, _w in drawn]),
                          [w for _r, _v, w in drawn], tol) if drawn else []
     groups: dict[str, list] = {}
@@ -213,13 +211,16 @@ def pairwise_connect_experiment(stratum: StratumDescriptor, N: int, K: int,
     t0 = time.perf_counter()
     kind = kind_of(stratum)
 
+    # both ends of every pair, from streams 2i and 2i + 1, in one call
+    ends = kind.draws(stratum, [SplitMix64(derive_seed(seed, j))
+                                for j in range(2 * N)], tol)
+
     def one(i: int) -> dict:
-        try:
-            a, wa = kind.draw(stratum, SplitMix64(derive_seed(seed, 2 * i)), tol)
-            b, wb = kind.draw(stratum, SplitMix64(derive_seed(seed, 2 * i + 1)),
-                              tol)
-        except TensorTopoError as exc:
-            return {"pair": i, "status": "sampler-failed", "note": str(exc)}
+        failed = [end for end in ends[2 * i:2 * i + 2]
+                  if isinstance(end, TensorTopoError)]
+        if failed:
+            return {"pair": i, "status": "sampler-failed", "note": str(failed[0])}
+        (a, wa), (b, wb) = ends[2 * i:2 * i + 2]
         rng = SplitMix64(derive_seed(seed, 2 * N + i))
         status, path, report = _connect_and_verify(stratum, a, b, wa, wb,
                                                    rng, K, tol)
@@ -271,13 +272,16 @@ def identifiability_experiment(shape: tuple[int, ...], N: int, seed: int,
     orderings (the 2! relabelings of the two terms)."""
     t0 = time.perf_counter()
 
-    def one(i: int):
-        rng = SplitMix64(derive_seed(seed, i))
-        A, _terms = sample_rank_r(shape, 2, field, rng, tol)
+    stratum = StratumDescriptor("rank", field, 2, shape=tuple(shape))
+    draws = kind_of(stratum).draws(
+        stratum, [SplitMix64(derive_seed(seed, i)) for i in range(N)], tol)
+    for draw in draws:
+        if isinstance(draw, Exception):
+            raise draw
+    rows = []
+    for A, _witness in draws:
         verdict, orderings = count_rank2_decompositions(A, tol)
-        return verdict, len(orderings)
-
-    rows = [one(i) for i in range(N)]
+        rows.append((verdict, len(orderings)))
     unique = sum(1 for verdict, _n in rows
                  if verdict is DecompositionCount.UNIQUE_UP_TO_PERMUTATION)
     degenerate = N - unique

@@ -63,8 +63,8 @@ from .geometry import (GrassmannGeodesic, GrassmannPoint, OrientationLoop,
                        sym_tucker_compress, tucker_stack)
 from .io import array_to_json, scalar_to_json
 from .rng import SplitMix64
-from .sampling import (_certified, field_normals, random_orthogonal,
-                       sample_rank_r, sample_sym_rank_r)
+from .sampling import (_Builder, _certified, _field_size, _field_values, _one,
+                       sample_rank_r, sample_sym_rank_r, _unitary_factor)
 from .stratum import StratumDescriptor, format_stratum
 
 _SAME = 1e-13          # below this, two unit vectors count as the same point
@@ -812,14 +812,16 @@ def _random_full_core(ranks: tuple, field: str, square_modes: list[int],
                       want_signs: tuple, rng: SplitMix64,
                       tol: TolerancePolicy) -> np.ndarray:
     stratum = StratumDescriptor("mrank", field, ranks, shape=ranks)
+    signed = field == REAL and bool(square_modes)
 
-    def candidate():
-        core = field_normals(rng, ranks, field)
-        if (field == REAL and square_modes
-                and _core_det_signs(core, square_modes) != want_signs):
-            return None
-        return Hypermatrix(core, field), None
-    return _certified(stratum, candidate, 1e-3, tol)[0].data
+    def build(rows, _owners):
+        cores = np.ascontiguousarray(_field_values(rows, 0, ranks, field)[0])
+        signs = (flattening_det_signs(cores, [i + 1 for i in square_modes])
+                 if signed else [want_signs] * len(cores))
+        return (cores, [None if s == want_signs else False for s in signs],
+                lambda k: (Hypermatrix(cores[k], field), None))
+    return _one(_certified(stratum, _Builder(_field_size(ranks, field), build),
+                           [rng], 1e-3, tol))[0].data
 
 
 def _core_in_grid(stratum: StratumDescriptor, kept, tol: TolerancePolicy):
@@ -940,17 +942,23 @@ def connect_mrank(A: Hypermatrix, B: Hypermatrix, ranks: tuple[int, ...],
 def _random_sym_core(r: int, d: int, field: str, signature: int | None,
                      rng: SplitMix64, tol: TolerancePolicy) -> SymTensor:
     stratum = StratumDescriptor("sym-mrank", field, r, dim=r, order=d)
+    length = sym_packed_length(r, d)
+    frame = _field_size((r, r), field)
 
-    def candidate():
-        if signature is None:
-            packed = field_normals(rng, (sym_packed_length(r, d),), field)
-            return SymTensor(r, d, field, packed), None
-        Q = random_orthogonal(r, rng, field)
-        lam = np.abs(rng.normals((r,))) + 0.1
+    def quadratic(row):
+        # Q diag(lam) Q^T with ``signature`` positive eigenvalues
+        Q = _unitary_factor(_field_values(row, 0, (r, r), field)[0])
+        lam = np.abs(row[frame:]) + 0.1
         lam[signature:] *= -1.0
-        M = (Q * lam) @ Q.T
-        return sym_extract(Hypermatrix(M, field), LOOSE_TOL), None
-    return _certified(stratum, candidate, 1e-3, tol)[0]
+        return sym_extract(Hypermatrix((Q * lam) @ Q.T, field), LOOSE_TOL).packed
+
+    def build(rows, _owners):
+        packed = (np.ascontiguousarray(_field_values(rows, 0, (length,), field)[0])
+                  if signature is None else np.stack([quadratic(row) for row in rows]))
+        return (packed, [None] * len(rows),
+                lambda k: (SymTensor(r, d, field, packed[k]), None))
+    size = _field_size((length,), field) if signature is None else frame + r
+    return _one(_certified(stratum, _Builder(size, build), [rng], 1e-3, tol))[0]
 
 
 def connect_sym_mrank(Sa: SymTensor, Sb: SymTensor, r: int,

@@ -1,51 +1,57 @@
-"""Rejection samplers for rank strata, driven by an explicit SplitMix64 state.
+"""Rejection samplers for rank strata, driven by explicit SplitMix64 states.
 
-Each sampler draws raw Gaussian candidates for its stratum and hands them to
-one redraw loop, ``_certified``. It keeps the first candidate that the
-stratum's kind record judges a member with every margin at least gap_min,
-and redraws otherwise, at most 1000 times (the multilinear-rank connectors
-draw their midpoint cores through it too, with a margin of 1e-3). The rank
-read lives in the record (``kinds.Kind.judge``, the read and membership
-rule that ``path_verify`` applies to a path's whole grid; a candidate is a
-stack of one). Most strata accept nearly every draw, but not all: a sum of
-three real Gaussian rank-one terms on 2x2x2 lands in the border-rank-three
-region only about one draw in ten, so a cap of 100 gave up on that valid
-stratum about once in 30000 draws. At 1000 the chance of that is below
-1e-40; exhaustion signals bad parameters, not bad luck.
+Each sampler has one block builder: it turns a block of Gaussians, a row of
+them per candidate, into the stack of candidates the sampler draws, built
+with the same operations one candidate at a time would use, so each row has
+the bits of that candidate. One redraw loop, ``_certified``, keeps per
+stream the first candidate that the stratum's kind record judges a member
+with every margin at least gap_min, and redraws otherwise, at most 1000
+times (the multilinear-rank connectors draw their midpoint cores through it
+too, with a margin of 1e-3). The rank read lives in the record
+(``kinds.Kind.judge``, the read and membership rule that ``path_verify``
+applies to a path's whole grid). Most strata accept nearly every draw, but
+not all: a sum of three real Gaussian rank-one terms on 2x2x2 lands in the
+border-rank-three region only about one draw in ten, so a cap of 100 gave
+up on that valid stratum about once in 30000 draws. At 1000 the chance of
+that is below 1e-40; exhaustion signals bad parameters, not bad luck.
 
-A record whose ``screen`` rejects draws (the border-rank-three one) gets
-its candidates in chunks: the sampler draws the normals of _CHUNK
-candidates in their usual order, builds them with one outer product and
-screens them with one hyperdeterminant call. The generator is then put
-back (its integer state and its cached Box-Muller spare) to where it stood
-right after the accepted candidate, so every draw, witness and later
-stream is the one that drawing a candidate at a time gives. A unit factor
-that would be redrawn ends the chunk before its candidate, which is then
-drawn alone. Every other record draws one candidate at a time, and the
-cap counts candidates either way.
+All the streams of a census draw in lockstep rounds. In a round every
+stream still drawing gives one candidate, or _CHUNK candidates when the
+record's ``screen`` rejects draws (the border-rank-three one), read from
+one ``rng.normal_block`` of all their Gaussians. The round builds them as
+one stack, screens the stack with one call and judges what the screen
+passes with one more. Each stream keeps its first accepted candidate, and
+its generator is moved (``SplitMix64.skip``) to where drawing one candidate
+at a time leaves it, so every draw, witness and later stream is the one of
+the one-at-a-time loop. A unit factor that one candidate at a time would
+redraw ends its stream's round before that candidate, which is then drawn
+alone from the generator. The cap counts candidates per stream.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import (COMPLEX, DEFAULT_TOL, LOOSE_TOL, Hypermatrix,
                    RankOneFactors, REAL, SymRankDecomposition, SymTensor,
-                   TolerancePolicy, mode_multiply, mrank_admissible,
-                   outer_product, outer_stack, sym_embed, sym_extract,
-                   sym_packed_length)
-from .errors import RetryExhausted
-from .geometry import GrassmannPoint, TuckerRep, tucker_expand
-from .rng import SplitMix64
+                   TolerancePolicy, mode_multiply, mode_multiply_stack,
+                   mrank_admissible, outer_product, outer_stack,
+                   sym_embed_stack, sym_extract_stack, sym_packed_length,
+                   sym_power_stack)
+from .errors import RetryExhausted, ToleranceError
+from .geometry import GrassmannPoint, TuckerRep
+from .rng import SplitMix64, normal_block
 from .stratum import StratumDescriptor
 
 _MAX_REDRAWS = 1000
-# candidates drawn and screened at once for a record whose screen rejects
+# candidates a stream draws per round for a record whose screen rejects
 # draws; about one in ten rank-three 2x2x2 candidates passes
 _CHUNK = 8
+# the status of a candidate that is drawn alone from its generator
+_ALONE = "alone"
 
 
 def field_normals(rng: SplitMix64, shape: tuple[int, ...], field: str
@@ -71,6 +77,46 @@ def _gaussian_scalar(rng: SplitMix64, field: str):
     return rng.normal()
 
 
+def _field_size(shape: tuple[int, ...], field: str) -> int:
+    """Gaussians that field_normals draws for ``shape``."""
+    return math.prod(shape) * (2 if field == COMPLEX else 1)
+
+
+def _field_values(rows: np.ndarray, start: int, shape: tuple[int, ...],
+                  field: str) -> tuple[np.ndarray, int]:
+    """Per row of a block (its last axis), the field array of ``shape``
+    that field_normals draws from the Gaussians at ``start`` on, and the
+    column after them."""
+    n = math.prod(shape)
+    lead = rows.shape[:-1]
+    re = rows[..., start:start + n].reshape(lead + tuple(shape))
+    if field != COMPLEX:
+        return re, start + n
+    im = rows[..., start + n:start + 2 * n].reshape(lead + tuple(shape))
+    return re + 1j * im, start + 2 * n
+
+
+def _field_scalars(rows: np.ndarray, start: int, field: str) -> np.ndarray:
+    """_gaussian_scalar per row of a block, from the Gaussians at ``start``."""
+    if field != COMPLEX:
+        return rows[..., start]
+    out = np.empty(rows.shape[:-1], dtype=np.complex128)
+    out.real, out.imag = rows[..., start], rows[..., start + 1]
+    return out
+
+
+def _unit_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_unit_gaussian along the last axis: v over its norm, the norm
+    having np.linalg.norm's bits, and where _unit_gaussian would redraw
+    v instead."""
+    if np.iscomplexobj(v):
+        nv = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+    else:
+        nv = np.sqrt(np.vecdot(v, v))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return v / nv[..., None], ~(nv > 1e-6)
+
+
 def expected_generic_mrank(shape: tuple[int, ...], r: int) -> tuple[int, ...]:
     """Multilinear rank of a generic rank-r tensor.
 
@@ -82,41 +128,151 @@ def expected_generic_mrank(shape: tuple[int, ...], r: int) -> tuple[int, ...]:
     return tuple(min(r, n, total // n) for n in shape)
 
 
-def _certified(stratum: StratumDescriptor, candidate, margin: float,
-               tol: TolerancePolicy, chunk=None):
-    """The first of at most 1 + _MAX_REDRAWS candidates that is a member of
-    ``stratum`` with every margin at least ``margin``.
+class _Builder(NamedTuple):
+    """A sampler's block builder. ``size`` Gaussians make one candidate.
+    ``build(rows, owners)`` takes a (K, size) block, row k drawn from
+    stream ``owners[k]``, and gives the stack of the K candidates, one
+    status per row and ``drawn(k)``, the sampler's (value, witness) of row
+    k. A status is None for a candidate, False for a raw draw the sampler
+    rejects itself (a vanishing coefficient, a wrong determinant sign),
+    _ALONE for a draw that must be made by ``alone(rng, owner)`` (today's
+    one-candidate routine, which may redraw a factor), or the error that
+    ends the stream."""
 
-    ``candidate()`` draws one candidate and returns ``(value, witness)``, or
-    None for a raw draw it rejects itself (a vanishing term, a wrong
-    determinant sign). The record's ``screen`` runs before the rank read,
-    so a candidate it rejects costs no SVD. When the screen rejects draws
-    (``Kind.screens``) and the sampler gives ``chunk``, candidates come
-    _CHUNK at a time: ``chunk(count)`` draws up to ``count`` candidates in
-    order, as ``candidate()`` would, and returns each with a callable that
-    puts the generator back to its state right after that candidate. One
-    screen call takes the chunk, and the generator is put back to the state
-    after the accepted candidate, so the draws that follow are those of one
-    candidate at a time.
-    """
+    size: int
+    build: Callable
+    alone: Callable | None = None
+
+
+def _certified(stratum: StratumDescriptor, builder: _Builder,
+               rngs: list[SplitMix64], margin: float,
+               tol: TolerancePolicy) -> list:
+    """Per generator, the first of at most 1 + _MAX_REDRAWS candidates that
+    is a member of ``stratum`` with every margin at least ``margin``, as
+    (value, witness), or the RetryExhausted or draw error that ends its
+    stream. Every round screens and judges the candidates of all streams
+    still drawing with one call each; the record's ``screen`` runs before
+    the rank read, so a candidate it rejects costs no SVD."""
     rule = kinds.kind_of(stratum)
-    size = _CHUNK if chunk is not None and rule.screens else 1
-    left = _MAX_REDRAWS + 1
-    while left > 0:
-        batch = chunk(min(size, left)) if size > 1 else [(candidate(), None)]
-        left -= len(batch)
-        batch = [(drawn, resume) for drawn, resume in batch if drawn is not None]
-        if not batch:
-            continue
-        stack = stratum.stack([value for (value, _witness), _resume in batch])
-        for row, (drawn, resume), ok in zip(stack, batch,
-                                            rule.screen(stratum, stack, tol)):
-            if ok and kinds.clear_members(stratum, row[None], margin, tol)[0]:
-                if resume is not None:
-                    resume()
-                return drawn
-    raise RetryExhausted(f"could not certify a sample of {stratum} "
-                         f"after {_MAX_REDRAWS} redraws")
+    per = _CHUNK if rule.screens else 1
+    out: list = [None] * len(rngs)
+    left = [_MAX_REDRAWS + 1] * len(rngs)
+    pending = list(range(len(rngs)))
+    while pending:
+        width = min(per, max(left[i] for i in pending))
+        block = normal_block([rngs[i] for i in pending], width * builder.size)
+        stack, status, drawn = builder.build(
+            block.reshape(-1, builder.size), np.repeat(pending, width))
+        # per stream its candidates of the round: up to its cap and up to
+        # the first one that must be drawn alone, or that one alone
+        runs, alone = [], {}
+        for j, i in enumerate(pending):
+            rows = range(j * width, j * width + min(width, left[i]))
+            cut = next((n for n, k in enumerate(rows) if status[k] is _ALONE),
+                       len(rows))
+            if cut == 0:
+                # drawn from the generator, which moves past it
+                k = rows[0]
+                alone[k] = builder.alone(rngs[i], i)
+                status[k] = None if alone[k] else False
+                if alone[k]:
+                    stack[k] = stratum.stack([alone[k][0]])[0]
+                cut = 1
+            runs.append(rows[:cut])
+        live = [k for rows in runs for k in rows if status[k] is None]
+        screened = [k for k, ok in zip(live, rule.screen(stratum, stack[live], tol))
+                    if ok] if live else []
+        members = {k for k, ok in zip(screened, kinds.clear_members(
+            stratum, stack[screened], margin, tol)) if ok} if screened else set()
+        still = []
+        for i, rows in zip(pending, runs):
+            k = next((k for k in rows
+                      if k in members or isinstance(status[k], Exception)), None)
+            used = len(rows) if k is None else rows.index(k) + 1
+            if rows[0] not in alone:
+                rngs[i].skip(used * builder.size)
+            if k is not None:
+                out[i] = (status[k] if isinstance(status[k], Exception)
+                          else alone[k] if k in alone else drawn(k))
+                continue
+            left[i] -= used
+            if left[i]:
+                still.append(i)
+            else:
+                out[i] = RetryExhausted(f"could not certify a sample of {stratum} "
+                                        f"after {_MAX_REDRAWS} redraws")
+        pending = still
+    return out
+
+
+def _one(draws: list):
+    """The one stream's draw, or the error that ended it."""
+    (drawn,) = draws
+    if isinstance(drawn, Exception):
+        raise drawn
+    return drawn
+
+
+def _rank_r_candidate(shape: tuple[int, ...], r: int, field: str,
+                      rng: SplitMix64):
+    """One rank-r candidate from the generator, redrawing any vanishing
+    unit factor."""
+    terms = []
+    total = None
+    for _k in range(r):
+        factors = tuple(_unit_gaussian(rng, n, field) for n in shape)
+        term = RankOneFactors(_gaussian_scalar(rng, field), factors, field)
+        terms.append(term)
+        part = outer_product(term).data
+        total = part if total is None else total + part
+    return Hypermatrix(total, field), terms
+
+
+def _rank_r_builder(shape: tuple[int, ...], r: int, field: str) -> _Builder:
+    """Per term one unit factor per mode, then the scalar; the terms are
+    summed in order."""
+
+    def build(rows, owners):
+        terms = rows.reshape(len(rows), r, -1)
+        units, start = [], 0
+        vanished = np.zeros(len(rows), dtype=bool)
+        for n in shape:
+            v, start = _field_values(terms, start, (n,), field)
+            unit, gone = _unit_rows(v)
+            units.append(unit)
+            vanished |= gone.any(axis=1)
+        scalars = _field_scalars(terms, start, field)
+        parts = (outer_stack([u.reshape(-1, u.shape[-1]) for u in units])
+                 .reshape((len(rows), r) + shape)
+                 * scalars.reshape(scalars.shape + (1,) * len(shape)))
+        total = parts[:, 0]
+        for k in range(1, r):
+            total = total + parts[:, k]
+
+        def drawn(j):
+            return Hypermatrix(total[j].copy(), field), [
+                RankOneFactors(scalars[j, k].item(), tuple(u[j, k] for u in units),
+                               field) for k in range(r)]
+        return total, [_ALONE if gone else None for gone in vanished], drawn
+
+    return _Builder(r * _field_size((sum(shape) + 1,), field), build,
+                    lambda rng, _owner: _rank_r_candidate(shape, r, field, rng))
+
+
+def rank_r_draws(shape: tuple[int, ...], r: int, field: str,
+                 rngs: list[SplitMix64], tol: TolerancePolicy = DEFAULT_TOL
+                 ) -> list:
+    """sample_rank_r for every generator, drawn in lockstep: per generator
+    (tensor, terms), or the error that ended its stream."""
+    if r < 1:
+        raise ValueError("rank must be at least 1")
+    # rank <= prod of the other dimensions, every mode; 2x2x2 tops out at 3
+    total = math.prod(shape)
+    if r > min(total // n for n in shape) or (shape == (2, 2, 2) and r > 3):
+        raise ValueError(f"no tensors of rank {r} on shape {shape}")
+    shape = tuple(shape)
+    return _certified(StratumDescriptor("rank", field, r, shape=shape),
+                      _rank_r_builder(shape, r, field), rngs, tol.gap_min, tol)
 
 
 def sample_rank_r(shape: tuple[int, ...], r: int, field: str, rng: SplitMix64,
@@ -124,67 +280,76 @@ def sample_rank_r(shape: tuple[int, ...], r: int, field: str, rng: SplitMix64,
                   ) -> tuple[Hypermatrix, list[RankOneFactors]]:
     """Sum of r Gaussian rank-one terms, certified for its stratum (on real
     2x2x2 with r = 3, the border-rank-three region)."""
+    return _one(rank_r_draws(shape, r, field, [rng], tol))
+
+
+def _sym_rank_r_candidate(n: int, d: int, r: int, field: str,
+                          signature: int | None, rng: SplitMix64):
+    """One symmetric rank-r candidate from the generator, redrawing any
+    vanishing unit vector; None for a vanishing coefficient."""
+    vectors = tuple(_unit_gaussian(rng, n, field) for _k in range(r))
+    coefficients = []
+    for k in range(r):
+        lam = _gaussian_scalar(rng, field)
+        if signature is not None:
+            lam = abs(lam) if k < signature else -abs(lam)
+        coefficients.append(lam)
+    if any(abs(lam) < 1e-6 for lam in coefficients):
+        return None
+    decomp = SymRankDecomposition(d, tuple(coefficients), vectors, field)
+    return decomp.tensor(), decomp
+
+
+def _sym_rank_r_builder(n: int, d: int, r: int, field: str,
+                        signatures: list | None) -> _Builder:
+    """r unit vectors, then r coefficients (signed by the stream's
+    signature); the powers are summed in order."""
+    width = _field_size((n,), field)
+
+    def build(rows, owners):
+        v, start = _field_values(rows[:, :r * width].reshape(len(rows), r, width),
+                                 0, (n,), field)
+        units, gone = _unit_rows(v)
+        lam = _field_scalars(rows[:, r * width:].reshape(len(rows), r, -1), 0, field)
+        if signatures is not None:
+            magnitude = np.abs(lam)
+            positive = np.arange(r) < np.take(signatures, owners)[:, None]
+            lam = np.where(positive, magnitude, -magnitude)
+        packed = sym_power_stack(units[:, 0], d, lam[:, :1], field)
+        for k in range(1, r):
+            packed = packed + sym_power_stack(units[:, k], d, lam[:, k:k + 1], field)
+        small = (np.abs(lam) < 1e-6).any(axis=1)
+
+        def drawn(j):
+            decomp = SymRankDecomposition(d, tuple(lam[j].tolist()),
+                                          tuple(units[j]), field)
+            return SymTensor(n, d, field, packed[j].copy()), decomp
+        return packed, [_ALONE if g else False if s else None
+                        for g, s in zip(gone.any(axis=1), small)], drawn
+
+    return _Builder(r * (width + _field_size((1,), field)), build,
+                    lambda rng, owner: _sym_rank_r_candidate(
+                        n, d, r, field,
+                        None if signatures is None else signatures[owner], rng))
+
+
+def sym_rank_r_draws(n: int, d: int, r: int, signature: int | None,
+                     field: str, rngs: list[SplitMix64],
+                     tol: TolerancePolicy = DEFAULT_TOL) -> list:
+    """sample_sym_rank_r for every generator, drawn in lockstep: per
+    generator (tensor, decomposition), or the error that ended its
+    stream."""
     if r < 1:
         raise ValueError("rank must be at least 1")
-    # rank <= prod of the other dimensions, every mode; 2x2x2 tops out at 3
-    total = math.prod(shape)
-    if r > min(total // n for n in shape) or (shape == (2, 2, 2) and r > 3):
-        raise ValueError(f"no tensors of rank {r} on shape {shape}")
-
-    def candidate():
-        terms = []
-        total = None
-        for _k in range(r):
-            factors = tuple(_unit_gaussian(rng, n, field) for n in shape)
-            term = RankOneFactors(_gaussian_scalar(rng, field), factors, field)
-            terms.append(term)
-            part = outer_product(term).data
-            total = part if total is None else total + part
-        return Hypermatrix(total, field), terms
-
-    def chunk(count):
-        # count real candidates from one run of normals each: per term one
-        # factor per mode, then the scalar, as candidate() draws them
-        start = rng.state()
-        runs, states = rng.normal_runs(count, r * (sum(shape) + 1))
-        runs = runs.reshape(count, r, -1)
-        cuts = np.cumsum((0,) + tuple(shape))
-        units, redraw = [], count
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            v = np.ascontiguousarray(runs[:, :, lo:hi])
-            nv = np.sqrt(np.vecdot(v, v))
-            for j, k in zip(*np.nonzero(nv <= 2e-6)):
-                # _unit_gaussian's redraw test, on its own norm
-                nv[j, k] = np.linalg.norm(v[j, k])
-                if not nv[j, k] > 1e-6:
-                    redraw = min(redraw, int(j))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                units.append(v / nv[..., None])
-        if redraw == 0:
-            # the first candidate redraws a factor: draw it as candidate() does
-            rng.resume(start)
-            return [(candidate(), None)]
-        if redraw < count:
-            rng.resume(states[redraw - 1])
-        scalars = runs[:redraw, :, -1]
-        parts = (outer_stack([u[:redraw].reshape(redraw * r, -1) for u in units])
-                 .reshape((redraw, r) + tuple(shape))
-                 * scalars.reshape(scalars.shape + (1,) * len(shape)))
-        out = []
-        for j in range(redraw):
-            total = parts[j, 0]
-            for k in range(1, r):
-                total = total + parts[j, k]
-            terms = [RankOneFactors(float(scalars[j, k]),
-                                    tuple(u[j, k] for u in units), field)
-                     for k in range(r)]
-            out.append(((Hypermatrix(total, field), terms),
-                        functools.partial(rng.resume, states[j])))
-        return out
-
-    return _certified(StratumDescriptor("rank", field, r, shape=tuple(shape)),
-                      candidate, tol.gap_min, tol,
-                      chunk if field == REAL else None)
+    signatures = None
+    if field == REAL and d % 2 == 0:
+        signatures = ([int(rng.integers(0, r + 1)) for rng in rngs]
+                      if signature is None else [signature] * len(rngs))
+        if signature is not None and not 0 <= signature <= r:
+            raise ValueError(f"signature {signature} out of range 0..{r}")
+    return _certified(StratumDescriptor("sym-rank", field, r, dim=n, order=d),
+                      _sym_rank_r_builder(n, d, r, field, signatures), rngs,
+                      tol.gap_min, tol)
 
 
 def sample_sym_rank_r(n: int, d: int, r: int, signature: int | None = None,
@@ -200,29 +365,65 @@ def sample_sym_rank_r(n: int, d: int, r: int, signature: int | None = None,
     """
     if rng is None:
         raise ValueError("sampler needs an explicit RNG state")
-    if r < 1:
-        raise ValueError("rank must be at least 1")
-    signed = field == REAL and d % 2 == 0
-    if signed and signature is None:
-        signature = int(rng.integers(0, r + 1))
-    if signed and not 0 <= signature <= r:
-        raise ValueError(f"signature {signature} out of range 0..{r}")
+    return _one(sym_rank_r_draws(n, d, r, signature, field, [rng], tol))
 
-    def candidate():
-        vectors = tuple(_unit_gaussian(rng, n, field) for _k in range(r))
-        coefficients = []
-        for k in range(r):
-            lam = _gaussian_scalar(rng, field)
-            if signed:
-                lam = abs(lam) if k < signature else -abs(lam)
-            coefficients.append(lam)
-        if any(abs(lam) < 1e-6 for lam in coefficients):
-            return None
-        decomp = SymRankDecomposition(d, tuple(coefficients), vectors, field)
-        return decomp.tensor(), decomp
 
-    return _certified(StratumDescriptor("sym-rank", field, r, dim=n, order=d),
-                      candidate, tol.gap_min, tol)
+def _mode_products(cores: np.ndarray, frames: list, field: str) -> np.ndarray:
+    """mode_multiply of each core by its frames, one batched product per
+    mode, but one core at a time where a complex frame has one row or one
+    column, which the batched product rounds differently."""
+    if field == COMPLEX and any(1 in F.shape[1:] for F in frames):
+        return np.stack([mode_multiply(core, [F[k] for F in frames])
+                         for k, core in enumerate(cores)])
+    return mode_multiply_stack(cores, frames)
+
+
+def _frames(rows: np.ndarray, start: int, n: int, r: int, field: str):
+    """The orthonormal (n, r) frames per row that np.linalg.qr gives the
+    field Gaussians at ``start``, and the column after them."""
+    G, start = _field_values(rows, start, (n, r), field)
+    return np.ascontiguousarray(np.linalg.qr(G)[0]), start
+
+
+def _fixed_mrank_builder(shape: tuple[int, ...], ranks: tuple[int, ...],
+                         field: str) -> _Builder:
+    """One frame per mode, then the core; the value is the core under the
+    frames."""
+
+    def build(rows, owners):
+        frames, start = [], 0
+        for n, r in zip(shape, ranks):
+            F, start = _frames(rows, start, n, r, field)
+            frames.append(F)
+        core = np.ascontiguousarray(_field_values(rows, start, ranks, field)[0])
+        values = _mode_products(core, frames, field)
+
+        def drawn(j):
+            rep = TuckerRep(tuple(GrassmannPoint(F[j], field) for F in frames),
+                            Hypermatrix(core[j], field))
+            return Hypermatrix(values[j].copy(), field), rep
+        return values, [None] * len(rows), drawn
+
+    return _Builder(sum(_field_size((n, r), field) for n, r in zip(shape, ranks))
+                    + _field_size(ranks, field), build)
+
+
+def fixed_mrank_draws(shape: tuple[int, ...], ranks: tuple[int, ...],
+                      field: str, rngs: list[SplitMix64],
+                      tol: TolerancePolicy = DEFAULT_TOL) -> list:
+    """sample_fixed_mrank for every generator, drawn in lockstep: per
+    generator (tensor, Tucker representation), or the error that ended its
+    stream."""
+    if len(ranks) != len(shape):
+        raise ValueError("need one rank per mode")
+    if any(r < 1 or r > n for r, n in zip(ranks, shape)):
+        raise ValueError(f"ranks {ranks} incompatible with shape {shape}")
+    if not mrank_admissible(tuple(ranks)):
+        raise ValueError(f"inadmissible multilinear rank {ranks}")
+    shape, ranks = tuple(shape), tuple(ranks)
+    return _certified(StratumDescriptor("mrank", field, ranks, shape=shape),
+                      _fixed_mrank_builder(shape, ranks, field), rngs,
+                      tol.gap_min, tol)
 
 
 def sample_fixed_mrank(shape: tuple[int, ...], ranks: tuple[int, ...],
@@ -231,25 +432,47 @@ def sample_fixed_mrank(shape: tuple[int, ...], ranks: tuple[int, ...],
                        ) -> tuple[Hypermatrix, TuckerRep]:
     """Random orthonormal frames applied to a Gaussian full-rank core,
     certified for its stratum."""
-    if len(ranks) != len(shape):
-        raise ValueError("need one rank per mode")
-    if any(r < 1 or r > n for r, n in zip(ranks, shape)):
-        raise ValueError(f"ranks {ranks} incompatible with shape {shape}")
-    if not mrank_admissible(tuple(ranks)):
-        raise ValueError(f"inadmissible multilinear rank {ranks}")
+    return _one(fixed_mrank_draws(shape, ranks, field, [rng], tol))
 
-    def candidate():
-        frames = []
-        for n, r in zip(shape, ranks):
-            Q, _ = np.linalg.qr(field_normals(rng, (n, r), field))
-            frames.append(GrassmannPoint(Q, field))
-        core = Hypermatrix(field_normals(rng, tuple(ranks), field), field)
-        rep = TuckerRep(tuple(frames), core)
-        return tucker_expand(rep), rep
 
-    stratum = StratumDescriptor("mrank", field, tuple(ranks),
-                                shape=tuple(shape))
-    return _certified(stratum, candidate, tol.gap_min, tol)
+def _sym_mrank_builder(n: int, d: int, r: int, field: str) -> _Builder:
+    """The packed core, then the shared frame; the value is the core under
+    the frame in every mode, packed again."""
+    length = sym_packed_length(r, d)
+
+    def build(rows, owners):
+        core, start = _field_values(rows, 0, (length,), field)
+        Q, _ = _frames(rows, start, n, r, field)
+        full = _mode_products(sym_embed_stack(core, r, d), [Q] * d, field)
+        try:
+            packed = sym_extract_stack(full, LOOSE_TOL)
+            status = [None] * len(rows)
+        except ToleranceError:
+            # refuse only the rows that fail, as one at a time does
+            packed = np.zeros((len(rows), sym_packed_length(n, d)), dtype=full.dtype)
+            status = []
+            for k, one in enumerate(full):
+                try:
+                    packed[k] = sym_extract_stack(one[None], LOOSE_TOL)[0]
+                    status.append(None)
+                except ToleranceError as exc:
+                    status.append(exc)
+        return packed, status, lambda j: (SymTensor(n, d, field, packed[j].copy()),
+                                          None)
+
+    return _Builder(_field_size((length,), field) + _field_size((n, r), field),
+                    build)
+
+
+def sym_mrank_draws(n: int, d: int, r: int, field: str,
+                    rngs: list[SplitMix64],
+                    tol: TolerancePolicy = DEFAULT_TOL) -> list:
+    """sample_sym_mrank for every generator, drawn in lockstep: per
+    generator (tensor, None), or the error that ended its stream."""
+    if not 1 <= r <= n:
+        raise ValueError(f"rank {r} incompatible with dimension {n}")
+    return _certified(StratumDescriptor("sym-mrank", field, r, dim=n, order=d),
+                      _sym_mrank_builder(n, d, r, field), rngs, tol.gap_min, tol)
 
 
 def sample_sym_mrank(n: int, d: int, r: int, field: str = REAL,
@@ -259,18 +482,7 @@ def sample_sym_mrank(n: int, d: int, r: int, field: str = REAL,
     certified for its stratum."""
     if rng is None:
         raise ValueError("sampler needs an explicit RNG state")
-    if not 1 <= r <= n:
-        raise ValueError(f"rank {r} incompatible with dimension {n}")
-    length = sym_packed_length(r, d)
-
-    def candidate():
-        core = SymTensor(r, d, field, field_normals(rng, (length,), field))
-        Q, _ = np.linalg.qr(field_normals(rng, (n, r), field))
-        full = mode_multiply(sym_embed(core).data, [Q] * d)
-        return sym_extract(Hypermatrix(full, field), LOOSE_TOL), None
-
-    stratum = StratumDescriptor("sym-mrank", field, r, dim=n, order=d)
-    return _certified(stratum, candidate, tol.gap_min, tol)[0]
+    return _one(sym_mrank_draws(n, d, r, field, [rng], tol))[0]
 
 
 def random_invertible(n: int, rng: SplitMix64, field: str = REAL,
@@ -293,13 +505,17 @@ def random_invertible(n: int, rng: SplitMix64, field: str = REAL,
     raise RetryExhausted("could not draw a well-conditioned invertible matrix")
 
 
-def random_orthogonal(n: int, rng: SplitMix64, field: str = REAL) -> np.ndarray:
-    Q, R = np.linalg.qr(field_normals(rng, (n, n), field))
-    # make the factorization unique so the draw is a deterministic function
-    # of the Gaussian sample
+def _unitary_factor(G: np.ndarray) -> np.ndarray:
+    """The Q of G = QR with R's diagonal made positive, so that the
+    factorization is unique and Q a deterministic function of G."""
+    Q, R = np.linalg.qr(G)
     d = np.diag(R)
     phase = np.where(np.abs(d) == 0, 1.0, d / np.where(np.abs(d) == 0, 1.0, np.abs(d)))
     return Q * phase
+
+
+def random_orthogonal(n: int, rng: SplitMix64, field: str = REAL) -> np.ndarray:
+    return _unitary_factor(field_normals(rng, (n, n), field))
 
 
 # The membership rules live in the kind records, which are built from the

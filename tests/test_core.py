@@ -246,7 +246,7 @@ STACK_STRATA = ["rank:r=1;shape=3,4,5;field=real",
 def test_mrank_stack_matches_a_per_tensor_loop(text):
     st = parse_stratum(text)
     rng = SplitMix64(25)
-    values = [kind_of(st).draw(st, rng, TolerancePolicy())[0] for _ in range(6)]
+    values = [kind_of(st).draws(st, [rng], TolerancePolicy())[0][0] for _ in range(6)]
     tensors = [sym_embed(v) if isinstance(v, SymTensor) else v for v in values]
     # a rank-one member and the zero tensor share the stack
     shape, field = tensors[0].shape, tensors[0].field

@@ -145,10 +145,10 @@ def test_mrank_paths_read_their_grids_as_stacks(text, monkeypatch):
     grid's labels are still det_sign_mrank's."""
     st = parse_stratum(text)
     rng = SplitMix64(305)
-    a, _ = kind_of(st).draw(st, rng, DEFAULT_TOL)
-    b, _ = kind_of(st).draw(st, rng, DEFAULT_TOL)
+    a, _ = kind_of(st).draws(st, [rng], DEFAULT_TOL)[0]
+    b, _ = kind_of(st).draws(st, [rng], DEFAULT_TOL)[0]
     while classify(st, b) != classify(st, a):
-        b, _ = kind_of(st).draw(st, rng, DEFAULT_TOL)
+        b, _ = kind_of(st).draws(st, [rng], DEFAULT_TOL)[0]
     drawing = []
     draw = paths_module._random_full_core
 

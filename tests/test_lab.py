@@ -8,9 +8,10 @@ from tensortopo import (DEFAULT_TOL, REAL, SplitMix64, census, classify,
                         expected_component_count, identifiability_experiment,
                         monodromy_probe, pairwise_connect_experiment,
                         parse_stratum, strip_runtime)
+from tensortopo import kinds as kinds_module
 from tensortopo import lab as lab_module
 from tensortopo.classifiers import brank3_labels
-from tensortopo.errors import UnsupportedStratumError
+from tensortopo.errors import RetryExhausted, UnsupportedStratumError
 from tensortopo.io import dumps_canonical
 from tensortopo.kinds import kind_of
 from tensortopo.paths import TensorPath, _random_sym_core
@@ -95,7 +96,8 @@ def test_census_labels_agree_with_classify(text):
     assert report.verdict != "inconsistent"
     for row in report.diagnostics:
         assert not row.rejected
-        value, _witness = kind_of(st).draw(st, SplitMix64(row.seed), DEFAULT_TOL)
+        value, _witness = kind_of(st).draws(st, [SplitMix64(row.seed)],
+                                            DEFAULT_TOL)[0]
         try:
             want = str(classify(st, value))
         except UnsupportedStratumError:
@@ -125,6 +127,113 @@ def test_census_labels_its_draws_in_one_call(monkeypatch):
                     seed=5, path_samples=8)
     assert sum(cnt for _, cnt in report.label_counts) == 10
     assert stacks == [10]
+
+
+def _counted_everywhere(monkeypatch, name: str) -> list:
+    """Wrap the package function ``name`` in every module that holds it;
+    the list gets the length of each call's first argument."""
+    calls = []
+    fn = getattr(sys.modules["tensortopo.certify"], name, None) or getattr(
+        sys.modules["tensortopo.core"], name)
+
+    def wrapper(data, *args, **kwargs):
+        calls.append(len(data))
+        return fn(data, *args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("tensortopo")
+                and getattr(module, name, None) is fn):
+            monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def _judged(monkeypatch) -> list:
+    """The stack length of every Kind.judge call."""
+    calls = []
+    judge = kinds_module.Kind.judge
+
+    def wrapper(self, stratum, stack, tol):
+        calls.append(len(stack))
+        return judge(self, stratum, stack, tol)
+
+    monkeypatch.setattr(kinds_module.Kind, "judge", wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("text,trials,seed,judges,hyperdets", [
+    # about one candidate in ten passes the screen; 8 per stream a round
+    ("brank:r=3;shape=2,2,2;field=real", 200, 12345, 10, 20),
+    ("mrank:r=4,2,2;shape=4,2,2;field=real", 300, 7, 1, 0),
+    ("rank:r=1;shape=3,4,5;field=complex", 300, 7, 1, 0),
+])
+def test_census_draws_its_trials_in_lockstep_rounds(monkeypatch, text, trials,
+                                                     seed, judges, hyperdets):
+    """A census judges all the candidates of a redraw round with one
+    Kind.judge call (and screens them with one hyperdet222 call) instead
+    of one call per trial."""
+    judged = _judged(monkeypatch)
+    dets = _counted_everywhere(monkeypatch, "hyperdet222")
+    monkeypatch.setattr(lab_module, "_connect_and_verify",
+                        lambda *args: ("pass", None, None))
+    report = census(parse_stratum(text), trials, seed)
+    assert report.rejected == 0
+    assert 1 <= len(judged) <= judges
+    if judges == 1:
+        assert judged == [trials]
+    assert len(dets) <= hyperdets
+
+
+def test_census_rejects_every_trial_whose_screen_never_passes(monkeypatch):
+    screened = []
+
+    def never(self, stratum, stack, tol):
+        screened.append(len(stack))
+        return [False] * len(stack)
+
+    monkeypatch.setattr(kinds_module.BorderRank3, "screen", never)
+    report = census(parse_stratum("brank:r=3;shape=2,2,2;field=real"), 5, seed=3)
+    assert report.rejected == 5 and report.label_counts == []
+    assert {row.note for row in report.diagnostics} == {
+        "could not certify a sample of rank:r=3;shape=2,2,2;field=real "
+        "after 1000 redraws"}
+    # 1001 candidates per stream, 8 per stream and round
+    assert sum(screened) == 5 * 1001
+    assert screened == [40] * 125 + [5]
+
+
+def test_pairwise_draws_both_ends_of_every_pair_in_one_call(monkeypatch):
+    """All 2N endpoints come from one Kind.draws call; a pair whose first
+    or second end failed is sampler-failed with that end's error."""
+    calls = []
+    record = kind_of(parse_stratum("rank:r=1;shape=3,4,5;field=real"))
+    real = type(record).draws
+
+    def failing(self, stratum, rngs, tol):
+        calls.append(len(rngs))
+        out = real(self, stratum, rngs, tol)
+        out[1] = RetryExhausted("second end of pair 0")
+        out[2] = RetryExhausted("first end of pair 1")
+        return out
+
+    monkeypatch.setattr(type(record), "draws", failing)
+    report = pairwise_connect_experiment(
+        parse_stratum("rank:r=1;shape=3,4,5;field=real"), 3, 8, seed=4)
+    assert calls == [6]
+    assert report.passes == 1
+    assert report.failures == [
+        {"pair": 0, "status": "sampler-failed", "note": "second end of pair 0"},
+        {"pair": 1, "status": "sampler-failed", "note": "first end of pair 1"}]
+
+
+def test_identifiability_draws_its_trials_in_one_call(monkeypatch):
+    calls = []
+    record = type(kind_of(parse_stratum("rank:r=2;shape=3,3,3;field=real")))
+    real = record.draws
+    monkeypatch.setattr(record, "draws", lambda self, stratum, rngs, tol:
+                        calls.append(len(rngs)) or real(self, stratum, rngs, tol))
+    report = identifiability_experiment((3, 3, 3), 12, seed=5)
+    assert calls == [12]
+    assert report.unique == 12
 
 
 def test_pairwise_reads_each_path_end_once(monkeypatch):

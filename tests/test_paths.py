@@ -396,8 +396,8 @@ def _mrank_loop_outcomes(text):
     rng = SplitMix64(250)
     outcomes = []
     for i in range(4):
-        a, _ = kind_of(st).draw(st, rng, TolerancePolicy())
-        b, _ = kind_of(st).draw(st, rng, TolerancePolicy())
+        a, _ = kind_of(st).draws(st, [rng], TolerancePolicy())[0]
+        b, _ = kind_of(st).draws(st, [rng], TolerancePolicy())[0]
         try:
             path = connect(st, a, b, rng=SplitMix64(i))
         except DifferentComponents as exc:
@@ -803,7 +803,7 @@ def test_connect_without_witnesses_matches_both_endpoints(text):
     pending = {}
     pairs = 0
     while pairs < 4:
-        value, _witness = kind_of(st).draw(st, rng, TolerancePolicy())
+        value, _witness = kind_of(st).draws(st, [rng], TolerancePolicy())[0]
         try:
             label = str(classify(st, value))
         except UnsupportedStratumError:

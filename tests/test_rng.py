@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tensortopo import SplitMix64, derive_seed
+from tensortopo.rng import normal_block
 
 
 def test_same_seed_same_stream():
@@ -63,3 +64,48 @@ def test_derive_seed_injective_in_practice():
     assert len(seeds) == 4096
     assert {derive_seed(1, i) for i in range(64)}.isdisjoint(
         {derive_seed(2, i) for i in range(64)})
+
+
+def _streams(count: int) -> list:
+    """Fresh streams, streams with a pending spare and streams one u64 in
+    (after ``integers``), in turn."""
+    gens = [SplitMix64(derive_seed(11, i)) for i in range(count)]
+    for k, gen in enumerate(gens):
+        if k % 3 == 1:
+            gen.normal()
+        elif k % 3 == 2:
+            gen.integers(0, 7)
+    return gens
+
+
+def _copy(gen: SplitMix64) -> SplitMix64:
+    twin = SplitMix64(gen.seed)
+    twin._state, twin._spare = gen.state()
+    return twin
+
+
+def test_normal_block_is_normal_called_one_at_a_time():
+    gens = _streams(60)
+    block = normal_block(gens, 1999)  # odd, so streams end mid-pair
+    assert block.shape == (60, 1999) and block.size >= 100_000
+    for gen, row in zip(gens, block):
+        twin = _copy(gen)
+        assert np.array_equal(row, [twin.normal() for _ in range(1999)])
+
+
+def test_normal_block_leaves_the_generators_where_they_were():
+    gens = _streams(9)
+    before = [gen.state() for gen in gens]
+    normal_block(gens, 25)
+    assert [gen.state() for gen in gens] == before
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 8, 21])
+def test_skip_leaves_the_state_that_drawing_leaves(count):
+    for gen in _streams(51):
+        twin = _copy(gen)
+        gen.skip(count)
+        for _ in range(count):
+            twin.normal()
+        assert gen.state() == twin.state()
+        assert gen.normal() == twin.normal()

@@ -11,6 +11,7 @@ from tensortopo import (COMPLEX, REAL, RetryExhausted, SplitMix64,
                         sample_sym_rank_r, sym_embed)
 from tensortopo import kinds, sampling
 from tensortopo.certify import Kind222, classify_222
+from tensortopo.rng import normal_block
 
 
 def test_expected_generic_mrank():
@@ -225,7 +226,8 @@ def test_rank3_sampler_witnesses_and_generator_state_are_pinned(seed):
 class _ZeroingStream(SplitMix64):
     """SplitMix64 with two normals in every 50 set to zero, so that some
     unit-factor draws come out zero and are redrawn. Its state counts the
-    normals drawn."""
+    normals drawn or skipped; _zeroing_block puts the same zeros in the
+    samplers' blocks."""
 
     def __init__(self, seed: int):
         super().__init__(seed)
@@ -234,14 +236,21 @@ class _ZeroingStream(SplitMix64):
     def state(self) -> tuple:
         return super().state() + (self.count,)
 
-    def resume(self, state: tuple) -> None:
-        super().resume(state[:2])
-        self.count = state[2]
+    def skip(self, count: int) -> None:
+        super().skip(count)
+        self.count += count
 
     def normal(self) -> float:
         index, self.count = self.count, self.count + 1
         z = super().normal()
         return 0.0 if index % 50 < 2 else z
+
+
+def _zeroing_block(rngs, count):
+    out = normal_block(rngs, count)
+    for row, rng in zip(out, rngs):
+        row[[k for k in range(count) if (rng.count + k) % 50 < 2]] = 0.0
+    return out
 
 
 def test_rank3_chunks_redraw_a_vanishing_factor_as_one_candidate_does(monkeypatch):
@@ -264,6 +273,7 @@ def test_rank3_chunks_redraw_a_vanishing_factor_as_one_candidate_does(monkeypatc
         return v
 
     monkeypatch.setattr(sampling, "field_normals", spy)
+    monkeypatch.setattr(sampling, "normal_block", _zeroing_block)
     chunked = stream(16)
     assert sum(zero_factors) > 0
     assert chunked == stream(1)
