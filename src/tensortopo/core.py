@@ -358,10 +358,11 @@ def _power_field(vectors, coefficient) -> str:
 
 
 def sym_power_stack(vectors: np.ndarray, d: int,
-                    coefficient: complex | float = 1.0,
+                    coefficient: complex | float | np.ndarray = 1.0,
                     field: str | None = None) -> np.ndarray:
     """coefficient * v^(x d) in packed form for every row v of a (K, n)
-    stack: the (K, L) packed rows. Each entry is the product coefficient *
+    stack: the (K, L) packed rows. ``coefficient`` is one scalar, or a
+    (K, 1) column of one per row. Each entry is the product coefficient *
     v_i1 * ... * v_id taken left to right, rounded as numpy's scalar
     products round it."""
     dtype = _dtype_for(field or _power_field(vectors, coefficient))

@@ -275,12 +275,11 @@ def identifiability_experiment(shape: tuple[int, ...], N: int, seed: int,
     stratum = StratumDescriptor("rank", field, 2, shape=tuple(shape))
     draws = kind_of(stratum).draws(
         stratum, [SplitMix64(derive_seed(seed, i)) for i in range(N)], tol)
-    for draw in draws:
-        if isinstance(draw, Exception):
-            raise draw
     rows = []
-    for A, _witness in draws:
-        verdict, orderings = count_rank2_decompositions(A, tol)
+    for drawn in draws:
+        if isinstance(drawn, Exception):
+            raise drawn
+        verdict, orderings = count_rank2_decompositions(drawn[0], tol)
         rows.append((verdict, len(orderings)))
     unique = sum(1 for verdict, _n in rows
                  if verdict is DecompositionCount.UNIQUE_UP_TO_PERMUTATION)

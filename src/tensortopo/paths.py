@@ -64,7 +64,7 @@ from .geometry import (GrassmannGeodesic, GrassmannPoint, OrientationLoop,
 from .io import array_to_json, scalar_to_json
 from .rng import SplitMix64
 from .sampling import (_Builder, _certified, _field_size, _field_values, _one,
-                       sample_rank_r, sample_sym_rank_r, _unitary_factor)
+                       _unitary_factor, sample_rank_r, sample_sym_rank_r)
 from .stratum import StratumDescriptor, format_stratum
 
 _SAME = 1e-13          # below this, two unit vectors count as the same point

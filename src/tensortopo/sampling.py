@@ -22,10 +22,11 @@ one ``rng.normal_block`` of all their Gaussians. The round builds them as
 one stack, screens the stack with one call and judges what the screen
 passes with one more. Each stream keeps its first accepted candidate, and
 its generator is moved (``SplitMix64.skip``) to where drawing one candidate
-at a time leaves it, so every draw, witness and later stream is the one of
-the one-at-a-time loop. A unit factor that one candidate at a time would
-redraw ends its stream's round before that candidate, which is then drawn
-alone from the generator. The cap counts candidates per stream.
+at a time leaves it, so each draw, witness and generator state is the one
+that drawing one candidate at a time from each stream gives. A unit factor
+that would be redrawn ends its stream's round before that candidate, which
+is then drawn alone from the generator. The cap counts candidates per
+stream.
 """
 
 from __future__ import annotations
@@ -135,9 +136,9 @@ class _Builder(NamedTuple):
     status per row and ``drawn(k)``, the sampler's (value, witness) of row
     k. A status is None for a candidate, False for a raw draw the sampler
     rejects itself (a vanishing coefficient, a wrong determinant sign),
-    _ALONE for a draw that must be made by ``alone(rng, owner)`` (today's
-    one-candidate routine, which may redraw a factor), or the error that
-    ends the stream."""
+    _ALONE for a draw that must be made by ``alone(rng, owner)`` (the
+    one-candidate routine, which redraws a vanishing factor), or the error
+    that ends the stream."""
 
     size: int
     build: Callable
