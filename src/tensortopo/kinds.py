@@ -55,12 +55,6 @@ from .sampling import (expected_generic_mrank, fixed_mrank_draws,
                        rank_r_draws, sym_mrank_draws, sym_rank_r_draws)
 
 
-def _unwitnessed(draws: list) -> list:
-    """Sampler draws with their witnesses dropped (errors kept)."""
-    return [drawn if isinstance(drawn, Exception) else (drawn[0], None)
-            for drawn in draws]
-
-
 class Kind:
     """Answers shared by every kind, which supplies draws, invariant,
     real_components, connect and member. Over C a stratum is connected
@@ -157,8 +151,8 @@ class Rank(Kind):
     certified by its decomposition but has no component invariant."""
 
     def draws(self, stratum, rngs, tol):
-        return _unwitnessed(rank_r_draws(stratum.shape, stratum.rank,
-                                         stratum.field, rngs, tol))
+        return rank_r_draws(stratum.shape, stratum.rank, stratum.field, rngs,
+                            tol, witnesses=False)
 
     def invariant(self, stratum, A, tol):
         raise UnsupportedStratumError(f"no component classifier for "
@@ -286,8 +280,8 @@ class MRank(Kind):
     of its square flattening; the mixed saturated case is open."""
 
     def draws(self, stratum, rngs, tol):
-        return _unwitnessed(fixed_mrank_draws(stratum.shape, stratum.rank,
-                                              stratum.field, rngs, tol))
+        return fixed_mrank_draws(stratum.shape, stratum.rank, stratum.field,
+                                 rngs, tol, witnesses=False)
 
     def invariant(self, stratum, A, tol):
         if mrank_saturation(stratum) == "mixed":

@@ -25,10 +25,10 @@ from .errors import (DegenerateError, DifferentComponents, RetryExhausted,
 from .geometry import GrassmannPoint, OrientationLoop, flip_exponent
 from .io import dumps_canonical
 from .kinds import clear_members, kind_of
-from .paths import (PATH_SAMPLES, _random_full_core, chebyshev_grid, connect,
-                    path_verify)
+from .paths import PATH_SAMPLES, chebyshev_grid, connect, path_verify
 from .rng import SplitMix64, derive_seed
-from .sampling import random_invertible, sample_rank_r
+from .sampling import (random_invertible, rank_r_draws, sample_full_core,
+                       sample_rank_r)
 from .stratum import StratumDescriptor, format_stratum, parse_stratum
 
 _REP_BUDGET = 20  # representatives per label group for path attempts
@@ -272,9 +272,9 @@ def identifiability_experiment(shape: tuple[int, ...], N: int, seed: int,
     orderings (the 2! relabelings of the two terms)."""
     t0 = time.perf_counter()
 
-    stratum = StratumDescriptor("rank", field, 2, shape=tuple(shape))
-    draws = kind_of(stratum).draws(
-        stratum, [SplitMix64(derive_seed(seed, i)) for i in range(N)], tol)
+    draws = rank_r_draws(tuple(shape), 2, field,
+                         [SplitMix64(derive_seed(seed, i)) for i in range(N)], tol,
+                         witnesses=False)
     rows = []
     for drawn in draws:
         if isinstance(drawn, Exception):
@@ -336,7 +336,7 @@ def monodromy_probe(r: tuple[int, ...], n: tuple[int, ...], seed: int,
     d = len(r)
     K = samples if samples else PATH_SAMPLES
 
-    core = _random_full_core(r, REAL, [], (), rng, tol)
+    core = sample_full_core(r, REAL, [], (), rng, tol)
     frames = []
     for mode in range(d):
         G = rng.normals((n[mode], r[mode]))

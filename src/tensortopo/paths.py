@@ -55,7 +55,7 @@ from .core import (COMPLEX, DEFAULT_TOL, LOOSE_TOL, Hypermatrix, REAL,
                    TolerancePolicy, _dtype_for, flattening_det_signs,
                    mode_multiply, mode_multiply_stack, outer_stack, row_norms,
                    sym_embed, sym_embed_stack, sym_extract, sym_extract_stack,
-                   sym_packed_length, sym_power_stack)
+                   sym_power_stack)
 from .errors import (DifferentComponents, RetryExhausted, ToleranceError,
                      UnsupportedStratumError, settled)
 from .geometry import (GrassmannGeodesic, GrassmannPoint, OrientationLoop,
@@ -63,8 +63,8 @@ from .geometry import (GrassmannGeodesic, GrassmannPoint, OrientationLoop,
                        sym_tucker_compress, tucker_stack)
 from .io import array_to_json, scalar_to_json
 from .rng import SplitMix64
-from .sampling import (_Builder, _certified, _field_size, _field_values, _one,
-                       _unitary_factor, sample_rank_r, sample_sym_rank_r)
+from .sampling import (sample_full_core, sample_rank_r, sample_sym_core,
+                       sample_sym_rank_r)
 from .stratum import StratumDescriptor, format_stratum
 
 _SAME = 1e-13          # below this, two unit vectors count as the same point
@@ -808,22 +808,6 @@ def _core_det_signs(core: np.ndarray, square_modes: list[int]) -> tuple:
     return flattening_det_signs(core[None], [i + 1 for i in square_modes])[0]
 
 
-def _random_full_core(ranks: tuple, field: str, square_modes: list[int],
-                      want_signs: tuple, rng: SplitMix64,
-                      tol: TolerancePolicy) -> np.ndarray:
-    stratum = StratumDescriptor("mrank", field, ranks, shape=ranks)
-    signed = field == REAL and bool(square_modes)
-
-    def build(rows, _owners):
-        cores = np.ascontiguousarray(_field_values(rows, 0, ranks, field)[0])
-        signs = (flattening_det_signs(cores, [i + 1 for i in square_modes])
-                 if signed else [want_signs] * len(cores))
-        return (cores, [None if s == want_signs else False for s in signs],
-                lambda k: (Hypermatrix(cores[k], field), None))
-    return _one(_certified(stratum, _Builder(_field_size(ranks, field), build),
-                           [rng], 1e-3, tol))[0].data
-
-
 def _core_in_grid(stratum: StratumDescriptor, kept, tol: TolerancePolicy):
     """Acceptance of a TuckerCurve under fixed frames: every core of its
     sample grid is a member of the core's own ``stratum`` with every margin
@@ -928,7 +912,7 @@ def connect_mrank(A: Hypermatrix, B: Hypermatrix, ranks: tuple[int, ...],
 
     segments.extend(_detour_route(
         segment, _core_in_grid(core_stratum, same_signs if signed else None, tol),
-        lambda: _random_full_core(ranks, field, square_modes, want, rng, tol),
+        lambda: sample_full_core(ranks, field, square_modes, want, rng, tol),
         core, target_core, _DETOUR_DEPTH))
     segments.append(TuckerCurve("frame-transport", field, const(target_core),
                                 tuple(moving_frame("geodesic", g) for g in geos)))
@@ -937,28 +921,6 @@ def connect_mrank(A: Hypermatrix, B: Hypermatrix, ranks: tuple[int, ...],
 
 # ---------------------------------------------------------------------------
 # symmetric multilinear-rank connectivity
-
-
-def _random_sym_core(r: int, d: int, field: str, signature: int | None,
-                     rng: SplitMix64, tol: TolerancePolicy) -> SymTensor:
-    stratum = StratumDescriptor("sym-mrank", field, r, dim=r, order=d)
-    length = sym_packed_length(r, d)
-    frame = _field_size((r, r), field)
-
-    def quadratic(row):
-        # Q diag(lam) Q^T with ``signature`` positive eigenvalues
-        Q = _unitary_factor(_field_values(row, 0, (r, r), field)[0])
-        lam = np.abs(row[frame:]) + 0.1
-        lam[signature:] *= -1.0
-        return sym_extract(Hypermatrix((Q * lam) @ Q.T, field), LOOSE_TOL).packed
-
-    def build(rows, _owners):
-        packed = (np.ascontiguousarray(_field_values(rows, 0, (length,), field)[0])
-                  if signature is None else np.stack([quadratic(row) for row in rows]))
-        return (packed, [None] * len(rows),
-                lambda k: (SymTensor(r, d, field, packed[k]), None))
-    size = _field_size((length,), field) if signature is None else frame + r
-    return _one(_certified(stratum, _Builder(size, build), [rng], 1e-3, tol))[0]
 
 
 def connect_sym_mrank(Sa: SymTensor, Sb: SymTensor, r: int,
@@ -1010,7 +972,7 @@ def connect_sym_mrank(Sa: SymTensor, Sb: SymTensor, r: int,
     segments = _detour_route(
         segment, _core_in_grid(core_stratum,
                                None if signature is None else same_signature, tol),
-        lambda: _random_sym_core(r, d, field, signature, rng, tol),
+        lambda: sample_sym_core(r, d, field, signature, rng, tol),
         core_a, target, _DETOUR_DEPTH)
     segments.append(TuckerCurve("sym-frame-transport", field, const(target),
                                 moving_frame("geodesic", geo)))

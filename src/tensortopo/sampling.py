@@ -7,9 +7,10 @@ the bits of that candidate. One redraw loop, ``_certified``, keeps per
 stream the first candidate that the stratum's kind record judges a member
 with every margin at least gap_min, and redraws otherwise, at most 1000
 times (the multilinear-rank connectors draw their midpoint cores through it
-too, with a margin of 1e-3). The rank read lives in the record
-(``kinds.Kind.judge``, the read and membership rule that ``path_verify``
-applies to a path's whole grid). Most strata accept nearly every draw, but
+too, by ``sample_full_core`` and ``sample_sym_core``, with a margin of
+1e-3). The rank read lives in the record (``kinds.Kind.judge``, the read
+and membership rule that ``path_verify`` applies to a path's whole grid).
+Most strata accept nearly every draw, but
 not all: a sum of three real Gaussian rank-one terms on 2x2x2 lands in the
 border-rank-three region only about one draw in ten, so a cap of 100 gave
 up on that valid stratum about once in 30000 draws. At 1000 the chance of
@@ -18,15 +19,17 @@ that is below 1e-40; exhaustion signals bad parameters, not bad luck.
 All the streams of a census draw in lockstep rounds. In a round every
 stream still drawing gives one candidate, or _CHUNK candidates when the
 record's ``screen`` rejects draws (the border-rank-three one), read from
-one ``rng.normal_block`` of all their Gaussians. The round builds them as
-one stack, screens the stack with one call and judges what the screen
-passes with one more. Each stream keeps its first accepted candidate, and
-its generator is moved (``SplitMix64.skip``) to where drawing one candidate
-at a time leaves it, so each draw, witness and generator state is the one
-that drawing one candidate at a time from each stream gives. A unit factor
-that would be redrawn ends its stream's round before that candidate, which
-is then drawn alone from the generator. The cap counts candidates per
-stream.
+one ``rng.normal_block`` of all their Gaussians; a round takes as many
+streams as fit in _BLOCK Gaussians, so memory stays flat in the number of
+trials, and the streams left over draw in the next. The round builds its
+candidates as one stack, screens the stack with one call and judges what
+the screen passes with one more. Each stream keeps its first accepted
+candidate, and its generator is moved (``SplitMix64.skip``) to where
+drawing one candidate at a time leaves it, so each draw, witness and
+generator state is the one that drawing one candidate at a time from each
+stream gives. A unit factor that would be redrawn ends its stream's round
+before that candidate, which is then drawn alone from the generator. The
+cap counts candidates per stream.
 """
 
 from __future__ import annotations
@@ -38,10 +41,10 @@ import numpy as np
 
 from .core import (COMPLEX, DEFAULT_TOL, LOOSE_TOL, Hypermatrix,
                    RankOneFactors, REAL, SymRankDecomposition, SymTensor,
-                   TolerancePolicy, mode_multiply, mode_multiply_stack,
-                   mrank_admissible, outer_product, outer_stack,
-                   sym_embed_stack, sym_extract_stack, sym_packed_length,
-                   sym_power_stack)
+                   TolerancePolicy, flattening_det_signs, mode_multiply,
+                   mode_multiply_stack, mrank_admissible, outer_product,
+                   outer_stack, row_norms, sym_embed_stack, sym_extract,
+                   sym_extract_stack, sym_packed_length, sym_power_stack)
 from .errors import RetryExhausted, ToleranceError
 from .geometry import GrassmannPoint, TuckerRep
 from .rng import SplitMix64, normal_block
@@ -51,6 +54,10 @@ _MAX_REDRAWS = 1000
 # candidates a stream draws per round for a record whose screen rejects
 # draws; about one in ten rank-three 2x2x2 candidates passes
 _CHUNK = 8
+# Gaussians a round draws at most, whatever the number of streams: a round
+# takes as many streams as fit, so a census of any size holds one block of
+# this size (and its candidates) at a time
+_BLOCK = 1 << 16
 # the status of a candidate that is drawn alone from its generator
 _ALONE = "alone"
 
@@ -107,13 +114,9 @@ def _field_scalars(rows: np.ndarray, start: int, field: str) -> np.ndarray:
 
 
 def _unit_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_unit_gaussian along the last axis: v over its norm, the norm
-    having np.linalg.norm's bits, and where _unit_gaussian would redraw
-    v instead."""
-    if np.iscomplexobj(v):
-        nv = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
-    else:
-        nv = np.sqrt(np.vecdot(v, v))
+    """_unit_gaussian along the last axis: v over its norm, and where
+    _unit_gaussian would redraw v instead."""
+    nv = row_norms(v.reshape(-1, v.shape[-1])).reshape(v.shape[:-1])
     with np.errstate(divide="ignore", invalid="ignore"):
         return v / nv[..., None], ~(nv > 1e-6)
 
@@ -151,15 +154,18 @@ def _certified(stratum: StratumDescriptor, builder: _Builder,
     """Per generator, the first of at most 1 + _MAX_REDRAWS candidates that
     is a member of ``stratum`` with every margin at least ``margin``, as
     (value, witness), or the RetryExhausted or draw error that ends its
-    stream. Every round screens and judges the candidates of all streams
-    still drawing with one call each; the record's ``screen`` runs before
-    the rank read, so a candidate it rejects costs no SVD."""
+    stream. Every round screens and judges the candidates of the streams
+    still drawing, as many as fit in a block of _BLOCK Gaussians, with one
+    call each; the record's ``screen`` runs before the rank read, so a
+    candidate it rejects costs no SVD."""
     rule = kinds.kind_of(stratum)
     per = _CHUNK if rule.screens else 1
+    streams = max(1, _BLOCK // (per * builder.size))
     out: list = [None] * len(rngs)
     left = [_MAX_REDRAWS + 1] * len(rngs)
-    pending = list(range(len(rngs)))
-    while pending:
+    queue = list(range(len(rngs)))
+    while queue:
+        pending, queue = queue[:streams], queue[streams:]
         width = min(per, max(left[i] for i in pending))
         block = normal_block([rngs[i] for i in pending], width * builder.size)
         stack, status, drawn = builder.build(
@@ -202,7 +208,7 @@ def _certified(stratum: StratumDescriptor, builder: _Builder,
             else:
                 out[i] = RetryExhausted(f"could not certify a sample of {stratum} "
                                         f"after {_MAX_REDRAWS} redraws")
-        pending = still
+        queue += still
     return out
 
 
@@ -229,9 +235,11 @@ def _rank_r_candidate(shape: tuple[int, ...], r: int, field: str,
     return Hypermatrix(total, field), terms
 
 
-def _rank_r_builder(shape: tuple[int, ...], r: int, field: str) -> _Builder:
+def _rank_r_builder(shape: tuple[int, ...], r: int, field: str,
+                    witnesses: bool) -> _Builder:
     """Per term one unit factor per mode, then the scalar; the terms are
-    summed in order."""
+    summed in order. The terms are the witness, or None without
+    ``witnesses``."""
 
     def build(rows, owners):
         terms = rows.reshape(len(rows), r, -1)
@@ -251,20 +259,28 @@ def _rank_r_builder(shape: tuple[int, ...], r: int, field: str) -> _Builder:
             total = total + parts[:, k]
 
         def drawn(j):
-            return Hypermatrix(total[j].copy(), field), [
-                RankOneFactors(scalars[j, k].item(), tuple(u[j, k] for u in units),
-                               field) for k in range(r)]
+            value = Hypermatrix(total[j].copy(), field)
+            if not witnesses:
+                return value, None
+            return value, [RankOneFactors(scalars[j, k].item(),
+                                          tuple(u[j, k].copy() for u in units),
+                                          field) for k in range(r)]
         return total, [_ALONE if gone else None for gone in vanished], drawn
 
-    return _Builder(r * _field_size((sum(shape) + 1,), field), build,
-                    lambda rng, _owner: _rank_r_candidate(shape, r, field, rng))
+    def alone(rng, _owner):
+        value, terms = _rank_r_candidate(shape, r, field, rng)
+        return value, terms if witnesses else None
+
+    return _Builder(r * _field_size((sum(shape) + 1,), field), build, alone)
 
 
 def rank_r_draws(shape: tuple[int, ...], r: int, field: str,
-                 rngs: list[SplitMix64], tol: TolerancePolicy = DEFAULT_TOL
-                 ) -> list:
+                 rngs: list[SplitMix64], tol: TolerancePolicy = DEFAULT_TOL,
+                 witnesses: bool = True) -> list:
     """sample_rank_r for every generator, drawn in lockstep: per generator
-    (tensor, terms), or the error that ended its stream."""
+    (tensor, terms), or the error that ended its stream. Without
+    ``witnesses`` the terms are None, and a census of any size holds no
+    more than its tensors."""
     if r < 1:
         raise ValueError("rank must be at least 1")
     # rank <= prod of the other dimensions, every mode; 2x2x2 tops out at 3
@@ -273,7 +289,8 @@ def rank_r_draws(shape: tuple[int, ...], r: int, field: str,
         raise ValueError(f"no tensors of rank {r} on shape {shape}")
     shape = tuple(shape)
     return _certified(StratumDescriptor("rank", field, r, shape=shape),
-                      _rank_r_builder(shape, r, field), rngs, tol.gap_min, tol)
+                      _rank_r_builder(shape, r, field, witnesses), rngs,
+                      tol.gap_min, tol)
 
 
 def sample_rank_r(shape: tuple[int, ...], r: int, field: str, rng: SplitMix64,
@@ -323,7 +340,7 @@ def _sym_rank_r_builder(n: int, d: int, r: int, field: str,
 
         def drawn(j):
             decomp = SymRankDecomposition(d, tuple(lam[j].tolist()),
-                                          tuple(units[j]), field)
+                                          tuple(units[j].copy()), field)
             return SymTensor(n, d, field, packed[j].copy()), decomp
         return packed, [_ALONE if g else False if s else None
                         for g, s in zip(gone.any(axis=1), small)], drawn
@@ -387,9 +404,10 @@ def _frames(rows: np.ndarray, start: int, n: int, r: int, field: str):
 
 
 def _fixed_mrank_builder(shape: tuple[int, ...], ranks: tuple[int, ...],
-                         field: str) -> _Builder:
+                         field: str, witnesses: bool) -> _Builder:
     """One frame per mode, then the core; the value is the core under the
-    frames."""
+    frames, whose Tucker representation is the witness, or None without
+    ``witnesses``."""
 
     def build(rows, owners):
         frames, start = [], 0
@@ -400,9 +418,12 @@ def _fixed_mrank_builder(shape: tuple[int, ...], ranks: tuple[int, ...],
         values = _mode_products(core, frames, field)
 
         def drawn(j):
-            rep = TuckerRep(tuple(GrassmannPoint(F[j], field) for F in frames),
-                            Hypermatrix(core[j], field))
-            return Hypermatrix(values[j].copy(), field), rep
+            value = Hypermatrix(values[j].copy(), field)
+            if not witnesses:
+                return value, None
+            return value, TuckerRep(
+                tuple(GrassmannPoint(F[j].copy(), field) for F in frames),
+                Hypermatrix(core[j].copy(), field))
         return values, [None] * len(rows), drawn
 
     return _Builder(sum(_field_size((n, r), field) for n, r in zip(shape, ranks))
@@ -411,10 +432,11 @@ def _fixed_mrank_builder(shape: tuple[int, ...], ranks: tuple[int, ...],
 
 def fixed_mrank_draws(shape: tuple[int, ...], ranks: tuple[int, ...],
                       field: str, rngs: list[SplitMix64],
-                      tol: TolerancePolicy = DEFAULT_TOL) -> list:
+                      tol: TolerancePolicy = DEFAULT_TOL,
+                      witnesses: bool = True) -> list:
     """sample_fixed_mrank for every generator, drawn in lockstep: per
     generator (tensor, Tucker representation), or the error that ended its
-    stream."""
+    stream; without ``witnesses`` the representation is None."""
     if len(ranks) != len(shape):
         raise ValueError("need one rank per mode")
     if any(r < 1 or r > n for r, n in zip(ranks, shape)):
@@ -423,8 +445,8 @@ def fixed_mrank_draws(shape: tuple[int, ...], ranks: tuple[int, ...],
         raise ValueError(f"inadmissible multilinear rank {ranks}")
     shape, ranks = tuple(shape), tuple(ranks)
     return _certified(StratumDescriptor("mrank", field, ranks, shape=shape),
-                      _fixed_mrank_builder(shape, ranks, field), rngs,
-                      tol.gap_min, tol)
+                      _fixed_mrank_builder(shape, ranks, field, witnesses),
+                      rngs, tol.gap_min, tol)
 
 
 def sample_fixed_mrank(shape: tuple[int, ...], ranks: tuple[int, ...],
@@ -484,6 +506,72 @@ def sample_sym_mrank(n: int, d: int, r: int, field: str = REAL,
     if rng is None:
         raise ValueError("sampler needs an explicit RNG state")
     return _one(sym_mrank_draws(n, d, r, field, [rng], tol))[0]
+
+
+# the margin every mode of a connector's midpoint core clears
+_CORE_MARGIN = 1e-3
+
+
+def _full_core_builder(ranks: tuple, field: str, square_modes: list[int],
+                       want_signs: tuple) -> _Builder:
+    """A Gaussian core; over R with square modes, one whose square
+    flattenings have the determinant signs ``want_signs``."""
+    signed = field == REAL and bool(square_modes)
+
+    def build(rows, _owners):
+        cores = np.ascontiguousarray(_field_values(rows, 0, ranks, field)[0])
+        signs = (flattening_det_signs(cores, [i + 1 for i in square_modes])
+                 if signed else [want_signs] * len(cores))
+        return (cores, [None if s == want_signs else False for s in signs],
+                lambda k: (Hypermatrix(cores[k].copy(), field), None))
+
+    return _Builder(_field_size(ranks, field), build)
+
+
+def sample_full_core(ranks: tuple, field: str, square_modes: list[int],
+                     want_signs: tuple, rng: SplitMix64,
+                     tol: TolerancePolicy) -> np.ndarray:
+    """A Gaussian core of full multilinear rank ``ranks`` with every margin
+    at least 1e-3, whose square flattenings (0-based ``square_modes``) have
+    the determinant signs ``want_signs`` over R: the multilinear-rank
+    connector's midpoint core."""
+    stratum = StratumDescriptor("mrank", field, ranks, shape=ranks)
+    return _one(_certified(stratum, _full_core_builder(
+        ranks, field, square_modes, want_signs), [rng], _CORE_MARGIN, tol))[0].data
+
+
+def _sym_core_builder(r: int, d: int, field: str,
+                      signature: int | None) -> _Builder:
+    """A Gaussian packed core, or with ``signature`` the quadratic form
+    Q diag(lam) Q^T of a Gaussian unitary factor Q and |Gaussian| + 0.1
+    eigenvalues, ``signature`` of them positive."""
+    length = sym_packed_length(r, d)
+    frame = _field_size((r, r), field)
+
+    def quadratic(row):
+        Q = _unitary_factor(_field_values(row, 0, (r, r), field)[0])
+        lam = np.abs(row[frame:]) + 0.1
+        lam[signature:] *= -1.0
+        return sym_extract(Hypermatrix((Q * lam) @ Q.T, field), LOOSE_TOL).packed
+
+    def build(rows, _owners):
+        packed = (np.ascontiguousarray(_field_values(rows, 0, (length,), field)[0])
+                  if signature is None else np.stack([quadratic(row) for row in rows]))
+        return (packed, [None] * len(rows),
+                lambda k: (SymTensor(r, d, field, packed[k].copy()), None))
+
+    size = _field_size((length,), field) if signature is None else frame + r
+    return _Builder(size, build)
+
+
+def sample_sym_core(r: int, d: int, field: str, signature: int | None,
+                    rng: SplitMix64, tol: TolerancePolicy) -> SymTensor:
+    """A symmetric core of full multilinear rank r on r^d with every margin
+    at least 1e-3, and over R with d = 2 the eigenvalue ``signature``: the
+    symmetric multilinear-rank connector's midpoint core."""
+    stratum = StratumDescriptor("sym-mrank", field, r, dim=r, order=d)
+    return _one(_certified(stratum, _sym_core_builder(r, d, field, signature),
+                           [rng], _CORE_MARGIN, tol))[0]
 
 
 def random_invertible(n: int, rng: SplitMix64, field: str = REAL,

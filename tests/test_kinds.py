@@ -140,7 +140,7 @@ def test_path_verify_reads_a_symmetric_grid_with_one_svd(monkeypatch):
                                   "mrank:r=2,2,2;shape=3,3,3;field=real"])
 def test_mrank_paths_read_their_grids_as_stacks(text, monkeypatch):
     """connect's core pre-filter and path_verify make no numerical_rank or
-    det_sign_mrank call per sample (the midpoint draws of _random_full_core
+    det_sign_mrank call per sample (the midpoint draws of sample_full_core
     may), and TensorPath.eval runs only in connect's endpoint check; the
     grid's labels are still det_sign_mrank's."""
     st = parse_stratum(text)
@@ -150,7 +150,7 @@ def test_mrank_paths_read_their_grids_as_stacks(text, monkeypatch):
     while classify(st, b) != classify(st, a):
         b, _ = kind_of(st).draws(st, [rng], DEFAULT_TOL)[0]
     drawing = []
-    draw = paths_module._random_full_core
+    draw = paths_module.sample_full_core
 
     def midpoint(*args):
         drawing.append(True)
@@ -159,7 +159,7 @@ def test_mrank_paths_read_their_grids_as_stacks(text, monkeypatch):
         finally:
             drawing.pop()
 
-    monkeypatch.setattr(paths_module, "_random_full_core", midpoint)
+    monkeypatch.setattr(paths_module, "sample_full_core", midpoint)
     ranks = _count_calls(monkeypatch, "numerical_rank", core_module,
                          note=lambda: bool(drawing))
     dets = _count_calls(monkeypatch, "det_sign_mrank", classifiers_module)

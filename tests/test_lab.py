@@ -14,7 +14,8 @@ from tensortopo.classifiers import brank3_labels
 from tensortopo.errors import RetryExhausted, UnsupportedStratumError
 from tensortopo.io import dumps_canonical
 from tensortopo.kinds import kind_of
-from tensortopo.paths import TensorPath, _random_sym_core
+from tensortopo.paths import TensorPath
+from tensortopo.sampling import sample_sym_core
 
 CENSUS_KEYS = {"stratum", "seed", "trials", "labels",
                "cross_label_connections", "verdict", "runtime_ms"}
@@ -227,10 +228,11 @@ def test_pairwise_draws_both_ends_of_every_pair_in_one_call(monkeypatch):
 
 def test_identifiability_draws_its_trials_in_one_call(monkeypatch):
     calls = []
-    record = type(kind_of(parse_stratum("rank:r=2;shape=3,3,3;field=real")))
-    real = record.draws
-    monkeypatch.setattr(record, "draws", lambda self, stratum, rngs, tol:
-                        calls.append(len(rngs)) or real(self, stratum, rngs, tol))
+    real = lab_module.rank_r_draws
+    monkeypatch.setattr(lab_module, "rank_r_draws",
+                        lambda shape, r, field, rngs, *args, **kwargs:
+                        calls.append(len(rngs))
+                        or real(shape, r, field, rngs, *args, **kwargs))
     report = identifiability_experiment((3, 3, 3), 12, seed=5)
     assert calls == [12]
     assert report.unique == 12
@@ -305,7 +307,7 @@ def test_sym_mrank_order_three_reports_are_pinned(field):
     doc = dumps_canonical(strip_runtime(report.to_json()))
     assert hashlib.sha256(doc.encode()).hexdigest() == report_pin
     rng = SplitMix64(5)
-    cores = np.stack([_random_sym_core(2, 3, field, None, rng, DEFAULT_TOL).packed
+    cores = np.stack([sample_sym_core(2, 3, field, None, rng, DEFAULT_TOL).packed
                       for _ in range(20)])
     assert hashlib.sha256(cores.tobytes()).hexdigest() == cores_pin
 

@@ -14,8 +14,9 @@ import pytest
 from tensortopo import (COMPLEX, DEFAULT_TOL, REAL, SplitMix64, census,
                         identifiability_experiment, pairwise_connect_experiment,
                         parse_stratum, strip_runtime)
+from tensortopo import sampling
 from tensortopo.io import dumps_canonical
-from tensortopo.paths import _random_full_core, _random_sym_core
+from tensortopo.sampling import sample_full_core, sample_sym_core
 
 
 def _digest(document) -> str:
@@ -63,6 +64,30 @@ def test_census_reports_are_pinned(case):
     assert _digest(_census_document(report)) == CENSUS_PINS[case]
 
 
+@pytest.mark.parametrize("case", [
+    ("brank:r=3;shape=2,2,2;field=real", 200, 12345),  # one stream a round
+    ("sym-rank:d=4;n=4;r=2;field=real", 60, 7),        # ten, each signed
+], ids=lambda case: case[0])
+def test_census_rounds_draw_bounded_blocks(case, monkeypatch):
+    """However many trials a census has, a round draws at most _BLOCK
+    Gaussians; the streams that do not fit draw in the next rounds, and
+    the report keeps its bytes."""
+    blocks = []
+    block = sampling.normal_block
+
+    def bounded(rngs, count):
+        blocks.append(len(rngs) * count)
+        return block(rngs, count)
+
+    monkeypatch.setattr(sampling, "_BLOCK", 100)
+    monkeypatch.setattr(sampling, "normal_block", bounded)
+    text, trials, seed = case
+    report = census(parse_stratum(text), trials, seed, path_samples=16)
+    assert _digest(_census_document(report)) == CENSUS_PINS[case]
+    assert len(blocks) >= trials // 10
+    assert max(blocks) <= max(100, 8 * 21)
+
+
 PAIRWISE_PINS = {
     "mrank:r=4,2,2;shape=4,2,2;field=real":
         "5c28c800f7cad060935134ecee3a4449bf25114bdf823114a34feacb1d5d29dd",
@@ -87,13 +112,13 @@ def test_identifiability_report_is_pinned():
 # SplitMix64(8), then the generator's state
 CORE_DRAW_PINS = {
     "full-signed": (
-        lambda rng: _random_full_core((4, 2, 2), REAL, [0], (-1,), rng, DEFAULT_TOL),
+        lambda rng: sample_full_core((4, 2, 2), REAL, [0], (-1,), rng, DEFAULT_TOL),
         "6f98a2269b3f62d6d3610e32969c1b2c6870d520dd804170ffea6dc0a673b878"),
     "full-complex": (
-        lambda rng: _random_full_core((2, 2, 1), COMPLEX, [], (), rng, DEFAULT_TOL),
+        lambda rng: sample_full_core((2, 2, 1), COMPLEX, [], (), rng, DEFAULT_TOL),
         "839fc19b6733f35fa17711b3df217154e34137234728962c3e20a553caf92342"),
     "sym-signature": (
-        lambda rng: _random_sym_core(3, 2, REAL, 1, rng, DEFAULT_TOL).packed,
+        lambda rng: sample_sym_core(3, 2, REAL, 1, rng, DEFAULT_TOL).packed,
         "44d32ba431ebdb22f4192bc378ed4a776d14e886f7d5de43109e30bd061a92fc"),
 }
 

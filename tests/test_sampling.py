@@ -253,6 +253,28 @@ def _zeroing_block(rngs, count):
     return out
 
 
+# recorded while a vanishing unit factor's candidate was drawn one at a time
+# from the generator (_CHUNK = 1 drew every candidate so): SHA-256 over the
+# 60 zero-injected draws of _ZeroingStream(4), each tensor, its witness terms
+# and the generator's state, spare and normals count after the draw
+_ZEROED_STREAM = "5788d060c4a092232980582e711f70c52dc4eda03303c957bc64409a8f5b8961"
+
+
+def _zeroed_stream_digest(draws) -> str:
+    digest = hashlib.sha256()
+    for data, (state, spare, count), terms in draws:
+        digest.update(data)
+        for scalar, factors in terms:
+            digest.update(type(scalar).__name__.encode())
+            digest.update(np.float64(scalar).tobytes())
+            for f in factors:
+                digest.update(f)
+        digest.update(state.to_bytes(8, "little"))
+        digest.update(b"-" if spare is None else np.float64(spare).tobytes())
+        digest.update(count.to_bytes(8, "little"))
+    return digest.hexdigest()
+
+
 def test_rank3_chunks_redraw_a_vanishing_factor_as_one_candidate_does(monkeypatch):
     def stream(chunk):
         monkeypatch.setattr(sampling, "_CHUNK", chunk)
@@ -276,6 +298,7 @@ def test_rank3_chunks_redraw_a_vanishing_factor_as_one_candidate_does(monkeypatc
     monkeypatch.setattr(sampling, "normal_block", _zeroing_block)
     chunked = stream(16)
     assert sum(zero_factors) > 0
+    assert _zeroed_stream_digest(chunked) == _ZEROED_STREAM
     assert chunked == stream(1)
 
 
