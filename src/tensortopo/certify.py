@@ -29,24 +29,25 @@ from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, RankOneFactors, REAL,
                    TolerancePolicy, _mul, _rank_read, fix_phase, flatten,
                    flatten_stack, mode_multiply_stack, numerical_rank,
                    outer_product, outer_stack, row_norms)
-from .errors import DegenerateError, ToleranceError, caught, settled
+from .errors import DegenerateError, ToleranceError, rejected, settled
 from .geometry import check_orthonormal, dominant_frames, tucker_stack
 
 
 def _rank_one_stack(data: np.ndarray, field: str, tol: TolerancePolicy
-                    ) -> tuple[list, np.ndarray, list]:
+                    ) -> tuple[np.ndarray, np.ndarray, list]:
     """is_rank_one for every tensor of a (K, ...) stack, with batched SVDs
-    per mode: per tensor whether it is rank one, then the witness scalars
-    (K,) and unit factors, one (K, n_i) array per mode (garbage where not
-    rank one; both None when no tensor is)."""
+    per mode: a (K,) mask of the tensors that are rank one, then the witness
+    scalars (K,) and unit factors, one (K, n_i) array per mode (garbage where
+    not rank one; both None when no tensor is)."""
     K = data.shape[0]
-    ok = (np.vecdot(data.reshape(K, -1), data.reshape(K, -1)).real != 0.0).tolist()
+    ok = np.vecdot(data.reshape(K, -1), data.reshape(K, -1)).real != 0.0
     factors = []
     for mode in range(1, data.ndim):
         M = flatten_stack(data, mode)
-        reads = _rank_read(np.linalg.svd(M, compute_uv=False), max(M.shape[1:]), tol)
-        ok = [okay and r == 1 for okay, (r, _margin) in zip(ok, reads)]
-        if not any(ok):
+        ranks, _margins = _rank_read(np.linalg.svd(M, compute_uv=False),
+                                     max(M.shape[1:]), tol)
+        ok &= ranks == 1
+        if not ok.any():
             return ok, None, None
         U, _, _ = np.linalg.svd(M, full_matrices=False)
         factors.append(fix_phase(U[:, :, 0]))
@@ -101,15 +102,15 @@ def _band(scale: float, tol: TolerancePolicy) -> float:
     return tol.eps_rel * scale ** 4
 
 
-def hyperdet_signs(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> list[int]:
+def hyperdet_signs(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Per tensor of a real (K, 2, 2, 2) stack, the sign of its
-    hyperdeterminant outside classify_222's band, and 0 inside it: one
-    hyperdet222 call for the stack."""
-    signs = []
-    for det, scale in zip(hyperdet222(data).tolist(), row_norms(data).tolist()):
-        tau = _band(scale, tol)
-        signs.append(1 if det > tau else -1 if det < -tau else 0)
-    return signs
+    hyperdeterminant outside classify_222's band, and 0 inside it, as a
+    (K,) array: one hyperdet222 call for the stack. The band takes each
+    norm's fourth power as Python's pow does, which numpy's array power
+    does not always match."""
+    det = hyperdet222(data)
+    tau = np.array([_band(scale, tol) for scale in row_norms(data).tolist()])
+    return np.where(det > tau, 1, np.where(det < -tau, -1, 0))
 
 
 class Kind222(enum.Enum):
@@ -175,19 +176,9 @@ def _pencil_coefficients(core: np.ndarray) -> tuple:
     return p[0] - p[1], -(p[2] + p[3] + p[4] + p[5]), p[6] - p[7]
 
 
-def _check_pencil(scale: float, a_zero: bool, b_zero: bool,
-                  complex_roots: bool) -> None:
-    """_projective_roots' refusals before the root separation, for one
-    pencil of coefficient scale ``scale``, normalized a and b zero or not,
-    and real coefficients with a negative discriminant or not."""
-    if scale == 0.0:
-        raise ToleranceError("slice pencil determinant vanishes identically")
-    if a_zero and b_zero:
-        raise ToleranceError("slice pencil has a double root at infinity")
-    if complex_roots:
-        raise DegenerateError(
-            "slice pencil has complex roots: real rank exceeds two "
-            "(negative hyperdeterminant regime)")
+def _first_errors(*errors: list) -> list:
+    """Per row, the first error of the rules' error lists, in rule order."""
+    return [next((e for e in row if e is not None), None) for row in zip(*errors)]
 
 
 def _projective_roots(a, b, c, field: str, tol: TolerancePolicy):
@@ -228,52 +219,38 @@ def _projective_roots(a, b, c, field: str, tol: TolerancePolicy):
         roots = fix_phase(raw / np.sqrt(sq_norm[..., 0]))
     x, y = roots[:, 0], roots[:, 1]
     separation = _abs(_mul(x[:, 0], y[:, 1]) - _mul(y[:, 0], x[:, 1]))
-    complex_roots = (disc < 0.0) & ~a_zero if field == REAL else np.zeros_like(a_zero)
-    errors = [caught(_check_pencil, *row) or caught(_check_separation, sep, tol)
-              for row, sep in zip(zip(scale.tolist(), a_zero.tolist(),
-                                      (b == 0.0).tolist(), complex_roots.tolist()),
-                                  separation.tolist())]
+    errors = _first_errors(
+        rejected(scale == 0.0, lambda k: ToleranceError(
+            "slice pencil determinant vanishes identically")),
+        rejected(a_zero & (b == 0.0), lambda k: ToleranceError(
+            "slice pencil has a double root at infinity")),
+        rejected((disc < 0.0) & ~a_zero if field == REAL else np.zeros_like(a_zero),
+                 lambda k: DegenerateError(
+                     "slice pencil has complex roots: real rank exceeds two "
+                     "(negative hyperdeterminant regime)")),
+        _separation_errors(separation, tol))
     return roots, errors
 
 
-def _check_separation(separation: float, tol: TolerancePolicy) -> None:
-    """ToleranceError unless two unit pencil roots are gap_min apart."""
-    if separation < tol.gap_min:
-        raise ToleranceError(
-            f"slice pencil roots separated by {separation:.3e} < gap_min; "
-            "rank-two decomposition is not identifiable here")
-
-
-def _check_rank_one(sigma: list) -> None:
-    """ToleranceError unless singular values ``sigma`` (descending) are those
-    of a rank-one matrix to a 1e-6 ratio."""
-    if sigma[0] == 0.0 or sigma[1] > 1e-6 * sigma[0]:
-        raise ToleranceError(
-            "pencil slice expected to be rank one is not "
-            f"(sigma ratio {sigma[1] / max(sigma[0], 1e-300):.3e})")
+def _separation_errors(separation: np.ndarray, tol: TolerancePolicy) -> list:
+    """Per pair of unit pencil roots, the ToleranceError when they are not
+    gap_min apart, or None."""
+    return rejected(separation < tol.gap_min, lambda k: ToleranceError(
+        f"slice pencil roots separated by {separation[k]:.3e} < gap_min; "
+        "rank-two decomposition is not identifiable here"))
 
 
 def _rank_one_matrix_factors(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """Unit row/column factors u, w of each numerically rank-one matrix
     M = s * u w^T of a (K, m, n) stack, with one batched SVD, and per matrix
-    the ToleranceError when it is not rank one, or None."""
+    the ToleranceError when its singular values are not those of a rank-one
+    matrix to a 1e-6 ratio, or None."""
     U, sigma, Vh = np.linalg.svd(M)
-    return U[..., 0], Vh[..., 0, :], [caught(_check_rank_one, row)
-                                      for row in sigma.tolist()]
-
-
-def _check_tail(ok: bool) -> None:
-    if not ok:
-        raise ToleranceError(
-            "grouped trailing factor is not rank one; "
-            "input is not a rank-two tensor")
-
-
-def _check_rebuild(residual: float, scale: float) -> None:
-    if residual > 1e-8 * max(scale, 1e-300):
-        raise ToleranceError(
-            f"rank-two reconstruction misses the input by {residual:.3e} "
-            "relative to norm; input is not numerically rank two")
+    top, second = sigma[:, 0], sigma[:, 1]
+    return U[..., 0], Vh[..., 0, :], rejected(
+        (top == 0.0) | (second > 1e-6 * top), lambda k: ToleranceError(
+            "pencil slice expected to be rank one is not "
+            f"(sigma ratio {second[k] / max(top[k], 1e-300):.3e})"))
 
 
 def _normalized_term(scalar, factors, field: str) -> RankOneFactors:
@@ -374,8 +351,9 @@ def _rank2_terms(data: np.ndarray, ranks, tol: TolerancePolicy) -> list:
         if scalars is not None:
             state["lam"] = _mul(state["lam"], scalars.reshape(n, 2))
             state["factors"] = [u1, u2] + [f.reshape(n, 2, 2) for f in tail_factors]
-        if not settle([caught(_check_tail, ok[2 * i]) or caught(_check_tail, ok[2 * i + 1])
-                       for i in range(n)]):
+        if not settle(rejected(~(ok[0::2] & ok[1::2]), lambda k: ToleranceError(
+                "grouped trailing factor is not rank one; "
+                "input is not a rank-two tensor"))):
             return outcome
     state["lifted"] = [f if F is None else np.matmul(F[:, None], f[..., None])[..., 0]
                        for f, F in zip(state["factors"], state["frames"])]
@@ -385,8 +363,9 @@ def _rank2_terms(data: np.ndarray, ranks, tol: TolerancePolicy) -> list:
                 * outer_stack([f[:, k] for f in lifted]) for k in (0, 1))
     residual = np.linalg.norm((recon - A).reshape(n, -1), axis=1)
     scale = np.linalg.norm(A.reshape(n, -1), axis=1)
-    errors = [caught(_check_rebuild, res, sc)
-              for res, sc in zip(residual.tolist(), scale.tolist())]
+    errors = rejected(residual > 1e-8 * np.maximum(scale, 1e-300), lambda k: ToleranceError(
+        f"rank-two reconstruction misses the input by {residual[k]:.3e} "
+        "relative to norm; input is not numerically rank two"))
     for row, i in enumerate(live.tolist()):
         outcome[i] = errors[row] or [(lam[row, k], [f[row, k] for f in lifted])
                                      for k in (0, 1)]
@@ -444,13 +423,6 @@ def count_rank2_decompositions(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TO
     return DecompositionCount.UNIQUE_UP_TO_PERMUTATION, ((t1, t2), (t2, t1))
 
 
-def _check_conj_rebuild(residual: float, scale: float) -> None:
-    if not residual <= 1e-8 * max(scale, 1e-300):
-        raise ToleranceError(
-            f"conjugate-pair reconstruction misses the input by {residual:.3e}; "
-            "input is not numerically border rank three")
-
-
 def conj_pair_stack(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
                     ) -> tuple[np.ndarray, list]:
     """conj_pair_factors for every tensor of a real (K, 2, 2, 2) stack, in
@@ -475,22 +447,22 @@ def conj_pair_stack(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
                      a.astype(np.complex128)), axis=-1)
     x = root / row_norms(root)[:, None]
     # |det[x | conj(x)]| = 2 |Im(x_0 conj(x_1))|
-    separation = 2.0 * np.abs(_mul(x[:, 0], np.conj(x[:, 1])).imag)
-    errors = [caught(_check_separation, sep, tol) for sep in separation.tolist()]
+    errors = _separation_errors(
+        2.0 * np.abs(_mul(x[:, 0], np.conj(x[:, 1])).imag), tol)
 
-    def live() -> list:
-        return [k for k, e in enumerate(errors) if e is None]
+    def live() -> np.ndarray:
+        return np.array([e is None for e in errors], dtype=bool)
 
-    rows = live()
-    if rows:
+    rows = np.flatnonzero(live())
+    if rows.size:
         S, x = data[rows], x[rows]
         u, v, found = _rank_one_matrix_factors(x[:, 1, None, None] * S[:, 0]
                                                - x[:, 0, None, None] * S[:, 1])
         factors[rows] = np.stack((x, np.conj(u), np.conj(v)), axis=1)
-        for k, e in zip(rows, found):
+        for k, e in zip(rows.tolist(), found):
             errors[k] = e
-    rows = live()
-    if rows:
+    rows = np.flatnonzero(live())
+    if rows.size:
         S, n = data[rows], len(rows)
         E = outer_stack([factors[rows, m] for m in range(3)])
         # A = c E + conj(c E) with ||E|| = 1, so <E, A> = c + conj(c h) with
@@ -502,8 +474,13 @@ def conj_pair_stack(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
         h2 = np.array([w ** 2 for w in _abs(h).tolist()])
         coef = (p - np.conj(_mul(h, p))) / (1.0 - h2)
         residual = row_norms(2.0 * np.real(coef[:, None, None, None] * E) - S)
-        for k, res, sc in zip(rows, residual.tolist(), row_norms(S).tolist()):
-            errors[k] = caught(_check_conj_rebuild, res, sc)
+        missed = rejected(
+            ~(residual <= 1e-8 * np.maximum(row_norms(S), 1e-300)),
+            lambda k: ToleranceError(
+                f"conjugate-pair reconstruction misses the input by "
+                f"{residual[k]:.3e}; input is not numerically border rank three"))
+        for k, e in zip(rows.tolist(), missed):
+            errors[k] = e
     return factors, errors
 
 

@@ -18,7 +18,7 @@ from .core import (DEFAULT_TOL, Hypermatrix, REAL,
                    SymRankDecomposition, SymTensor, TolerancePolicy, flatten,
                    flattening_det_signs, numerical_rank, sym_diagonal_sum,
                    sym_embed, sym_embed_stack)
-from .errors import (ToleranceError, UnsupportedStratumError, caught,
+from .errors import (ToleranceError, UnsupportedStratumError, rejected,
                      settled)
 from .stratum import StratumDescriptor
 
@@ -119,14 +119,14 @@ def orientation_area(x: np.ndarray):
     return float(w) if np.ndim(x) == 1 else w
 
 
-def _check_areas(areas: list, tol: TolerancePolicy) -> None:
-    """ToleranceError unless every mode's orientation area is gap_min or
-    more in size, naming the first mode that is not."""
-    for mode, w in enumerate(areas, start=1):
-        if abs(w) < tol.gap_min:
-            raise ToleranceError(
-                f"mode-{mode} orientation area {w:.3e} is below gap_min; "
-                "too close to the stratum boundary to classify")
+def _area_errors(areas: np.ndarray, tol: TolerancePolicy) -> list:
+    """Per row of a (K, 3) array of orientation areas, the ToleranceError
+    naming the first mode whose area is below gap_min in size, or None."""
+    small = np.abs(areas) < tol.gap_min
+    first = small.argmax(axis=1)
+    return rejected(small.any(axis=1), lambda k: ToleranceError(
+        f"mode-{first[k] + 1} orientation area {areas[k, first[k]]:.3e} is "
+        "below gap_min; too close to the stratum boundary to classify"))
 
 
 def _not_border_rank3(A: Hypermatrix, tol: TolerancePolicy) -> ToleranceError:
@@ -139,25 +139,31 @@ def _not_border_rank3(A: Hypermatrix, tol: TolerancePolicy) -> ToleranceError:
 
 
 def brank3_labels(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL,
-                  signs: list | None = None) -> list:
+                  signs: np.ndarray | None = None) -> list:
     """classify_brank3_222 for every tensor of a real (K, 2, 2, 2) stack,
     with one conjugate-pair pass (certify.conj_pair_stack, one batched
     pencil SVD): per tensor its label, or the ToleranceError it raises, with
     the same message. ``signs`` are the stack's hyperdet_signs when the
     caller has read them; otherwise they are read here, with one
-    hyperdet222 call."""
+    hyperdet222 call. Tensors with one sign triple share one label."""
     if signs is None:
         signs = hyperdet_signs(data, tol)
-    below = [k for k, sign in enumerate(signs) if sign < 0]
+    below = np.flatnonzero(np.asarray(signs) < 0)
     factors, errors = conj_pair_stack(data[below], tol)
     areas = orientation_area(factors.reshape(-1, 2)).reshape(-1, 3)
     # the conjugate term, whose first factor has positive orientation
-    areas = np.where(areas[:, :1] < 0, -areas, areas).tolist()
+    areas = np.where(areas[:, :1] < 0, -areas, areas)
+    products = areas[:, [0, 0, 1]] * areas[:, [1, 2, 2]]
+    triples = (products > 0) @ np.array([4, 2, 1])
     labels = [None if sign < 0 else _not_border_rank3(Hypermatrix(A, REAL), tol)
               for A, sign in zip(data, signs)]
-    for k, error, (w1, w2, w3) in zip(below, errors, areas):
-        labels[k] = (error or caught(_check_areas, (w1, w2, w3), tol)
-                     or sign_triple_label(w1 * w2, w1 * w3, w2 * w3))
+    named: dict = {}
+    for row, (k, error, triple) in enumerate(zip(
+            below.tolist(), [e1 or e2 for e1, e2 in zip(errors, _area_errors(areas, tol))],
+            triples.tolist())):
+        if error is None and triple not in named:
+            named[triple] = sign_triple_label(*products[row])
+        labels[k] = error or named[triple]
     return labels
 
 

@@ -113,10 +113,14 @@ class MultilinearRank:
         return self
 
 
-def mrank_admissible(ranks: tuple[int, ...]) -> bool:
-    """Necessary condition r_i <= prod of the other entries, for every mode."""
-    total = math.prod(ranks)
-    return all(r * r <= total for r in ranks) if 0 not in ranks else all(r == 0 for r in ranks)
+def mrank_admissible(ranks):
+    """Necessary condition r_i <= prod of the other entries, for every mode,
+    of one read (a bool) or of each row of a (K, d) array of reads. A read
+    with a zero entry passes only when every entry is zero, since then the
+    product is zero."""
+    r = np.asarray(ranks)
+    ok = (r * r <= r.prod(axis=-1, keepdims=True)).all(axis=-1)
+    return bool(ok) if r.ndim == 1 else ok
 
 
 @dataclass(frozen=True)
@@ -240,59 +244,62 @@ def flatten_stack(data: np.ndarray, mode: int) -> np.ndarray:
 
 
 def _rank_read(sigma: np.ndarray, size: int,
-               tol: TolerancePolicy) -> list[tuple[int, float]]:
-    """(rank, margin) per row of a (K, p) stack of singular values, each row
-    in descending order, of matrices whose larger side is ``size``.
+               tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
+    """(ranks, margins), two (K,) arrays, of the rows of a (K, p) stack of
+    singular values, each row in descending order, of matrices whose larger
+    side is ``size``.
 
     Threshold tau = sigma_1 * size * eps_rel; singular values exactly on the
     threshold count as above it. The zero matrix has rank 0. margin =
     sigma_r / sigma_1, and 1.0 when r = 0.
     """
-    reads = []
-    for row in sigma.tolist():
-        if not row or row[0] == 0.0:
-            reads.append((0, 1.0))
-            continue
-        tau = row[0] * size * tol.eps_rel
-        r = sum(1 for s in row if s >= tau)
-        reads.append((r, row[r - 1] / row[0] if r > 0 else 1.0))
-    return reads
+    K = sigma.shape[0]
+    if sigma.shape[1] == 0:
+        return np.zeros(K, dtype=np.intp), np.ones(K)
+    top = sigma[:, 0]
+    ranks = np.count_nonzero(sigma >= (top * size * tol.eps_rel)[:, None], axis=1)
+    ranks[top == 0.0] = 0
+    margins = np.ones(K)
+    live = np.flatnonzero(ranks)
+    margins[live] = sigma[live, ranks[live] - 1] / top[live]
+    return ranks, margins
 
 
 def numerical_rank(M: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[int, float]:
     """(rank, margin) of one matrix under the threshold rule of _rank_read."""
     M = np.atleast_2d(M)
     sigma = np.linalg.svd(M, compute_uv=False)
-    return _rank_read(sigma[None], max(M.shape), tol)[0]
+    ranks, margins = _rank_read(sigma[None], max(M.shape), tol)
+    return int(ranks[0]), float(margins[0])
 
 
-def mrank_stack(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> list[MultilinearRank]:
-    """Multilinear ranks of the tensors of a (K, ...) stack, with per-mode
-    margins, read with one batched SVD per mode under the rule of
-    numerical_rank.
+def mrank_stack(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Multilinear ranks of the tensors of a (K, ...) stack with their
+    per-mode margins, two (K, d) arrays, read with one batched SVD per mode
+    under the rule of numerical_rank.
 
-    Reads come back as they are, admissible or not; ``checked`` raises on
-    an inadmissible one.
+    Reads come back as they are, admissible or not (see mrank_admissible).
     """
-    per_mode = []
+    reads = []
     for ax in range(1, data.ndim):
         flat = flatten_stack(data, ax)
         sigma = np.linalg.svd(flat, compute_uv=False)
-        per_mode.append(_rank_read(sigma, max(flat.shape[1:]), tol))
-    return [MultilinearRank(tuple(r for r, _m in reads),
-                            tuple(m for _r, m in reads))
-            for reads in zip(*per_mode)]
+        reads.append(_rank_read(sigma, max(flat.shape[1:]), tol))
+    return (np.stack([r for r, _m in reads], axis=1),
+            np.stack([m for _r, m in reads], axis=1))
 
 
 def sym_mrank_stack(packed: np.ndarray, n: int, d: int,
-                    tol: TolerancePolicy = DEFAULT_TOL) -> list[MultilinearRank]:
+                    tol: TolerancePolicy = DEFAULT_TOL
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """mrank_stack of the full tensors of a (K, L) stack of packed rows,
     bit for bit, with one batched SVD: every flattening of a symmetric
     tensor is the same matrix, so the mode-1 read holds for every mode."""
     flat = sym_embed_stack(packed, n, d).reshape(packed.shape[0], n, -1)
     sigma = np.linalg.svd(flat, compute_uv=False)
-    return [MultilinearRank((r,) * d, (m,) * d)
-            for r, m in _rank_read(sigma, max(flat.shape[1:]), tol)]
+    ranks, margins = _rank_read(sigma, max(flat.shape[1:]), tol)
+    return np.repeat(ranks[:, None], d, axis=1), np.repeat(margins[:, None], d, axis=1)
 
 
 def flattening_det_signs(data: np.ndarray, modes) -> list[tuple[int, ...]]:
@@ -320,7 +327,9 @@ def mrank(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL) -> MultilinearRank
     reported tuple violates admissibility (r_i <= prod_{j != i} r_j); that
     can only come from an inconsistent numerical read.
     """
-    return mrank_stack(A.data[None], tol)[0].checked()
+    ranks, margins = mrank_stack(A.data[None], tol)
+    return MultilinearRank(tuple(ranks[0].tolist()),
+                           tuple(margins[0].tolist())).checked()
 
 
 def _mul(x, y):

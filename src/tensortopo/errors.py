@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class TensorTopoError(Exception):
     """Base class for all package-specific errors."""
@@ -66,6 +68,17 @@ def caught(check, *args) -> TensorTopoError | None:
     except TensorTopoError as exc:
         return exc
     return None
+
+
+def rejected(mask, error) -> list:
+    """Per row of a boolean mask, None where it is False and ``error(k)``
+    where row k is True: how a batched routine writes each rule once, as an
+    array predicate whose message is formatted only for the rows it
+    rejects."""
+    out: list = [None] * len(mask)
+    for k in np.flatnonzero(mask).tolist():
+        out[k] = error(k)
+    return out
 
 
 def settled(verdict):

@@ -83,8 +83,8 @@ def dominant_frames(data: np.ndarray, mode: int, r: int, ranks,
             f"cannot take a {r}-dimensional dominant subspace of {M.shape[1:]}")
     U, sigma, _ = np.linalg.svd(M, full_matrices=False)
     if ranks is None:
-        ranks = [rank for rank, _margin in _rank_read(
-            np.linalg.svd(M, compute_uv=False), max(M.shape[1:]), tol)]
+        ranks = _rank_read(np.linalg.svd(M, compute_uv=False),
+                           max(M.shape[1:]), tol)[0].tolist()
     errors = [caught(_check_subspace, row, rank, mode, r, tol)
               for row, rank in zip(sigma.tolist(), ranks)]
     frames = fix_phase(np.swapaxes(U[:, :, :r], 1, 2))
@@ -220,8 +220,8 @@ def tucker_stack(data: np.ndarray, ranks: tuple[int, ...], mode_ranks,
     and per tensor the first ToleranceError tucker_compress raises on it, or
     None.
 
-    ``mode_ranks[k]`` is tensor k's multilinear rank read, or None to read
-    it here (see dominant_frames).
+    ``mode_ranks`` is the (K, d) multilinear rank read of the stack, or
+    None to read it here (see dominant_frames).
     """
     K = data.shape[0]
     if len(ranks) != data.ndim - 1:
@@ -231,7 +231,8 @@ def tucker_stack(data: np.ndarray, ranks: tuple[int, ...], mode_ranks,
     for m, r in enumerate(ranks):
         F, found = dominant_frames(
             data, m + 1, r,
-            None if mode_ranks is None else [rk[m] for rk in mode_ranks], tol)
+            None if mode_ranks is None else np.asarray(mode_ranks)[:, m].tolist(),
+            tol)
         errors = [e or new for e, new in zip(errors, found)]
         frames.append(F)
     core = mode_multiply_stack(data, [np.conj(np.swapaxes(F, 1, 2)) for F in frames])

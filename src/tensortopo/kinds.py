@@ -39,16 +39,20 @@ global names at call time, so a wrapper installed here sees every call.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
-from .certify import hyperdet_signs, rank2_certify
+import numpy as np
+
+from .certify import brank3_conj_pair, hyperdet_signs, rank2_certify
 from .classifiers import (SINGLE, _sym_matrix_signature, _sym_rank2_witness,
                           brank3_labels, classify_brank3_222, det_sign_mrank,
                           mrank_saturation, sign_label, square_mode,
                           sym_matrix_signatures, sym_sign_rank1, sym_signature)
-from .core import (COMPLEX, REAL, SymRankDecomposition, flattening_det_signs,
-                   mrank_stack, sym_mrank_stack)
+from .core import (COMPLEX, REAL, MultilinearRank, SymRankDecomposition,
+                   flattening_det_signs, mrank_admissible, mrank_stack,
+                   sym_mrank_stack)
 from .errors import (DegenerateError, ToleranceError, UnsupportedStratumError,
-                     caught)
+                     caught, rejected)
 from .paths import (_sym_rank1_witness, connect_brank3_222, connect_mrank,
                     connect_rank_r, connect_sym_mrank, connect_sym_rank_r)
 from .sampling import (expected_generic_mrank, fixed_mrank_draws,
@@ -68,8 +72,9 @@ class Kind:
     one give None.
 
     ``member(stratum, stack, ranks, tol)``, the kind's one membership rule,
-    gives one ``(ok, note)`` per value of a stack, ``ranks[k]`` being the
-    flattening ranks of ``stack[k]``; ``judge`` is its one caller.
+    gives ``(ok, notes)`` for a stack: a (K,) mask and one note per value,
+    ``ranks`` being the stack's (K, d) flattening ranks; ``judge`` is its
+    one caller.
     """
 
     def classify(self, stratum, value, tol):
@@ -86,31 +91,45 @@ class Kind:
     # candidates several per stream and round
     screens = False
 
-    def screen(self, stratum, stack, tol) -> list[bool]:
-        """Per value, a test ``member`` also makes that needs no rank read;
-        samplers run it first."""
-        return [True] * len(stack)
+    def screen(self, stratum, stack, tol) -> np.ndarray:
+        """A (K,) mask: per value, a test ``member`` also makes that needs no
+        rank read; samplers run it first."""
+        return np.ones(len(stack), dtype=bool)
+
+    def witness(self, stratum, value, tol):
+        """The decomposition ``connect`` takes in place of ``value``, for a
+        value drawn without one; None for a kind whose connector needs
+        none."""
+        return None
 
     def labelled(self, stratum, row, witness):
         """What ``invariant`` labels at a path sample: the value the row of
         the grid stands for."""
         return stratum.value(row)
 
-    def judge(self, stratum, stack, tol) -> list:
-        """One (ok, read, note) per value of a stack of the stratum's
-        values: ``read`` is its flattening ranks with their margins, or None
-        when the read is inadmissible, which only an inconsistent numerical
-        read can give. ``member`` judges the admissible ones in one call."""
-        reads = (mrank_stack(stack, tol) if stratum.dim is None
-                 else sym_mrank_stack(stack, stratum.dim, stratum.order, tol))
-        kept = [i for i, mr in enumerate(reads) if mr.admissible()]
+    def judge(self, stratum, stack, tol) -> Verdicts:
+        """The verdicts on a stack of the stratum's values: its flattening
+        ranks and margins, read in one batched pass, and ``member``'s
+        verdict on the values whose read is admissible, in one call."""
+        ranks, margins = (mrank_stack(stack, tol) if stratum.dim is None
+                          else sym_mrank_stack(stack, stratum.dim, stratum.order, tol))
+        read = mrank_admissible(ranks)
+        if read.all():
+            kept, sub = np.arange(len(stack)), stack
+        else:
+            kept = np.flatnonzero(read)
+            sub = stack[kept]
         try:
-            rules = self.member(stratum, stack[kept], [reads[i].ranks for i in kept], tol)
+            oks, rules = self.member(stratum, sub, ranks[kept], tol)
         except (ToleranceError, DegenerateError, UnsupportedStratumError) as exc:
-            rules = [(False, str(exc))] * len(kept)
-        verdicts = {i: (ok, reads[i], note) for i, (ok, note) in zip(kept, rules)}
-        return [verdicts.get(i) or (False, None, f"mrank failed: {caught(mr.checked)}")
-                for i, mr in enumerate(reads)]
+            oks, rules = np.zeros(len(kept), dtype=bool), [str(exc)] * len(kept)
+        ok = np.zeros(len(stack), dtype=bool)
+        ok[kept] = oks
+        notes = rejected(~read, lambda k: "mrank failed: " + str(caught(
+            MultilinearRank(tuple(ranks[k].tolist())).checked)))
+        for k, note in zip(kept.tolist(), rules):
+            notes[k] = note
+        return Verdicts(ok, read, ranks, margins, notes)
 
     def labels(self, stratum, stack, witnesses: list, tol) -> list:
         """One label per value of a stack of members that ``judge``
@@ -130,20 +149,37 @@ class Kind:
                 out.append(exc)
         return out
 
-    def certify(self, stratum, stack, witnesses: list, tol) -> list:
-        """judge plus labels: one (ok, read, label, note) per sample of a
-        path grid, the path's witness there being ``witnesses[k]``. A sample
-        outside the stratum gets no label, nor does one whose label is
-        refused (the refusal is its note); "unverifiable-exactly" says the
-        ranks do not bound the rank."""
+    def certify(self, stratum, stack, witnesses: list, tol) -> tuple:
+        """judge plus labels on a path grid, the path's witness at sample k
+        being ``witnesses[k]``: the judge's verdicts and one label per
+        sample. A sample outside the stratum gets no label; one whose label
+        is refused is not ok, and the refusal is its note.
+        "unverifiable-exactly" notes say the ranks do not bound the rank."""
         verdicts = self.judge(stratum, stack, tol)
-        kept = [k for k, (ok, _read, _note) in enumerate(verdicts) if ok]
-        labels = dict(zip(kept, self.labels(
-            stratum, stack[kept], [witnesses[k] for k in kept], tol)))
-        return [(False, read, None, str(label)) if isinstance(label, Exception)
-                else (ok, read, label, note)
-                for (ok, read, note), label in zip(
-                    verdicts, map(labels.get, range(len(verdicts))))]
+        kept = np.flatnonzero(verdicts.ok)
+        labels: list = [None] * len(stack)
+        got = self.labels(stratum, stack if kept.size == len(stack) else stack[kept],
+                          [witnesses[k] for k in kept.tolist()], tol)
+        for k, label in zip(kept.tolist(), got):
+            if isinstance(label, Exception):
+                verdicts.ok[k], verdicts.notes[k] = False, str(label)
+            else:
+                labels[k] = label
+        return verdicts, labels
+
+
+class Verdicts(NamedTuple):
+    """Kind.judge's verdicts on a stack of K values: ``ok``, a (K,) mask of
+    members; ``read``, a (K,) mask of the values whose flattening-rank read
+    is admissible (an inadmissible one only an inconsistent numerical read
+    can give); ``ranks`` and ``margins``, that read as two (K, d) arrays;
+    and one note per value."""
+
+    ok: np.ndarray
+    read: np.ndarray
+    ranks: np.ndarray
+    margins: np.ndarray
+    notes: list
 
 
 class Rank(Kind):
@@ -175,20 +211,19 @@ class Rank(Kind):
 
     def member(self, stratum, stack, ranks, tol):
         r = stratum.rank
-        expected = expected_generic_mrank(stratum.shape, r)
-        oks = [rk == expected for rk in ranks]
+        oks = (ranks == expected_generic_mrank(stratum.shape, r)).all(axis=1)
         if r == 1:
             # ranks (1, ..., 1): nonzero with every flattening of rank one
-            return [(ok, "") for ok in oks]
+            return oks, [""] * len(oks)
         if r == 2 and stratum.shape == (2, 2, 2) and stratum.field == REAL:
             # classify_222's rank-two verdict once no flattening has rank one
-            return [(ok and sign > 0, "")
-                    for ok, sign in zip(oks, hyperdet_signs(stack, tol))]
+            return oks & (hyperdet_signs(stack, tol) > 0), [""] * len(oks)
         if r == 2:
-            return [(ok, "decomposition-certified") if err is None
-                    else (False, str(err))
-                    for ok, err in zip(oks, rank2_certify(stack, ranks, tol))]
-        return [(ok, "unverifiable-exactly") for ok in oks]
+            errors = rank2_certify(stack, ranks, tol)
+            return (oks & np.array([err is None for err in errors], dtype=bool),
+                    ["decomposition-certified" if err is None else str(err)
+                     for err in errors])
+        return oks, ["unverifiable-exactly"] * len(oks)
 
 
 class BorderRank3(Rank):
@@ -205,23 +240,28 @@ class BorderRank3(Rank):
     def real_components(self, stratum):
         return 4 if stratum.kind == "brank" else None
 
+    def witness(self, stratum, A, tol):
+        # the conjugate-pair term connect_brank3_222 moves
+        return brank3_conj_pair(A, tol)
+
     def connect(self, stratum, a, b, witness_a, witness_b, tol, rng):
-        return connect_brank3_222(a, b, tol)
+        return connect_brank3_222(a, b, tol, witness_a, witness_b)
 
     def screen(self, stratum, stack, tol):
         # classify_222's border-rank-three test, a closed form: it turns
         # away nine in ten sampler draws before their SVDs
-        return [sign < 0 for sign in hyperdet_signs(stack, tol)]
+        return hyperdet_signs(stack, tol) < 0
 
     def member(self, stratum, stack, ranks, tol):
-        return [(rk == (2, 2, 2), "") if below else
-                (False, "hyperdeterminant is not below -eps_rel ||A||^4")
-                for below, rk in zip(self.screen(stratum, stack, tol), ranks)]
+        below = self.screen(stratum, stack, tol)
+        return below & (ranks == 2).all(axis=1), [
+            "" if ok else "hyperdeterminant is not below -eps_rel ||A||^4"
+            for ok in below.tolist()]
 
     def labels(self, stratum, stack, witnesses, tol):
         # classify_brank3_222's labels with one stacked conjugate-pair pass;
         # member accepts only values below the band
-        return brank3_labels(stack, tol, [-1] * len(stack))
+        return brank3_labels(stack, tol, np.full(len(stack), -1))
 
 
 class SymRank(Kind):
@@ -266,8 +306,8 @@ class SymRank(Kind):
 
     def member(self, stratum, stack, ranks, tol):
         r, n = stratum.rank, stratum.dim
-        note = "unverifiable-exactly" if r > n else ""
-        return [(rk == (min(r, n),) * stratum.order, note) for rk in ranks]
+        return ((ranks == min(r, n)).all(axis=1),
+                ["unverifiable-exactly" if r > n else ""] * len(ranks))
 
     def labelled(self, stratum, row, witness):
         # a term-sum path's witness gives the signature without decomposing S
@@ -297,7 +337,7 @@ class MRank(Kind):
         return connect_mrank(a, b, stratum.rank, tol, rng)
 
     def member(self, stratum, stack, ranks, tol):
-        return [(rk == stratum.rank, "") for rk in ranks]
+        return (ranks == stratum.rank).all(axis=1), [""] * len(ranks)
 
     def labels(self, stratum, stack, witnesses, tol):
         if self.components(stratum) != 2:
@@ -339,7 +379,7 @@ class SymMRank(Kind):
         return connect_sym_mrank(a, b, stratum.rank, tol, rng)
 
     def member(self, stratum, stack, ranks, tol):
-        return [(rk == (stratum.rank,) * stratum.order, "") for rk in ranks]
+        return (ranks == stratum.rank).all(axis=1), [""] * len(ranks)
 
 
 _RECORDS = {"rank": Rank(), "mrank": MRank(), "sym-rank": SymRank(),
@@ -359,8 +399,8 @@ def kind_of(stratum) -> Kind:
     return _RECORDS[stratum.kind]
 
 
-def clear_members(stratum, stack, margin: float, tol) -> list[bool]:
-    """Per value of a stack, whether the stratum's record judges it a
-    member with every flattening margin at least ``margin``."""
-    return [ok and min(read.margins) >= margin
-            for ok, read, _note in kind_of(stratum).judge(stratum, stack, tol)]
+def clear_members(stratum, stack, margin: float, tol) -> np.ndarray:
+    """A (K,) mask: per value of a stack, whether the stratum's record
+    judges it a member with every flattening margin at least ``margin``."""
+    verdicts = kind_of(stratum).judge(stratum, stack, tol)
+    return verdicts.ok & (verdicts.margins.min(axis=1) >= margin)

@@ -25,7 +25,7 @@ from .errors import (DegenerateError, DifferentComponents, RetryExhausted,
 from .geometry import GrassmannPoint, OrientationLoop, flip_exponent
 from .io import dumps_canonical
 from .kinds import clear_members, kind_of
-from .paths import PATH_SAMPLES, chebyshev_grid, connect, path_verify
+from .paths import PATH_SAMPLES, chebyshev_grid, connect, verify_paths
 from .rng import SplitMix64, derive_seed
 from .sampling import (random_invertible, rank_r_draws, sample_full_core,
                        sample_rank_r)
@@ -47,23 +47,35 @@ def expected_component_count(stratum: StratumDescriptor) -> int | None:
         return None
 
 
-def _connect_and_verify(stratum, a, b, wa, wb, rng, K, tol):
-    """(status, path, report); status is one of pass / verify-fail /
+def _connected(stratum, a, b, wa, wb, rng, tol):
+    """connect's path from a to b, or the status of its refusal: one of
     different-components / different-components-conjectural /
     retry-exhausted / error."""
     try:
-        path = connect(stratum, a, b, witness_a=wa, witness_b=wb,
+        return connect(stratum, a, b, witness_a=wa, witness_b=wb,
                        tol=tol, rng=rng)
     except DifferentComponents as exc:
-        status = ("different-components-conjectural" if exc.conjectural
-                  else "different-components")
-        return status, None, None
+        return ("different-components-conjectural" if exc.conjectural
+                else "different-components")
     except RetryExhausted:
-        return "retry-exhausted", None, None
+        return "retry-exhausted"
     except (ToleranceError, DegenerateError, UnsupportedStratumError, ValueError):
-        return "error", None, None
-    report = path_verify(path, K, tol)
-    return ("pass" if report.passed else "verify-fail"), path, report
+        return "error"
+
+
+def _verified(built: list, K: int, tol) -> list:
+    """(status, path, report) per outcome of _connected: every path is
+    verified in one verify_paths call, and passes or gets verify-fail; a
+    refusal keeps its status."""
+    reports = iter(verify_paths([p for p in built if not isinstance(p, str)], K, tol))
+    out = []
+    for path in built:
+        if isinstance(path, str):
+            out.append((path, None, None))
+            continue
+        report = next(reports)
+        out.append(("pass" if report.passed else "verify-fail", path, report))
+    return out
 
 
 @dataclass
@@ -109,7 +121,11 @@ def census(stratum: StratumDescriptor, N: int, seed: int,
     Within each label group up to 20 representatives are chained by
     connector paths (these must all pass); across groups the first
     representatives of each label pair are attacked (these must all fail).
-    The verdict can refute the expected component count, never prove it.
+    Every pair is connected first, each representative's witness computed
+    at most once where the draw has none (a witness that raises is left to
+    connect, which raises it again); then all built paths are verified with
+    one verify_paths call. The verdict can refute the expected component
+    count, never prove it.
     """
     t0 = time.perf_counter()
     kind = kind_of(stratum)
@@ -147,13 +163,27 @@ def census(stratum: StratumDescriptor, N: int, seed: int,
         pairs += [(True, a, b) for a, b in zip(reps, reps[1:])]
     pairs += [(False, groups[lab][0], groups[other][0])
               for i, lab in enumerate(ordered) for other in ordered[i + 1:]]
+    witnesses: dict = {}
+
+    def witnessed(rep) -> tuple:
+        index, value, witness = rep
+        if witness is None and index not in witnesses:
+            try:
+                witnesses[index] = kind.witness(stratum, value, tol)
+            except TensorTopoError:
+                witnesses[index] = None
+        return value, witness if witness is not None else witnesses[index]
+
+    built = []
+    for pair_index, (_within, a, b) in enumerate(pairs):
+        (va, wa), (vb, wb) = witnessed(a), witnessed(b)
+        built.append(_connected(stratum, va, vb, wa, wb,
+                                SplitMix64(derive_seed(seed, N + pair_index)), tol))
     within_attempts = within_passes = 0
     cross_attempts = cross_success = 0
     contradiction = False
-    for pair_index, (within, (_, a, wa), (_, b, wb)) in enumerate(pairs):
-        rng = SplitMix64(derive_seed(seed, N + pair_index))
-        status, _path, _report = _connect_and_verify(
-            stratum, a, b, wa, wb, rng, K, tol)
+    for (within, _a, _b), (status, _path, _report) in zip(
+            pairs, _verified(built, K, tol)):
         if within:
             within_attempts += 1
             within_passes += status == "pass"
@@ -215,15 +245,21 @@ def pairwise_connect_experiment(stratum: StratumDescriptor, N: int, K: int,
     ends = kind.draws(stratum, [SplitMix64(derive_seed(seed, j))
                                 for j in range(2 * N)], tol)
 
+    # every pair connected first, then all its paths verified in one call
+    built = {}
+    for i in range(N):
+        if not any(isinstance(end, TensorTopoError) for end in ends[2 * i:2 * i + 2]):
+            (a, wa), (b, wb) = ends[2 * i:2 * i + 2]
+            built[i] = _connected(stratum, a, b, wa, wb,
+                                  SplitMix64(derive_seed(seed, 2 * N + i)), tol)
+    verified = dict(zip(built, _verified(list(built.values()), K, tol)))
+
     def one(i: int) -> dict:
-        failed = [end for end in ends[2 * i:2 * i + 2]
-                  if isinstance(end, TensorTopoError)]
-        if failed:
+        if i not in verified:
+            failed = [end for end in ends[2 * i:2 * i + 2]
+                      if isinstance(end, TensorTopoError)]
             return {"pair": i, "status": "sampler-failed", "note": str(failed[0])}
-        (a, wa), (b, wb) = ends[2 * i:2 * i + 2]
-        rng = SplitMix64(derive_seed(seed, 2 * N + i))
-        status, path, report = _connect_and_verify(stratum, a, b, wa, wb,
-                                                   rng, K, tol)
+        status, path, report = verified[i]
         row = {"pair": i, "status": status}
         if report is not None:
             row["min_margin"] = report.min_margin

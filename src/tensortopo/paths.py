@@ -370,26 +370,25 @@ class TensorPath:
         # connect's larger relative miss between a path end and its input
         self.endpoint_defect = None
 
-    def _locate(self, t: float) -> tuple[int, float]:
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"path parameter {t} outside [0, 1]")
-        n = len(self.segments)
-        u = t * n
-        k = min(int(u), n - 1)
-        return k, u - k
-
     def eval(self, t: float):
-        k, s = self._locate(t)
-        return self.stratum.value(self.segments[k].values([s])[0])
+        return self.stratum.value(self.values([t])[0])
 
     def _by_segment(self, ts):
         """(segment, positions in ts, local parameters) per segment that
-        holds some t of ``ts``."""
-        located = [self._locate(t) for t in ts]
-        for k, seg in enumerate(self.segments):
-            rows = [i for i, (j, _s) in enumerate(located) if j == k]
-            if rows:
-                yield seg, rows, [located[i][1] for i in rows]
+        holds some t of ``ts``: segment k = min(floor(t n), n - 1) of n
+        holds t at s = t n - k."""
+        ts = np.asarray(ts, dtype=np.float64)
+        outside = ~((ts >= 0.0) & (ts <= 1.0))
+        if outside.any():
+            raise ValueError(f"path parameter {ts[outside][0].item()} outside [0, 1]")
+        n = len(self.segments)
+        u = ts * n
+        k = np.minimum(np.floor(u), n - 1)
+        local = u - k
+        for j, seg in enumerate(self.segments):
+            rows = np.flatnonzero(k == j)
+            if rows.size:
+                yield seg, rows, local[rows]
 
     def values(self, ts) -> np.ndarray:
         """The path at every t of ``ts`` as one stack, each segment
@@ -407,7 +406,7 @@ class TensorPath:
         """The segments' witnesses at every t of ``ts`` (see values)."""
         out: list = [None] * len(ts)
         for seg, rows, ss in self._by_segment(ts):
-            for i, w in zip(rows, seg.witnesses(ss)):
+            for i, w in zip(rows.tolist(), seg.witnesses(ss)):
                 out[i] = w
         return out
 
@@ -849,15 +848,14 @@ def connect_mrank(A: Hypermatrix, B: Hypermatrix, ranks: tuple[int, ...],
     stratum = StratumDescriptor("mrank", field, ranks, shape=A.shape)
     data = np.stack([A.data, B.data])
     ends = kinds.kind_of(stratum).judge(stratum, data, tol)
-    if not all(ok for ok, _read, _note in ends):
+    if not ends.ok.all():
         raise ToleranceError(
             f"endpoints do not both have multilinear rank {ranks}")
     if rng is None:
         rng = SplitMix64(0)
     core_stratum = StratumDescriptor("mrank", field, ranks, shape=ranks)
     # both endpoints compressed at once, on the ranks the judge just read
-    frames, cores, errors = tucker_stack(
-        data, ranks, [read for _ok, read, _note in ends], tol)
+    frames, cores, errors = tucker_stack(data, ranks, ends.ranks, tol)
     for error in errors:
         settled(error)
     points = [[GrassmannPoint(F[k], field) for F in frames] for k in (0, 1)]
@@ -985,12 +983,16 @@ def connect_sym_mrank(Sa: SymTensor, Sb: SymTensor, r: int,
 
 
 def connect_brank3_222(A: Hypermatrix, B: Hypermatrix,
-                       tol: TolerancePolicy = DEFAULT_TOL) -> TensorPath:
+                       tol: TolerancePolicy = DEFAULT_TOL,
+                       witness_a: RankOneFactors | None = None,
+                       witness_b: RankOneFactors | None = None) -> TensorPath:
     """Exact in-stratum path through conjugate-pair factor matrices.
 
     Requires equal sign-triple labels (DifferentComponents otherwise). Each
     mode's [Re | Im] factor matrix moves along a determinant-sign-preserving
-    interpolation, so the hyperdeterminant stays negative at every t.
+    interpolation, so the hyperdeterminant stays negative at every t. An
+    endpoint's witness, when given, is its brank3_conj_pair term, which is
+    computed here otherwise.
     """
     la, lb = (settled(label) for label in
               brank3_labels(np.stack((A.data, B.data)), tol))
@@ -1001,8 +1003,8 @@ def connect_brank3_222(A: Hypermatrix, B: Hypermatrix,
         vecs = [T.scalar * T.factors[0], T.factors[1], T.factors[2]]
         return tuple(np.column_stack([np.real(x), np.imag(x)]) for x in vecs)
 
-    mats_a = factor_mats(brank3_conj_pair(A, tol))
-    mats_b = factor_mats(brank3_conj_pair(B, tol))
+    mats_a = factor_mats(brank3_conj_pair(A, tol) if witness_a is None else witness_a)
+    mats_b = factor_mats(brank3_conj_pair(B, tol) if witness_b is None else witness_b)
     interps = tuple(gl_interpolator(Ma, Mb)
                     for Ma, Mb in zip(mats_a, mats_b))
     seg = ConjPairSegment(interps, mats_a, mats_b)
@@ -1038,7 +1040,7 @@ def connect(stratum: StratumDescriptor, a, b, *, witness_a=None,
     return path
 
 
-@dataclass
+@dataclass(slots=True)
 class SampleCheck:
     t: float
     ok: bool
@@ -1076,30 +1078,59 @@ class PathReport:
         return header, rows
 
 
-def path_verify(path: TensorPath, K: int | None = None,
-                tol: TolerancePolicy = DEFAULT_TOL) -> PathReport:
-    """Evaluate on a Chebyshev grid plus endpoints and joints and certify
-    the whole grid for the target stratum in one call of its record, which
-    reads every sample's flattening ranks and applies the membership rule
-    (see kinds.py); check joint continuity and classifier constancy.
-    Failures become report content, never exceptions. A path that holds a
-    report for this K and tol, as connect's one-segment term-sum paths do,
-    gets that report back."""
+def verify_paths(paths: list, K: int | None = None,
+                 tol: TolerancePolicy = DEFAULT_TOL) -> list[PathReport]:
+    """path_verify for every path of a list, one report per path. The
+    grids of all paths that hold no report for this K and tol are
+    certified together, with one call of their stratum's record per
+    stratum, and each path keeps its report."""
     if K is None:
         K = PATH_SAMPLES
-    if path._verified is not None and path._verified[:2] == (K, tol):
-        return path._verified[2]
-    ts = sorted(set([0.0, 1.0] + chebyshev_grid(K) + path.joints()))
-    stack = path.values(ts)
-    try:
-        verdicts = kinds.kind_of(path.stratum).certify(
-            path.stratum, stack, path.witnesses(ts), tol)
-    except UnsupportedStratumError as exc:
-        verdicts = [(False, None, None, str(exc))] * len(ts)
-    samples = [SampleCheck(t, ok, () if read is None else read.ranks,
-                           0.0 if read is None else float(min(read.margins)),
-                           None if label is None else str(label), note)
-               for t, (ok, read, label, note) in zip(ts, verdicts)]
+    grid = [0.0, 1.0] + chebyshev_grid(K)
+    groups: dict = {}
+    for path in paths:
+        if path._verified is not None and path._verified[:2] == (K, tol):
+            continue
+        ts = sorted(set(grid + path.joints()))
+        stack = path.values(ts)
+        group = groups.setdefault((path.stratum, stack.dtype.str), {})
+        group.setdefault(id(path), (path, ts, stack))
+    for (stratum, _dtype), group in groups.items():
+        todo = list(group.values())
+        stack = np.concatenate([part for _p, _ts, part in todo])
+        witnesses = [w for path, ts, _part in todo for w in path.witnesses(ts)]
+        try:
+            verdicts, labels = kinds.kind_of(stratum).certify(
+                stratum, stack, witnesses, tol)
+        except UnsupportedStratumError as exc:
+            verdicts, labels = exc, None
+        start = 0
+        for path, ts, part in todo:
+            rows = slice(start, start + len(ts))
+            start = rows.stop
+            path._verified = (K, tol, _path_report(
+                path, ts, part, verdicts, None if labels is None else labels[rows], rows))
+    return [path._verified[2] for path in paths]
+
+
+def _path_report(path: TensorPath, ts: list, stack: np.ndarray, verdicts,
+                 labels: list | None, rows: slice) -> PathReport:
+    """The report on one path of a verify_paths call, its samples being
+    ``rows`` of the call's verdicts (the stratum's refusal, when its record
+    refused it)."""
+    if isinstance(verdicts, Exception):
+        samples = [SampleCheck(t, False, (), 0.0, None, str(verdicts)) for t in ts]
+    else:
+        read = verdicts.read[rows]
+        margins = np.where(read, verdicts.margins[rows].min(axis=1), 0.0)
+        names: dict = {}
+        samples = [SampleCheck(t, ok, tuple(ranks) if good else (), margin,
+                               None if label is None else names.setdefault(
+                                   id(label), str(label)), note)
+                   for t, ok, good, ranks, margin, label, note in zip(
+                       ts, verdicts.ok[rows].tolist(), read.tolist(),
+                       verdicts.ranks[rows].tolist(), margins.tolist(), labels,
+                       verdicts.notes[rows])]
     passed = all(s.ok for s in samples)
     exact = all(s.note != "unverifiable-exactly" for s in samples)
     labels = {s.label for s in samples if s.label is not None}
@@ -1118,10 +1149,20 @@ def path_verify(path: TensorPath, K: int | None = None,
         passed = False
     min_margin = min((s.margin for s in samples), default=0.0)
     label = labels.pop() if len(labels) == 1 else None
-    report = PathReport(format_stratum(path.stratum), passed, samples,
-                        float(min_margin), float(joint_defect), exact, label)
-    path._verified = (K, tol, report)
-    return report
+    return PathReport(format_stratum(path.stratum), passed, samples,
+                      float(min_margin), float(joint_defect), exact, label)
+
+
+def path_verify(path: TensorPath, K: int | None = None,
+                tol: TolerancePolicy = DEFAULT_TOL) -> PathReport:
+    """Evaluate on a Chebyshev grid plus endpoints and joints and certify
+    the whole grid for the target stratum in one call of its record, which
+    reads every sample's flattening ranks and applies the membership rule
+    (see kinds.py); check joint continuity and classifier constancy.
+    Failures become report content, never exceptions. A path that holds a
+    report for this K and tol, as connect's one-segment term-sum paths do,
+    gets that report back. The one-path case of verify_paths."""
+    return verify_paths([path], K, tol)[0]
 
 
 # The kind records are built from the connectors above, so they come last.

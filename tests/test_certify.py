@@ -7,6 +7,7 @@ from tensortopo.certify import (DecompositionCount, Kind222, brank3_conj_pair,
                                 classify_222, conj_pair_factors,
                                 conj_pair_stack, count_rank2_decompositions,
                                 is_rank_one, rank2_certify, rank2_decompose)
+from tensortopo import certify as certify_module
 from tensortopo.core import RankOneFactors, mrank_stack
 
 
@@ -258,7 +259,7 @@ def test_rank2_certify_matches_rank2_decompose_on_each_tensor():
         for field in (REAL, COMPLEX):
             tensors = _rank2_inputs(rng, shape, field, count * 4)
             data = np.stack([A.data for A in tensors])
-            ranks = [mr.ranks for mr in mrank_stack(data)]
+            ranks, _margins = mrank_stack(data)
             batched = [None if err is None else (type(err).__name__, str(err))
                        for err in rank2_certify(data, ranks)]
             single = [_verdict(lambda A=A: rank2_decompose(A)) for A in tensors]
@@ -271,3 +272,47 @@ def test_rank2_certify_matches_rank2_decompose_on_each_tensor():
     # the rank-one pencil slice and the trailing factor all occur
     assert {"tucker round", "slice pencil", "pencil slice",
             "grouped trailing"} <= messages
+
+
+def _rank_one_reference(M: np.ndarray) -> str | None:
+    """The rank-one pencil rule for one matrix, written out with Python
+    floats: its refusal message, or None."""
+    sigma = np.linalg.svd(M, compute_uv=False).tolist()
+    if sigma[0] == 0.0 or sigma[1] > 1e-6 * sigma[0]:
+        return ("pencil slice expected to be rank one is not "
+                f"(sigma ratio {sigma[1] / max(sigma[0], 1e-300):.3e})")
+    return None
+
+
+def test_rank_one_rule_words_each_rejected_matrix_as_alone():
+    """The array rank-one rule of the pencil rejects the matrices, and
+    formats the messages, that the one-matrix rule does, on a stack whose
+    sigma ratios straddle 1e-6 and which holds the zero matrix."""
+    rng = SplitMix64(48)
+    ratios = np.geomspace(1e-8, 1e-4, 60)
+    mats = [np.outer(rng.normals((2,)), rng.normals((2,)))
+            + r * np.outer(rng.normals((2,)), rng.normals((2,))) for r in ratios]
+    mats.append(np.zeros((2, 2)))
+    _u, _w, errors = certify_module._rank_one_matrix_factors(np.stack(mats))
+    got = [None if e is None else str(e) for e in errors]
+    assert got == [_rank_one_reference(M) for M in mats]
+    assert None in got and got[-1] is not None and len(set(got)) > 10
+
+
+def test_hyperdet_signs_read_the_band_as_one_tensor():
+    """Tensors that cross classify_222's band around a boundary tensor get
+    the sign the one-tensor rule gives: Det against eps_rel ||A||^4, the
+    fourth power taken as Python's pow takes it."""
+    rng = SplitMix64(49)
+    w = np.zeros((2, 2, 2))
+    w[0, 0, 1] = w[0, 1, 0] = w[1, 0, 0] = 1.0  # tangential: Det = 0
+    steps = np.geomspace(1e-14, 1e-6, 80)
+    inputs = [w + sign * s * rng.normals((2, 2, 2)) for s in steps for sign in (1, -1)]
+    want = []
+    for A in inputs:
+        det, scale = hyperdet222(Hypermatrix(A, REAL)), Hypermatrix(A, REAL).norm()
+        tau = 1e-10 * scale ** 4
+        want.append(1 if det > tau else -1 if det < -tau else 0)
+    got = certify_module.hyperdet_signs(np.stack(inputs)).tolist()
+    assert got == want
+    assert {-1, 0, 1} <= set(got)

@@ -10,7 +10,8 @@ from tensortopo import (COMPLEX, DEFAULT_TOL, REAL, DegenerateError,
                         mode_multiply, parse_stratum, random_invertible,
                         sample_rank_r, sample_sym_rank_r, sym_extract,
                         sym_power)
-from tensortopo.certify import Kind222, brank3_conj_pair, classify_222
+from tensortopo.certify import (Kind222, brank3_conj_pair, classify_222,
+                                conj_pair_factors)
 from tensortopo.classifiers import (ComponentLabel, brank3_labels, classify,
                                     classify_brank3_222, det_sign_mrank,
                                     mrank_saturation, orientation_area,
@@ -320,3 +321,50 @@ def test_band_read_off_the_hyperdeterminant_matches_classify_222():
         else:
             assert got == (f"classification is {kind.value}, not border-rank3; "
                            "the sign-triple label does not apply")
+
+
+def _area_reference(A: Hypermatrix) -> str | None:
+    """The orientation-area rule for one tensor, written out as a loop over
+    the modes of its conj_pair_factors: its refusal message, or None."""
+    areas = [orientation_area(v) for v in conj_pair_factors(A)]
+    if areas[0] < 0:
+        areas = [-w for w in areas]
+    for mode, w in enumerate(areas, start=1):
+        if abs(w) < 1e-6:
+            return (f"mode-{mode} orientation area {w:.3e} is below gap_min; "
+                    "too close to the stratum boundary to classify")
+    return None
+
+
+def test_near_boundary_rows_get_the_one_tensor_messages():
+    """Conjugate pairs with one factor turning real, labelled past the band
+    test as path certification labels its members, cross the separation
+    and area thresholds. In one stack each gets the label or the refusal,
+    message for message, that it gets alone; a pencil refusal is the one
+    conj_pair_factors raises on it, and an area refusal the one the
+    per-tensor loop over modes words."""
+    rng = SplitMix64(62)
+    inputs = []
+    for k in range(900):
+        mode, shrink = k % 3, 10.0 ** (-3.0 - 5.0 * (k // 3) / 300)
+        x, y, z = (rng.normals((2,)) + 1j * (shrink if m == mode else 1.0)
+                   * rng.normals((2,)) for m in range(3))
+        T = complex(rng.normal(), rng.normal()) * np.multiply.outer(
+            np.multiply.outer(x, y), z)
+        inputs.append(Hypermatrix(2.0 * np.real(T), REAL))
+    below = np.full(len(inputs), -1)
+    stacked = brank3_labels(np.stack([A.data for A in inputs]), DEFAULT_TOL, below)
+    alone = [brank3_labels(A.data[None], DEFAULT_TOL, below[:1])[0] for A in inputs]
+    assert [str(out) for out in stacked] == [str(out) for out in alone]
+    messages = [(A, str(out)) for A, out in zip(inputs, stacked)
+                if isinstance(out, ToleranceError)]
+    for A, message in messages:
+        if message.startswith("mode-"):
+            assert message == _area_reference(A)
+        else:
+            with pytest.raises(ToleranceError) as refusal:
+                conj_pair_factors(A)
+            assert message == str(refusal.value)
+    kinds = {message.split(" ")[0] for _A, message in messages}
+    assert {"mode-1", "mode-2", "mode-3", "slice"} <= kinds
+    assert ALL_TRIPLES <= {str(out) for out in stacked}

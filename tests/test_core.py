@@ -12,7 +12,8 @@ from tensortopo import (COMPLEX, REAL, Hypermatrix, SplitMix64, SymTensor,
 from tensortopo.core import (MultilinearRank, RankOneFactors, fix_phase,
                              mode_multiply_stack, mrank_admissible,
                              mrank_stack, sym_embed_stack,
-                             sym_extract_stack, sym_power_stack)
+                             sym_extract_stack, sym_mrank_stack,
+                             sym_power_stack)
 from tensortopo.kinds import kind_of
 
 
@@ -254,11 +255,56 @@ def test_mrank_stack_matches_a_per_tensor_loop(text):
     for n in shape:
         one = np.multiply.outer(one, rng.normals((n,)))
     tensors += [Hypermatrix(one, field), Hypermatrix(np.zeros(shape), field)]
-    for A, read in zip(tensors, mrank_stack(np.stack([A.data for A in tensors]))):
+    ranks, margins = mrank_stack(np.stack([A.data for A in tensors]))
+    for A, rk, mg in zip(tensors, ranks.tolist(), margins.tolist()):
         loop = [_scalar_rank_rule(flatten(A, m)) for m in range(1, A.order + 1)]
-        assert read.ranks == tuple(r for r, _m in loop)
-        assert read.margins == tuple(m for _r, m in loop)
-        assert mrank(A).margins == read.margins
+        assert tuple(rk) == tuple(r for r, _m in loop)
+        assert tuple(mg) == tuple(m for _r, m in loop)
+        assert mrank(A).margins == tuple(mg)
+
+
+def _at_threshold(field, below: bool = False):
+    """A 2x2x2 tensor whose flattenings (2 x 4) all have singular values
+    exactly 1 and tau = 1 * 4 * eps_rel, or the float just below tau."""
+    tau = 1.0 * 4 * 1e-10
+    data = np.zeros((2, 2, 2), dtype=np.complex128 if field == COMPLEX else np.float64)
+    data[0, 0, 0] = 1.0
+    data[1, 1, 1] = (1j if field == COMPLEX else 1.0) * (
+        np.nextafter(tau, 0.0) if below else tau)
+    return Hypermatrix(data, field)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_array_rank_read_is_the_row_rule_on_edge_cases(field):
+    """The (K, d) rank read gives the per-matrix rule's ranks and margins
+    bit for bit on the zero tensor, a singular value exactly at tau (which
+    counts as above it), the float just below tau, and a packed symmetric
+    stack read through one flattening."""
+    tensors = [Hypermatrix(np.zeros((2, 2, 2)), field), _at_threshold(field),
+               _at_threshold(field, below=True)]
+    rng = SplitMix64(27)
+    draw = rng.complex_normals if field == COMPLEX else rng.normals
+    tensors += [Hypermatrix(draw((2, 2, 2)), field) for _ in range(3)]
+    ranks, margins = mrank_stack(np.stack([A.data for A in tensors]))
+    assert ranks.tolist()[:3] == [[0, 0, 0], [2, 2, 2], [1, 1, 1]]
+    for A, rk, mg in zip(tensors, ranks.tolist(), margins.tolist()):
+        loop = [_scalar_rank_rule(flatten(A, m)) for m in range(1, 4)]
+        assert (tuple(rk), tuple(mg)) == (tuple(r for r, _m in loop),
+                                          tuple(m for _r, m in loop))
+    assert margins[0].tolist() == [1.0] * 3 and margins[1, 0] == 4e-10
+    # packed symmetric rows: the zero row, a diagonal row at tau and random rows
+    n, d = 2, 3
+    packed = np.zeros((4, sym_packed_length(n, d)), dtype=tensors[0].data.dtype)
+    packed[1, 0] = 1.0
+    packed[1, -1] = 1.0 * 4 * 1e-10
+    packed[2:] = draw((2, sym_packed_length(n, d)))
+    got = sym_mrank_stack(packed, n, d)
+    want = mrank_stack(sym_embed_stack(packed, n, d))
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert got[0].tolist()[:2] == [[0] * d, [2] * d]
+    for S, rk, mg in zip(packed, got[0].tolist(), got[1].tolist()):
+        one = _scalar_rank_rule(sym_embed(SymTensor(n, d, field, S)).data.reshape(n, -1))
+        assert (rk[0], mg[0]) == one
 
 
 def test_checked_raises_on_an_inadmissible_read():
@@ -267,7 +313,11 @@ def test_checked_raises_on_an_inadmissible_read():
     with pytest.raises(ToleranceError, match="inadmissible multilinear rank"):
         bad.checked()
     zero = Hypermatrix(np.zeros((2, 2, 2)), REAL)
-    assert mrank_stack(zero.data[None])[0].checked().ranks == (0, 0, 0)
+    ranks, margins = mrank_stack(zero.data[None])
+    assert ranks.tolist() == [[0, 0, 0]] and margins.tolist() == [[1.0] * 3]
+    assert mrank(zero).ranks == (0, 0, 0)
+    assert mrank_admissible(ranks).tolist() == [True]
+    assert mrank_admissible(np.array([[2, 1, 1], [2, 2, 1]])).tolist() == [False, True]
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])

@@ -14,7 +14,7 @@ from tensortopo.classifiers import brank3_labels
 from tensortopo.errors import RetryExhausted, UnsupportedStratumError
 from tensortopo.io import dumps_canonical
 from tensortopo.kinds import kind_of
-from tensortopo.paths import TensorPath
+from tensortopo.paths import TensorPath, path_verify
 from tensortopo.sampling import sample_sym_core
 
 CENSUS_KEYS = {"stratum", "seed", "trials", "labels",
@@ -122,8 +122,7 @@ def test_census_labels_its_draws_in_one_call(monkeypatch):
                 and getattr(module, "brank3_labels", None) is brank3_labels):
             monkeypatch.setattr(module, "brank3_labels", counted(brank3_labels))
     # no paths: what is left of the census is its draws and their labels
-    monkeypatch.setattr(lab_module, "_connect_and_verify",
-                        lambda *args: ("pass", None, None))
+    monkeypatch.setattr(lab_module, "_connected", lambda *args: "retry-exhausted")
     report = census(parse_stratum("brank:r=3;shape=2,2,2;field=real"), 10,
                     seed=5, path_samples=8)
     assert sum(cnt for _, cnt in report.label_counts) == 10
@@ -174,8 +173,7 @@ def test_census_draws_its_trials_in_lockstep_rounds(monkeypatch, text, trials,
     of one call per trial."""
     judged = _judged(monkeypatch)
     dets = _counted_everywhere(monkeypatch, "hyperdet222")
-    monkeypatch.setattr(lab_module, "_connect_and_verify",
-                        lambda *args: ("pass", None, None))
+    monkeypatch.setattr(lab_module, "_connected", lambda *args: "retry-exhausted")
     report = census(parse_stratum(text), trials, seed)
     assert report.rejected == 0
     assert 1 <= len(judged) <= judges
@@ -251,6 +249,53 @@ def test_pairwise_reads_each_path_end_once(monkeypatch):
     assert report.passes == 3
     assert calls == [0.0, 1.0] * 3
     assert 0.0 <= report.worst_endpoint_defect <= 1e-10
+
+
+@pytest.mark.parametrize("text,trials,seed", [
+    ("brank:r=3;shape=2,2,2;field=real", 60, 11),
+    ("mrank:r=4,2,2;shape=4,2,2;field=real", 40, 12),
+    ("rank:r=1;shape=3,4,5;field=complex", 25, 13),
+    ("rank:r=2;shape=3,3,3;field=real", 25, 14),
+])
+def test_census_paths_verify_together_as_alone(monkeypatch, text, trials, seed):
+    """A census verifies all its paths with one verify_paths call; each
+    path's report has the bytes path_verify gives that path alone."""
+    built = []
+    verify_paths = lab_module.verify_paths
+
+    def recording(paths, K, tol):
+        built.append(list(paths))
+        return verify_paths(paths, K, tol)
+
+    monkeypatch.setattr(lab_module, "verify_paths", recording)
+    census(parse_stratum(text), trials, seed)
+    assert len(built) == 1 and len(built[0]) >= 10
+    paths = built[0]
+    together = verify_paths([TensorPath(p.segments, p.stratum) for p in paths])
+    alone = [path_verify(TensorPath(p.segments, p.stratum)) for p in paths]
+    assert ([dumps_canonical(r.to_json()) for r in together]
+            == [dumps_canonical(r.to_json()) for r in alone])
+
+
+def test_census_decomposes_each_representative_once(monkeypatch):
+    """A border-rank-three census computes each representative's
+    conjugate-pair witness at most once and hands it to the connector,
+    which then decomposes no endpoint itself."""
+    calls = []
+    fn = kinds_module.brank3_conj_pair
+
+    def counted(A, tol):
+        calls.append(A.data.tobytes())
+        return fn(A, tol)
+
+    for module in (kinds_module, sys.modules["tensortopo.paths"]):
+        monkeypatch.setattr(module, "brank3_conj_pair", counted)
+    report = census(parse_stratum("brank:r=3;shape=2,2,2;field=real"), 120, seed=21)
+    assert report.within_attempts >= 40
+    assert len(calls) == len(set(calls))
+    # every representative of a chain is an end of a within-label path
+    assert report.within_attempts + len(report.label_counts) <= len(calls)
+    assert len(calls) <= 20 * len(report.label_counts)
 
 
 def test_census_json_schema():
