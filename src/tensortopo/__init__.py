@@ -32,7 +32,7 @@ from .lab import (CensusReport, IdentifiabilityReport, MonodromyReport,
 from .paths import (PathReport, TensorPath, connect, connect_brank3_222,
                     connect_mrank, connect_rank_one, connect_rank_r,
                     connect_sym_mrank, connect_sym_rank_one,
-                    connect_sym_rank_r, path_verify)
+                    connect_sym_rank_r, path_verify, verify_paths)
 from .rng import SplitMix64, derive_seed
 from .sampling import (expected_generic_mrank, random_invertible,
                        random_orthogonal, sample_fixed_mrank, sample_rank_r,

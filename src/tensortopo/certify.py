@@ -14,7 +14,11 @@ grid its verdict with one batched SVD per step, and ``rank2_decompose`` is
 its one-tensor case. Each tensor of a stack gets the bits it gets alone:
 elementwise steps round as numpy's scalar arithmetic rounds (its array loops
 may fuse the multiply and add of a complex product, so ``_mul`` spells that
-product out), and every check and message is written once, for one tensor.
+product out). Every check is written once, as an array predicate over the
+stack whose message is formatted only for the rows it rejects
+(``errors.rejected``); a later check sees only the rows the earlier ones
+passed, so each tensor gets the first refusal, and its message, that it
+gets alone.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, RankOneFactors, REAL,
-                   TolerancePolicy, _mul, _rank_read, fix_phase, flatten,
+                   TolerancePolicy, _mul, _ranks, fix_phase, flatten,
                    flatten_stack, mode_multiply_stack, numerical_rank,
                    outer_product, outer_stack, row_norms)
 from .errors import DegenerateError, ToleranceError, rejected, settled
@@ -44,9 +48,7 @@ def _rank_one_stack(data: np.ndarray, field: str, tol: TolerancePolicy
     factors = []
     for mode in range(1, data.ndim):
         M = flatten_stack(data, mode)
-        ranks, _margins = _rank_read(np.linalg.svd(M, compute_uv=False),
-                                     max(M.shape[1:]), tol)
-        ok &= ranks == 1
+        ok &= _ranks(np.linalg.svd(M, compute_uv=False), max(M.shape[1:]), tol) == 1
         if not ok.any():
             return ok, None, None
         U, _, _ = np.linalg.svd(M, full_matrices=False)
@@ -234,8 +236,9 @@ def _projective_roots(a, b, c, field: str, tol: TolerancePolicy):
 
 def _separation_errors(separation: np.ndarray, tol: TolerancePolicy) -> list:
     """Per pair of unit pencil roots, the ToleranceError when they are not
-    gap_min apart, or None."""
-    return rejected(separation < tol.gap_min, lambda k: ToleranceError(
+    gap_min apart (or not roots at all: a pencil that vanishes has NaN
+    roots), or None."""
+    return rejected(~(separation >= tol.gap_min), lambda k: ToleranceError(
         f"slice pencil roots separated by {separation[k]:.3e} < gap_min; "
         "rank-two decomposition is not identifiable here"))
 
@@ -445,7 +448,9 @@ def conj_pair_stack(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
     gap = 4.0 * a * c - b * b
     root = np.stack((-(b + 1j * np.sqrt(np.where(0.0 > gap, 0.0, gap))) / 2.0,
                      a.astype(np.complex128)), axis=-1)
-    x = root / row_norms(root)[:, None]
+    with np.errstate(invalid="ignore"):  # a zero root, refused below
+        x = root / row_norms(root)[:, None]
+    del root
     # |det[x | conj(x)]| = 2 |Im(x_0 conj(x_1))|
     errors = _separation_errors(
         2.0 * np.abs(_mul(x[:, 0], np.conj(x[:, 1])).imag), tol)
@@ -455,15 +460,16 @@ def conj_pair_stack(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
 
     rows = np.flatnonzero(live())
     if rows.size:
-        S, x = data[rows], x[rows]
+        S, x = (data, x) if rows.size == K else (data[rows], x[rows])
         u, v, found = _rank_one_matrix_factors(x[:, 1, None, None] * S[:, 0]
                                                - x[:, 0, None, None] * S[:, 1])
-        factors[rows] = np.stack((x, np.conj(u), np.conj(v)), axis=1)
+        factors[rows, 0], factors[rows, 1], factors[rows, 2] = x, np.conj(u), np.conj(v)
         for k, e in zip(rows.tolist(), found):
             errors[k] = e
+        del S, u, v
     rows = np.flatnonzero(live())
     if rows.size:
-        S, n = data[rows], len(rows)
+        S, n = data if rows.size == K else data[rows], len(rows)
         E = outer_stack([factors[rows, m] for m in range(3)])
         # A = c E + conj(c E) with ||E|| = 1, so <E, A> = c + conj(c h) with
         # h = sum(E^2), and |h| < 1 unless a factor is real up to phase
@@ -473,7 +479,10 @@ def conj_pair_stack(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
         # not always match
         h2 = np.array([w ** 2 for w in _abs(h).tolist()])
         coef = (p - np.conj(_mul(h, p))) / (1.0 - h2)
-        residual = row_norms(2.0 * np.real(coef[:, None, None, None] * E) - S)
+        # c E in place of E, which is not needed again
+        rebuilt = 2.0 * np.real(np.multiply(coef[:, None, None, None], E, out=E))
+        rebuilt -= S
+        residual = row_norms(rebuilt)
         missed = rejected(
             ~(residual <= 1e-8 * np.maximum(row_norms(S), 1e-300)),
             lambda k: ToleranceError(
@@ -507,23 +516,38 @@ def conj_pair_factors(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL
     return x, y, z
 
 
+def brank3_conj_pairs(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> list:
+    """brank3_conj_pair for every tensor of a real (K, 2, 2, 2) stack, with
+    one batched complex rank-two decomposition (rank2_certify's): per tensor
+    its term, or the ToleranceError or DegenerateError it raises, with the
+    same message."""
+    out: list = []
+    for A, terms in zip(data, _rank2_terms(data.astype(np.complex128), None, tol)):
+        if isinstance(terms, Exception):
+            out.append(terms)
+            continue
+        t1, t2 = (_normalized_term(lam, lifted, COMPLEX) for lam, lifted in terms)
+        conj_residual = float(np.linalg.norm(
+            (outer_product(t2).data - np.conj(outer_product(t1).data)).ravel()))
+        if conj_residual > 1e-8 * max(float(np.linalg.norm(A.ravel())), 1e-300):
+            out.append(DegenerateError(
+                "complex rank-two terms are not a conjugate pair; "
+                "the input is not in the negative-hyperdeterminant regime"))
+            continue
+        x1 = t1.scalar * t1.factors[0]
+        w = float(np.real(x1[0]) * np.imag(x1[1]) - np.real(x1[1]) * np.imag(x1[0]))
+        out.append(t1 if w > 0 else t2)
+    return out
+
+
 def brank3_conj_pair(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL) -> RankOneFactors:
     """Complex rank-one term T with A = T + conj(T), for real 2x2x2 inputs
-    with negative hyperdeterminant.
+    with negative hyperdeterminant: the one-tensor case of
+    brank3_conj_pairs.
 
     The returned term is the one whose first factor has positive orientation
     det[Re x | Im x] > 0; the conjugate term is implicit.
     """
     if A.shape != (2, 2, 2) or A.field != REAL:
         raise ValueError("brank3_conj_pair needs a real tensor of shape (2, 2, 2)")
-    Ac = Hypermatrix(A.data.astype(np.complex128), COMPLEX)
-    t1, t2 = rank2_decompose(Ac, tol)
-    conj_residual = float(np.linalg.norm(
-        (outer_product(t2).data - np.conj(outer_product(t1).data)).ravel()))
-    if conj_residual > 1e-8 * max(A.norm(), 1e-300):
-        raise DegenerateError(
-            "complex rank-two terms are not a conjugate pair; "
-            "the input is not in the negative-hyperdeterminant regime")
-    x1 = t1.scalar * t1.factors[0]
-    w = float(np.real(x1[0]) * np.imag(x1[1]) - np.real(x1[1]) * np.imag(x1[0]))
-    return t1 if w > 0 else t2
+    return settled(brank3_conj_pairs(A.data[None], tol)[0])

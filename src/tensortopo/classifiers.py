@@ -149,7 +149,8 @@ def brank3_labels(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL,
     if signs is None:
         signs = hyperdet_signs(data, tol)
     below = np.flatnonzero(np.asarray(signs) < 0)
-    factors, errors = conj_pair_stack(data[below], tol)
+    factors, errors = conj_pair_stack(
+        data if below.size == len(data) else data[below], tol)
     areas = orientation_area(factors.reshape(-1, 2)).reshape(-1, 3)
     # the conjugate term, whose first factor has positive orientation
     areas = np.where(areas[:, :1] < 0, -areas, areas)

@@ -253,16 +253,21 @@ def _rank_read(sigma: np.ndarray, size: int,
     threshold count as above it. The zero matrix has rank 0. margin =
     sigma_r / sigma_1, and 1.0 when r = 0.
     """
-    K = sigma.shape[0]
-    if sigma.shape[1] == 0:
-        return np.zeros(K, dtype=np.intp), np.ones(K)
-    top = sigma[:, 0]
-    ranks = np.count_nonzero(sigma >= (top * size * tol.eps_rel)[:, None], axis=1)
-    ranks[top == 0.0] = 0
-    margins = np.ones(K)
+    ranks = _ranks(sigma, size, tol)
+    margins = np.ones(len(ranks))
     live = np.flatnonzero(ranks)
-    margins[live] = sigma[live, ranks[live] - 1] / top[live]
+    margins[live] = sigma[live, ranks[live] - 1] / sigma[live, 0]
     return ranks, margins
+
+
+def _ranks(sigma: np.ndarray, size: int, tol: TolerancePolicy) -> np.ndarray:
+    """The ranks of _rank_read alone, a (K,) array."""
+    if sigma.shape[1] == 0:
+        return np.zeros(len(sigma), dtype=np.intp)
+    top = sigma[:, 0]
+    ranks = (sigma >= (top * size * tol.eps_rel)[:, None]).sum(axis=1)
+    ranks[top == 0.0] = 0
+    return ranks
 
 
 def numerical_rank(M: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[int, float]:

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import (DEFAULT_TOL, LOOSE_TOL, Hypermatrix, SymTensor,
-                   TolerancePolicy, _rank_read, fix_phase, flatten_stack,
+                   TolerancePolicy, _ranks, fix_phase, flatten_stack,
                    mode_multiply, mode_multiply_stack, sym_embed, sym_extract)
 from .errors import ToleranceError, caught, settled
 
@@ -83,8 +83,8 @@ def dominant_frames(data: np.ndarray, mode: int, r: int, ranks,
             f"cannot take a {r}-dimensional dominant subspace of {M.shape[1:]}")
     U, sigma, _ = np.linalg.svd(M, full_matrices=False)
     if ranks is None:
-        ranks = _rank_read(np.linalg.svd(M, compute_uv=False),
-                           max(M.shape[1:]), tol)[0].tolist()
+        ranks = _ranks(np.linalg.svd(M, compute_uv=False),
+                       max(M.shape[1:]), tol).tolist()
     errors = [caught(_check_subspace, row, rank, mode, r, tol)
               for row, rank in zip(sigma.tolist(), ranks)]
     frames = fix_phase(np.swapaxes(U[:, :, :r], 1, 2))

@@ -8,15 +8,20 @@ components to expect. ``kind_of`` picks the record; ``classify``,
 
 A record also owns what a member is. ``Kind.judge`` takes a stack of the
 stratum's values, (K, *shape) dense or (K, L) packed symmetric rows, reads
-their flattening ranks (one batched SVD per mode, or one in all for a
-symmetric stack, whose flattenings are all the same matrix), refuses an
+their flattening ranks and margins as two (K, d) arrays (one batched SVD
+per mode, or one in all for a symmetric stack, whose flattenings are all
+the same matrix, and one vectorized threshold rule), masks out an
 inadmissible read and applies the kind's ``member`` rule to the rest in one
-call. Every membership decision goes through it: path_verify hands a record
-a path's whole grid, a sampler a stack of one candidate, and the
+call. Its verdicts (``Verdicts``) are arrays and masks: members, admissible
+reads, ranks, margins, and one note per value. ``member`` takes the stack
+and its (K, d) ranks and gives a mask and the notes. Every membership
+decision goes through ``judge``: verify_paths hands a record the grids of
+many paths as one stack, a sampler each redraw round's candidates, and the
 multilinear-rank connectors a core path's grid of cores, judged as members
 of the core's own stratum. Rules that need more than the flattening ranks
 read the stack in one batched pass (the hyperdeterminant signs, the
-rank-two certificate).
+rank-two certificate), each check an array predicate whose message is
+formatted only for the rows it rejects.
 
 A record labels its members in one stacked step too. ``Kind.labels`` takes
 a stack of values that ``judge`` accepted and gives one result per value: a
@@ -26,11 +31,17 @@ members are all ``single`` and others get the kind's ``invariant`` one at a
 time; three records read the whole stack at once instead: the determinant
 sign of a saturated square multilinear rank (one slogdet), the signature of
 a real quadratic form (one eigvalsh) and the border-rank-three sign triple
-(one 2x2 SVD; ``member`` accepts only values below the band, so the
-hyperdeterminant is not read again). ``Kind.certify``, the one merge, is
-judge plus labels on a path grid; ``census`` labels its draws, which the
-sampler judged members, with one ``labels`` call. ``classify`` is the
-one-tensor label of any value, member or not, through ``invariant``.
+(one 2x2 SVD, values with one triple sharing one label; ``member`` accepts
+only values below the band, so the hyperdeterminant is not read again).
+``Kind.certify``, the one merge, is judge plus labels on a stack of path
+samples: the verdicts, with a refused label's sample turned not ok and the
+refusal its note, and one label per sample. ``census`` labels its draws,
+which the sampler judged members, with one ``labels`` call. ``classify``
+is the one-tensor label of any value, member or not, through
+``invariant``. ``Kind.witnesses`` gives the decompositions ``connect``
+takes in place of values drawn without one (the conjugate-pair terms for
+border rank three, in one batched pass; None for kinds whose connector
+needs none); a census computes them once per representative, in one call.
 
 Records call samplers, invariants and connectors through this module's
 global names at call time, so a wrapper installed here sees every call.
@@ -43,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .certify import brank3_conj_pair, hyperdet_signs, rank2_certify
+from .certify import brank3_conj_pairs, hyperdet_signs, rank2_certify
 from .classifiers import (SINGLE, _sym_matrix_signature, _sym_rank2_witness,
                           brank3_labels, classify_brank3_222, det_sign_mrank,
                           mrank_saturation, sign_label, square_mode,
@@ -51,8 +62,8 @@ from .classifiers import (SINGLE, _sym_matrix_signature, _sym_rank2_witness,
 from .core import (COMPLEX, REAL, MultilinearRank, SymRankDecomposition,
                    flattening_det_signs, mrank_admissible, mrank_stack,
                    sym_mrank_stack)
-from .errors import (DegenerateError, ToleranceError, UnsupportedStratumError,
-                     caught, rejected)
+from .errors import (DegenerateError, TensorTopoError, ToleranceError,
+                     UnsupportedStratumError, caught, rejected)
 from .paths import (_sym_rank1_witness, connect_brank3_222, connect_mrank,
                     connect_rank_r, connect_sym_mrank, connect_sym_rank_r)
 from .sampling import (expected_generic_mrank, fixed_mrank_draws,
@@ -96,11 +107,12 @@ class Kind:
         rank read; samplers run it first."""
         return np.ones(len(stack), dtype=bool)
 
-    def witness(self, stratum, value, tol):
-        """The decomposition ``connect`` takes in place of ``value``, for a
-        value drawn without one; None for a kind whose connector needs
-        none."""
-        return None
+    def witnesses(self, stratum, stack, tol) -> list:
+        """Per value of a stack drawn without witnesses, the decomposition
+        ``connect`` takes in place of the value, or None: for a kind whose
+        connector needs none, and for a value whose decomposition is
+        refused (``connect`` raises that refusal itself)."""
+        return [None] * len(stack)
 
     def labelled(self, stratum, row, witness):
         """What ``invariant`` labels at a path sample: the value the row of
@@ -240,9 +252,10 @@ class BorderRank3(Rank):
     def real_components(self, stratum):
         return 4 if stratum.kind == "brank" else None
 
-    def witness(self, stratum, A, tol):
-        # the conjugate-pair term connect_brank3_222 moves
-        return brank3_conj_pair(A, tol)
+    def witnesses(self, stratum, stack, tol):
+        # the conjugate-pair terms connect_brank3_222 moves
+        return [None if isinstance(w, TensorTopoError) else w
+                for w in brank3_conj_pairs(stack, tol)]
 
     def connect(self, stratum, a, b, witness_a, witness_b, tol, rng):
         return connect_brank3_222(a, b, tol, witness_a, witness_b)

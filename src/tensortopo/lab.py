@@ -121,11 +121,11 @@ def census(stratum: StratumDescriptor, N: int, seed: int,
     Within each label group up to 20 representatives are chained by
     connector paths (these must all pass); across groups the first
     representatives of each label pair are attacked (these must all fail).
-    Every pair is connected first, each representative's witness computed
-    at most once where the draw has none (a witness that raises is left to
-    connect, which raises it again); then all built paths are verified with
-    one verify_paths call. The verdict can refute the expected component
-    count, never prove it.
+    Every pair is connected first, with the witnesses the draws lack
+    computed once per representative in one call of the record (a refused
+    witness is left to connect, which raises the refusal itself); then all
+    built paths are verified with one verify_paths call. The verdict can
+    refute the expected component count, never prove it.
     """
     t0 = time.perf_counter()
     kind = kind_of(stratum)
@@ -163,22 +163,16 @@ def census(stratum: StratumDescriptor, N: int, seed: int,
         pairs += [(True, a, b) for a, b in zip(reps, reps[1:])]
     pairs += [(False, groups[lab][0], groups[other][0])
               for i, lab in enumerate(ordered) for other in ordered[i + 1:]]
-    witnesses: dict = {}
-
-    def witnessed(rep) -> tuple:
-        index, value, witness = rep
-        if witness is None and index not in witnesses:
-            try:
-                witnesses[index] = kind.witness(stratum, value, tol)
-            except TensorTopoError:
-                witnesses[index] = None
-        return value, witness if witness is not None else witnesses[index]
-
-    built = []
-    for pair_index, (_within, a, b) in enumerate(pairs):
-        (va, wa), (vb, wb) = witnessed(a), witnessed(b)
-        built.append(_connected(stratum, va, vb, wa, wb,
-                                SplitMix64(derive_seed(seed, N + pair_index)), tol))
+    # the witnesses the draws lack, each representative's once, in one call
+    bare = {index: value for _within, *reps in pairs
+            for index, value, witness in reps if witness is None}
+    witnesses = dict(zip(bare, kind.witnesses(
+        stratum, stratum.stack(list(bare.values())), tol))) if bare else {}
+    built = [_connected(stratum, va, vb, witnesses.get(ia, wa),
+                        witnesses.get(ib, wb),
+                        SplitMix64(derive_seed(seed, N + pair_index)), tol)
+             for pair_index, (_within, (ia, va, wa), (ib, vb, wb))
+             in enumerate(pairs)]
     within_attempts = within_passes = 0
     cross_attempts = cross_success = 0
     contradiction = False

@@ -16,7 +16,9 @@ of symmetric ones. Every row has the bits the one-point call ``values([s])``
 gives it, and the path's stratum turns a row into a tensor
 (``StratumDescriptor.value``). path_verify evaluates its grid as one stack
 (``TensorPath.values``), and the multilinear-rank connectors read a core
-path's grid of cores as one stack too.
+path's grid of cores as one stack too. verify_paths certifies the grids of
+many paths, a census's or a pairwise experiment's, with one call of their
+stratum's record; path_verify is its one-path case.
 
 A multilinear-rank path mends a determinant-sign mismatch of the square
 flattenings with at most one orientation loop: those flattenings are one
@@ -378,17 +380,17 @@ class TensorPath:
         holds some t of ``ts``: segment k = min(floor(t n), n - 1) of n
         holds t at s = t n - k."""
         ts = np.asarray(ts, dtype=np.float64)
-        outside = ~((ts >= 0.0) & (ts <= 1.0))
-        if outside.any():
-            raise ValueError(f"path parameter {ts[outside][0].item()} outside [0, 1]")
+        inside = (ts >= 0.0) & (ts <= 1.0)
+        if not inside.all():
+            raise ValueError(f"path parameter {ts[~inside][0].item()} outside [0, 1]")
         n = len(self.segments)
         u = ts * n
         k = np.minimum(np.floor(u), n - 1)
         local = u - k
-        for j, seg in enumerate(self.segments):
-            rows = np.flatnonzero(k == j)
-            if rows.size:
-                yield seg, rows, local[rows]
+        index = k.astype(np.intp)
+        for j in np.bincount(index, minlength=n).nonzero()[0].tolist():
+            rows = (index == j).nonzero()[0]
+            yield self.segments[j], rows, local[rows]
 
     def values(self, ts) -> np.ndarray:
         """The path at every t of ``ts`` as one stack, each segment
@@ -1082,51 +1084,59 @@ def verify_paths(paths: list, K: int | None = None,
                  tol: TolerancePolicy = DEFAULT_TOL) -> list[PathReport]:
     """path_verify for every path of a list, one report per path. The
     grids of all paths that hold no report for this K and tol are
-    certified together, with one call of their stratum's record per
-    stratum, and each path keeps its report."""
+    concatenated and certified with one call of their stratum's record,
+    and each path keeps its report."""
     if K is None:
         K = PATH_SAMPLES
     grid = [0.0, 1.0] + chebyshev_grid(K)
+    todo = {id(path): path for path in paths
+            if path._verified is None or path._verified[:2] != (K, tol)}
     groups: dict = {}
-    for path in paths:
-        if path._verified is not None and path._verified[:2] == (K, tol):
-            continue
+    for path in todo.values():
         ts = sorted(set(grid + path.joints()))
-        stack = path.values(ts)
-        group = groups.setdefault((path.stratum, stack.dtype.str), {})
-        group.setdefault(id(path), (path, ts, stack))
+        part = path.values(ts)
+        groups.setdefault((path.stratum, part.dtype.str), []).append((path, ts, part))
     for (stratum, _dtype), group in groups.items():
-        todo = list(group.values())
-        stack = np.concatenate([part for _p, _ts, part in todo])
-        witnesses = [w for path, ts, _part in todo for w in path.witnesses(ts)]
+        stack = np.concatenate([part for _path, _ts, part in group])
+        group[:] = [(path, ts) for path, ts, _part in group]
+        witnesses = [w for path, ts in group for w in path.witnesses(ts)]
         try:
             verdicts, labels = kinds.kind_of(stratum).certify(
                 stratum, stack, witnesses, tol)
+            labels = _label_names(labels)
         except UnsupportedStratumError as exc:
             verdicts, labels = exc, None
         start = 0
-        for path, ts, part in todo:
+        for path, ts in group:
             rows = slice(start, start + len(ts))
             start = rows.stop
             path._verified = (K, tol, _path_report(
-                path, ts, part, verdicts, None if labels is None else labels[rows], rows))
+                path, ts, stack[rows], verdicts,
+                None if labels is None else labels[rows], rows))
     return [path._verified[2] for path in paths]
+
+
+def _label_names(labels: list) -> list:
+    """str of each label, or None, naming each label object once: samples
+    with one label mostly share one ComponentLabel."""
+    names: dict = {}
+    for label in labels:
+        if label is not None and id(label) not in names:
+            names[id(label)] = str(label)
+    return [None if label is None else names[id(label)] for label in labels]
 
 
 def _path_report(path: TensorPath, ts: list, stack: np.ndarray, verdicts,
                  labels: list | None, rows: slice) -> PathReport:
     """The report on one path of a verify_paths call, its samples being
     ``rows`` of the call's verdicts (the stratum's refusal, when its record
-    refused it)."""
+    refused it), with ``labels`` their label names."""
     if isinstance(verdicts, Exception):
         samples = [SampleCheck(t, False, (), 0.0, None, str(verdicts)) for t in ts]
     else:
         read = verdicts.read[rows]
         margins = np.where(read, verdicts.margins[rows].min(axis=1), 0.0)
-        names: dict = {}
-        samples = [SampleCheck(t, ok, tuple(ranks) if good else (), margin,
-                               None if label is None else names.setdefault(
-                                   id(label), str(label)), note)
+        samples = [SampleCheck(t, ok, tuple(ranks) if good else (), margin, label, note)
                    for t, ok, good, ranks, margin, label, note in zip(
                        ts, verdicts.ok[rows].tolist(), read.tolist(),
                        verdicts.ranks[rows].tolist(), margins.tolist(), labels,

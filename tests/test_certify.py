@@ -316,3 +316,15 @@ def test_hyperdet_signs_read_the_band_as_one_tensor():
     got = certify_module.hyperdet_signs(np.stack(inputs)).tolist()
     assert got == want
     assert {-1, 0, 1} <= set(got)
+
+
+def test_conj_pair_factors_refuses_a_pencil_that_vanishes():
+    """A rank-one tensor's slice pencil vanishes, so its roots are 0/0; the
+    conjugate-pair read refuses it with ToleranceError, alone and in a
+    stack, instead of handing NaN roots to the pencil SVD."""
+    one = np.multiply.outer(np.multiply.outer([1.0, 2.0], [3.0, -1.0]), [0.5, 1.0])
+    with pytest.raises(ToleranceError, match="slice pencil roots separated by nan"):
+        conj_pair_factors(Hypermatrix(one, REAL))
+    factors, errors = conj_pair_stack(np.stack([_conj_pair_example().data, one]))
+    assert errors[0] is None and "nan" in str(errors[1])
+    assert np.array_equal(factors[0], np.stack(conj_pair_factors(_conj_pair_example())))

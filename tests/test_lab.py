@@ -4,14 +4,17 @@ import sys
 import numpy as np
 import pytest
 
-from tensortopo import (DEFAULT_TOL, REAL, SplitMix64, census, classify,
+from tensortopo import (DEFAULT_TOL, REAL, Hypermatrix, SplitMix64, census,
+                        classify, derive_seed,
                         expected_component_count, identifiability_experiment,
                         monodromy_probe, pairwise_connect_experiment,
                         parse_stratum, strip_runtime)
 from tensortopo import kinds as kinds_module
 from tensortopo import lab as lab_module
+from tensortopo.certify import brank3_conj_pair, brank3_conj_pairs
 from tensortopo.classifiers import brank3_labels
-from tensortopo.errors import RetryExhausted, UnsupportedStratumError
+from tensortopo.errors import (DegenerateError, RetryExhausted, ToleranceError,
+                               UnsupportedStratumError)
 from tensortopo.io import dumps_canonical
 from tensortopo.kinds import kind_of
 from tensortopo.paths import TensorPath, path_verify
@@ -278,24 +281,59 @@ def test_census_paths_verify_together_as_alone(monkeypatch, text, trials, seed):
 
 
 def test_census_decomposes_each_representative_once(monkeypatch):
-    """A border-rank-three census computes each representative's
-    conjugate-pair witness at most once and hands it to the connector,
-    which then decomposes no endpoint itself."""
-    calls = []
-    fn = kinds_module.brank3_conj_pair
+    """A border-rank-three census computes the conjugate-pair witness of
+    each representative at most once, all in one stacked call, and hands
+    them to the connector, which then decomposes no endpoint itself."""
+    stacked, single = [], []
+    pairs_of = kinds_module.brank3_conj_pairs
 
-    def counted(A, tol):
-        calls.append(A.data.tobytes())
-        return fn(A, tol)
+    def counted(data, tol):
+        stacked.append([A.tobytes() for A in data])
+        return pairs_of(data, tol)
 
-    for module in (kinds_module, sys.modules["tensortopo.paths"]):
-        monkeypatch.setattr(module, "brank3_conj_pair", counted)
+    monkeypatch.setattr(kinds_module, "brank3_conj_pairs", counted)
+    monkeypatch.setattr(sys.modules["tensortopo.paths"], "brank3_conj_pair",
+                        lambda A, tol: single.append(A) or brank3_conj_pair(A, tol))
     report = census(parse_stratum("brank:r=3;shape=2,2,2;field=real"), 120, seed=21)
-    assert report.within_attempts >= 40
-    assert len(calls) == len(set(calls))
+    assert report.within_attempts >= 40 and single == []
+    (rows,) = stacked
+    assert len(rows) == len(set(rows))
     # every representative of a chain is an end of a within-label path
-    assert report.within_attempts + len(report.label_counts) <= len(calls)
-    assert len(calls) <= 20 * len(report.label_counts)
+    assert report.within_attempts + len(report.label_counts) <= len(rows)
+    assert len(rows) <= 20 * len(report.label_counts)
+
+
+def test_stacked_witnesses_are_the_one_tensor_witnesses():
+    """brank3_conj_pairs gives every tensor of a stack the term, bit for bit,
+    or the refusal, message for message, that brank3_conj_pair gives it
+    alone, on draws and on conjugate pairs whose factors turn real."""
+    rng = SplitMix64(22)
+    st = parse_stratum("brank:r=3;shape=2,2,2;field=real")
+    inputs = [value.data for value, _w in kind_of(st).draws(
+        st, [SplitMix64(derive_seed(22, i)) for i in range(400)], DEFAULT_TOL)]
+    for k in range(400):
+        shrink = 10.0 ** (-7.0 * k / 400)
+        x, y, z = (rng.normals((2,)) + 1j * shrink * rng.normals((2,))
+                   for _mode in range(3))
+        T = complex(rng.normal(), rng.normal()) * np.multiply.outer(
+            np.multiply.outer(x, y), z)
+        inputs.append(2.0 * np.real(T))
+
+    def encoded(term):
+        if isinstance(term, Exception):
+            return type(term).__name__, str(term)
+        return complex(term.scalar), b"".join(f.tobytes() for f in term.factors)
+
+    want = []
+    for A in inputs:
+        try:
+            want.append(encoded(brank3_conj_pair(Hypermatrix(A, REAL))))
+        except (ToleranceError, DegenerateError) as exc:
+            want.append(encoded(exc))
+    assert [encoded(t) for t in brank3_conj_pairs(np.stack(inputs))] == want
+    refusals = {w[1].split(" ")[0] for w in want if isinstance(w[0], str)}
+    assert len(refusals) >= 2 and 400 <= sum(
+        not isinstance(w[0], str) for w in want) < len(want)
 
 
 def test_census_json_schema():
