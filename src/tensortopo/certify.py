@@ -178,11 +178,6 @@ def _pencil_coefficients(core: np.ndarray) -> tuple:
     return p[0] - p[1], -(p[2] + p[3] + p[4] + p[5]), p[6] - p[7]
 
 
-def _first_errors(*errors: list) -> list:
-    """Per row, the first error of the rules' error lists, in rule order."""
-    return [next((e for e in row if e is not None), None) for row in zip(*errors)]
-
-
 def _projective_roots(a, b, c, field: str, tol: TolerancePolicy):
     """Unit-normalized projective roots (alpha, beta) of a x^2 + b xy + c y^2
     for each entry of the (K,) coefficient arrays: a (K, 2, 2) array indexed
@@ -221,7 +216,8 @@ def _projective_roots(a, b, c, field: str, tol: TolerancePolicy):
         roots = fix_phase(raw / np.sqrt(sq_norm[..., 0]))
     x, y = roots[:, 0], roots[:, 1]
     separation = _abs(_mul(x[:, 0], y[:, 1]) - _mul(y[:, 0], x[:, 1]))
-    errors = _first_errors(
+    # each pencil's first refusal, in rule order
+    errors = [e1 or e2 or e3 or e4 for e1, e2, e3, e4 in zip(
         rejected(scale == 0.0, lambda k: ToleranceError(
             "slice pencil determinant vanishes identically")),
         rejected(a_zero & (b == 0.0), lambda k: ToleranceError(
@@ -230,7 +226,7 @@ def _projective_roots(a, b, c, field: str, tol: TolerancePolicy):
                  lambda k: DegenerateError(
                      "slice pencil has complex roots: real rank exceeds two "
                      "(negative hyperdeterminant regime)")),
-        _separation_errors(separation, tol))
+        _separation_errors(separation, tol))]
     return roots, errors
 
 

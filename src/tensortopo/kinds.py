@@ -126,13 +126,10 @@ class Kind:
         ranks, margins = (mrank_stack(stack, tol) if stratum.dim is None
                           else sym_mrank_stack(stack, stratum.dim, stratum.order, tol))
         read = mrank_admissible(ranks)
-        if read.all():
-            kept, sub = np.arange(len(stack)), stack
-        else:
-            kept = np.flatnonzero(read)
-            sub = stack[kept]
+        kept = np.flatnonzero(read)
         try:
-            oks, rules = self.member(stratum, sub, ranks[kept], tol)
+            oks, rules = self.member(stratum, stack if read.all() else stack[kept],
+                                     ranks[kept], tol)
         except (ToleranceError, DegenerateError, UnsupportedStratumError) as exc:
             oks, rules = np.zeros(len(kept), dtype=bool), [str(exc)] * len(kept)
         ok = np.zeros(len(stack), dtype=bool)

@@ -1103,16 +1103,16 @@ def verify_paths(paths: list, K: int | None = None,
         try:
             verdicts, labels = kinds.kind_of(stratum).certify(
                 stratum, stack, witnesses, tol)
-            labels = _label_names(labels)
+            names = _label_names(labels)
         except UnsupportedStratumError as exc:
-            verdicts, labels = exc, None
+            verdicts, names = exc, None
         start = 0
         for path, ts in group:
             rows = slice(start, start + len(ts))
             start = rows.stop
             path._verified = (K, tol, _path_report(
                 path, ts, stack[rows], verdicts,
-                None if labels is None else labels[rows], rows))
+                None if names is None else names[rows], rows))
     return [path._verified[2] for path in paths]
 
 
@@ -1127,10 +1127,10 @@ def _label_names(labels: list) -> list:
 
 
 def _path_report(path: TensorPath, ts: list, stack: np.ndarray, verdicts,
-                 labels: list | None, rows: slice) -> PathReport:
+                 names: list | None, rows: slice) -> PathReport:
     """The report on one path of a verify_paths call, its samples being
     ``rows`` of the call's verdicts (the stratum's refusal, when its record
-    refused it), with ``labels`` their label names."""
+    refused it), with ``names`` their label names."""
     if isinstance(verdicts, Exception):
         samples = [SampleCheck(t, False, (), 0.0, None, str(verdicts)) for t in ts]
     else:
@@ -1139,7 +1139,7 @@ def _path_report(path: TensorPath, ts: list, stack: np.ndarray, verdicts,
         samples = [SampleCheck(t, ok, tuple(ranks) if good else (), margin, label, note)
                    for t, ok, good, ranks, margin, label, note in zip(
                        ts, verdicts.ok[rows].tolist(), read.tolist(),
-                       verdicts.ranks[rows].tolist(), margins.tolist(), labels,
+                       verdicts.ranks[rows].tolist(), margins.tolist(), names,
                        verdicts.notes[rows])]
     passed = all(s.ok for s in samples)
     exact = all(s.note != "unverifiable-exactly" for s in samples)
