@@ -146,9 +146,8 @@ def brank3_labels(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL,
     the same message. ``signs`` are the stack's hyperdet_signs when the
     caller has read them; otherwise they are read here, with one
     hyperdet222 call. Tensors with one sign triple share one label."""
-    if signs is None:
-        signs = hyperdet_signs(data, tol)
-    below = np.flatnonzero(np.asarray(signs) < 0)
+    signs = hyperdet_signs(data, tol) if signs is None else np.asarray(signs)
+    below = np.flatnonzero(signs < 0)
     factors, errors = conj_pair_stack(
         data if below.size == len(data) else data[below], tol)
     areas = orientation_area(factors.reshape(-1, 2)).reshape(-1, 3)
@@ -156,8 +155,7 @@ def brank3_labels(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL,
     areas = np.where(areas[:, :1] < 0, -areas, areas)
     products = areas[:, [0, 0, 1]] * areas[:, [1, 2, 2]]
     triples = (products > 0) @ np.array([4, 2, 1])
-    labels = [None if sign < 0 else _not_border_rank3(Hypermatrix(A, REAL), tol)
-              for A, sign in zip(data, signs)]
+    labels = rejected(signs >= 0, lambda k: _not_border_rank3(Hypermatrix(data[k], REAL), tol))
     named: dict = {}
     for row, (k, error, triple) in enumerate(zip(
             below.tolist(), [e1 or e2 for e1, e2 in zip(errors, _area_errors(areas, tol))],
