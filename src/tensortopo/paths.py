@@ -1103,48 +1103,38 @@ def verify_paths(paths: list, K: int | None = None,
         try:
             verdicts, labels = kinds.kind_of(stratum).certify(
                 stratum, stack, witnesses, tol)
-            names = _label_names(labels)
         except UnsupportedStratumError as exc:
-            verdicts, names = exc, None
+            verdicts, labels = exc, None
         start = 0
         for path, ts in group:
             rows = slice(start, start + len(ts))
             start = rows.stop
             path._verified = (K, tol, _path_report(
                 path, ts, stack[rows], verdicts,
-                None if names is None else names[rows], rows))
+                None if labels is None else labels[rows], rows))
     return [path._verified[2] for path in paths]
 
 
-def _label_names(labels: list) -> list:
-    """str of each label, or None, naming each label object once: samples
-    with one label mostly share one ComponentLabel."""
-    names: dict = {}
-    for label in labels:
-        if label is not None and id(label) not in names:
-            names[id(label)] = str(label)
-    return [None if label is None else names[id(label)] for label in labels]
-
-
 def _path_report(path: TensorPath, ts: list, stack: np.ndarray, verdicts,
-                 names: list | None, rows: slice) -> PathReport:
+                 labels: list | None, rows: slice) -> PathReport:
     """The report on one path of a verify_paths call, its samples being
-    ``rows`` of the call's verdicts (the stratum's refusal, when its record
-    refused it), with ``names`` their label names."""
+    ``rows`` of the call's verdicts and labels (the stratum's refusal, when
+    its record refused it)."""
     if isinstance(verdicts, Exception):
         samples = [SampleCheck(t, False, (), 0.0, None, str(verdicts)) for t in ts]
     else:
         read = verdicts.read[rows]
         margins = np.where(read, verdicts.margins[rows].min(axis=1), 0.0)
-        samples = [SampleCheck(t, ok, tuple(ranks) if good else (), margin, label, note)
+        samples = [SampleCheck(t, ok, tuple(ranks) if good else (), margin,
+                               None if label is None else str(label), note)
                    for t, ok, good, ranks, margin, label, note in zip(
                        ts, verdicts.ok[rows].tolist(), read.tolist(),
-                       verdicts.ranks[rows].tolist(), margins.tolist(), names,
+                       verdicts.ranks[rows].tolist(), margins.tolist(), labels,
                        verdicts.notes[rows])]
     passed = all(s.ok for s in samples)
     exact = all(s.note != "unverifiable-exactly" for s in samples)
-    labels = {s.label for s in samples if s.label is not None}
-    if len(labels) > 1:
+    names = {s.label for s in samples if s.label is not None}
+    if len(names) > 1:
         passed = False
     # t = 0 and t = 1
     value = path.stratum.value
@@ -1158,7 +1148,7 @@ def _path_report(path: TensorPath, ts: list, stack: np.ndarray, verdicts,
     if joint_defect > 1e-10:
         passed = False
     min_margin = min((s.margin for s in samples), default=0.0)
-    label = labels.pop() if len(labels) == 1 else None
+    label = names.pop() if len(names) == 1 else None
     return PathReport(format_stratum(path.stratum), passed, samples,
                       float(min_margin), float(joint_defect), exact, label)
 
