@@ -451,29 +451,14 @@ def sym_diagonal_sum(S: SymTensor) -> complex | float:
     return total
 
 
-def mode_multiply(core: np.ndarray, matrices: list[np.ndarray | None]) -> np.ndarray:
-    """Multiply core by one matrix per mode (None = identity on that mode).
-
-    matrices[k] has shape (new_k, old_k); the result keeps mode order.
-    """
-    out = core
-    for k, M in enumerate(matrices):
-        if M is None:
-            continue
-        out = np.moveaxis(np.tensordot(M, out, axes=(1, k)), 0, k)
-    return out
-
-
 def mode_multiply_stack(data: np.ndarray,
                         matrices: list[np.ndarray | None]) -> np.ndarray:
-    """mode_multiply for every tensor of a (K, ...) stack, one batched
-    matmul per mode: matrices[k] is a (K, new_k, old_k) stack, one
-    (new_k, old_k) matrix shared by every tensor, or None. Each tensor's
-    result has the bits mode_multiply gives it, real or complex data alike,
-    except where a complex matrix has one row or one column: the batched
-    product may round those differently in the last bits, which moves the
-    draws and paths of complex multilinear-rank strata with a rank-one
-    mode, so mode_multiply keeps its own loop."""
+    """Multiply every tensor of a (K, ...) stack by one matrix per mode,
+    one batched matmul per mode: matrices[k] is a (K, new_k, old_k) stack,
+    one (new_k, old_k) matrix shared by every tensor, or None (identity on
+    that mode). The result keeps mode order. A tensor's result has the same
+    bits in a stack of any size, with a shared matrix or its own alike;
+    mode_multiply is the one-tensor case."""
     out = data
     for k, M in enumerate(matrices):
         if M is None:
@@ -485,6 +470,15 @@ def mode_multiply_stack(data: np.ndarray,
         out = prod.reshape((shape[0], M.shape[-2]) + shape[2:]).transpose(
             (0,) + rest[:k] + (1,) + rest[k:])
     return out
+
+
+def mode_multiply(core: np.ndarray, matrices: list[np.ndarray | None]) -> np.ndarray:
+    """Multiply core by one matrix per mode (None = identity on that mode).
+
+    matrices[k] has shape (new_k, old_k); the result keeps mode order. The
+    one-tensor case of mode_multiply_stack.
+    """
+    return mode_multiply_stack(np.asarray(core)[None], matrices)[0]
 
 
 def frobenius_inner(A: np.ndarray, B: np.ndarray) -> complex | float:

@@ -16,7 +16,8 @@ import scipy.linalg
 
 from .core import (DEFAULT_TOL, LOOSE_TOL, Hypermatrix, SymTensor,
                    TolerancePolicy, _ranks, fix_phase, flatten_stack,
-                   mode_multiply, mode_multiply_stack, sym_embed, sym_extract)
+                   mode_multiply, mode_multiply_stack, row_norms, sym_embed,
+                   sym_embed_stack, sym_extract, sym_extract_stack)
 from .errors import ToleranceError, caught, settled
 
 _FRAME_ORTHO_TOL = 1e-12
@@ -204,13 +205,14 @@ class TuckerRep:
         return self.core.shape
 
 
-def _check_round_trip(residual: float, scale: float, ranks) -> None:
-    """tucker_compress's ToleranceError for a round trip missing a tensor of
-    norm ``scale`` by ``residual``."""
+def _check_round_trip(residual: float, scale: float, name: str, rank: str,
+                      ranks) -> None:
+    """The ToleranceError of a ``name`` round trip missing a tensor of norm
+    ``scale`` by ``residual``: its ``rank`` exceeds ``ranks``."""
     if residual > 1e-10 * max(scale, 1e-300):
         raise ToleranceError(
-            f"tucker round trip residual {residual:.3e} exceeds 1e-10 * norm; "
-            f"multilinear rank of the input exceeds {ranks}")
+            f"{name} round trip residual {residual:.3e} exceeds 1e-10 * norm; "
+            f"{rank} of the input exceeds {ranks}")
 
 
 def tucker_stack(data: np.ndarray, ranks: tuple[int, ...], mode_ranks,
@@ -236,10 +238,10 @@ def tucker_stack(data: np.ndarray, ranks: tuple[int, ...], mode_ranks,
         errors = [e or new for e, new in zip(errors, found)]
         frames.append(F)
     core = mode_multiply_stack(data, [np.conj(np.swapaxes(F, 1, 2)) for F in frames])
-    residual = np.linalg.norm((mode_multiply_stack(core, frames) - data).reshape(K, -1),
-                              axis=1)
-    scale = np.linalg.norm(data.reshape(K, -1), axis=1)
-    errors = [e or caught(_check_round_trip, res, sc, ranks)
+    residual = row_norms(mode_multiply_stack(core, frames) - data)
+    scale = row_norms(data)
+    errors = [e or caught(_check_round_trip, res, sc, "tucker", "multilinear rank",
+                          ranks)
               for e, res, sc in zip(errors, residual.tolist(), scale.tolist())]
     return frames, core, errors
 
@@ -263,25 +265,36 @@ def tucker_expand(rep: TuckerRep) -> Hypermatrix:
     return Hypermatrix(data, rep.core.field)
 
 
+def sym_tucker_stack(packed: np.ndarray, n: int, d: int, r: int, ranks,
+                     tol: TolerancePolicy = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """sym_tucker_compress for every row of a (K, L) stack of packed
+    symmetric tensors, with one batched product each way: the (K, n, r)
+    frames, unchecked for orthonormality, and the (K, L_r) packed cores, or
+    the first ToleranceError sym_tucker_compress raises on a row. ``ranks``
+    is as for dominant_frames (sym_mrank_stack's read, or None)."""
+    data = sym_embed_stack(packed, n, d)
+    frames, errors = dominant_frames(data, 1, r, ranks, tol)
+    for error in errors:
+        settled(error)
+    core = sym_extract_stack(
+        mode_multiply_stack(data, [np.conj(np.swapaxes(frames, 1, 2))] * d), tol)
+    back = mode_multiply_stack(sym_embed_stack(core, r, d), [frames] * d)
+    for res, sc in zip(row_norms(back - data).tolist(), row_norms(data).tolist()):
+        _check_round_trip(res, sc, "shared-frame", "the symmetric multilinear rank", r)
+    return frames, core
+
+
 def sym_tucker_compress(S: SymTensor, r: int,
                         tol: TolerancePolicy = DEFAULT_TOL
                         ) -> tuple[GrassmannPoint, SymTensor]:
     """Shared-frame compression of a symmetric tensor.
 
     One frame (from the mode-1 flattening) is applied to every mode; the core
-    is again symmetric, of dimension r.
+    is again symmetric, of dimension r. The one-tensor case of
+    sym_tucker_stack.
     """
-    A = sym_embed(S)
-    frame = dominant_subspace(A, 1, r, tol)
-    core_full = mode_multiply(A.data, [frame.frame.conj().T] * S.order)
-    core = sym_extract(Hypermatrix(core_full, S.field), tol)
-    back = mode_multiply(sym_embed(core).data, [frame.frame] * S.order)
-    residual = np.linalg.norm((back - A.data).ravel())
-    if residual > 1e-10 * max(A.norm(), 1e-300):
-        raise ToleranceError(
-            f"shared-frame round trip residual {residual:.3e} exceeds 1e-10 * norm; "
-            f"the symmetric multilinear rank of the input exceeds {r}")
-    return frame, core
+    frames, core = sym_tucker_stack(S.packed[None], S.dim, S.order, r, None, tol)
+    return GrassmannPoint(frames[0], S.field), SymTensor(r, S.order, S.field, core[0])
 
 
 def sym_tucker_expand(frame: GrassmannPoint, core: SymTensor) -> SymTensor:

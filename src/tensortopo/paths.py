@@ -49,9 +49,8 @@ from typing import Callable
 import numpy as np
 
 from .certify import brank3_conj_pair, is_rank_one, rank2_decompose
-from .classifiers import (ComponentLabel, brank3_labels, det_sign_mrank,
-                          sign_label, square_mode, mrank_saturation,
-                          sym_matrix_signatures)
+from .classifiers import (ComponentLabel, brank3_labels, sign_label,
+                          mrank_saturation, sym_matrix_signatures)
 from .core import (COMPLEX, DEFAULT_TOL, LOOSE_TOL, Hypermatrix, REAL,
                    RankOneFactors, SymRankDecomposition, SymTensor,
                    TolerancePolicy, _dtype_for, flattening_det_signs,
@@ -62,7 +61,7 @@ from .errors import (DifferentComponents, RetryExhausted, ToleranceError,
                      UnsupportedStratumError, settled)
 from .geometry import (GrassmannGeodesic, GrassmannPoint, OrientationLoop,
                        flip_exponent, gl_interpolator, orthogonal_interpolator,
-                       sym_tucker_compress, tucker_stack)
+                       sym_tucker_stack, tucker_stack)
 from .io import array_to_json, scalar_to_json
 from .rng import SplitMix64
 from .sampling import (sample_full_core, sample_rank_r, sample_sym_core,
@@ -804,11 +803,6 @@ def connect_rank_r(A: Hypermatrix, B: Hypermatrix, r: int,
 # multilinear-rank connectivity
 
 
-def _core_det_signs(core: np.ndarray, square_modes: list[int]) -> tuple:
-    """Determinant signs of one core's square flattenings (0-based modes)."""
-    return flattening_det_signs(core[None], [i + 1 for i in square_modes])[0]
-
-
 def _core_in_grid(stratum: StratumDescriptor, kept, tol: TolerancePolicy):
     """Acceptance of a TuckerCurve under fixed frames: every core of its
     sample grid is a member of the core's own ``stratum`` with every margin
@@ -840,8 +834,9 @@ def connect_mrank(A: Hypermatrix, B: Hypermatrix, ranks: tuple[int, ...],
     a loop at mode m negates every one of them or none (flip_exponent has
     the same parity for every square mode). The loop goes at the first mode
     with ambient room whose flip exponent is odd. Without one, the endpoints
-    get DifferentComponents: definitive when every mode is saturated,
-    flagged as conjectural in the mixed case.
+    get DifferentComponents: definitive when every mode is saturated, with
+    the record's determinant-sign labels, and flagged as conjectural in the
+    mixed case.
     """
     if A.shape != B.shape or A.field != B.field:
         raise ValueError("endpoints must share shape and field")
@@ -868,8 +863,8 @@ def connect_mrank(A: Hypermatrix, B: Hypermatrix, ranks: tuple[int, ...],
     total = math.prod(ranks)
     square_modes = [i for i, r in enumerate(ranks) if r * r == total]
     signed = field == REAL and bool(square_modes)
-    now, want = ((_core_det_signs(core, square_modes),
-                  _core_det_signs(target_core, square_modes)) if signed
+    now, want = (flattening_det_signs(np.stack([core, target_core]),
+                                      [i + 1 for i in square_modes]) if signed
                  else ((), ()))
     segments: list = []
 
@@ -878,10 +873,8 @@ def connect_mrank(A: Hypermatrix, B: Hypermatrix, ranks: tuple[int, ...],
                  and flip_exponent(ranks, square_modes[0], m) % 2]
         if not flips:
             if mrank_saturation(stratum) == "saturated-square":
-                mode = square_mode(stratum)
                 raise DifferentComponents(
-                    det_sign_mrank(A, mode, tol),
-                    det_sign_mrank(B, mode, tol),
+                    *kinds.kind_of(stratum).labels(stratum, data, [None] * 2, tol),
                     detail="square flattening determinant signs differ")
             label_a, label_b = (ComponentLabel("sign", "".join(
                 "+" if s > 0 else "-" for s in signs))
@@ -931,23 +924,31 @@ def connect_sym_mrank(Sa: SymTensor, Sb: SymTensor, r: int,
     r = 1 delegates to the rank-one construction (sign components for even
     order); order 2 compares eigenvalue signatures first and returns
     DifferentComponents on a mismatch; higher orders with r >= 2 have no
-    obstruction and always connect.
+    obstruction and always connect. Both endpoints must be members, as the
+    stratum's record judges them (ToleranceError otherwise).
     """
     if (Sa.dim, Sa.order, Sa.field) != (Sb.dim, Sb.order, Sb.field):
         raise ValueError("endpoints must share dimension, order and field")
+    d, field = Sa.order, Sa.field
+    stratum = StratumDescriptor("sym-mrank", field, r, dim=Sa.dim, order=d)
     if r == 1:
-        return TensorPath(connect_sym_rank_one(Sa, Sb, tol).segments,
-                          StratumDescriptor("sym-mrank", Sa.field, 1,
-                                            dim=Sa.dim, order=Sa.order))
+        return TensorPath(connect_sym_rank_one(Sa, Sb, tol).segments, stratum)
     if rng is None:
         rng = SplitMix64(0)
-    d, field = Sa.order, Sa.field
-    frame_a, core_a = sym_tucker_compress(Sa, r, tol)
-    frame_b, core_b = sym_tucker_compress(Sb, r, tol)
+    packed = np.stack([Sa.packed, Sb.packed])
+    ends = kinds.kind_of(stratum).judge(stratum, packed, tol)
+    if not ends.ok.all():
+        raise ToleranceError(
+            f"endpoints do not both have symmetric multilinear rank {r}")
+    # both endpoints compressed at once, on the ranks the judge just read
+    frames, cores = sym_tucker_stack(packed, Sa.dim, d, r,
+                                     ends.ranks[:, 0].tolist(), tol)
+    frame_a, frame_b = (GrassmannPoint(F, field) for F in frames)
+    core_a, core_b = (SymTensor(r, d, field, core) for core in cores)
     signature = None
     if field == REAL and d == 2:
         label_a, label_b = (settled(label) for label in sym_matrix_signatures(
-            np.stack([core_a.packed, core_b.packed]), r, r, tol))
+            cores, r, r, tol))
         if label_a != label_b:
             raise DifferentComponents(label_a, label_b)
         signature = label_a.value
@@ -976,7 +977,6 @@ def connect_sym_mrank(Sa: SymTensor, Sb: SymTensor, r: int,
         core_a, target, _DETOUR_DEPTH)
     segments.append(TuckerCurve("sym-frame-transport", field, const(target),
                                 moving_frame("geodesic", geo)))
-    stratum = StratumDescriptor("sym-mrank", field, r, dim=Sa.dim, order=d)
     return TensorPath(segments, stratum)
 
 

@@ -2,8 +2,9 @@
 
 Each sampler has one block builder: it turns a block of Gaussians, a row of
 them per candidate, into the stack of candidates the sampler draws, built
-with the same operations one candidate at a time would use, so each row has
-the bits of that candidate. One redraw loop, ``_certified``, keeps per
+with the same operations one candidate at a time would use (a mode product
+is ``core.mode_multiply_stack`` either way), so each row has the bits of
+that candidate. One redraw loop, ``_certified``, keeps per
 stream the first candidate that the stratum's kind record judges a member
 with every margin at least gap_min, and redraws otherwise, at most 1000
 times (the multilinear-rank connectors draw their midpoint cores through it
@@ -41,10 +42,10 @@ import numpy as np
 
 from .core import (COMPLEX, DEFAULT_TOL, LOOSE_TOL, Hypermatrix,
                    RankOneFactors, REAL, SymRankDecomposition, SymTensor,
-                   TolerancePolicy, flattening_det_signs, mode_multiply,
-                   mode_multiply_stack, mrank_admissible, outer_product,
-                   outer_stack, row_norms, sym_embed_stack, sym_extract,
-                   sym_extract_stack, sym_packed_length, sym_power_stack)
+                   TolerancePolicy, flattening_det_signs, mode_multiply_stack,
+                   mrank_admissible, outer_product, outer_stack, row_norms,
+                   sym_embed_stack, sym_extract, sym_extract_stack,
+                   sym_packed_length, sym_power_stack)
 from .errors import RetryExhausted, ToleranceError
 from .geometry import GrassmannPoint, TuckerRep
 from .rng import SplitMix64, normal_block
@@ -386,16 +387,6 @@ def sample_sym_rank_r(n: int, d: int, r: int, signature: int | None = None,
     return _one(sym_rank_r_draws(n, d, r, signature, field, [rng], tol))
 
 
-def _mode_products(cores: np.ndarray, frames: list, field: str) -> np.ndarray:
-    """mode_multiply of each core by its frames, one batched product per
-    mode, but one core at a time where a complex frame has one row or one
-    column, which the batched product rounds differently."""
-    if field == COMPLEX and any(1 in F.shape[1:] for F in frames):
-        return np.stack([mode_multiply(core, [F[k] for F in frames])
-                         for k, core in enumerate(cores)])
-    return mode_multiply_stack(cores, frames)
-
-
 def _frames(rows: np.ndarray, start: int, n: int, r: int, field: str):
     """The orthonormal (n, r) frames per row that np.linalg.qr gives the
     field Gaussians at ``start``, and the column after them."""
@@ -415,7 +406,7 @@ def _fixed_mrank_builder(shape: tuple[int, ...], ranks: tuple[int, ...],
             F, start = _frames(rows, start, n, r, field)
             frames.append(F)
         core = np.ascontiguousarray(_field_values(rows, start, ranks, field)[0])
-        values = _mode_products(core, frames, field)
+        values = mode_multiply_stack(core, frames)
 
         def drawn(j):
             value = Hypermatrix(values[j].copy(), field)
@@ -466,7 +457,7 @@ def _sym_mrank_builder(n: int, d: int, r: int, field: str) -> _Builder:
     def build(rows, owners):
         core, start = _field_values(rows, 0, (length,), field)
         Q, _ = _frames(rows, start, n, r, field)
-        full = _mode_products(sym_embed_stack(core, r, d), [Q] * d, field)
+        full = mode_multiply_stack(sym_embed_stack(core, r, d), [Q] * d)
         try:
             packed = sym_extract_stack(full, LOOSE_TOL)
             status = [None] * len(rows)

@@ -176,8 +176,7 @@ def test_mode_multiply_identity_and_composition():
 @pytest.mark.parametrize("data_field", [REAL, COMPLEX])
 @pytest.mark.parametrize("matrix_field", [REAL, COMPLEX])
 def test_mode_multiply_stack_matches_mode_multiply(data_field, matrix_field):
-    """Bit for bit with real matrices, on real or complex data; a complex
-    matrix's batched product may round differently in the last bits."""
+    """Bit for bit, real or complex data and matrices alike."""
     rng = SplitMix64(26)
 
     def draw(shape, field):
@@ -196,10 +195,7 @@ def test_mode_multiply_stack_matches_mode_multiply(data_field, matrix_field):
         for i in range(K):
             one = mode_multiply(data[i], [M if M is None or M.ndim == 2 else M[i]
                                           for M in mats])
-            if matrix_field == REAL:
-                assert np.array_equal(stacked[i], one)
-            else:
-                assert np.allclose(stacked[i], one, rtol=1e-13, atol=1e-13)
+            assert np.array_equal(stacked[i], one)
 
 
 def test_frobenius_inner_conjugates_second_argument():

@@ -10,9 +10,11 @@ from tensortopo import (COMPLEX, REAL, GrassmannGeodesic, GrassmannPoint,
                         mode_multiply, orthogonal_interpolator,
                         random_orthogonal, sym_power, sym_tucker_compress,
                         sym_tucker_expand, tucker_compress, tucker_expand)
-from tensortopo.core import flattening_det_signs, mrank_admissible
-from tensortopo.geometry import flip_exponent, principal_angles, so_rotation_path
+from tensortopo.core import flattening_det_signs, mrank_admissible, sym_mrank_stack
+from tensortopo.geometry import (flip_exponent, principal_angles, so_rotation_path,
+                                 sym_tucker_stack)
 from tensortopo.paths import chebyshev_grid
+from tensortopo.sampling import sample_sym_mrank
 
 TS = np.linspace(0.0, 1.0, 9)
 
@@ -170,6 +172,22 @@ def test_sym_tucker_round_trip():
     back = sym_tucker_expand(frame, core)
     assert np.allclose(back.packed, S.packed, atol=1e-10 * S.norm())
     assert core.dim == 2 and core.order == 3
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("d", [2, 3])
+def test_sym_tucker_stack_rows_match_sym_tucker_compress(field, d):
+    """Each row of a stacked compression, on the ranks sym_mrank_stack
+    reads, has the frame and core bits sym_tucker_compress gives it alone."""
+    rng = SplitMix64(50)
+    tensors = [sample_sym_mrank(4, d, 2, field, rng) for _ in range(3)]
+    packed = np.stack([S.packed for S in tensors])
+    ranks, _ = sym_mrank_stack(packed, 4, d)
+    frames, cores = sym_tucker_stack(packed, 4, d, 2, ranks[:, 0].tolist())
+    for S, F, core in zip(tensors, frames, cores):
+        frame, one = sym_tucker_compress(S, 2)
+        assert np.array_equal(F, frame.frame)
+        assert np.array_equal(core, one.packed)
 
 
 def test_so_rotation_path_endpoints_and_orthogonality():

@@ -176,6 +176,13 @@ def test_mode_multiply_matches_einsum():
     got = mode_multiply(core, [M1, None, M3])
     ref = np.einsum("ai,ijk,ck->ajc", M1, core, M3)
     assert np.allclose(got, ref, atol=1e-13)
+    # complex, with the one-row and one-column matrices of a rank-one mode
+    core = rng.complex_normals((2, 3, 1))
+    M1 = rng.complex_normals((1, 2))
+    M3 = rng.complex_normals((4, 1))
+    got = mode_multiply(core, [M1, None, M3])
+    ref = np.einsum("ai,ijk,ck->ajc", M1, core, M3)
+    assert np.allclose(got, ref, atol=1e-13)
 
 
 def test_sym_embed_matches_permutation_sum():

@@ -313,6 +313,8 @@ def test_mrank_saturated_opposite_sign_refused():
     with pytest.raises(DifferentComponents) as info:
         connect(st, a, b, rng=SplitMix64(9))
     assert not info.value.conjectural
+    assert (str(info.value.label_a), str(info.value.label_b)) == (
+        str(classify(st, a)), str(classify(st, b)))
 
 
 def test_mrank_roomy_saturated_mode_always_connects():
@@ -512,6 +514,40 @@ def test_sym_mrank_higher_order_connects():
     b = sample_sym_mrank(4, 3, 2, rng=rng)
     path = connect(st, a, b, rng=SplitMix64(15))
     assert_connects(path, a, b)
+
+
+def test_sym_mrank_endpoint_stage_takes_one_rank_read_and_one_frame_svd(monkeypatch):
+    """The judge's rank read of both endpoints (one SVD without vectors)
+    and one shared-frame compression of both on those ranks (one with)
+    come before the frame geodesic."""
+    rng = SplitMix64(227)
+    a = sample_sym_mrank(4, 3, 2, rng=rng)
+    b = sample_sym_mrank(4, 3, 2, rng=rng)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(
+        kw.get("compute_uv", True)) or svd(*args, **kw))
+    before_geodesic = []
+    geodesic = paths_module.GrassmannGeodesic
+
+    def first_geodesic(*args):
+        if not before_geodesic:
+            before_geodesic.append(list(calls))
+        return geodesic(*args)
+
+    monkeypatch.setattr(paths_module, "GrassmannGeodesic", first_geodesic)
+    connect(parse_stratum("sym-mrank:d=3;n=4;r=2;field=real"), a, b,
+            rng=SplitMix64(18))
+    assert before_geodesic == [[False, True]]
+
+
+def test_sym_mrank_refuses_a_non_member_endpoint():
+    rng = SplitMix64(228)
+    a = sample_sym_mrank(4, 3, 2, rng=rng)
+    wide = sample_sym_mrank(4, 3, 3, rng=rng)
+    with pytest.raises(ToleranceError,
+                       match="endpoints do not both have symmetric multilinear rank 2"):
+        connect_sym_mrank(a, wide, 2)
 
 
 def test_sym_mrank_rank_one_delegates():

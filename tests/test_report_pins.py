@@ -54,6 +54,11 @@ CENSUS_PINS = {
         "a97d49fd4aae81cd18cae839743c2912906f33ec821dc4a947dcf4a970eec779",
     ("sym-mrank:d=3;n=4;r=2;field=real", 40, 7):
         "884e8ac67d05d3bcf3debdbf24fbef12b4e9bf49945f2cc1479d3489b26a3ded",
+    # complex strata with a rank-one mode, whose frames have one column
+    ("mrank:r=1,2,2;shape=2,3,3;field=complex", 40, 7):
+        "6a75a1a1a545880f6f98f2a6af2b80f9173957181e80998044b2d30919d34062",
+    ("mrank:r=3,3,1;shape=4,3,2;field=complex", 40, 7):
+        "70135135093096f45ce25e26f0f6d99a6a7b0882b3b22968a369b9892c4449aa",
 }
 
 
@@ -93,6 +98,14 @@ PAIRWISE_PINS = {
         "5c28c800f7cad060935134ecee3a4449bf25114bdf823114a34feacb1d5d29dd",
     "sym-rank:d=4;n=4;r=2;field=real":
         "d76da105ebae1d2896778ab4de85283e83e5cd957ccdfb8007fc0a3e6ed804c2",
+    # recorded once every mode product was one batched matmul; the
+    # per-row tensordot loop gave these paths other last bits
+    "mrank:r=2,2,1;shape=3,2,2;field=complex":
+        "e633eae2a21b07bd59c509a1202b56c8d72450be5e630f2604d7bec91a02366d",
+    "mrank:r=1,2,2;shape=2,3,3;field=complex":
+        "496fe28e8093b594a31dba506a13ad880842d836ba0600932029038ae2e447d4",
+    "mrank:r=3,3,1;shape=4,3,2;field=complex":
+        "97f6c38336ed5937382bdd5d062136a5249b8e306034b82df4e8f7919cca2f90",
 }
 
 
