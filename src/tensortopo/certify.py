@@ -10,8 +10,10 @@ conjugate pair of the negative regime is read in closed form.
 
 The hyperdeterminant and the rank-two decomposition run on a whole stack of
 same-shape tensors at once: ``rank2_certify`` gives every sample of a path
-grid its verdict with one batched SVD per step, and ``rank2_decompose`` is
-its one-tensor case. Each tensor of a stack gets the bits it gets alone:
+grid its verdict with one batched LAPACK call per step (the least-squares
+fit of the term coefficients included), ``rank2_decompositions`` gives a
+stack's terms the same way, and ``rank2_decompose`` is its one-tensor case.
+Each tensor of a stack gets the bits it gets alone:
 elementwise steps round as numpy's scalar arithmetic rounds (its array loops
 may fuse the multiply and add of a complex product, so ``_mul`` spells that
 product out). Every check is written once, as an array predicate over the
@@ -28,6 +30,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, RankOneFactors, REAL,
                    TolerancePolicy, _mul, _ranks, fix_phase, flatten,
@@ -252,26 +255,59 @@ def _rank_one_matrix_factors(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, lis
             f"(sigma ratio {second[k] / max(top[k], 1e-300):.3e})"))
 
 
-def _normalized_term(scalar, factors, field: str) -> RankOneFactors:
-    """Push factor norms and phases into the scalar; factors become unit."""
-    out = []
-    for v in factors:
-        nv = np.linalg.norm(v)
-        u = v / nv
+def _normalized_terms(lam: np.ndarray, lifted: list, field: str) -> list:
+    """Both terms of every tensor of a stack with the factor norms and
+    phases pushed into the scalar, the factors unit: ``lam`` holds the
+    (n, 2) term coefficients and ``lifted`` the (n, 2, n_i) factors per
+    mode. Per tensor a pair of RankOneFactors, each with the bits that
+    normalizing its one term alone gives it (norms as np.linalg.norm, the
+    products as numpy's scalar products, see _mul)."""
+    n = len(lam)
+    scalar, rows, out = lam.reshape(-1), np.arange(2 * n), []
+    for V in lifted:
+        V = V.reshape(2 * n, -1)
+        nv = row_norms(V)
+        u = V / nv[:, None]
         fixed = fix_phase(u)
-        pivot = np.nonzero(np.abs(u) > 1e-8 * np.max(np.abs(u)))[0][0]
-        phase = u[pivot] / fixed[pivot] if fixed[pivot] != 0 else 1.0
-        scalar = scalar * nv * phase
-        out.append(fixed)
-    if field == REAL:
-        scalar = float(np.real(scalar))
-    return RankOneFactors(scalar, tuple(out), field)
+        # fix_phase's pivot: the first entry above 1e-8 times the largest
+        mag = np.abs(u)
+        pivot = (mag > 1e-8 * mag.max(axis=1, keepdims=True)).argmax(axis=1)
+        top = fixed[rows, pivot]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phase = np.where(top != 0, u[rows, pivot] / top, 1.0)
+        scalar = _mul(_mul(scalar, nv), phase)
+        out.append(fixed.reshape(n, 2, -1))
+    scalar = scalar.reshape(n, 2)
+    return [tuple(RankOneFactors(float(scalar[i, k].real) if field == REAL else scalar[i, k],
+                                 tuple(f[i, k] for f in out), field) for k in (0, 1))
+            for i in range(n)]
 
 
-def _rank2_terms(data: np.ndarray, ranks, tol: TolerancePolicy) -> list:
-    """Per tensor of a (K, ...) stack: the ToleranceError or DegenerateError
-    rank2_decompose raises on it, or its two terms as (coefficient, factors)
-    pairs, the factors lifted through the Tucker frames but not normalized.
+def _raise_lstsq_error(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq_stack(M: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.linalg.lstsq(M[k], y[k], rcond=None)[0] for every k of a (K, m, n)
+    stack and its (K, m) right-hand sides, as one (K, n) array: one call of
+    the batched LAPACK kernel np.linalg.lstsq wraps (its gelsd gufunc), with
+    lstsq's cutoff rcond = eps * max(m, n) and signature, so each row has
+    the bits lstsq gives it alone."""
+    m, n = M.shape[-2:]
+    complex_ = np.iscomplexobj(M) or np.iscomplexobj(y)
+    with np.errstate(call=_raise_lstsq_error, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        x = _umath_linalg.lstsq(M, y[..., None], np.finfo(np.float64).eps * max(m, n),
+                                signature="DDd->Ddid" if complex_ else "ddd->ddid")[0]
+    return x[..., 0]
+
+
+def _rank2_terms(data: np.ndarray, ranks, tol: TolerancePolicy) -> tuple:
+    """Per tensor of a (K, ...) stack the ToleranceError or DegenerateError
+    rank2_decompose raises on it, or None; then None when no tensor passes,
+    else the passing tensors' indices, their (n, 2) term coefficients and,
+    per mode, their (n, 2, n_i) factors, lifted through the Tucker frames
+    but not normalized.
 
     Each step runs on the tensors that passed the steps before it, so each
     tensor gets the first error in rank2_decompose's order. ``ranks[k]`` is
@@ -308,7 +344,7 @@ def _rank2_terms(data: np.ndarray, ranks, tol: TolerancePolicy) -> list:
         frames, state["core"], errors = tucker_stack(data, (2,) * d, ranks, tol)
         state["frames"] = frames
         if not settle(errors):
-            return outcome
+            return outcome, None
         for F in state["frames"]:
             check_orthonormal(F)
     # group modes {1}, {2}, {3..d}; compress the grouped mode back to 2
@@ -316,7 +352,7 @@ def _rank2_terms(data: np.ndarray, ranks, tol: TolerancePolicy) -> list:
     if d > 3:
         state["tail"], errors = dominant_frames(state["core"], 3, 2, None, tol)
         if not settle(errors):
-            return outcome
+            return outcome, None
         check_orthonormal(state["tail"])
         state["core"] = mode_multiply_stack(
             state["core"], [None, None, np.conj(np.swapaxes(state["tail"], 1, 2))])
@@ -324,7 +360,7 @@ def _rank2_terms(data: np.ndarray, ranks, tol: TolerancePolicy) -> list:
     state["roots"], errors = _projective_roots(
         *_pencil_coefficients(state["core"]), field, tol)
     if not settle(errors):
-        return outcome
+        return outcome, None
     # term k's first factor is root k; the pencil at the other root is rank
     # one, and its singular vectors are the term's next two factors
     other = state["roots"][:, ::-1, :, None, None]
@@ -333,14 +369,14 @@ def _rank2_terms(data: np.ndarray, ranks, tol: TolerancePolicy) -> list:
     u2, u3, errors = _rank_one_matrix_factors(pencil.reshape(-1, 2, 2))
     state["u2"], state["u3"] = u2.reshape(-1, 2, 2), u3.reshape(-1, 2, 2)
     if not settle([e0 or e1 for e0, e1 in zip(errors[0::2], errors[1::2])]):
-        return outcome
+        return outcome, None
 
     n = live.size
     u1, u2, u3 = state["roots"], state["u2"], state["u3"]
     basis = outer_stack([u1.reshape(-1, 2), u2.reshape(-1, 2),
                           u3.reshape(-1, 2)]).reshape(n, 2, -1)
-    state["lam"] = np.array([np.linalg.lstsq(B.T, y.ravel(), rcond=None)[0]
-                             for B, y in zip(basis, state["core"])])
+    state["lam"] = _lstsq_stack(np.swapaxes(basis, 1, 2),
+                                state["core"].reshape(n, -1))
     state["factors"] = [u1, u2, u3]
     if d > 3:
         # each term's trailing factor must be rank one over modes 3..d
@@ -353,7 +389,7 @@ def _rank2_terms(data: np.ndarray, ranks, tol: TolerancePolicy) -> list:
         if not settle(rejected(~(ok[0::2] & ok[1::2]), lambda k: ToleranceError(
                 "grouped trailing factor is not rank one; "
                 "input is not a rank-two tensor"))):
-            return outcome
+            return outcome, None
     state["lifted"] = [f if F is None else np.matmul(F[:, None], f[..., None])[..., 0]
                        for f, F in zip(state["factors"], state["frames"])]
 
@@ -366,9 +402,11 @@ def _rank2_terms(data: np.ndarray, ranks, tol: TolerancePolicy) -> list:
         f"rank-two reconstruction misses the input by {residual[k]:.3e} "
         "relative to norm; input is not numerically rank two"))
     for row, i in enumerate(live.tolist()):
-        outcome[i] = errors[row] or [(lam[row, k], [f[row, k] for f in lifted])
-                                     for k in (0, 1)]
-    return outcome
+        outcome[i] = errors[row]
+    kept = np.array([e is None for e in errors], dtype=bool)
+    if not kept.any():
+        return outcome, None
+    return outcome, (live[kept], lam[kept], [f[kept] for f in lifted])
 
 
 def rank2_certify(data: np.ndarray, ranks, tol: TolerancePolicy = DEFAULT_TOL) -> list:
@@ -379,8 +417,21 @@ def rank2_certify(data: np.ndarray, ranks, tol: TolerancePolicy = DEFAULT_TOL) -
     ambiguity test takes in place of reading it again."""
     if len(data) == 0:
         return []
-    return [None if isinstance(out, list) else out
-            for out in _rank2_terms(data, ranks, tol)]
+    return _rank2_terms(data, ranks, tol)[0]
+
+
+def rank2_decompositions(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
+                         ) -> list:
+    """rank2_decompose for every tensor of a (K, ...) stack, in one batched
+    pass: per tensor its two normalized terms, or the ToleranceError or
+    DegenerateError it raises, with the same message."""
+    outcome, passed = _rank2_terms(data, None, tol)
+    if passed is not None:
+        live, lam, lifted = passed
+        field = COMPLEX if np.iscomplexobj(data) else REAL
+        for i, terms in zip(live.tolist(), _normalized_terms(lam, lifted, field)):
+            outcome[i] = terms
+    return outcome
 
 
 def rank2_decompose(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL
@@ -391,14 +442,12 @@ def rank2_decompose(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL
     compress the grouped mode back to 2, solve the 2x2 slice pencil, read each
     term's first factor off a pencil root and the remaining factors off the
     rank-one matrix left by the other root, then lift through the frames.
-    The one-tensor case of rank2_certify, with the terms normalized.
+    The one-tensor case of rank2_decompositions.
 
     Real inputs in the negative-hyperdeterminant regime raise DegenerateError;
     pencil roots closer than gap_min raise ToleranceError.
     """
-    out = settled(_rank2_terms(A.data[None], None, tol)[0])
-    t1, t2 = (_normalized_term(lam, lifted, A.field) for lam, lifted in out)
-    return t1, t2
+    return settled(rank2_decompositions(A.data[None], tol)[0])
 
 
 class DecompositionCount(enum.Enum):
@@ -518,11 +567,11 @@ def brank3_conj_pairs(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> l
     its term, or the ToleranceError or DegenerateError it raises, with the
     same message."""
     out: list = []
-    for A, terms in zip(data, _rank2_terms(data.astype(np.complex128), None, tol)):
+    for A, terms in zip(data, rank2_decompositions(data.astype(np.complex128), tol)):
         if isinstance(terms, Exception):
             out.append(terms)
             continue
-        t1, t2 = (_normalized_term(lam, lifted, COMPLEX) for lam, lifted in terms)
+        t1, t2 = terms
         conj_residual = float(np.linalg.norm(
             (outer_product(t2).data - np.conj(outer_product(t1).data)).ravel()))
         if conj_residual > 1e-8 * max(float(np.linalg.norm(A.ravel())), 1e-300):

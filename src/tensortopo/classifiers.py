@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import (classify_222, conj_pair_stack, hyperdet_signs,
-                      rank2_decompose)
+                      rank2_decompositions)
 from .core import (DEFAULT_TOL, Hypermatrix, REAL,
                    SymRankDecomposition, SymTensor, TolerancePolicy, flatten,
-                   flattening_det_signs, numerical_rank, sym_diagonal_sum,
-                   sym_embed, sym_embed_stack)
+                   flattening_det_signs, numerical_rank, row_norms,
+                   sym_diagonal_sum, sym_embed_stack)
 from .errors import (ToleranceError, UnsupportedStratumError, rejected,
                      settled)
 from .stratum import StratumDescriptor
@@ -77,21 +77,42 @@ def sym_sign_rank1(S: SymTensor, tol: TolerancePolicy = DEFAULT_TOL) -> Componen
     return sign_label(phi)
 
 
+def sym_term_coefficients(decompositions: list) -> np.ndarray:
+    """The (K, r) term coefficients lambda_k |v_k|^d of K decompositions
+    with r terms each: the coefficients of their unit vectors."""
+    lam = np.array([D.coefficients for D in decompositions])
+    vectors = np.array([D.vectors for D in decompositions])
+    norms = row_norms(vectors.reshape(-1, vectors.shape[-1])).reshape(lam.shape)
+    return lam * norms ** decompositions[0].order
+
+
+def sym_signatures(coefficients: np.ndarray) -> list:
+    """sym_signature for every row of a (K, r) array of term coefficients
+    of unit vectors (sym_term_coefficients, or a symmetric term-sum path's
+    witnesses): per row its label, or the ToleranceError that refuses a
+    zero term. A term that is not a nonzero number, such as the NaN of a
+    vector of norm 0 divided by its norm, is a zero term."""
+    labels = rejected(~(np.abs(coefficients) > 0.0).all(axis=1), lambda k: ToleranceError(
+        "zero term in decomposition; signature undefined"))
+    named: dict = {}
+    for k, positive in enumerate(np.sum(coefficients > 0.0, axis=1).tolist()):
+        if labels[k] is None:
+            labels[k] = named.setdefault(positive, ComponentLabel("signature", positive))
+    return labels
+
+
 def sym_signature(D: SymRankDecomposition, tol: TolerancePolicy = DEFAULT_TOL
                   ) -> ComponentLabel:
     """Number of positive coefficients; the r+1 classes for real even order.
 
     Coefficients are read with vectors unit-normalized, which makes the signs
-    well-defined because even powers kill the vector-sign freedom.
+    well-defined because even powers kill the vector-sign freedom. The
+    one-decomposition case of sym_signatures.
     """
     if D.field != REAL or D.order % 2 != 0:
         raise UnsupportedStratumError(
             "signature classifier needs a real decomposition of even order")
-    for lam, v in zip(D.coefficients, D.vectors):
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0 or abs(lam) * nv ** D.order == 0.0:
-            raise ToleranceError("zero term in decomposition; signature undefined")
-    return ComponentLabel("signature", D.signature())
+    return settled(sym_signatures(sym_term_coefficients([D]))[0])
 
 
 def det_sign_mrank(A: Hypermatrix, mode: int,
@@ -272,31 +293,47 @@ def classify(stratum: StratumDescriptor, value,
     return kinds.kind_of(stratum).classify(stratum, value, tol)
 
 
-def _sym_rank2_witness(S: SymTensor, tol: TolerancePolicy) -> SymRankDecomposition:
-    """Recover the two-term symmetric decomposition from the embedding.
+def _sym_rank2_witnesses(packed: np.ndarray, n: int, d: int, field: str,
+                         tol: TolerancePolicy) -> list:
+    """Recover the two-term symmetric decomposition of every row of a
+    (K, L) packed stack from its embedding, with one stacked rank-two
+    decomposition: per tensor its decomposition, or the ToleranceError or
+    DegenerateError that refuses it.
 
     The rank-two decomposition of the embedded tensor is unique up to order,
     so for a symmetric input each term must itself be symmetric: all mode
     factors of a term agree up to a unit scalar (a sign over R, a phase over
     C), which moves into the coefficient.
     """
-    t1, t2 = rank2_decompose(sym_embed(S), tol)
+    return [terms if isinstance(terms, Exception) else _collinear_terms(terms, d, field)
+            for terms in rank2_decompositions(sym_embed_stack(packed, n, d), tol)]
+
+
+def _collinear_terms(terms: tuple, d: int, field: str):
+    """The SymRankDecomposition of rank-one terms whose mode factors agree
+    up to unit scalars, or the ToleranceError when some do not."""
     coefficients = []
     vectors = []
-    for term in (t1, t2):
+    for term in terms:
         base = term.factors[0]
         lam = term.scalar
         for f in term.factors[1:]:
             align = np.vdot(base, f)
             if abs(abs(align) - 1.0) > 1e-6:
-                raise ToleranceError(
+                return ToleranceError(
                     "rank-two terms of a symmetric tensor should have "
                     "collinear factors; input is not symmetric rank two")
             lam = lam * (align / abs(align))
-        coefficients.append(float(np.real(lam)) if S.field == REAL
+        coefficients.append(float(np.real(lam)) if field == REAL
                             else complex(lam))
         vectors.append(base)
-    return SymRankDecomposition(S.order, tuple(coefficients), tuple(vectors), S.field)
+    return SymRankDecomposition(d, tuple(coefficients), tuple(vectors), field)
+
+
+def _sym_rank2_witness(S: SymTensor, tol: TolerancePolicy) -> SymRankDecomposition:
+    """The two-term symmetric decomposition of S: the one-tensor case of
+    _sym_rank2_witnesses."""
+    return settled(_sym_rank2_witnesses(S.packed[None], S.dim, S.order, S.field, tol)[0])
 
 
 # The kind records are built from the invariants above, so they come last.

@@ -28,11 +28,15 @@ a stack of values that ``judge`` accepted and gives one result per value: a
 ComponentLabel, None where the kind has no invariant, or the ToleranceError
 or DegenerateError that refuses the value. By default a connected stratum's
 members are all ``single`` and others get the kind's ``invariant`` one at a
-time; three records read the whole stack at once instead: the determinant
+time; four records read the whole stack at once instead: the determinant
 sign of a saturated square multilinear rank (one slogdet), the signature of
-a real quadratic form (one eigvalsh) and the border-rank-three sign triple
+a real quadratic form (one eigvalsh), the border-rank-three sign triple
 (one 2x2 SVD, values with one triple sharing one label; ``member`` accepts
-only values below the band, so the hyperdeterminant is not read again).
+only values below the band, so the hyperdeterminant is not read again) and
+the signature of a real even-order symmetric rank, read off the (K, r)
+term coefficients of the witnesses (a term-sum grid's witnesses are that
+array; drawn values' decompositions are turned into it). Rank above one
+has no invariant, so its labels are None without a call per value.
 ``Kind.certify``, the one merge, is judge plus labels on a stack of path
 samples: the verdicts, with a refused label's sample turned not ok and the
 refusal its note, and one label per sample. ``census`` labels its draws,
@@ -42,6 +46,8 @@ is the one-tensor label of any value, member or not, through
 takes in place of values drawn without one (the conjugate-pair terms for
 border rank three, in one batched pass; None for kinds whose connector
 needs none); a census computes them once per representative, in one call.
+A connector handed no witness for either end decomposes both ends in one
+stacked call, and raises A's refusal before B's.
 
 Records call samplers, invariants and connectors through this module's
 global names at call time, so a wrapper installed here sees every call.
@@ -56,14 +62,16 @@ import numpy as np
 
 from .certify import brank3_conj_pairs, hyperdet_signs, rank2_certify
 from .classifiers import (SINGLE, _sym_matrix_signature, _sym_rank2_witness,
-                          brank3_labels, classify_brank3_222, det_sign_mrank,
+                          _sym_rank2_witnesses, brank3_labels,
+                          classify_brank3_222, det_sign_mrank,
                           mrank_saturation, sign_label, square_mode,
-                          sym_matrix_signatures, sym_sign_rank1, sym_signature)
+                          sym_matrix_signatures, sym_sign_rank1, sym_signature,
+                          sym_signatures, sym_term_coefficients)
 from .core import (COMPLEX, REAL, MultilinearRank, SymRankDecomposition,
                    flattening_det_signs, mrank_admissible, mrank_stack,
                    sym_mrank_stack)
 from .errors import (DegenerateError, TensorTopoError, ToleranceError,
-                     UnsupportedStratumError, caught, rejected)
+                     UnsupportedStratumError, caught, rejected, settled)
 from .paths import (_sym_rank1_witness, connect_brank3_222, connect_mrank,
                     connect_rank_r, connect_sym_mrank, connect_sym_rank_r)
 from .sampling import (expected_generic_mrank, fixed_mrank_draws,
@@ -167,8 +175,11 @@ class Kind:
         verdicts = self.judge(stratum, stack, tol)
         kept = np.flatnonzero(verdicts.ok)
         labels: list = [None] * len(stack)
-        got = self.labels(stratum, stack if kept.size == len(stack) else stack[kept],
-                          [witnesses[k] for k in kept.tolist()], tol)
+        if kept.size < len(stack):
+            stack = stack[kept]
+            witnesses = (witnesses[kept] if isinstance(witnesses, np.ndarray)
+                         else [witnesses[k] for k in kept.tolist()])
+        got = self.labels(stratum, stack, witnesses, tol)
         for k, label in zip(kept.tolist(), got):
             if isinstance(label, Exception):
                 verdicts.ok[k], verdicts.notes[k] = False, str(label)
@@ -214,6 +225,10 @@ class Rank(Kind):
 
     def real_components(self, stratum):
         return 1 if stratum.rank == 1 else None
+
+    def labels(self, stratum, stack, witnesses, tol):
+        # a connected stratum's one label, else no invariant at all
+        return [SINGLE if self.components(stratum) == 1 else None] * len(stack)
 
     def connect(self, stratum, a, b, witness_a, witness_b, tol, rng):
         return connect_rank_r(a, b, stratum.rank, tol, rng)
@@ -310,17 +325,50 @@ class SymRank(Kind):
         return 1 if stratum.order % 2 == 1 else stratum.rank + 1
 
     def connect(self, stratum, a, b, witness_a, witness_b, tol, rng):
-        Da = witness_a if witness_a is not None else self.witness(stratum, a, tol)
-        Db = witness_b if witness_b is not None else self.witness(stratum, b, tol)
+        # the ends handed no witness, in one call; A's refusal comes first
+        bare = [S.packed for S, w in ((a, witness_a), (b, witness_b)) if w is None]
+        found = iter(self._decompositions(stratum, np.stack(bare), tol) if bare else ())
+        Da, Db = (settled(next(found)) if w is None else w
+                  for w in (witness_a, witness_b))
         return connect_sym_rank_r(Da, Db, tol, rng)
+
+    def _decompositions(self, stratum, stack, tol) -> list:
+        """Per row of a stack of values, its witness or the error that
+        refuses it: rank two in one stacked decomposition."""
+        if stratum.rank == 2:
+            return _sym_rank2_witnesses(stack, stratum.dim, stratum.order,
+                                        stratum.field, tol)
+        out: list = []
+        for row in stack:
+            try:
+                out.append(self.witness(stratum, stratum.value(row), tol))
+            except TensorTopoError as exc:
+                out.append(exc)
+        return out
 
     def member(self, stratum, stack, ranks, tol):
         r, n = stratum.rank, stratum.dim
         return ((ranks == min(r, n)).all(axis=1),
                 ["unverifiable-exactly" if r > n else ""] * len(ranks))
 
+    def labels(self, stratum, stack, witnesses, tol):
+        if self.components(stratum) == 1 or not len(stack):
+            return super().labels(stratum, stack, witnesses, tol)
+        if stratum.field != REAL or stratum.order % 2:
+            # rank above n at odd order or over C: no invariant
+            return [None] * len(stack)
+        # the signature of the term coefficients, one array for the stack: a
+        # term-sum path's witnesses are that array, drawn values come with
+        # their decompositions
+        if not isinstance(witnesses, np.ndarray):
+            if any(w is None for w in witnesses):
+                return super().labels(stratum, stack, witnesses, tol)
+            witnesses = sym_term_coefficients(witnesses)
+        return sym_signatures(witnesses)
+
     def labelled(self, stratum, row, witness):
-        # a term-sum path's witness gives the signature without decomposing S
+        # a drawn value's decomposition gives the signature without
+        # decomposing S
         return stratum.value(row) if witness is None else witness
 
 

@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .certify import brank3_conj_pair, is_rank_one, rank2_decompose
+from .certify import brank3_conj_pairs, is_rank_one, rank2_decompositions
 from .classifiers import (ComponentLabel, brank3_labels, sign_label,
                           mrank_saturation, sym_matrix_signatures)
 from .core import (COMPLEX, DEFAULT_TOL, LOOSE_TOL, Hypermatrix, REAL,
@@ -171,7 +171,8 @@ class _Segment:
     """What the three segment families share: a stack of values from
     ``values(ss)``, whose rows the path's stratum turns into tensors
     (StratumDescriptor.value), and ``witness``, the one-point case of
-    ``witnesses``; a family without witnesses has None at every s."""
+    ``witnesses``; a family without witnesses has None at every s (a list),
+    and one with witnesses gives them as one array."""
 
     def witnesses(self, ss) -> list:
         return [None] * len(ss)
@@ -216,19 +217,17 @@ class TermSumCurve(_Segment):
             total = part if total is None else total + part
         return total.astype(dtype, copy=False)
 
-    def witnesses(self, ss) -> list:
-        """The symmetric sum at every s of ``ss`` as a decomposition, whose
-        coefficient signs give the signature; None for a dense sum."""
+    def witnesses(self, ss):
+        """The term coefficients of a symmetric sum at every s of ``ss`` as
+        one (K, r) array: term k's is sign * |w_k(s)|^order, the coefficient
+        of the unit vector w_k(s) / |w_k(s)|, so the signs give the
+        signature and a zero says the term vanishes. None at every s for a
+        dense sum."""
         if self.order is None:
             return super().witnesses(ss)
         ss = np.asarray(ss, dtype=np.float64)
-        ws = [track.at(ss) for _sign, track in self.terms]
-        norms = [row_norms(W).tolist() for W in ws]
-        return [SymRankDecomposition(
-            self.order, tuple(sign * nw[k] ** self.order
-                              for (sign, _track), nw in zip(self.terms, norms)),
-            tuple(W[k] / nw[k] for W, nw in zip(ws, norms)), self.field)
-            for k in range(len(ss))]
+        return np.stack([sign * row_norms(track.at(ss)) ** self.order
+                         for sign, track in self.terms], axis=1)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "order": self.order,
@@ -403,12 +402,20 @@ class TensorPath:
             out[rows] = part
         return out
 
-    def witnesses(self, ts) -> list:
-        """The segments' witnesses at every t of ``ts`` (see values)."""
-        out: list = [None] * len(ts)
+    def witnesses(self, ts):
+        """The segments' witnesses at every t of ``ts`` (see values): one
+        array where the segments give arrays, else a list."""
+        out = None
         for seg, rows, ss in self._by_segment(ts):
-            for i, w in zip(rows.tolist(), seg.witnesses(ss)):
-                out[i] = w
+            part = seg.witnesses(ss)
+            if out is None:
+                out = (np.empty((len(ts),) + part.shape[1:], dtype=part.dtype)
+                       if isinstance(part, np.ndarray) else [None] * len(ts))
+            if isinstance(out, np.ndarray):
+                out[rows] = part
+            else:
+                for i, w in zip(rows.tolist(), part):
+                    out[i] = w
         return out
 
     def joints(self) -> list[float]:
@@ -792,8 +799,9 @@ def connect_rank_r(A: Hypermatrix, B: Hypermatrix, r: int,
                       for k in range(2))
         return TermSumCurve("term-sum", field, terms)
 
-    terms_a = list(rank2_decompose(A, tol))
-    terms_b = list(rank2_decompose(B, tol))
+    # both ends decomposed in one stacked call; A's refusal comes first
+    terms_a, terms_b = (list(settled(terms)) for terms in
+                        rank2_decompositions(np.stack((A.data, B.data)), tol))
     return _term_sum_path(
         build, lambda: sample_rank_r(A.shape, 2, field, rng, tol)[1],
         terms_a, terms_b, stratum, tol)
@@ -993,8 +1001,8 @@ def connect_brank3_222(A: Hypermatrix, B: Hypermatrix,
     Requires equal sign-triple labels (DifferentComponents otherwise). Each
     mode's [Re | Im] factor matrix moves along a determinant-sign-preserving
     interpolation, so the hyperdeterminant stays negative at every t. An
-    endpoint's witness, when given, is its brank3_conj_pair term, which is
-    computed here otherwise.
+    endpoint's witness, when given, is its brank3_conj_pair term; the ends
+    handed none are decomposed here in one brank3_conj_pairs call.
     """
     la, lb = (settled(label) for label in
               brank3_labels(np.stack((A.data, B.data)), tol))
@@ -1005,8 +1013,11 @@ def connect_brank3_222(A: Hypermatrix, B: Hypermatrix,
         vecs = [T.scalar * T.factors[0], T.factors[1], T.factors[2]]
         return tuple(np.column_stack([np.real(x), np.imag(x)]) for x in vecs)
 
-    mats_a = factor_mats(brank3_conj_pair(A, tol) if witness_a is None else witness_a)
-    mats_b = factor_mats(brank3_conj_pair(B, tol) if witness_b is None else witness_b)
+    # the ends handed no witness, in one call; A's refusal comes first
+    bare = [X.data for X, w in ((A, witness_a), (B, witness_b)) if w is None]
+    found = iter(brank3_conj_pairs(np.stack(bare), tol) if bare else ())
+    mats_a, mats_b = (factor_mats(settled(next(found)) if w is None else w)
+                      for w in (witness_a, witness_b))
     interps = tuple(gl_interpolator(Ma, Mb)
                     for Ma, Mb in zip(mats_a, mats_b))
     seg = ConjPairSegment(interps, mats_a, mats_b)
@@ -1027,13 +1038,15 @@ def connect(stratum: StratumDescriptor, a, b, *, witness_a=None,
     Raises ToleranceError when the path does not start at ``a`` and end at
     ``b`` to within 1e-10 relative to each endpoint's norm, which a witness
     that does not rebuild its endpoint would give; otherwise records the
-    larger relative miss as the path's ``endpoint_defect``.
+    larger relative miss as the path's ``endpoint_defect``. Both ends are
+    read with one ``values([0.0, 1.0])`` call.
     """
     path = kinds.kind_of(stratum).connect(stratum, a, b, witness_a, witness_b,
                                           tol, rng)
     misses = []
-    for t, end in ((0.0, a), (1.0, b)):
-        misses.append(value_diff_norm(path.eval(t), end) / max(end.norm(), 1e-300))
+    for t, row, end in zip((0.0, 1.0), path.values([0.0, 1.0]), (a, b)):
+        misses.append(value_diff_norm(path.stratum.value(row), end)
+                      / max(end.norm(), 1e-300))
         if not misses[-1] <= _ENDPOINT_TOL:
             raise ToleranceError(
                 f"path misses its endpoint at t={t:g} by {misses[-1]:.3e} "
@@ -1099,7 +1112,10 @@ def verify_paths(paths: list, K: int | None = None,
     for (stratum, _dtype), group in groups.items():
         stack = np.concatenate([part for _path, _ts, part in group])
         group[:] = [(path, ts) for path, ts, _part in group]
-        witnesses = [w for path, ts in group for w in path.witnesses(ts)]
+        parts = [path.witnesses(ts) for path, ts in group]
+        witnesses = (np.concatenate(parts) if all(
+            isinstance(part, np.ndarray) for part in parts)
+            else [w for part in parts for w in part])
         try:
             verdicts, labels = kinds.kind_of(stratum).certify(
                 stratum, stack, witnesses, tol)

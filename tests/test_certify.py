@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from tensortopo import (COMPLEX, REAL, DegenerateError, Hypermatrix,
-                        SplitMix64, ToleranceError, hyperdet222, outer_product)
+                        SplitMix64, ToleranceError, connect, hyperdet222,
+                        outer_product, parse_stratum)
 from tensortopo.certify import (DecompositionCount, Kind222, brank3_conj_pair,
                                 classify_222, conj_pair_factors,
                                 conj_pair_stack, count_rank2_decompositions,
-                                is_rank_one, rank2_certify, rank2_decompose)
+                                is_rank_one, rank2_certify, rank2_decompose,
+                                rank2_decompositions)
 from tensortopo import certify as certify_module
-from tensortopo.core import RankOneFactors, mrank_stack
+from tensortopo.core import DEFAULT_TOL, RankOneFactors, fix_phase, mrank_stack
 
 
 def _rank_one(rng, shape, field=REAL):
@@ -328,3 +330,96 @@ def test_conj_pair_factors_refuses_a_pencil_that_vanishes():
     factors, errors = conj_pair_stack(np.stack([_conj_pair_example().data, one]))
     assert errors[0] is None and "nan" in str(errors[1])
     assert np.array_equal(factors[0], np.stack(conj_pair_factors(_conj_pair_example())))
+
+
+def test_lstsq_stack_is_lstsq_row_by_row():
+    """The one batched gelsd call of _rank2_terms gives every row the bits
+    np.linalg.lstsq gives it alone, real and complex, on full-rank,
+    rank-deficient, zero and 1e-200-scaled rows. It calls numpy's private
+    gufunc, so a numpy change that moves it fails here."""
+    gen = np.random.default_rng(40)
+    for complex_ in (False, True):
+        M = gen.standard_normal((600, 8, 2))
+        y = gen.standard_normal((600, 8))
+        if complex_:
+            M = M + 1j * gen.standard_normal(M.shape)
+            y = y + 1j * gen.standard_normal(y.shape)
+        M[1::5, :, 1] = 3.0 * M[1::5, :, 0]
+        M[2::5] *= 1e-200
+        y[3::5] *= 1e-200
+        M[4::25] = 0.0
+        got = certify_module._lstsq_stack(M, y)
+        want = np.array([np.linalg.lstsq(A, b, rcond=None)[0] for A, b in zip(M, y)])
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def _terms_bytes(terms):
+    """A decomposition's bits, or its refusal's type and message."""
+    if isinstance(terms, Exception):
+        return type(terms).__name__, str(terms)
+    return [(np.asarray(t.scalar).tobytes(), [f.tobytes() for f in t.factors])
+            for t in terms]
+
+
+def test_stacked_rank2_decompositions_are_the_one_tensor_ones():
+    """rank2_decompositions gives every tensor of a stack the terms, bit for
+    bit, or the refusal, message for message, that rank2_decompose gives
+    it alone; connect_rank_r decomposes both ends in one such call and
+    raises A's refusal before B's."""
+    rng = SplitMix64(41)
+    for field in (REAL, COMPLEX):
+        tensors = _rank2_inputs(rng, (3, 3, 3), field, 240)
+        stacked = rank2_decompositions(np.stack([A.data for A in tensors]))
+        alone = []
+        for A in tensors:
+            try:
+                alone.append(rank2_decompose(A))
+            except (ToleranceError, DegenerateError) as exc:
+                alone.append(exc)
+        assert [_terms_bytes(t) for t in stacked] == [_terms_bytes(t) for t in alone]
+        refused = [A for A, t in zip(tensors, alone) if isinstance(t, Exception)]
+        fine = [A for A, t in zip(tensors, alone) if not isinstance(t, Exception)]
+        assert len(refused) >= 2 and fine
+        st = parse_stratum(f"rank:r=2;shape=3,3,3;field={field}")
+        for a, b, blamed in ((refused[0], refused[1], refused[0]),
+                             (fine[0], refused[1], refused[1])):
+            with pytest.raises((ToleranceError, DegenerateError)) as caught:
+                connect(st, a, b)
+            assert str(caught.value) == _verdict(lambda: rank2_decompose(blamed))[1]
+
+
+def _normalized_term_reference(scalar, factors, field):
+    """One term normalized on its own, factor by factor: the loop that
+    _normalized_terms runs as array steps."""
+    for v in factors:
+        nv = np.linalg.norm(v)
+        u = v / nv
+        fixed = fix_phase(u)
+        pivot = np.nonzero(np.abs(u) > 1e-8 * np.max(np.abs(u)))[0][0]
+        phase = u[pivot] / fixed[pivot] if fixed[pivot] != 0 else 1.0
+        scalar = scalar * nv * phase
+        yield fixed
+    yield float(np.real(scalar)) if field == REAL else scalar
+
+
+def test_normalized_terms_are_each_term_normalized_alone():
+    """Every term of a stack gets the unit factors and scalar, bit for bit
+    and of the same type, that normalizing it alone gives, on orders 3 and
+    4, both fields and norms from 1e-150 to 1e150."""
+    rng = SplitMix64(42)
+    for shape in ((3, 3, 3), (2, 3, 4), (3, 2, 2, 2)):
+        for field in (REAL, COMPLEX):
+            tensors = _rank2_inputs(rng, shape, field, 200)
+            scales = 10.0 ** (300.0 * np.array([rng.random() for _ in tensors]) - 150.0)
+            data = np.stack([A.data for A in tensors]) * scales.reshape((-1,) + (1,) * len(shape))
+            _outcome, (live, lam, lifted) = certify_module._rank2_terms(data, None, DEFAULT_TOL)
+            got = certify_module._normalized_terms(lam, lifted, field)
+            assert len(live) >= 50
+            for row, terms in enumerate(got):
+                for k, term in enumerate(terms):
+                    *factors, scalar = _normalized_term_reference(
+                        lam[row, k], [f[row, k] for f in lifted], field)
+                    assert type(term.scalar) is type(scalar)
+                    assert np.asarray(term.scalar).tobytes() == np.asarray(scalar).tobytes()
+                    assert [f.tobytes() for f in term.factors] == [f.tobytes() for f in factors]

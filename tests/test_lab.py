@@ -242,15 +242,21 @@ def test_identifiability_draws_its_trials_in_one_call(monkeypatch):
 def test_pairwise_reads_each_path_end_once(monkeypatch):
     """connect measures each end's miss and records the larger one;
     pairwise_connect_experiment reports it without evaluating the path
-    again: two TensorPath.eval calls per connected pair."""
-    calls = []
-    evaluate = TensorPath.eval
+    again: one TensorPath.values([0.0, 1.0]) call per connected pair, no
+    TensorPath.eval call, and otherwise only each path's verification
+    grid."""
+    calls, evals = [], []
+    values, evaluate = TensorPath.values, TensorPath.eval
+    monkeypatch.setattr(TensorPath, "values",
+                        lambda path, ts: calls.append(list(ts)) or values(path, ts))
     monkeypatch.setattr(TensorPath, "eval",
-                        lambda path, t: calls.append(t) or evaluate(path, t))
+                        lambda path, t: evals.append(t) or evaluate(path, t))
     report = pairwise_connect_experiment(
         parse_stratum("rank:r=1;shape=3,4,5;field=real"), 3, 8, seed=4)
     assert report.passes == 3
-    assert calls == [0.0, 1.0] * 3
+    assert evals == []
+    assert calls[:3] == [[0.0, 1.0]] * 3
+    assert [len(ts) >= 8 + 2 for ts in calls[3:]] == [True] * 3
     assert 0.0 <= report.worst_endpoint_defect <= 1e-10
 
 
@@ -292,8 +298,8 @@ def test_census_decomposes_each_representative_once(monkeypatch):
         return pairs_of(data, tol)
 
     monkeypatch.setattr(kinds_module, "brank3_conj_pairs", counted)
-    monkeypatch.setattr(sys.modules["tensortopo.paths"], "brank3_conj_pair",
-                        lambda A, tol: single.append(A) or brank3_conj_pair(A, tol))
+    monkeypatch.setattr(sys.modules["tensortopo.paths"], "brank3_conj_pairs",
+                        lambda data, tol: single.append(data) or pairs_of(data, tol))
     report = census(parse_stratum("brank:r=3;shape=2,2,2;field=real"), 120, seed=21)
     assert report.within_attempts >= 40 and single == []
     (rows,) = stacked
