@@ -483,10 +483,19 @@ def conj_pair_stack(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
     of a tensor that fails mean nothing. The pencil SVDs are one batched
     call (see _rank_one_matrix_factors).
     """
+    factors, _coefficients, errors = _conj_pair_terms(data, tol)
+    return factors, errors
+
+
+def _conj_pair_terms(data: np.ndarray, tol: TolerancePolicy) -> tuple:
+    """conj_pair_stack's factors and errors, with the (K,) coefficients c
+    of the terms c x (x) y (x) z between them (zero where a tensor fails
+    before its rebuild)."""
     K = len(data)
     factors = np.zeros((K, 3, 2), dtype=np.complex128)
+    coefficients = np.zeros(K, dtype=np.complex128)
     if K == 0:
-        return factors, []
+        return factors, coefficients, []
     a, b, c = _pencil_coefficients(data)
     # a alpha^2 + b alpha beta + c beta^2 with b^2 < 4ac has the root
     # (t, a), t = -(b + i sqrt(4ac - b^2)) / 2, and its conjugate
@@ -524,6 +533,7 @@ def conj_pair_stack(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
         # not always match
         h2 = np.array([w ** 2 for w in _abs(h).tolist()])
         coef = (p - np.conj(_mul(h, p))) / (1.0 - h2)
+        coefficients[rows] = coef
         # c E in place of E, which is not needed again
         rebuilt = 2.0 * np.real(np.multiply(coef[:, None, None, None], E, out=E))
         rebuilt -= S
@@ -535,7 +545,7 @@ def conj_pair_stack(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
                 f"{residual[k]:.3e}; input is not numerically border rank three"))
         for k, e in zip(rows.tolist(), missed):
             errors[k] = e
-    return factors, errors
+    return factors, coefficients, errors
 
 
 def conj_pair_factors(A: Hypermatrix, tol: TolerancePolicy = DEFAULT_TOL

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import (classify_222, conj_pair_stack, hyperdet_signs,
+from .certify import (_conj_pair_terms, classify_222, hyperdet_signs,
                       rank2_decompositions)
-from .core import (DEFAULT_TOL, Hypermatrix, REAL,
+from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, REAL, RankOneFactors,
                    SymRankDecomposition, SymTensor, TolerancePolicy, flatten,
                    flattening_det_signs, numerical_rank, row_norms,
                    sym_diagonal_sum, sym_embed_stack)
@@ -159,21 +159,23 @@ def _not_border_rank3(A: Hypermatrix, tol: TolerancePolicy) -> ToleranceError:
         "the sign-triple label does not apply")
 
 
-def brank3_labels(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL,
-                  signs: np.ndarray | None = None) -> list:
-    """classify_brank3_222 for every tensor of a real (K, 2, 2, 2) stack,
-    with one conjugate-pair pass (certify.conj_pair_stack, one batched
-    pencil SVD): per tensor its label, or the ToleranceError it raises, with
-    the same message. ``signs`` are the stack's hyperdet_signs when the
-    caller has read them; otherwise they are read here, with one
-    hyperdet222 call. Tensors with one sign triple share one label."""
+def _brank3_read(data: np.ndarray, tol: TolerancePolicy, signs) -> tuple:
+    """The one conjugate-pair pass of brank3_labels and
+    brank3_labelled_terms: the labels (or refusals) of a real (K, 2, 2, 2)
+    stack; the indices of its rows below the band; and for those rows the
+    unit factors and coefficients of the terms whose first factor has
+    positive orientation."""
     signs = hyperdet_signs(data, tol) if signs is None else np.asarray(signs)
     below = np.flatnonzero(signs < 0)
-    factors, errors = conj_pair_stack(
+    factors, coefficients, errors = _conj_pair_terms(
         data if below.size == len(data) else data[below], tol)
     areas = orientation_area(factors.reshape(-1, 2)).reshape(-1, 3)
     # the conjugate term, whose first factor has positive orientation
-    areas = np.where(areas[:, :1] < 0, -areas, areas)
+    conjugate = areas[:, 0] < 0
+    if conjugate.any():
+        areas[conjugate] *= -1.0
+        factors[conjugate] = np.conj(factors[conjugate])
+        coefficients[conjugate] = np.conj(coefficients[conjugate])
     products = areas[:, [0, 0, 1]] * areas[:, [1, 2, 2]]
     triples = (products > 0) @ np.array([4, 2, 1])
     labels = rejected(signs >= 0, lambda k: _not_border_rank3(Hypermatrix(data[k], REAL), tol))
@@ -184,6 +186,33 @@ def brank3_labels(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL,
         if error is None and triple not in named:
             named[triple] = sign_triple_label(*products[row])
         labels[k] = error or named[triple]
+    return labels, below, factors, coefficients
+
+
+def brank3_labels(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL,
+                  signs: np.ndarray | None = None) -> list:
+    """classify_brank3_222 for every tensor of a real (K, 2, 2, 2) stack,
+    with one conjugate-pair pass (certify.conj_pair_stack, one batched
+    pencil SVD): per tensor its label, or the ToleranceError it raises, with
+    the same message. ``signs`` are the stack's hyperdet_signs when the
+    caller has read them; otherwise they are read here, with one
+    hyperdet222 call. Tensors with one sign triple share one label."""
+    return _brank3_read(data, tol, signs)[0]
+
+
+def brank3_labelled_terms(data: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
+                          ) -> list:
+    """Per tensor of a real (K, 2, 2, 2) stack, from the one conjugate-pair
+    pass of brank3_labels: its label and the complex rank-one term
+    T = c x (x) y (x) z with A = T + conj(T) whose first factor has positive
+    orientation (x, y, z unit, c the fitted coefficient), as a pair, or the
+    ToleranceError that refuses its label. These are the witnesses
+    connect_brank3_222 takes."""
+    labels, below, factors, coefficients = _brank3_read(data, tol, None)
+    for row, k in enumerate(below.tolist()):
+        if not isinstance(labels[k], Exception):
+            labels[k] = (labels[k], RankOneFactors(
+                complex(coefficients[row]), tuple(factors[row]), COMPLEX))
     return labels
 
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (DEFAULT_TOL, LOOSE_TOL, Hypermatrix, SymTensor,
                    TolerancePolicy, _ranks, fix_phase, flatten_stack,
@@ -224,17 +223,27 @@ def tucker_stack(data: np.ndarray, ranks: tuple[int, ...], mode_ranks,
 
     ``mode_ranks`` is the (K, d) multilinear rank read of the stack, or
     None to read it here (see dominant_frames).
+
+    A mode whose flattening stack, rank and rank read equal mode 1's, as
+    every mode of an embedded symmetric tensor's does, takes mode 1's
+    frames without a second SVD: the same matrices give the same frames
+    and, after mode 1's, no new error.
     """
     K = data.shape[0]
     if len(ranks) != data.ndim - 1:
         raise ValueError("need one rank per mode")
+    reads = None if mode_ranks is None else np.asarray(mode_ranks)
     errors = [None] * K
     frames = []
+    first = flatten_stack(data, 1)
     for m, r in enumerate(ranks):
+        if (m and r == ranks[0] and data.shape[m + 1] == data.shape[1]
+                and (reads is None or np.array_equal(reads[:, m], reads[:, 0]))
+                and np.array_equal(flatten_stack(data, m + 1), first)):
+            frames.append(frames[0])
+            continue
         F, found = dominant_frames(
-            data, m + 1, r,
-            None if mode_ranks is None else np.asarray(mode_ranks)[:, m].tolist(),
-            tol)
+            data, m + 1, r, None if reads is None else reads[:, m].tolist(), tol)
         errors = [e or new for e, new in zip(errors, found)]
         frames.append(F)
     core = mode_multiply_stack(data, [np.conj(np.swapaxes(F, 1, 2)) for F in frames])
@@ -311,6 +320,8 @@ def so_rotation_path(Q: np.ndarray):
     matrices come back stacked along a first axis, as do those of
     orthogonal_interpolator and gl_interpolator.
     """
+    import scipy.linalg  # here alone, so a run that takes no Schur form never loads scipy
+
     r = Q.shape[0]
     if np.max(np.abs(Q @ Q.T - np.eye(r))) > 1e-10 or np.linalg.det(Q) < 0:
         raise ValueError("so_rotation_path needs a special orthogonal matrix")

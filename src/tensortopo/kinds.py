@@ -43,11 +43,14 @@ refusal its note, and one label per sample. ``census`` labels its draws,
 which the sampler judged members, with one ``labels`` call. ``classify``
 is the one-tensor label of any value, member or not, through
 ``invariant``. ``Kind.witnesses`` gives the decompositions ``connect``
-takes in place of values drawn without one (the conjugate-pair terms for
-border rank three, in one batched pass; None for kinds whose connector
-needs none); a census computes them once per representative, in one call.
-A connector handed no witness for either end decomposes both ends in one
-stacked call, and raises A's refusal before B's.
+takes in place of values drawn without one (None for kinds whose
+connector needs none); a census computes them once per representative, in
+one call. For border rank three a witness is a labelled term: the label
+and the conjugate-pair term from the same closed-form pencil pass that
+``labels`` makes (classifiers.brank3_labelled_terms), so its connector
+neither labels nor decomposes an end it is handed. A connector handed no
+witness for either end decomposes (and for border rank three labels) both
+ends in one stacked call, and raises A's refusal before B's.
 
 Records call samplers, invariants and connectors through this module's
 global names at call time, so a wrapper installed here sees every call.
@@ -60,10 +63,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .certify import brank3_conj_pairs, hyperdet_signs, rank2_certify
+from .certify import hyperdet_signs, rank2_certify
 from .classifiers import (SINGLE, _sym_matrix_signature, _sym_rank2_witness,
-                          _sym_rank2_witnesses, brank3_labels,
-                          classify_brank3_222, det_sign_mrank,
+                          _sym_rank2_witnesses, brank3_labelled_terms,
+                          brank3_labels, classify_brank3_222, det_sign_mrank,
                           mrank_saturation, sign_label, square_mode,
                           sym_matrix_signatures, sym_sign_rank1, sym_signature,
                           sym_signatures, sym_term_coefficients)
@@ -265,9 +268,9 @@ class BorderRank3(Rank):
         return 4 if stratum.kind == "brank" else None
 
     def witnesses(self, stratum, stack, tol):
-        # the conjugate-pair terms connect_brank3_222 moves
+        # the labelled conjugate-pair terms connect_brank3_222 moves
         return [None if isinstance(w, TensorTopoError) else w
-                for w in brank3_conj_pairs(stack, tol)]
+                for w in brank3_labelled_terms(stack, tol)]
 
     def connect(self, stratum, a, b, witness_a, witness_b, tol, rng):
         return connect_brank3_222(a, b, tol, witness_a, witness_b)

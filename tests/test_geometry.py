@@ -10,9 +10,11 @@ from tensortopo import (COMPLEX, REAL, GrassmannGeodesic, GrassmannPoint,
                         mode_multiply, orthogonal_interpolator,
                         random_orthogonal, sym_power, sym_tucker_compress,
                         sym_tucker_expand, tucker_compress, tucker_expand)
-from tensortopo.core import flattening_det_signs, mrank_admissible, sym_mrank_stack
-from tensortopo.geometry import (flip_exponent, principal_angles, so_rotation_path,
-                                 sym_tucker_stack)
+from tensortopo import geometry as geometry_module
+from tensortopo.core import (flattening_det_signs, mrank_admissible, sym_embed_stack,
+                             sym_mrank_stack)
+from tensortopo.geometry import (dominant_frames, flip_exponent, principal_angles,
+                                 so_rotation_path, sym_tucker_stack, tucker_stack)
 from tensortopo.paths import chebyshev_grid
 from tensortopo.sampling import sample_sym_mrank
 
@@ -188,6 +190,28 @@ def test_sym_tucker_stack_rows_match_sym_tucker_compress(field, d):
         frame, one = sym_tucker_compress(S, 2)
         assert np.array_equal(F, frame.frame)
         assert np.array_equal(core, one.packed)
+
+
+@pytest.mark.parametrize("d,n", [(3, 4), (4, 4), (4, 3)])
+def test_tucker_stack_takes_one_frame_for_a_symmetric_tensor(monkeypatch, d, n):
+    """Every flattening of an embedded symmetric tensor is the same matrix,
+    so tucker_stack reads mode 1's frames once and gives every mode those
+    bits, the frames dominant_frames gives each mode alone; a tensor that
+    is not symmetric still reads every mode."""
+    rng = SplitMix64(54)
+    packed = np.stack([sample_sym_mrank(n, d, 2, REAL, rng).packed for _ in range(5)])
+    data = sym_embed_stack(packed, n, d)
+    alone = [dominant_frames(data, m + 1, 2, None)[0] for m in range(d)]
+    modes = []
+    real = geometry_module.dominant_frames
+    monkeypatch.setattr(geometry_module, "dominant_frames",
+                        lambda data, mode, *args: modes.append(mode) or real(data, mode, *args))
+    frames, _core, errors = tucker_stack(data, (2,) * d, None)
+    assert modes == [1] and errors == [None] * 5
+    assert all(np.array_equal(F, want) for F, want in zip(frames, alone))
+    modes.clear()
+    tucker_stack(data + 1e-3 * rng.normals(data.shape), (n,) * d, None)
+    assert modes == list(range(1, d + 1))
 
 
 def test_so_rotation_path_endpoints_and_orthogonality():

@@ -347,7 +347,7 @@ def test_connect_decomposes_both_bare_ends_in_one_call(monkeypatch):
     cases = [("rank:r=2;shape=3,3,3;field=real", paths_module, "rank2_decompositions"),
              ("sym-rank:d=4;n=4;r=2;field=real", kinds_module, "_sym_rank2_witnesses"),
              ("sym-rank:d=3;n=4;r=2;field=real", kinds_module, "_sym_rank2_witnesses"),
-             ("brank:r=3;shape=2,2,2;field=real", paths_module, "brank3_conj_pairs")]
+             ("brank:r=3;shape=2,2,2;field=real", paths_module, "brank3_labelled_terms")]
     for text, module, name in cases:
         st = parse_stratum(text)
         kind = kind_of(st)

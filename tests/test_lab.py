@@ -239,6 +239,19 @@ def test_identifiability_draws_its_trials_in_one_call(monkeypatch):
     assert report.unique == 12
 
 
+def test_identifiability_decomposes_its_draws_in_one_call(monkeypatch):
+    """All draws go to one stacked rank2_decompositions call; no draw is
+    counted alone."""
+    calls = []
+    real = lab_module.rank2_decompositions
+    monkeypatch.setattr(lab_module, "rank2_decompositions",
+                        lambda data, *args: calls.append(len(data)) or real(data, *args))
+    monkeypatch.setattr(lab_module, "count_rank2_decompositions", None)
+    report = identifiability_experiment((3, 3, 3), 12, seed=5)
+    assert calls == [12]
+    assert (report.unique, report.degenerate, report.orderings) == (12, 0, [2])
+
+
 def test_pairwise_reads_each_path_end_once(monkeypatch):
     """connect measures each end's miss and records the larger one;
     pairwise_connect_experiment reports it without evaluating the path
@@ -287,18 +300,19 @@ def test_census_paths_verify_together_as_alone(monkeypatch, text, trials, seed):
 
 
 def test_census_decomposes_each_representative_once(monkeypatch):
-    """A border-rank-three census computes the conjugate-pair witness of
-    each representative at most once, all in one stacked call, and hands
-    them to the connector, which then decomposes no endpoint itself."""
+    """A border-rank-three census computes the labelled conjugate-pair
+    witness of each representative at most once, all in one stacked call,
+    and hands them to the connector, which then labels and decomposes no
+    endpoint itself."""
     stacked, single = [], []
-    pairs_of = kinds_module.brank3_conj_pairs
+    pairs_of = kinds_module.brank3_labelled_terms
 
     def counted(data, tol):
         stacked.append([A.tobytes() for A in data])
         return pairs_of(data, tol)
 
-    monkeypatch.setattr(kinds_module, "brank3_conj_pairs", counted)
-    monkeypatch.setattr(sys.modules["tensortopo.paths"], "brank3_conj_pairs",
+    monkeypatch.setattr(kinds_module, "brank3_labelled_terms", counted)
+    monkeypatch.setattr(sys.modules["tensortopo.paths"], "brank3_labelled_terms",
                         lambda data, tol: single.append(data) or pairs_of(data, tol))
     report = census(parse_stratum("brank:r=3;shape=2,2,2;field=real"), 120, seed=21)
     assert report.within_attempts >= 40 and single == []

@@ -1,4 +1,6 @@
 import hashlib
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -14,14 +16,16 @@ from tensortopo import (COMPLEX, REAL, DifferentComponents, Hypermatrix,
                         path_verify, sample_fixed_mrank, sample_rank_r,
                         sample_sym_mrank, sample_sym_rank_r, sym_embed,
                         sym_power, sym_tucker_compress)
+import tensortopo
 from tensortopo.classifiers import classify, classify_brank3_222
-from tensortopo.core import RankOneFactors
+from tensortopo.core import DEFAULT_TOL, RankOneFactors
 from tensortopo.io import dumps_canonical
 from tensortopo.kinds import Kind, kind_of
 from tensortopo import paths as paths_module
-from tensortopo.paths import (TensorPath, TuckerCurve, chebyshev_grid,
-                              eigen_core_track, gl_core_track,
+from tensortopo.paths import (ConjPairSegment, TensorPath, TuckerCurve,
+                              chebyshev_grid, eigen_core_track, gl_core_track,
                               value_diff_norm)
+from tensortopo.rng import derive_seed
 
 GRID = np.linspace(0.0, 1.0, 17)
 
@@ -271,6 +275,119 @@ def test_brank3_cross_label_refused():
     assert not info.value.conjectural
     assert {str(info.value.label_a), str(info.value.label_b)} == \
         {"sign-triple:+++", "sign-triple:-+-"}
+
+
+def test_brank3_band_census_is_consistent():
+    """The census whose trial-29 to trial-32 path once dipped into the
+    boundary band (Delta / ||A||^4 down to -5.5e-11) is consistent, and that
+    path stays below -1e-10 at every one of 2001 points."""
+    seed = 7282308498411798183
+    st = parse_stratum("brank:r=3;shape=2,2,2;field=real")
+    report = census(st, 200, seed)
+    assert report.verdict == "consistent"
+    assert report.within_attempts == report.within_passes == 76
+    (a, _), (b, _) = kind_of(st).draws(
+        st, [SplitMix64(derive_seed(seed, i)) for i in (29, 32)], DEFAULT_TOL)
+    path = connect(st, a, b)
+    values = path.values(np.linspace(0.0, 1.0, 2001))
+    ratio = hyperdet222(values) / np.linalg.norm(values.reshape(-1, 8), axis=1) ** 4
+    assert ratio.max() < -1e-10
+
+
+def _conj_pair_mats(rng):
+    """The [Re x_i | Im x_i] matrices of three random complex 2-vectors."""
+    x = rng.normals((3, 2)) + 1j * rng.normals((3, 2))
+    return tuple(np.column_stack([v.real, v.imag]) for v in x)
+
+
+def _conj_pair_segments(seed, count):
+    """ConjPairSegments between random conjugate pairs whose mode matrices
+    have equal determinant signs at both ends."""
+    rng = SplitMix64(seed)
+    out = []
+    for _ in range(count):
+        m0, m1 = _conj_pair_mats(rng), _conj_pair_mats(rng)
+        m1 = tuple(M1 if np.linalg.det(M0) * np.linalg.det(M1) > 0 else M1[:, ::-1]
+                   for M0, M1 in zip(m0, m1))
+        out.append(ConjPairSegment(m0, m1))
+    return out
+
+
+def test_conj_pair_closed_form_keeps_ends_signs_and_the_short_arc():
+    """The closed form rebuilds both ends' mode matrices to 1e-12 relative,
+    keeps each mode's determinant sign on a dense grid, and after the
+    short-arc flips the V turns sum to at most pi/2 in size."""
+    ss = np.linspace(0.0, 1.0, 2001)
+    sums = []
+    for seg in _conj_pair_segments(71, 200):
+        ends = seg.mode_matrices([0.0, 1.0])
+        for got, want in zip(ends, (seg.mats0, seg.mats1)):
+            want = np.array(want)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        dets = np.linalg.det(seg.mode_matrices(ss))
+        assert (np.sign(dets) == np.sign(np.linalg.det(np.array(seg.mats0)))).all()
+        sums.append(seg.v_turns.sum())
+    assert np.abs(sums).max() <= np.pi / 2
+    # the raw turns of independent ends would sum past pi/2 about half the time
+    assert np.abs(sums).max() > 1.0
+
+
+def test_conj_pair_margin_identity():
+    """Along conj-pair segments, Delta(A) / ||A||^4 is
+    -1/4 prod rho_i^2 / (1 + cos(2 sum beta_i) prod sqrt(1 - rho_i^2))^2,
+    read off each mode matrix's SVD M_i = U_i S_i R(beta_i)^T. It holds to
+    1e-9 relative where |Delta| / ||A||^4 >= 1e-6; below that, the rounding
+    of hyperdet222's cancelling terms (about eps ||A||^4) dominates, and it
+    holds to 1e-14 absolute."""
+    ss = np.linspace(0.0, 1.0, 41)
+    for seg in _conj_pair_segments(72, 40):
+        M = seg.mode_matrices(ss)
+        values = seg.values(ss)
+        _U, s, Vh = np.linalg.svd(M)
+        V = np.swapaxes(Vh, -1, -2)
+        V[np.linalg.det(V) < 0, :, 1] *= -1.0
+        beta = np.arctan2(V[..., 1, 0], V[..., 0, 0])
+        rho = 2.0 * s[..., 0] * s[..., 1] / (s[..., 0] ** 2 + s[..., 1] ** 2)
+        identity = -0.25 * np.prod(rho ** 2, axis=1) / (
+            1.0 + np.cos(2.0 * beta.sum(axis=1)) * np.prod(np.sqrt(1.0 - rho ** 2), axis=1)) ** 2
+        ratio = hyperdet222(values) / np.linalg.norm(values.reshape(-1, 8), axis=1) ** 4
+        assert np.abs(identity - ratio).max() <= 1e-14
+        clear = np.abs(ratio) >= 1e-6
+        assert (np.abs(identity - ratio)[clear] <= 1e-9 * np.abs(ratio[clear])).all()
+
+
+def test_border_rank_three_paths_never_load_scipy():
+    """scipy is imported only for a Schur form: a border-rank-three connect
+    and path_verify leave it unloaded, and a saturated-square
+    multilinear-rank connect (a gl_core_track) loads it."""
+    code = """
+import sys
+import tensortopo as tt
+from tensortopo.kinds import kind_of
+
+def same_label_pair(text, seed):
+    st = tt.parse_stratum(text)
+    kind, rng = kind_of(st), tt.SplitMix64(seed)
+    a, _ = kind.draws(st, [rng], tt.DEFAULT_TOL)[0]
+    while True:
+        b, _ = kind.draws(st, [rng], tt.DEFAULT_TOL)[0]
+        la, lb = kind.labels(st, st.stack([a, b]), [None] * 2, tt.DEFAULT_TOL)
+        if la == lb:
+            return st, a, b
+
+st, a, b = same_label_pair("brank:r=3;shape=2,2,2;field=real", 5)
+assert tt.path_verify(tt.connect(st, a, b)).passed
+assert "scipy" not in sys.modules, "border rank three loaded scipy"
+st, a, b = same_label_pair("mrank:r=4,2,2;shape=4,2,2;field=real", 9)
+tt.connect(st, a, b, rng=tt.SplitMix64(10))
+assert "scipy" in sys.modules, "a saturated-square connect did not load scipy"
+"""
+    root = os.path.dirname(os.path.dirname(tensortopo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 # --- multilinear rank --------------------------------------------------------
@@ -697,7 +814,9 @@ def test_segment_families_keep_kinds_and_witnesses(name):
 # SHA-256 of each family path's path_verify grid (its values stacked in t
 # order) and of its canonical report, recorded when the grid was still
 # evaluated one sample at a time, and of its canonical path document,
-# recorded when tracks were still tagged tuples.
+# recorded when tracks were still tagged tuples. The brank3 entry was
+# recorded anew when the conjugate-pair segment became a closed form with
+# the short-arc rule and its end factors came from the labelled-term pass.
 FAMILY_GRID_DIGESTS = {
     "rank-one": ("ff8b28cbd25b0aec755fa8ab25e70d6c9035ad3a65e704bda99085713de1dac5",
                  "48f90068cc9dce570c1039cc6c02765caaae80bd6c379c4b109288bb1c765921",
@@ -717,9 +836,9 @@ FAMILY_GRID_DIGESTS = {
     "sym-mrank-order-2": ("b4ed000d0ae940b6bc9b0b6ae15fb3c548de76f9a2268ea26d4d6d990a9f5ec3",
                           "3bc3b6d33f3412f7d45a06b6038e737eb72100544ffbf4fb3b13b10e8e71ada4",
                           "eda07b3e358a6a5b161f65684755b63a82aa0613800018f9e9d1bdd9ea4cfeb5"),
-    "brank3": ("07666e3092c2f20729753ba16c014ed3ea4b9d628d22bd29027aedf1d9fc2c45",
-               "6724ec2f40271a86f8edca795e45fe7382b13acf0453850dfa5555ad7be50fd2",
-               "a29f647770bbb0c086b0fa9355b337fe77cfdf4561f9eda784525e61a3e7090d"),
+    "brank3": ("3a897cfbe50bb65f713d43a78c4afc05d0b917ae320a13822b348952e5b35a1b",
+               "0c677604b5fbab205d04e1b5d6d7449a27c75eb8da5427d7fdf072bfbd333d14",
+               "af17227523efc1f500bc3596afedd7f3f8fa820565b6a0a52d06f3e3f10c8a20"),
 }
 
 
