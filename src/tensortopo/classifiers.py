@@ -15,9 +15,9 @@ import numpy as np
 from .certify import (_conj_pair_terms, classify_222, hyperdet_signs,
                       rank2_decompositions)
 from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, REAL, RankOneFactors,
-                   SymRankDecomposition, SymTensor, TolerancePolicy, flatten,
-                   flattening_det_signs, numerical_rank, row_norms,
-                   sym_diagonal_sum, sym_embed_stack)
+                   SymRankDecomposition, SymTensor, TolerancePolicy,
+                   _sym_index_tables, flatten, flattening_det_signs,
+                   numerical_rank, row_norms, sym_embed_stack)
 from .errors import (ToleranceError, UnsupportedStratumError, rejected,
                      settled)
 from .stratum import StratumDescriptor
@@ -64,17 +64,33 @@ def sym_sign_rank1(S: SymTensor, tol: TolerancePolicy = DEFAULT_TOL) -> Componen
 
     The diagonal sum of lambda * v^(x d) is lambda * sum(v_i^d), and the sum
     of even powers of a nonzero vector is strictly positive, so the sign is
-    the sign of lambda and never vanishes on the stratum.
+    the sign of lambda and never vanishes on the stratum. The one-tensor
+    case of sym_signs_rank1.
     """
     if S.field != REAL or S.order % 2 != 0:
         raise UnsupportedStratumError(
             "diagonal-sum sign classifier needs a real symmetric tensor of even order")
-    phi = float(sym_diagonal_sum(S))
-    if abs(phi) <= tol.eps_rel * max(S.norm(), 1e-300):
-        raise ToleranceError(
-            f"diagonal sum {phi:.3e} vanishes within tolerance; "
-            "input is not in the rank-one stratum")
-    return sign_label(phi)
+    return settled(sym_signs_rank1(S.packed[None], S.dim, S.order, tol)[0])
+
+
+def sym_signs_rank1(packed: np.ndarray, n: int, d: int,
+                    tol: TolerancePolicy = DEFAULT_TOL) -> list:
+    """sym_sign_rank1 for every row of a real (K, L) packed stack of order
+    d, with one gather of the diagonal entries: per tensor its label, or the
+    ToleranceError that refuses a diagonal sum within eps_rel ||S|| of 0.
+    Each sum adds the diagonal entries in index order, as sym_diagonal_sum
+    adds them."""
+    _, position, weights = _sym_index_tables(n, d)
+    diagonal = packed[:, position[np.arange(n) * sum(n ** k for k in range(d))]]
+    phi = 0.0
+    for column in diagonal.T:
+        phi = phi + column
+    norms = np.sqrt(np.sum(weights * np.abs(packed) ** 2, axis=1))
+    labels = rejected(np.abs(phi) <= tol.eps_rel * np.maximum(norms, 1e-300),
+                      lambda k: ToleranceError(
+                          f"diagonal sum {phi[k]:.3e} vanishes within tolerance; "
+                          "input is not in the rank-one stratum"))
+    return [label or sign_label(x) for label, x in zip(labels, phi.tolist())]
 
 
 def sym_term_coefficients(decompositions: list) -> np.ndarray:
@@ -277,13 +293,6 @@ def sym_matrix_signatures(packed: np.ndarray, n: int, r: int,
     return labels
 
 
-def _sym_matrix_signature(S: SymTensor, r: int,
-                          tol: TolerancePolicy) -> ComponentLabel:
-    """Signature of a rank-r symmetric matrix: the one-matrix case of
-    sym_matrix_signatures."""
-    return settled(sym_matrix_signatures(S.packed[None], S.dim, r, tol)[0])
-
-
 def mrank_saturation(stratum: StratumDescriptor) -> str:
     """One of "none", "saturated-square", "mixed" for a real mrank stratum.
 
@@ -312,14 +321,29 @@ def square_mode(stratum: StratumDescriptor) -> int | None:
 
 def classify(stratum: StratumDescriptor, value,
              tol: TolerancePolicy = DEFAULT_TOL) -> ComponentLabel:
-    """Component label from the stratum's record (see kinds.py).
+    """Component label from the stratum's record (see kinds.py): its judge
+    and labels on a one-value stack.
 
-    ``value`` is the tensor (Hypermatrix or SymTensor); strata whose
-    invariant needs a decomposition witness accept a SymRankDecomposition.
-    Strata the underlying results leave unclassified raise
-    UnsupportedStratumError rather than guessing.
+    ``value`` is the tensor (Hypermatrix or SymTensor) of the stratum's
+    form (ValueError otherwise); a SymRankDecomposition is judged as its
+    tensor and labelled with itself as the witness. A value the judge
+    refuses raises ToleranceError naming the stratum and the judge's note,
+    a refused label raises its refusal, and a stratum without a component
+    invariant raises UnsupportedStratumError rather than guessing.
     """
-    return kinds.kind_of(stratum).classify(stratum, value, tol)
+    witness = value if isinstance(value, SymRankDecomposition) else None
+    stack = stratum.stack([value if witness is None else value.tensor()])
+    kind = kinds.kind_of(stratum)
+    verdicts = kind.judge(stratum, stack, tol)
+    if not verdicts.ok[0]:
+        note = verdicts.notes[0]
+        raise ToleranceError(
+            f"not a member of {stratum}: flattening ranks "
+            f"{tuple(verdicts.ranks[0].tolist())}" + (f"; {note}" if note else ""))
+    (label,) = kind.labels(stratum, stack, [witness], tol)
+    if label is None:
+        raise UnsupportedStratumError(f"no component invariant for {stratum}")
+    return settled(label)
 
 
 def _sym_rank2_witnesses(packed: np.ndarray, n: int, d: int, field: str,

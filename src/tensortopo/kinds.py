@@ -27,32 +27,34 @@ A record labels its members in one stacked step too. ``Kind.labels`` takes
 a stack of values that ``judge`` accepted and gives one result per value: a
 ComponentLabel, None where the kind has no invariant, or the ToleranceError
 or DegenerateError that refuses the value. By default a connected stratum's
-members are all ``single`` and others get the kind's ``invariant`` one at a
-time; four records read the whole stack at once instead: the determinant
-sign of a saturated square multilinear rank (one slogdet), the signature of
-a real quadratic form (one eigvalsh), the border-rank-three sign triple
-(one 2x2 SVD, values with one triple sharing one label; ``member`` accepts
-only values below the band, so the hyperdeterminant is not read again) and
-the signature of a real even-order symmetric rank, read off the (K, r)
-term coefficients of the witnesses (a term-sum grid's witnesses are that
-array; drawn values' decompositions are turned into it). Rank above one
-has no invariant, so its labels are None without a call per value.
+members are all ``single`` and others have no invariant (None); five
+records read the whole stack at once instead: the determinant sign of a
+saturated square multilinear rank (one slogdet), the signature of a real
+quadratic form (one eigvalsh), the sign of the diagonal sum of a real
+even-order symmetric multilinear rank one (one gather), the
+border-rank-three sign triple (one 2x2 SVD, values with one triple sharing
+one label; ``member`` accepts only values below the band, so the
+hyperdeterminant is not read again) and the signature of a real even-order
+symmetric rank, read off the (K, r) term coefficients of the witnesses (a
+term-sum grid's witnesses are that array; drawn values' decompositions are
+turned into it, and values without one are decomposed in one call).
 ``Kind.certify``, the one merge, is judge plus labels on a stack of path
 samples: the verdicts, with a refused label's sample turned not ok and the
 refusal its note, and one label per sample. ``census`` labels its draws,
-which the sampler judged members, with one ``labels`` call. ``classify``
-is the one-tensor label of any value, member or not, through
-``invariant``. ``Kind.witnesses`` gives the decompositions ``connect``
-takes in place of values drawn without one (None for kinds whose
-connector needs none); a census computes them once per representative, in
-one call. For border rank three a witness is a labelled term: the label
-and the conjugate-pair term from the same closed-form pencil pass that
-``labels`` makes (classifiers.brank3_labelled_terms), so its connector
-neither labels nor decomposes an end it is handed. A connector handed no
-witness for either end decomposes (and for border rank three labels) both
-ends in one stacked call, and raises A's refusal before B's.
+which the sampler judged members, with one ``labels`` call, and
+``classify`` is judge plus labels on a one-value stack, so a value the
+judge refuses gets no label. ``Kind.witnesses`` gives the decompositions
+``connect`` takes in place of values drawn without one (None for kinds
+whose connector needs none); a census computes them once per
+representative, in one call. For border rank three a witness is a labelled
+term: the label and the conjugate-pair term from the same closed-form
+pencil pass that ``labels`` makes (classifiers.brank3_labelled_terms), so
+its connector neither labels nor decomposes an end it is handed. A
+connector handed no witness for either end decomposes (and for border rank
+three labels) both ends in one stacked call, and raises A's refusal before
+B's.
 
-Records call samplers, invariants and connectors through this module's
+Records call samplers, label reads and connectors through this module's
 global names at call time, so a wrapper installed here sees every call.
 """
 
@@ -64,12 +66,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .certify import hyperdet_signs, rank2_certify
-from .classifiers import (SINGLE, _sym_matrix_signature, _sym_rank2_witness,
-                          _sym_rank2_witnesses, brank3_labelled_terms,
-                          brank3_labels, classify_brank3_222, det_sign_mrank,
-                          mrank_saturation, sign_label, square_mode,
-                          sym_matrix_signatures, sym_sign_rank1, sym_signature,
-                          sym_signatures, sym_term_coefficients)
+from .classifiers import (SINGLE, _sym_rank2_witnesses, brank3_labelled_terms,
+                          brank3_labels, mrank_saturation, sign_label,
+                          square_mode, sym_matrix_signatures, sym_signatures,
+                          sym_signs_rank1, sym_term_coefficients)
 from .core import (COMPLEX, REAL, MultilinearRank, SymRankDecomposition,
                    flattening_det_signs, mrank_admissible, mrank_stack,
                    sym_mrank_stack)
@@ -82,27 +82,21 @@ from .sampling import (expected_generic_mrank, fixed_mrank_draws,
 
 
 class Kind:
-    """Answers shared by every kind, which supplies draws, invariant,
-    real_components, connect and member. Over C a stratum is connected
-    unless its kind claims no count, and a connected stratum has the one
-    label ``single``.
+    """Answers shared by every kind, which supplies draws, real_components,
+    connect and member. Over C a stratum is connected unless its kind claims
+    no count, and a connected stratum has the one label ``single``.
 
     ``draws(stratum, rngs, tol)`` draws one member per generator, all in
     lockstep (see ``sampling``): per generator ``(value, witness)``, or the
     error that ended its stream. A witness is a decomposition that
-    ``classify`` and ``connect`` take in place of the value; kinds without
-    one give None.
+    ``labels`` and ``connect`` take beside the value; kinds without one give
+    None.
 
     ``member(stratum, stack, ranks, tol)``, the kind's one membership rule,
     gives ``(ok, notes)`` for a stack: a (K,) mask and one note per value,
     ``ranks`` being the stack's (K, d) flattening ranks; ``judge`` is its
     one caller.
     """
-
-    def classify(self, stratum, value, tol):
-        if self.components(stratum) == 1:
-            return SINGLE
-        return self.invariant(stratum, value, tol)
 
     def components(self, stratum) -> int | None:
         if stratum.field == COMPLEX:
@@ -124,11 +118,6 @@ class Kind:
         connector needs none, and for a value whose decomposition is
         refused (``connect`` raises that refusal itself)."""
         return [None] * len(stack)
-
-    def labelled(self, stratum, row, witness):
-        """What ``invariant`` labels at a path sample: the value the row of
-        the grid stands for."""
-        return stratum.value(row)
 
     def judge(self, stratum, stack, tol) -> Verdicts:
         """The verdicts on a stack of the stratum's values: its flattening
@@ -154,20 +143,12 @@ class Kind:
     def labels(self, stratum, stack, witnesses: list, tol) -> list:
         """One label per value of a stack of members that ``judge``
         accepted, ``witnesses[k]`` being the witness of ``stack[k]``: a
-        ComponentLabel, None where the kind has no invariant, or the
-        ToleranceError or DegenerateError that refuses the value."""
-        if self.components(stratum) == 1:
-            return [SINGLE] * len(stack)
-        out = []
-        for row, witness in zip(stack, witnesses):
-            try:
-                out.append(self.invariant(
-                    stratum, self.labelled(stratum, row, witness), tol))
-            except UnsupportedStratumError:
-                out.append(None)
-            except (ToleranceError, DegenerateError) as exc:
-                out.append(exc)
-        return out
+        ComponentLabel, None where the kind has no invariant, or the error
+        that refuses the value (ToleranceError or DegenerateError, or
+        UnsupportedStratumError for a symmetric value of rank above two
+        given without its decomposition). By default ``single`` for a
+        connected stratum, else None."""
+        return [SINGLE if self.components(stratum) == 1 else None] * len(stack)
 
     def certify(self, stratum, stack, witnesses: list, tol) -> tuple:
         """judge plus labels on a path grid, the path's witness at sample k
@@ -213,10 +194,6 @@ class Rank(Kind):
         return rank_r_draws(stratum.shape, stratum.rank, stratum.field, rngs,
                             tol, witnesses=False)
 
-    def invariant(self, stratum, A, tol):
-        raise UnsupportedStratumError(f"no component classifier for "
-                                      f"{stratum.field} rank-{stratum.rank} strata")
-
     def components(self, stratum):
         # over C one component is proved up to the generic rank, which is at
         # least the dimension count prod n_i / (sum n_i - d + 1), rounded up
@@ -228,10 +205,6 @@ class Rank(Kind):
 
     def real_components(self, stratum):
         return 1 if stratum.rank == 1 else None
-
-    def labels(self, stratum, stack, witnesses, tol):
-        # a connected stratum's one label, else no invariant at all
-        return [SINGLE if self.components(stratum) == 1 else None] * len(stack)
 
     def connect(self, stratum, a, b, witness_a, witness_b, tol, rng):
         return connect_rank_r(a, b, stratum.rank, tol, rng)
@@ -260,9 +233,6 @@ class BorderRank3(Rank):
     vanishes, so it gets no count."""
 
     screens = True
-
-    def invariant(self, stratum, A, tol):
-        return classify_brank3_222(A, tol)
 
     def real_components(self, stratum):
         return 4 if stratum.kind == "brank" else None
@@ -303,22 +273,6 @@ class SymRank(Kind):
         return sym_rank_r_draws(stratum.dim, stratum.order, stratum.rank, None,
                                 stratum.field, rngs, tol)
 
-    def witness(self, stratum, S, tol) -> SymRankDecomposition:
-        if stratum.rank == 1:
-            lam, v = _sym_rank1_witness(S, tol)
-            return SymRankDecomposition(S.order, (lam,), (v,), S.field)
-        if stratum.rank == 2:
-            return _sym_rank2_witness(S, tol)
-        raise UnsupportedStratumError(
-            f"symmetric rank {stratum.rank} needs a decomposition witness")
-
-    def invariant(self, stratum, value, tol):
-        if isinstance(value, SymRankDecomposition):
-            return sym_signature(value, tol)
-        if stratum.rank == 1:
-            return sym_sign_rank1(value, tol)
-        return sym_signature(self.witness(stratum, value, tol), tol)
-
     def components(self, stratum):
         if stratum.rank > stratum.dim:
             return None
@@ -336,15 +290,22 @@ class SymRank(Kind):
         return connect_sym_rank_r(Da, Db, tol, rng)
 
     def _decompositions(self, stratum, stack, tol) -> list:
-        """Per row of a stack of values, its witness or the error that
-        refuses it: rank two in one stacked decomposition."""
-        if stratum.rank == 2:
+        """Per row of a stack of values, its decomposition or the error that
+        refuses it: rank two in one stacked decomposition, rank one from its
+        rank-one factors; a higher rank has no decomposition here."""
+        r = stratum.rank
+        if r == 2:
             return _sym_rank2_witnesses(stack, stratum.dim, stratum.order,
                                         stratum.field, tol)
+        if r != 1:
+            return [UnsupportedStratumError(
+                f"symmetric rank {r} needs a decomposition witness")] * len(stack)
         out: list = []
         for row in stack:
             try:
-                out.append(self.witness(stratum, stratum.value(row), tol))
+                lam, v = _sym_rank1_witness(stratum.value(row), tol)
+                out.append(SymRankDecomposition(stratum.order, (lam,), (v,),
+                                                stratum.field))
             except TensorTopoError as exc:
                 out.append(exc)
         return out
@@ -355,24 +316,25 @@ class SymRank(Kind):
                 ["unverifiable-exactly" if r > n else ""] * len(ranks))
 
     def labels(self, stratum, stack, witnesses, tol):
-        if self.components(stratum) == 1 or not len(stack):
+        if (self.components(stratum) == 1 or stratum.field != REAL
+                or stratum.order % 2 or not len(stack)):
+            # connected, or rank above n at odd order or over C: no invariant
             return super().labels(stratum, stack, witnesses, tol)
-        if stratum.field != REAL or stratum.order % 2:
-            # rank above n at odd order or over C: no invariant
-            return [None] * len(stack)
         # the signature of the term coefficients, one array for the stack: a
         # term-sum path's witnesses are that array, drawn values come with
-        # their decompositions
-        if not isinstance(witnesses, np.ndarray):
-            if any(w is None for w in witnesses):
-                return super().labels(stratum, stack, witnesses, tol)
-            witnesses = sym_term_coefficients(witnesses)
-        return sym_signatures(witnesses)
-
-    def labelled(self, stratum, row, witness):
-        # a drawn value's decomposition gives the signature without
-        # decomposing S
-        return stratum.value(row) if witness is None else witness
+        # their decompositions, and the values without one are decomposed in
+        # one call, a refused decomposition being the value's label
+        if isinstance(witnesses, np.ndarray):
+            return sym_signatures(witnesses)
+        bare = [k for k, w in enumerate(witnesses) if w is None]
+        found = iter(self._decompositions(stratum, stack[bare], tol) if bare else ())
+        labels = [next(found) if w is None else w for w in witnesses]
+        kept = [k for k, D in enumerate(labels) if not isinstance(D, Exception)]
+        if kept:
+            for k, label in zip(kept, sym_signatures(sym_term_coefficients(
+                    [labels[k] for k in kept]))):
+                labels[k] = label
+        return labels
 
 
 class MRank(Kind):
@@ -383,13 +345,6 @@ class MRank(Kind):
     def draws(self, stratum, rngs, tol):
         return fixed_mrank_draws(stratum.shape, stratum.rank, stratum.field,
                                  rngs, tol, witnesses=False)
-
-    def invariant(self, stratum, A, tol):
-        if mrank_saturation(stratum) == "mixed":
-            raise UnsupportedStratumError(
-                "mixed saturated multilinear rank is an open case; "
-                "use the monodromy probe, not a classifier")
-        return det_sign_mrank(A, square_mode(stratum), tol)
 
     def real_components(self, stratum):
         return {"none": 1, "saturated-square": 2}.get(mrank_saturation(stratum))
@@ -419,15 +374,13 @@ class SymMRank(Kind):
         return sym_mrank_draws(stratum.dim, stratum.order, stratum.rank,
                                stratum.field, rngs, tol)
 
-    def invariant(self, stratum, S, tol):
-        if stratum.order == 2:
-            return _sym_matrix_signature(S, stratum.rank, tol)
-        return sym_sign_rank1(S, tol)
-
     def labels(self, stratum, stack, witnesses, tol):
-        if stratum.order != 2 or self.components(stratum) == 1:
+        if self.components(stratum) == 1:
             return super().labels(stratum, stack, witnesses, tol)
-        return sym_matrix_signatures(stack, stratum.dim, stratum.rank, tol)
+        if stratum.order == 2:
+            return sym_matrix_signatures(stack, stratum.dim, stratum.rank, tol)
+        # real even-order rank one: the sign of the diagonal sum
+        return sym_signs_rank1(stack, stratum.dim, stratum.order, tol)
 
     def real_components(self, stratum):
         if stratum.order == 2:

@@ -1103,8 +1103,11 @@ def connect(stratum: StratumDescriptor, a, b, *, witness_a=None,
     ``b`` to within 1e-10 relative to each endpoint's norm, which a witness
     that does not rebuild its endpoint would give; otherwise records the
     larger relative miss as the path's ``endpoint_defect``. Both ends are
-    read with one ``values([0.0, 1.0])`` call.
+    read with one ``values([0.0, 1.0])`` call. Both ends must have the
+    stratum's form (StratumDescriptor.check; ValueError otherwise).
     """
+    stratum.check(a)
+    stratum.check(b)
     path = kinds.kind_of(stratum).connect(stratum, a, b, witness_a, witness_b,
                                           tol, rng)
     misses = []

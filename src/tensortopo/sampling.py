@@ -28,9 +28,7 @@ the screen passes with one more. Each stream keeps its first accepted
 candidate, and its generator is moved (``SplitMix64.skip``) to where
 drawing one candidate at a time leaves it, so each draw, witness and
 generator state is the one that drawing one candidate at a time from each
-stream gives. A unit factor that would be redrawn ends its stream's round
-before that candidate, which is then drawn alone from the generator. The
-cap counts candidates per stream.
+stream gives. The cap counts candidates per stream.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ import numpy as np
 from .core import (COMPLEX, DEFAULT_TOL, LOOSE_TOL, Hypermatrix,
                    RankOneFactors, REAL, SymRankDecomposition, SymTensor,
                    TolerancePolicy, flattening_det_signs, mode_multiply_stack,
-                   mrank_admissible, outer_product, outer_stack, row_norms,
+                   mrank_admissible, outer_stack, row_norms,
                    sym_embed_stack, sym_extract, sym_extract_stack,
                    sym_packed_length, sym_power_stack)
 from .errors import RetryExhausted, ToleranceError
@@ -59,8 +57,6 @@ _CHUNK = 8
 # takes as many streams as fit, so a census of any size holds one block of
 # this size (and its candidates) at a time
 _BLOCK = 1 << 16
-# the status of a candidate that is drawn alone from its generator
-_ALONE = "alone"
 
 
 def field_normals(rng: SplitMix64, shape: tuple[int, ...], field: str
@@ -70,20 +66,6 @@ def field_normals(rng: SplitMix64, shape: tuple[int, ...], field: str
     if field == COMPLEX:
         return rng.complex_normals(shape)
     return rng.normals(shape)
-
-
-def _unit_gaussian(rng: SplitMix64, n: int, field: str) -> np.ndarray:
-    while True:
-        v = field_normals(rng, (n,), field)
-        nv = np.linalg.norm(v)
-        if nv > 1e-6:
-            return v / nv
-
-
-def _gaussian_scalar(rng: SplitMix64, field: str):
-    if field == COMPLEX:
-        return complex(rng.normal(), rng.normal())
-    return rng.normal()
 
 
 def _field_size(shape: tuple[int, ...], field: str) -> int:
@@ -106,7 +88,8 @@ def _field_values(rows: np.ndarray, start: int, shape: tuple[int, ...],
 
 
 def _field_scalars(rows: np.ndarray, start: int, field: str) -> np.ndarray:
-    """_gaussian_scalar per row of a block, from the Gaussians at ``start``."""
+    """One field scalar per row of a block, from the Gaussians at ``start``
+    (real and imaginary part in turn over C)."""
     if field != COMPLEX:
         return rows[..., start]
     out = np.empty(rows.shape[:-1], dtype=np.complex128)
@@ -115,8 +98,8 @@ def _field_scalars(rows: np.ndarray, start: int, field: str) -> np.ndarray:
 
 
 def _unit_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_unit_gaussian along the last axis: v over its norm, and where
-    _unit_gaussian would redraw v instead."""
+    """v over its norm along the last axis, and where that norm vanishes
+    (at most 1e-6), which makes the candidate a rejected draw."""
     nv = row_norms(v.reshape(-1, v.shape[-1])).reshape(v.shape[:-1])
     with np.errstate(divide="ignore", invalid="ignore"):
         return v / nv[..., None], ~(nv > 1e-6)
@@ -139,14 +122,11 @@ class _Builder(NamedTuple):
     stream ``owners[k]``, and gives the stack of the K candidates, one
     status per row and ``drawn(k)``, the sampler's (value, witness) of row
     k. A status is None for a candidate, False for a raw draw the sampler
-    rejects itself (a vanishing coefficient, a wrong determinant sign),
-    _ALONE for a draw that must be made by ``alone(rng, owner)`` (the
-    one-candidate routine, which redraws a vanishing factor), or the error
-    that ends the stream."""
+    rejects itself (a vanishing unit factor or coefficient, a wrong
+    determinant sign), or the error that ends the stream."""
 
     size: int
     build: Callable
-    alone: Callable | None = None
 
 
 def _certified(stratum: StratumDescriptor, builder: _Builder,
@@ -171,22 +151,9 @@ def _certified(stratum: StratumDescriptor, builder: _Builder,
         block = normal_block([rngs[i] for i in pending], width * builder.size)
         stack, status, drawn = builder.build(
             block.reshape(-1, builder.size), np.repeat(pending, width))
-        # per stream its candidates of the round: up to its cap and up to
-        # the first one that must be drawn alone, or that one alone
-        runs, alone = [], {}
-        for j, i in enumerate(pending):
-            rows = range(j * width, j * width + min(width, left[i]))
-            cut = next((n for n, k in enumerate(rows) if status[k] is _ALONE),
-                       len(rows))
-            if cut == 0:
-                # drawn from the generator, which moves past it
-                k = rows[0]
-                alone[k] = builder.alone(rngs[i], i)
-                status[k] = None if alone[k] else False
-                if alone[k]:
-                    stack[k] = stratum.stack([alone[k][0]])[0]
-                cut = 1
-            runs.append(rows[:cut])
+        # per stream its candidates of the round, up to its cap
+        runs = [range(j * width, j * width + min(width, left[i]))
+                for j, i in enumerate(pending)]
         live = [k for rows in runs for k in rows if status[k] is None]
         screened = [k for k, ok in zip(live, rule.screen(stratum, stack[live], tol))
                     if ok] if live else []
@@ -197,11 +164,9 @@ def _certified(stratum: StratumDescriptor, builder: _Builder,
             k = next((k for k in rows
                       if k in members or isinstance(status[k], Exception)), None)
             used = len(rows) if k is None else rows.index(k) + 1
-            if rows[0] not in alone:
-                rngs[i].skip(used * builder.size)
+            rngs[i].skip(used * builder.size)
             if k is not None:
-                out[i] = (status[k] if isinstance(status[k], Exception)
-                          else alone[k] if k in alone else drawn(k))
+                out[i] = status[k] if isinstance(status[k], Exception) else drawn(k)
                 continue
             left[i] -= used
             if left[i]:
@@ -221,26 +186,11 @@ def _one(draws: list):
     return drawn
 
 
-def _rank_r_candidate(shape: tuple[int, ...], r: int, field: str,
-                      rng: SplitMix64):
-    """One rank-r candidate from the generator, redrawing any vanishing
-    unit factor."""
-    terms = []
-    total = None
-    for _k in range(r):
-        factors = tuple(_unit_gaussian(rng, n, field) for n in shape)
-        term = RankOneFactors(_gaussian_scalar(rng, field), factors, field)
-        terms.append(term)
-        part = outer_product(term).data
-        total = part if total is None else total + part
-    return Hypermatrix(total, field), terms
-
-
 def _rank_r_builder(shape: tuple[int, ...], r: int, field: str,
                     witnesses: bool) -> _Builder:
     """Per term one unit factor per mode, then the scalar; the terms are
     summed in order. The terms are the witness, or None without
-    ``witnesses``."""
+    ``witnesses``. A vanishing unit factor rejects the candidate."""
 
     def build(rows, owners):
         terms = rows.reshape(len(rows), r, -1)
@@ -266,13 +216,9 @@ def _rank_r_builder(shape: tuple[int, ...], r: int, field: str,
             return value, [RankOneFactors(scalars[j, k].item(),
                                           tuple(u[j, k].copy() for u in units),
                                           field) for k in range(r)]
-        return total, [_ALONE if gone else None for gone in vanished], drawn
+        return total, [False if gone else None for gone in vanished], drawn
 
-    def alone(rng, _owner):
-        value, terms = _rank_r_candidate(shape, r, field, rng)
-        return value, terms if witnesses else None
-
-    return _Builder(r * _field_size((sum(shape) + 1,), field), build, alone)
+    return _Builder(r * _field_size((sum(shape) + 1,), field), build)
 
 
 def rank_r_draws(shape: tuple[int, ...], r: int, field: str,
@@ -302,27 +248,11 @@ def sample_rank_r(shape: tuple[int, ...], r: int, field: str, rng: SplitMix64,
     return _one(rank_r_draws(shape, r, field, [rng], tol))
 
 
-def _sym_rank_r_candidate(n: int, d: int, r: int, field: str,
-                          signature: int | None, rng: SplitMix64):
-    """One symmetric rank-r candidate from the generator, redrawing any
-    vanishing unit vector; None for a vanishing coefficient."""
-    vectors = tuple(_unit_gaussian(rng, n, field) for _k in range(r))
-    coefficients = []
-    for k in range(r):
-        lam = _gaussian_scalar(rng, field)
-        if signature is not None:
-            lam = abs(lam) if k < signature else -abs(lam)
-        coefficients.append(lam)
-    if any(abs(lam) < 1e-6 for lam in coefficients):
-        return None
-    decomp = SymRankDecomposition(d, tuple(coefficients), vectors, field)
-    return decomp.tensor(), decomp
-
-
 def _sym_rank_r_builder(n: int, d: int, r: int, field: str,
                         signatures: list | None) -> _Builder:
     """r unit vectors, then r coefficients (signed by the stream's
-    signature); the powers are summed in order."""
+    signature); the powers are summed in order. A vanishing unit vector or
+    coefficient rejects the candidate."""
     width = _field_size((n,), field)
 
     def build(rows, owners):
@@ -337,19 +267,15 @@ def _sym_rank_r_builder(n: int, d: int, r: int, field: str,
         packed = sym_power_stack(units[:, 0], d, lam[:, :1], field)
         for k in range(1, r):
             packed = packed + sym_power_stack(units[:, k], d, lam[:, k:k + 1], field)
-        small = (np.abs(lam) < 1e-6).any(axis=1)
+        vanished = gone.any(axis=1) | (np.abs(lam) < 1e-6).any(axis=1)
 
         def drawn(j):
             decomp = SymRankDecomposition(d, tuple(lam[j].tolist()),
                                           tuple(units[j].copy()), field)
             return SymTensor(n, d, field, packed[j].copy()), decomp
-        return packed, [_ALONE if g else False if s else None
-                        for g, s in zip(gone.any(axis=1), small)], drawn
+        return packed, [False if no else None for no in vanished], drawn
 
-    return _Builder(r * (width + _field_size((1,), field)), build,
-                    lambda rng, owner: _sym_rank_r_candidate(
-                        n, d, r, field,
-                        None if signatures is None else signatures[owner], rng))
+    return _Builder(r * (width + _field_size((1,), field)), build)
 
 
 def sym_rank_r_draws(n: int, d: int, r: int, signature: int | None,

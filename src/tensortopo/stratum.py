@@ -83,8 +83,26 @@ class StratumDescriptor:
             return Hypermatrix(row, self.field)
         return SymTensor(self.dim, self.order, self.field, row)
 
+    def check(self, value) -> None:
+        """ValueError, naming the expected and the given form, unless
+        ``value`` has the form of this stratum's values: a Hypermatrix of
+        its shape and field, or a SymTensor of its dim, order and field."""
+        if self.dim is None:
+            ok = (isinstance(value, Hypermatrix) and value.shape == self.shape
+                  and value.field == self.field)
+            want = f"a {self.field} Hypermatrix of shape {self.shape}"
+        else:
+            ok = (isinstance(value, SymTensor) and value.field == self.field
+                  and (value.dim, value.order) == (self.dim, self.order))
+            want = f"a {self.field} SymTensor of dim {self.dim} and order {self.order}"
+        if not ok:
+            raise ValueError(f"{self} takes {want}, not {_form(value)}")
+
     def stack(self, values) -> np.ndarray:
-        """The stack whose rows ``value`` turns into ``values``."""
+        """The stack whose rows ``value`` turns into ``values``, each of
+        which must pass ``check``."""
+        for v in values:
+            self.check(v)
         return np.stack([v.data if self.dim is None else v.packed for v in values])
 
     def canonical(self) -> str:
@@ -92,6 +110,15 @@ class StratumDescriptor:
 
     def __str__(self) -> str:
         return self.canonical()
+
+
+def _form(value) -> str:
+    """The form of a value, as StratumDescriptor.check names it."""
+    if isinstance(value, Hypermatrix):
+        return f"a {value.field} Hypermatrix of shape {value.shape}"
+    if isinstance(value, SymTensor):
+        return f"a {value.field} SymTensor of dim {value.dim} and order {value.order}"
+    return f"a {type(value).__name__}"
 
 
 def format_stratum(s: StratumDescriptor) -> str:

@@ -17,7 +17,9 @@ from tensortopo.classifiers import (ComponentLabel, brank3_labels, classify,
                                     mrank_saturation, orientation_area,
                                     sign_label, sign_triple_label,
                                     square_mode, sym_matrix_signatures,
-                                    sym_sign_rank1, sym_signature)
+                                    sym_sign_rank1, sym_signature,
+                                    sym_signs_rank1)
+from tensortopo.kinds import kind_of
 
 ALL_TRIPLES = {"sign-triple:+++", "sign-triple:+--",
                "sign-triple:-+-", "sign-triple:--+"}
@@ -118,6 +120,34 @@ def test_sym_sign_rank1():
         sym_sign_rank1(sym_power(v, 3))
 
 
+def test_sym_signs_rank1_label_a_stack_as_sym_sign_rank1_labels_each_row():
+    """One diagonal gather labels a stack of even-order symmetric tensors
+    as sym_sign_rank1 labels each one, a refused row with its message; the
+    record of even-order symmetric multilinear rank one labels so too."""
+    rng = SplitMix64(89)
+    e1, e2 = np.eye(3)[0], np.eye(3)[1]
+    tensors = [sym_power(rng.normals((3,)), 4, c) for c in (2.0, -0.5, 1e-3, -7.0)]
+    tensors += [SymTensor(3, 4, REAL, sym_power(e1, 4).packed - sym_power(e2, 4).packed),
+                SymTensor(3, 4, REAL, np.zeros_like(e1, shape=15))]
+    packed = np.stack([S.packed for S in tensors])
+
+    def alone(S):
+        try:
+            return sym_sign_rank1(S)
+        except ToleranceError as exc:
+            return exc
+
+    st = parse_stratum("sym-mrank:d=4;n=3;r=1;field=real")
+    for stacked in (sym_signs_rank1(packed, 3, 4),
+                    kind_of(st).labels(st, packed, [None] * len(packed), DEFAULT_TOL)):
+        got = [str(x) for x in stacked]
+        assert got == [str(alone(S)) for S in tensors]
+        assert got == ["sign:+", "sign:-", "sign:+", "sign:-"] + [
+            "diagonal sum 0.000e+00 vanishes within tolerance; "
+            "input is not in the rank-one stratum"] * 2
+        assert all(isinstance(x, ToleranceError) for x in stacked[4:])
+
+
 def test_sym_signature_from_decomposition():
     rng = SplitMix64(84)
     _, dec = sample_sym_rank_r(4, 4, 2, signature=1, rng=rng)
@@ -129,8 +159,8 @@ def test_sym_signature_from_decomposition():
 
 def test_sym_matrix_signatures_label_or_refuse_each_form():
     """One eigvalsh labels a stack of quadratic forms; a form whose rank is
-    not r, and the zero form, get their refusals, and classify says the
-    same of each form alone."""
+    not r, and the zero form, get their refusals. classify gives each
+    member its label and refuses the two non-members through the judge."""
     st = parse_stratum("sym-mrank:d=2;n=3;r=2;field=real")
     forms = [np.diag([2.0, -1.0, 0.0]), np.diag([1.0, 3.0, 1e-20]),
              np.diag([-1.0, 0.0, 0.0]), np.zeros((3, 3))]
@@ -143,9 +173,8 @@ def test_sym_matrix_signatures_label_or_refuse_each_form():
     for row, label in zip(packed, labels):
         form = SymTensor(3, 2, REAL, row)
         if isinstance(label, ToleranceError):
-            with pytest.raises(ToleranceError) as info:
+            with pytest.raises(ToleranceError, match="not a member of sym-mrank"):
                 classify(st, form)
-            assert str(info.value) == str(label)
         else:
             assert classify(st, form) == label
 
@@ -218,8 +247,57 @@ def test_classify_unsupported_cases():
     T, _ = sample_rank_r((3, 3, 3), 2, REAL, rng)
     with pytest.raises(UnsupportedStratumError):
         classify(parse_stratum("rank:r=2;shape=3,3,3;field=real"), T)
+    # the mixed saturated case has no invariant, shown on a member
+    mixed = parse_stratum("mrank:r=4,2,2;shape=4,3,3;field=real")
+    (A, _w), = kind_of(mixed).draws(mixed, [rng], DEFAULT_TOL)
     with pytest.raises(UnsupportedStratumError):
-        classify(parse_stratum("mrank:r=4,2,2;shape=4,3,3;field=real"), T)
+        classify(mixed, A)
+
+
+def test_classify_refuses_non_members():
+    """A value the record's judge refuses gets ToleranceError, never a
+    label: the zero and a rank-one tensor are not of multilinear rank
+    (2, 2, 2), and a complex rank-one tensor is not of rank two."""
+    rng = SplitMix64(90)
+    st = parse_stratum("mrank:r=2,2,2;shape=3,3,3;field=real")
+    one, _ = sample_rank_r((3, 3, 3), 1, REAL, rng)
+    for value, ranks in ((Hypermatrix(np.zeros((3, 3, 3)), REAL), (0, 0, 0)),
+                         (one, (1, 1, 1))):
+        with pytest.raises(ToleranceError) as info:
+            classify(st, value)
+        assert str(info.value) == f"not a member of {st}: flattening ranks {ranks}"
+    st = parse_stratum("rank:r=2;shape=3,3,3;field=complex")
+    one, _ = sample_rank_r((3, 3, 3), 1, COMPLEX, rng)
+    with pytest.raises(ToleranceError, match=f"not a member of {st}: flattening "
+                       r"ranks \(1, 1, 1\)"):
+        classify(st, one)
+
+
+@pytest.mark.parametrize("text, value, given", [
+    ("rank:r=1;shape=3,4,5;field=real", Hypermatrix(np.ones((2, 2, 2)), REAL),
+     "a real Hypermatrix of shape (2, 2, 2)"),
+    ("mrank:r=4,2,2;shape=4,3,3;field=real", Hypermatrix(np.ones((3, 3, 3)), REAL),
+     "a real Hypermatrix of shape (3, 3, 3)"),
+    ("rank:r=1;shape=2,2,2;field=real", Hypermatrix(np.ones((2, 2, 2)), COMPLEX),
+     "a complex Hypermatrix of shape (2, 2, 2)"),
+    ("sym-rank:d=4;n=3;r=1;field=real", sym_power(np.ones(2), 4),
+     "a real SymTensor of dim 2 and order 4"),
+    ("sym-mrank:d=2;n=3;r=1;field=real", Hypermatrix(np.eye(3), REAL),
+     "a real Hypermatrix of shape (3, 3)"),
+])
+def test_classify_and_connect_refuse_a_value_of_another_form(text, value, given):
+    """A value of another shape, dimension, order or field than the
+    stratum's is a ValueError naming both forms, before any label or path."""
+    st = parse_stratum(text)
+    want = (f"a real Hypermatrix of shape {st.shape}" if st.dim is None
+            else f"a real SymTensor of dim {st.dim} and order {st.order}")
+    message = f"{st} takes {want}, not {given}"
+    with pytest.raises(ValueError) as info:
+        classify(st, value)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        connect(st, value, value)
+    assert str(info.value) == message
 
 
 def _label_via_conj_pair(A):

@@ -172,6 +172,27 @@ def test_unsupported_stratum_exit_one(tmp_path, capsys):
     assert "ttk:" in capsys.readouterr().err
 
 
+def test_classify_refuses_a_non_member_exit_one(tmp_path, capsys):
+    A, _ = sample_rank_r((3, 3, 3), 1, REAL, SplitMix64(408))
+    f = _write(tmp_path, "a.json", A)
+    stratum = "mrank:r=2,2,2;shape=3,3,3;field=real"
+    assert main(["classify", f, "--stratum", stratum]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ttk: not a member of {stratum}: flattening ranks (1, 1, 1)")
+    assert "Traceback" not in err
+
+
+def test_classify_and_connect_refuse_another_shape_exit_one(tmp_path, capsys):
+    A, _ = sample_rank_r((2, 2, 2), 1, REAL, SplitMix64(409))
+    f = _write(tmp_path, "a.json", A)
+    stratum = "rank:r=1;shape=3,4,5;field=real"
+    for argv in (["classify", f], ["connect", f, f]):
+        assert main(argv + ["--stratum", stratum]) == 1
+        assert capsys.readouterr().err == (
+            f"ttk: {stratum} takes a real Hypermatrix of shape (3, 4, 5), "
+            "not a real Hypermatrix of shape (2, 2, 2)\n")
+
+
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["no-such-command"]) == 1

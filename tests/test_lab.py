@@ -90,6 +90,7 @@ def test_census_rank3_222_labels_sign_triples():
     "sym-mrank:d=4;n=3;r=1;field=real",
     "rank:r=2;shape=3,3,3;field=real",
     "mrank:r=4,2,2;shape=4,3,3;field=real",
+    "sym-rank:d=4;n=3;r=1;field=real",
 ])
 def test_census_labels_agree_with_classify(text):
     """One stratum per kind record: the census does not refute its own

@@ -225,7 +225,8 @@ def test_rank3_sampler_witnesses_and_generator_state_are_pinned(seed):
 
 class _ZeroingStream(SplitMix64):
     """SplitMix64 with two normals in every 50 set to zero, so that some
-    unit-factor draws come out zero and are redrawn. Its state counts the
+    unit factors, vectors and coefficients come out zero and their
+    candidates are rejected. Its state counts the
     normals drawn or skipped; _zeroing_block puts the same zeros in the
     samplers' blocks."""
 
@@ -253,11 +254,13 @@ def _zeroing_block(rngs, count):
     return out
 
 
-# recorded while a vanishing unit factor's candidate was drawn one at a time
-# from the generator (_CHUNK = 1 drew every candidate so): SHA-256 over the
-# 60 zero-injected draws of _ZeroingStream(4), each tensor, its witness terms
-# and the generator's state, spare and normals count after the draw
-_ZEROED_STREAM = "5788d060c4a092232980582e711f70c52dc4eda03303c957bc64409a8f5b8961"
+# SHA-256 over the 60 zero-injected draws of _ZeroingStream(4), each
+# tensor, its witness terms and the generator's state, spare and normals
+# count after the draw. Re-pinned when a candidate with a vanishing unit
+# factor became a rejected draw, as one with a vanishing coefficient is: the
+# stream now moves past all of that candidate's normals, where it used to
+# redraw the factor alone from the generator, so later draws moved
+_ZEROED_STREAM = "64670d8be2507d409d2d65a44b83c8b66aa9154da4861faa92060d317f0f534e"
 
 
 def _zeroed_stream_digest(draws) -> str:
@@ -275,7 +278,27 @@ def _zeroed_stream_digest(draws) -> str:
     return digest.hexdigest()
 
 
-def test_rank3_chunks_redraw_a_vanishing_factor_as_one_candidate_does(monkeypatch):
+def _vanishing_rows(monkeypatch, name: str) -> list:
+    """Wrap the block builder ``sampling.<name>``: the list gets, per
+    candidate it builds, whether the builder rejected it itself (status
+    False), and the candidate's Gaussians."""
+    seen = []
+    make = getattr(sampling, name)
+
+    def counting(*args):
+        builder = make(*args)
+
+        def build(rows, owners):
+            stack, status, drawn = builder.build(rows, owners)
+            seen.extend((s is False, row.copy()) for s, row in zip(status, rows))
+            return stack, status, drawn
+        return builder._replace(build=build)
+
+    monkeypatch.setattr(sampling, name, counting)
+    return seen
+
+
+def test_rank3_chunks_reject_a_vanishing_factor_as_one_candidate_does(monkeypatch):
     def stream(chunk):
         monkeypatch.setattr(sampling, "_CHUNK", chunk)
         rng = _ZeroingStream(4)
@@ -286,20 +309,39 @@ def test_rank3_chunks_redraw_a_vanishing_factor_as_one_candidate_does(monkeypatc
                         [(t.scalar, [f.tobytes() for f in t.factors]) for t in terms]))
         return out
 
-    zero_factors = []
-    field_normals = sampling.field_normals
-
-    def spy(rng, shape, field):
-        v = field_normals(rng, shape, field)
-        zero_factors.append(not v.any())
-        return v
-
-    monkeypatch.setattr(sampling, "field_normals", spy)
     monkeypatch.setattr(sampling, "normal_block", _zeroing_block)
     chunked = stream(16)
-    assert sum(zero_factors) > 0
     assert _zeroed_stream_digest(chunked) == _ZEROED_STREAM
+    seen = _vanishing_rows(monkeypatch, "_rank_r_builder")
     assert chunked == stream(1)
+    # one candidate a round: every candidate built is judged or rejected,
+    # and the rejected ones are those with a zero unit factor
+    rejected = [rows for no, rows in seen if no]
+    assert len(rejected) > 0
+    for rows in rejected:
+        factors = rows.reshape(3, 7)[:, :6].reshape(3, 3, 2)
+        assert (~factors.any(axis=2)).any()
+
+
+def test_sym_rank_rejects_a_vanishing_vector_as_a_vanishing_coefficient(monkeypatch):
+    """Zero-injected symmetric rank-two draws: a candidate with a zero unit
+    vector and one with a zero coefficient are both rejected draws, each
+    moving the stream past all of its normals, and no draw keeps either."""
+    monkeypatch.setattr(sampling, "normal_block", _zeroing_block)
+    seen = _vanishing_rows(monkeypatch, "_sym_rank_r_builder")
+    rng = _ZeroingStream(6)
+    for _ in range(60):
+        S, D = sample_sym_rank_r(2, 4, 2, signature=1, rng=rng)
+        # one candidate a round: the normals drawn are the candidates built
+        assert rng.count == 6 * len(seen)
+        assert min(abs(lam) for lam in D.coefficients) >= 1e-6
+        assert min(np.linalg.norm(v) for v in D.vectors) > 0.5
+    vectors = [no for no, rows in seen if not rows[:4].reshape(2, 2).any(axis=1).all()]
+    coefficients = [no for no, rows in seen
+                    if rows[:4].reshape(2, 2).any(axis=1).all() and not rows[4:].all()]
+    assert len(vectors) > 0 and len(coefficients) > 0
+    assert all(vectors) and all(coefficients)
+    assert sum(no for no, _rows in seen) == len(vectors) + len(coefficients)
 
 
 def test_rank3_screen_that_never_passes_exhausts_after_the_cap(monkeypatch):
