@@ -24,11 +24,10 @@ from .geometry import (GrassmannGeodesic, GrassmannPoint, OrientationLoop,
                        principal_angles, so_rotation_path, sym_tucker_compress,
                        sym_tucker_expand, tucker_compress, tucker_expand)
 from .io import dumps_canonical, load_tensor, save_tensor
-from .lab import (CensusReport, IdentifiabilityReport, MonodromyReport,
-                  PairwiseReport, census, expected_component_count,
-                  identifiability_experiment, monodromy_probe,
-                  pairwise_connect_experiment, run_verify_suite,
-                  strip_runtime)
+from .lab import (CensusReport, IdentifiabilityReport, PairwiseReport,
+                  census, expected_component_count,
+                  identifiability_experiment, pairwise_connect_experiment,
+                  run_verify_suite, strip_runtime)
 from .paths import (PathReport, TensorPath, connect, connect_brank3_222,
                     connect_mrank, connect_rank_one, connect_rank_r,
                     connect_sym_mrank, connect_sym_rank_one,

@@ -20,6 +20,7 @@ from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, REAL, RankOneFactors,
                    numerical_rank, row_norms, sym_embed_stack)
 from .errors import (ToleranceError, UnsupportedStratumError, rejected,
                      settled)
+from .geometry import flip_exponent
 from .stratum import StratumDescriptor
 
 
@@ -293,20 +294,50 @@ def sym_matrix_signatures(packed: np.ndarray, n: int, r: int,
     return labels
 
 
-def mrank_saturation(stratum: StratumDescriptor) -> str:
-    """One of "none", "saturated-square", "mixed" for a real mrank stratum.
+def mrank_sign_mode(stratum: StratumDescriptor) -> int | None:
+    """The 1-based mode whose determinant sign labels a real multilinear
+    rank's two components, or None where the stratum is connected.
 
-    "saturated-square": some r_i equals the product of the others and every
-    mode has n_j = r_j, so the mode-i flattening of the tensor itself is
-    square and its determinant sign is the component invariant. "mixed":
-    the rank condition holds but some mode has ambient room; the component
-    count there is an open experimental question, not a classifier.
+    Over R, a mode i is square when n_i = r_i = prod_{j != i} r_j; a mode j
+    is roomy when n_j > r_j. The answer is the first square mode i when
+    every roomy mode j has an even ``geometry.flip_exponent(r, i, j)``,
+    and None otherwise (and over C, where every stratum is connected).
+
+    Derivation. Let U_j be the mode-j column space of a member A, of
+    dimension r_j, and F_j an orthonormal frame of it. Compressing each
+    roomy mode onto its frame, A x_j F_j^T, leaves the mode-i flattening
+    r_i x prod_{j != i} r_j, square, and invertible: it is the mode-i
+    flattening of A restricted to the tensor product of the U_j. Another
+    frame F_j g_j (g_j orthogonal) multiplies the flattening on the right
+    by g_j Kronecker the identity of the other modes k != i, j, so it
+    multiplies the determinant by det(g_j)^{e_j} with
+    e_j = prod_{k not in {i, j}} r_k = flip_exponent(r, i, j). A mode with
+    n_j = r_j has U_j = R^{n_j} with its fixed orientation and needs no
+    frame.
+    - When every e_j is even, the sign does not depend on the frames. It
+      is then continuous on the stratum, never zero, and takes both values
+      (reflect mode i): at least two components.
+      ``connect_mrank`` joins every pair of one sign, so the count is 2.
+    - When some e_j is odd, carrying U_j's frame around an orientation
+      loop (``geometry.OrientationLoop``) returns it reflected and flips
+      the sign inside the stratum, so ``connect_mrank`` joins every pair:
+      the count is 1.
+    With no roomy mode, the first case is the saturated square one, where
+    the read is the determinant sign of A's own flattening.
+
+    PAPER.md holds only the source paper's abstract, whose exception
+    clause ("unless n_i = r_i = prod_{j != i} r_j") covers both cases. So
+    these counts are derived here, not quoted, and the census is there to
+    refute them. Both the 2 and the 1 rest on sample-checked paths until
+    whole paths are certified between their samples.
     """
-    if square_mode(stratum) is None:
-        return "none"
-    if all(n == r for n, r in zip(stratum.shape, stratum.rank)):
-        return "saturated-square"
-    return "mixed"
+    i = square_mode(stratum)
+    if stratum.field != REAL or i is None:
+        return None
+    if any(n > r and flip_exponent(stratum.rank, i - 1, j) % 2
+           for j, (n, r) in enumerate(zip(stratum.shape, stratum.rank))):
+        return None
+    return i
 
 
 def square_mode(stratum: StratumDescriptor) -> int | None:

@@ -18,7 +18,7 @@ from .core import DEFAULT_TOL, SymTensor, TolerancePolicy, mrank, sym_embed
 from .errors import (DegenerateError, DifferentComponents, RetryExhausted,
                      TensorTopoError, ToleranceError)
 from .io import atomic_write_text, dumps_canonical, load_tensor, write_csv
-from .lab import census, monodromy_probe, run_verify_suite, strip_runtime
+from .lab import census, run_verify_suite, strip_runtime
 from .paths import connect, path_verify
 from .rng import SplitMix64
 from .stratum import parse_stratum
@@ -51,13 +51,6 @@ def _policy(args) -> TolerancePolicy:
     if getattr(args, "tol", None) is None:
         return DEFAULT_TOL
     return TolerancePolicy(eps_rel=args.tol)
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -108,8 +101,7 @@ def _cmd_connect(args) -> int:
     try:
         path = connect(stratum, a, b, tol=tol, rng=rng)
     except DifferentComponents as exc:
-        tag = " (conjectural)" if exc.conjectural else ""
-        print(f"different components{tag}: {exc.label_a} vs {exc.label_b}")
+        print(f"different components: {exc.label_a} vs {exc.label_b}")
         return 2
     except RetryExhausted as exc:
         print(f"connection failed: {exc}", file=sys.stderr)
@@ -133,13 +125,6 @@ def _cmd_census(args) -> int:
                     tol=_policy(args))
     _emit(dumps_canonical(report.to_json()), args.out)
     return 0 if report.verdict != "inconsistent" else 3
-
-
-def _cmd_probe(args) -> int:
-    report = monodromy_probe(_ints(args.r), _ints(args.n),
-                             _resolve_seed(args.seed), tol=_policy(args))
-    _emit(dumps_canonical(report.to_json()), args.out)
-    return 0
 
 
 def _cmd_verify_suite(args) -> int:
@@ -188,13 +173,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=int, required=True)
     common(p)
     p.set_defaults(fn=_cmd_census)
-
-    p = sub.add_parser("probe-monodromy",
-                       help="orientation transport in the mixed-saturation case")
-    p.add_argument("--r", required=True, help="ranks, comma-separated")
-    p.add_argument("--n", required=True, help="ambient dims, comma-separated")
-    common(p)
-    p.set_defaults(fn=_cmd_probe)
 
     p = sub.add_parser("verify-suite", help="run the acceptance experiments")
     p.add_argument("--quick", action="store_true",

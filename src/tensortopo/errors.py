@@ -22,24 +22,19 @@ class DegenerateError(TensorTopoError):
 
 
 class DifferentComponents(TensorTopoError):
-    """Two points certifiably (or conjecturally) lie in distinct components.
+    """Two points lie in distinct components: their component labels, which
+    a path inside the stratum cannot change, differ.
 
-    Carries the two component labels so callers can report them. ``conjectural``
-    is True when the separation relies on an unsettled parity argument rather
-    than a proven invariant.
+    Carries the two ComponentLabels so callers can report them.
     """
 
-    def __init__(self, label_a: str, label_b: str, detail: str = "",
-                 conjectural: bool = False):
+    def __init__(self, label_a, label_b, detail: str = ""):
         self.label_a = label_a
         self.label_b = label_b
         self.detail = detail
-        self.conjectural = conjectural
         msg = f"endpoints carry different component labels: {label_a} vs {label_b}"
         if detail:
             msg += f" ({detail})"
-        if conjectural:
-            msg += " [conjectural separation]"
         super().__init__(msg)
 
 

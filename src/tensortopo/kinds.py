@@ -29,15 +29,16 @@ ComponentLabel, None where the kind has no invariant, or the ToleranceError
 or DegenerateError that refuses the value. By default a connected stratum's
 members are all ``single`` and others have no invariant (None); five
 records read the whole stack at once instead: the determinant sign of a
-saturated square multilinear rank (one slogdet), the signature of a real
-quadratic form (one eigvalsh), the sign of the diagonal sum of a real
-even-order symmetric multilinear rank one (one gather), the
-border-rank-three sign triple (one 2x2 SVD, values with one triple sharing
-one label; ``member`` accepts only values below the band, so the
-hyperdeterminant is not read again) and the signature of a real even-order
-symmetric rank, read off the (K, r) term coefficients of the witnesses (a
-term-sum grid's witnesses are that array; drawn values' decompositions are
-turned into it, and values without one are decomposed in one call).
+real multilinear rank with two components (one SVD per roomy mode and one
+slogdet), the signature of a real quadratic form (one eigvalsh), the sign
+of the diagonal sum of a real even-order symmetric multilinear rank one
+(one gather), the border-rank-three sign triple (one 2x2 SVD, values
+with one triple sharing one label; ``member`` accepts only values below the
+band, so the hyperdeterminant is not read again) and the signature of a
+real even-order symmetric rank, read off the (K, r) term coefficients of
+the witnesses (a term-sum grid's witnesses are that array; drawn values'
+decompositions are turned into it, and values without one are decomposed
+in one call).
 ``Kind.certify``, the one merge, is judge plus labels on a stack of path
 samples: the verdicts, with a refused label's sample turned not ok and the
 refusal its note, and one label per sample. ``census`` labels its draws,
@@ -67,14 +68,15 @@ import numpy as np
 
 from .certify import hyperdet_signs, rank2_certify
 from .classifiers import (SINGLE, _sym_rank2_witnesses, brank3_labelled_terms,
-                          brank3_labels, mrank_saturation, sign_label,
-                          square_mode, sym_matrix_signatures, sym_signatures,
+                          brank3_labels, mrank_sign_mode, sign_label,
+                          sym_matrix_signatures, sym_signatures,
                           sym_signs_rank1, sym_term_coefficients)
 from .core import (COMPLEX, REAL, MultilinearRank, SymRankDecomposition,
-                   flattening_det_signs, mrank_admissible, mrank_stack,
-                   sym_mrank_stack)
+                   flattening_det_signs, mode_multiply_stack, mrank_admissible,
+                   mrank_stack, sym_mrank_stack)
 from .errors import (DegenerateError, TensorTopoError, ToleranceError,
                      UnsupportedStratumError, caught, rejected, settled)
+from .geometry import dominant_frames
 from .paths import (_sym_rank1_witness, connect_brank3_222, connect_mrank,
                     connect_rank_r, connect_sym_mrank, connect_sym_rank_r)
 from .sampling import (expected_generic_mrank, fixed_mrank_draws,
@@ -338,16 +340,18 @@ class SymRank(Kind):
 
 
 class MRank(Kind):
-    """Multilinear rank: a core path under frame geodesics. A saturated
-    square stratum has two components, told apart by the determinant sign
-    of its square flattening; the mixed saturated case is open."""
+    """Multilinear rank: a core path under frame geodesics. A real stratum
+    has two components where classifiers.mrank_sign_mode gives a mode,
+    told apart by the determinant sign of that mode's flattening once the
+    roomy modes are compressed onto their column spaces, and one
+    otherwise."""
 
     def draws(self, stratum, rngs, tol):
         return fixed_mrank_draws(stratum.shape, stratum.rank, stratum.field,
                                  rngs, tol, witnesses=False)
 
     def real_components(self, stratum):
-        return {"none": 1, "saturated-square": 2}.get(mrank_saturation(stratum))
+        return 1 if mrank_sign_mode(stratum) is None else 2
 
     def connect(self, stratum, a, b, witness_a, witness_b, tol, rng):
         return connect_mrank(a, b, stratum.rank, tol, rng)
@@ -356,13 +360,25 @@ class MRank(Kind):
         return (ranks == stratum.rank).all(axis=1), [""] * len(ranks)
 
     def labels(self, stratum, stack, witnesses, tol):
-        if self.components(stratum) != 2:
+        mode = mrank_sign_mode(stratum)
+        if mode is None:
             return super().labels(stratum, stack, witnesses, tol)
-        # det_sign_mrank's label with one batched slogdet: a member's rank
+        # each roomy mode compressed onto an orthonormal frame of its column
+        # space (one batched SVD per mode; a member's rank there is r_j), a
+        # refused frame being the value's label, then one batched slogdet.
+        # With no roomy mode this is det_sign_mrank's label: a member's rank
         # read has the square flattening at full rank, which is the
         # singularity check det_sign_mrank makes
-        return [sign_label(sign) for (sign,) in
-                flattening_det_signs(stack, [square_mode(stratum)])]
+        errors, frames = [None] * len(stack), []
+        for j, (n, r) in enumerate(zip(stratum.shape, stratum.rank)):
+            if n == r:
+                frames.append(None)
+                continue
+            F, found = dominant_frames(stack, j + 1, r, [r] * len(stack), tol)
+            errors = [e or new for e, new in zip(errors, found)]
+            frames.append(np.swapaxes(F, 1, 2))
+        return [error or sign_label(sign) for error, (sign,) in zip(
+            errors, flattening_det_signs(mode_multiply_stack(stack, frames), [mode]))]
 
 
 class SymMRank(Kind):

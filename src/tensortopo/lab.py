@@ -2,10 +2,12 @@
 
 Censuses count component labels and try connector paths within and across
 label groups; pairwise experiments measure connector success rates; the
-identifiability experiment counts rank-two decompositions; the monodromy
-probe gathers orientation-transport evidence in the one genuinely open
-parameter regime. Per-trial seeds are derived from the master seed by index,
-so reports are byte-reproducible.
+identifiability experiment counts rank-two decompositions. A census can
+refute a predicted component count, never prove it; where a count is
+derived rather than quoted from the paper (the real multilinear-rank rule
+of classifiers.mrank_sign_mode), the census is the check on it. Per-trial
+seeds are derived from the master seed by index, so reports are
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -20,16 +22,14 @@ from .certify import (DecompositionCount, count_rank2_decompositions, hyperdet22
                       rank2_decompositions)
 from .classifiers import classify_brank3_222
 from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, REAL, TolerancePolicy,
-                   mode_multiply, mode_multiply_stack)
+                   mode_multiply)
 from .errors import (DegenerateError, DifferentComponents, RetryExhausted,
                      TensorTopoError, ToleranceError, UnsupportedStratumError)
-from .geometry import GrassmannPoint, OrientationLoop, flip_exponent
 from .io import dumps_canonical
-from .kinds import clear_members, kind_of
-from .paths import PATH_SAMPLES, chebyshev_grid, connect, verify_paths
+from .kinds import kind_of
+from .paths import PATH_SAMPLES, connect, verify_paths
 from .rng import SplitMix64, derive_seed
-from .sampling import (random_invertible, rank_r_draws, sample_full_core,
-                       sample_rank_r)
+from .sampling import random_invertible, rank_r_draws, sample_rank_r
 from .stratum import StratumDescriptor, format_stratum, parse_stratum
 
 _REP_BUDGET = 20  # representatives per label group for path attempts
@@ -37,6 +37,13 @@ _REP_BUDGET = 20  # representatives per label group for path attempts
 
 def _runtime_ms(t0: float) -> int:
     return int(round((time.perf_counter() - t0) * 1000))
+
+
+def _count(name: str, value: int) -> int:
+    """``value``, or the ValueError that refuses a count below 1."""
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return value
 
 
 def expected_component_count(stratum: StratumDescriptor) -> int | None:
@@ -50,14 +57,12 @@ def expected_component_count(stratum: StratumDescriptor) -> int | None:
 
 def _connected(stratum, a, b, wa, wb, rng, tol):
     """connect's path from a to b, or the status of its refusal: one of
-    different-components / different-components-conjectural /
-    retry-exhausted / error."""
+    different-components / retry-exhausted / error."""
     try:
         return connect(stratum, a, b, witness_a=wa, witness_b=wb,
                        tol=tol, rng=rng)
-    except DifferentComponents as exc:
-        return ("different-components-conjectural" if exc.conjectural
-                else "different-components")
+    except DifferentComponents:
+        return "different-components"
     except RetryExhausted:
         return "retry-exhausted"
     except (ToleranceError, DegenerateError, UnsupportedStratumError, ValueError):
@@ -126,11 +131,13 @@ def census(stratum: StratumDescriptor, N: int, seed: int,
     computed once per representative in one call of the record (a refused
     witness is left to connect, which raises the refusal itself); then all
     built paths are verified with one verify_paths call. The verdict can
-    refute the expected component count, never prove it.
+    refute the expected component count, never prove it. N and
+    path_samples (None for the default of 64) below 1 raise ValueError.
     """
     t0 = time.perf_counter()
+    _count("N", N)
+    K = _count("path_samples", PATH_SAMPLES if path_samples is None else path_samples)
     kind = kind_of(stratum)
-    K = path_samples if path_samples else PATH_SAMPLES
 
     # every trial from its own stream, all drawn in lockstep by one call
     rngs = [SplitMix64(derive_seed(seed, i)) for i in range(N)]
@@ -232,8 +239,10 @@ class PairwiseReport:
 def pairwise_connect_experiment(stratum: StratumDescriptor, N: int, K: int,
                                 seed: int, tol: TolerancePolicy = DEFAULT_TOL
                                 ) -> PairwiseReport:
-    """N independent endpoint pairs, connector plus K-sample verification."""
+    """N independent endpoint pairs, connector plus K-sample verification.
+    N or K below 1 raises ValueError (K in verify_paths)."""
     t0 = time.perf_counter()
+    _count("N", N)
     kind = kind_of(stratum)
 
     # both ends of every pair, from streams 2i and 2i + 1, in one call
@@ -263,8 +272,7 @@ def pairwise_connect_experiment(stratum: StratumDescriptor, N: int, K: int,
 
     rows = [one(i) for i in range(N)]
     passes = sum(1 for row in rows if row["status"] == "pass")
-    differents = sum(1 for row in rows
-                     if row["status"].startswith("different-components"))
+    differents = sum(1 for row in rows if row["status"] == "different-components")
     margins = [row["min_margin"] for row in rows if row["status"] == "pass"]
     defects = [row.get("endpoint_defect", 0.0) for row in rows
                if "endpoint_defect" in row]
@@ -306,8 +314,9 @@ def identifiability_experiment(shape: tuple[int, ...], N: int, seed: int,
     getting count_rank2_decompositions' verdict: unique where it has its
     two terms. A ValueError refuses a whole stack where it would refuse one
     tensor (a failed solve, a frame check), and then each tensor is counted
-    alone."""
+    alone. N below 1 raises ValueError."""
     t0 = time.perf_counter()
+    _count("N", N)
 
     draws = rank_r_draws(tuple(shape), 2, field,
                          [SplitMix64(derive_seed(seed, i)) for i in range(N)], tol,
@@ -326,87 +335,6 @@ def identifiability_experiment(shape: tuple[int, ...], N: int, seed: int,
     orderings = [2] if unique else []
     return IdentifiabilityReport(tuple(shape), field, N, seed, unique,
                                  N - unique, orderings, _runtime_ms(t0))
-
-
-@dataclass
-class MonodromyReport:
-    r: tuple
-    n: tuple
-    seed: int
-    modes: list
-    flip_observed: bool
-    runtime_ms: int
-    note: str = "EVIDENCE ONLY: orientation transport cannot decide the component count"
-
-    def to_json(self) -> dict:
-        return {"r": list(self.r), "n": list(self.n), "seed": self.seed,
-                "modes": self.modes, "flip_observed": self.flip_observed,
-                "note": self.note, "runtime_ms": self.runtime_ms}
-
-
-def monodromy_probe(r: tuple[int, ...], n: tuple[int, ...], seed: int,
-                    samples: int | None = None,
-                    tol: TolerancePolicy = DEFAULT_TOL) -> MonodromyReport:
-    """Orientation-reversing frame loops in the mixed-saturation case.
-
-    Requires r_1 = prod(r_2..r_d) = n_1 with ambient room in some later
-    mode (the fully saturated case has a classifier and is refused). For
-    each roomy mode, a closed loop returning the frame with a reflection is
-    transported; the report records whether the square flattening's
-    determinant sign flipped while staying in-stratum throughout.
-    """
-    r = tuple(int(x) for x in r)
-    n = tuple(int(x) for x in n)
-    if len(r) != len(n) or len(r) < 2:
-        raise ValueError("need matching r and n tuples with at least 2 modes")
-    if any(x > m for x, m in zip(r, n)):
-        raise ValueError("each rank must fit inside its ambient dimension")
-    if r[0] != math.prod(r[1:]) or n[0] != r[0]:
-        raise ValueError(
-            "probe needs r_1 = prod of the other ranks = n_1 (square case)")
-    roomy = [m for m in range(1, len(r)) if n[m] > r[m]]
-    if not roomy:
-        raise ValueError(
-            "fully saturated parameters have a determinant-sign classifier; "
-            "the probe is for the mixed case only")
-    t0 = time.perf_counter()
-    rng = SplitMix64(seed)
-    d = len(r)
-    K = samples if samples else PATH_SAMPLES
-
-    core = sample_full_core(r, REAL, [], (), rng, tol)
-    frames = []
-    for mode in range(d):
-        G = rng.normals((n[mode], r[mode]))
-        Q, _ = np.linalg.qr(G)
-        frames.append(Q)
-
-    sign_before = float(np.linalg.slogdet(core.reshape(r[0], -1))[0])
-    grid = np.array(sorted(set([0.0, 1.0] + chebyshev_grid(K))))
-    stratum = StratumDescriptor("mrank", REAL, r, shape=n)
-    cores = np.broadcast_to(core, grid.shape + core.shape)
-    modes_report = []
-    flip_observed = False
-    for m in roomy:
-        loop = OrientationLoop(GrassmannPoint(frames[m], REAL))
-        exponent = flip_exponent(r, 0, m)
-        mats = list(frames)
-        mats[m] = loop.frame(grid)
-        in_stratum = all(clear_members(
-            stratum, mode_multiply_stack(cores, mats), tol.gap_min, tol))
-        moved = mode_multiply(core, [loop.holonomy if k == m else None
-                                     for k in range(d)])
-        sign_after = float(np.linalg.slogdet(moved.reshape(r[0], -1))[0])
-        flipped = bool(sign_before != sign_after)
-        flip_observed = flip_observed or (flipped and in_stratum)
-        modes_report.append({"mode": m + 1, "exponent": exponent,
-                             "parity": "odd" if exponent % 2 else "even",
-                             "sign_before": sign_before,
-                             "sign_after": sign_after,
-                             "flipped": flipped,
-                             "in_stratum": in_stratum})
-    return MonodromyReport(r, n, seed, modes_report, flip_observed,
-                           _runtime_ms(t0))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ import numpy as np
 
 from .certify import is_rank_one, rank2_decompositions
 from .classifiers import (ComponentLabel, brank3_labelled_terms, sign_label,
-                          mrank_saturation, sym_matrix_signatures)
+                          mrank_sign_mode, sym_matrix_signatures)
 from .core import (COMPLEX, DEFAULT_TOL, LOOSE_TOL, Hypermatrix, REAL,
                    RankOneFactors, SymRankDecomposition, SymTensor,
                    TolerancePolicy, _dtype_for, flattening_det_signs,
@@ -904,10 +904,10 @@ def connect_mrank(A: Hypermatrix, B: Hypermatrix, ranks: tuple[int, ...],
     other rank to 1, three force all ranks to 1), so their signs agree, and
     a loop at mode m negates every one of them or none (flip_exponent has
     the same parity for every square mode). The loop goes at the first mode
-    with ambient room whose flip exponent is odd. Without one, the endpoints
-    get DifferentComponents: definitive when every mode is saturated, with
-    the record's determinant-sign labels, and flagged as conjectural in the
-    mixed case.
+    with ambient room whose flip exponent is odd. Without one, which is
+    where classifiers.mrank_sign_mode gives a mode, the sign is an
+    invariant and the endpoints get DifferentComponents with the record's
+    two labels.
     """
     if A.shape != B.shape or A.field != B.field:
         raise ValueError("endpoints must share shape and field")
@@ -940,22 +940,13 @@ def connect_mrank(A: Hypermatrix, B: Hypermatrix, ranks: tuple[int, ...],
     segments: list = []
 
     if now != want:
-        flips = [m for m in range(A.order) if A.shape[m] > ranks[m]
-                 and flip_exponent(ranks, square_modes[0], m) % 2]
-        if not flips:
-            if mrank_saturation(stratum) == "saturated-square":
-                raise DifferentComponents(
-                    *kinds.kind_of(stratum).labels(stratum, data, [None] * 2, tol),
-                    detail="square flattening determinant signs differ")
-            label_a, label_b = (ComponentLabel("sign", "".join(
-                "+" if s > 0 else "-" for s in signs))
-                for signs in (now, want))
+        if mrank_sign_mode(stratum) is not None:
             raise DifferentComponents(
-                label_a, label_b,
-                detail="square-mode core determinant signs cannot be "
-                       "reconciled by orientation loops",
-                conjectural=True)
-        m = flips[0]
+                *(settled(label) for label in kinds.kind_of(stratum).labels(
+                    stratum, data, [None] * 2, tol)),
+                detail="square flattening determinant signs differ")
+        m = next(m for m in range(A.order) if A.shape[m] > ranks[m]
+                 and flip_exponent(ranks, square_modes[0], m) % 2)
         loop = OrientationLoop(points[0][m])
         frames = list(frames_a)
         frames[m] = moving_frame("loop", loop)
@@ -1165,9 +1156,11 @@ def verify_paths(paths: list, K: int | None = None,
     """path_verify for every path of a list, one report per path. The
     grids of all paths that hold no report for this K and tol are
     concatenated and certified with one call of their stratum's record,
-    and each path keeps its report."""
+    and each path keeps its report. K below 1 raises ValueError."""
     if K is None:
         K = PATH_SAMPLES
+    if K < 1:
+        raise ValueError(f"K must be at least 1, got {K}")
     grid = [0.0, 1.0] + chebyshev_grid(K)
     todo = {id(path): path for path in paths
             if path._verified is None or path._verified[:2] != (K, tol)}
@@ -1244,7 +1237,8 @@ def path_verify(path: TensorPath, K: int | None = None,
     (see kinds.py); check joint continuity and classifier constancy.
     Failures become report content, never exceptions. A path that holds a
     report for this K and tol, as connect's one-segment term-sum paths do,
-    gets that report back. The one-path case of verify_paths."""
+    gets that report back. K below 1 raises ValueError. The one-path case
+    of verify_paths."""
     return verify_paths([path], K, tol)[0]
 
 

@@ -6,7 +6,8 @@ import pytest
 from tensortopo import (COMPLEX, DEFAULT_TOL, REAL, DegenerateError,
                         Hypermatrix, SplitMix64, SymRankDecomposition,
                         SymTensor, ToleranceError,
-                        UnsupportedStratumError, connect, hyperdet222,
+                        UnsupportedStratumError, connect,
+                        expected_component_count, flatten, hyperdet222,
                         mode_multiply, parse_stratum, random_invertible,
                         sample_rank_r, sample_sym_rank_r, sym_extract,
                         sym_power)
@@ -14,7 +15,7 @@ from tensortopo.certify import (Kind222, brank3_conj_pair, classify_222,
                                 conj_pair_factors)
 from tensortopo.classifiers import (ComponentLabel, brank3_labels, classify,
                                     classify_brank3_222, det_sign_mrank,
-                                    mrank_saturation, orientation_area,
+                                    mrank_sign_mode, orientation_area,
                                     sign_label, sign_triple_label,
                                     square_mode, sym_matrix_signatures,
                                     sym_sign_rank1, sym_signature,
@@ -191,21 +192,89 @@ def test_det_sign_mrank():
         det_sign_mrank(Hypermatrix(np.diag([1.0, 1e-14]), REAL), 1)
 
 
-SATURATION_CASES = [
-    ("mrank:r=2,2,2;shape=3,3,3;field=real", "none"),
-    ("mrank:r=4,2,2;shape=4,2,2;field=real", "saturated-square"),
-    # the saturated mode itself has ambient room: connected, no invariant
-    ("mrank:r=4,2,2;shape=5,2,2;field=real", "none"),
-    # saturated mode pinned at n = r, other modes roomy: open case
-    ("mrank:r=4,2,2;shape=4,3,3;field=real", "mixed"),
-    ("mrank:r=2,2;shape=2,2;field=real", "saturated-square"),
-    ("mrank:r=2,2;shape=3,3;field=real", "none"),
+# classifiers.mrank_sign_mode's answer and the predicted component count:
+# the sign mode is a square mode (n_i = r_i = prod of the other ranks) whose
+# roomy modes (n_j > r_j) all have an even flip exponent
+SIGN_MODE_CASES = [
+    # no saturated square mode: connected
+    ("mrank:r=2,2,2;shape=3,3,3;field=real", None, 1),
+    # the square mode itself has ambient room
+    ("mrank:r=4,2,2;shape=5,2,2;field=real", None, 1),
+    ("mrank:r=2,2;shape=3,3;field=real", None, 1),
+    # saturated square: no roomy mode
+    ("mrank:r=4,2,2;shape=4,2,2;field=real", 1, 2),
+    ("mrank:r=2,2;shape=2,2;field=real", 1, 2),
+    # roomy modes, every flip exponent even
+    ("mrank:r=4,2,2;shape=4,3,2;field=real", 1, 2),
+    ("mrank:r=4,2,2;shape=4,3,3;field=real", 1, 2),
+    ("mrank:r=2,4,2;shape=3,4,2;field=real", 2, 2),
+    ("mrank:r=2,2,1;shape=2,2,3;field=real", 1, 2),
+    # some roomy mode with an odd flip exponent: an orientation loop there
+    # joins the two signs
+    ("mrank:r=6,2,3;shape=6,3,3;field=real", None, 1),
+    ("mrank:r=2,2,1;shape=3,2,2;field=real", None, 1),
+    ("mrank:r=3,3,1;shape=3,4,2;field=real", None, 1),
+    # over C every stratum is connected
+    ("mrank:r=4,2,2;shape=4,3,2;field=complex", None, 1),
 ]
 
 
-@pytest.mark.parametrize("text,expected", SATURATION_CASES)
-def test_mrank_saturation(text, expected):
-    assert mrank_saturation(parse_stratum(text)) == expected
+@pytest.mark.parametrize("text,mode,count", SIGN_MODE_CASES)
+def test_mrank_sign_mode(text, mode, count):
+    st = parse_stratum(text)
+    assert mrank_sign_mode(st) == mode
+    assert expected_component_count(st) == count
+
+
+def _compressed_sign(A, ranks, mode, reflected=None):
+    """The sign of det of A's mode-``mode`` flattening (1-based) once each
+    roomy mode is compressed onto an orthonormal frame of its column space,
+    read by hand: the frame of 0-based mode ``reflected`` is turned by
+    diag(-1, 1, ...)."""
+    mats = []
+    for j, (n, r) in enumerate(zip(A.shape, ranks)):
+        if n == r:
+            mats.append(None)
+            continue
+        F = np.linalg.svd(flatten(A, j + 1))[0][:, :r]
+        if j == reflected:
+            F = F * np.array([-1.0] + [1.0] * (r - 1))
+        mats.append(F.T)
+    core = Hypermatrix(mode_multiply(A.data, mats), REAL)
+    return "+" if np.linalg.det(flatten(core, mode)) > 0 else "-"
+
+
+@pytest.mark.parametrize("text,reflected,flips", [
+    # flip exponents 2 and 2: no reflection changes the sign
+    ("mrank:r=4,2,2;shape=4,3,3;field=real", 1, False),
+    ("mrank:r=4,2,2;shape=4,3,3;field=real", 2, False),
+    # flip exponent 3 at mode 2, the one roomy mode: the reflection there
+    # flips the sign, so the sign labels nothing
+    ("mrank:r=6,2,3;shape=6,3,3;field=real", 1, True),
+])
+def test_frame_reflection_flips_the_sign_only_at_odd_exponents(text, reflected, flips):
+    st = parse_stratum(text)
+    draws = kind_of(st).draws(st, [SplitMix64(89 + k) for k in range(6)], DEFAULT_TOL)
+    for A, _w in draws:
+        sign = _compressed_sign(A, st.rank, 1)
+        assert (_compressed_sign(A, st.rank, 1, reflected) != sign) is flips
+        assert str(classify(st, A)) == ("single" if mrank_sign_mode(st) is None
+                                        else f"sign:{sign}")
+
+
+def test_two_square_modes_give_one_label():
+    """(2,2,1) in (2,2,3) has two saturated square modes; after the roomy
+    third mode is compressed, their flattenings are one 2x2 matrix and its
+    transpose, so either one's sign is the label."""
+    st = parse_stratum("mrank:r=2,2,1;shape=2,2,3;field=real")
+    draws = kind_of(st).draws(st, [SplitMix64(95 + k) for k in range(8)], DEFAULT_TOL)
+    labels = set()
+    for A, _w in draws:
+        first, second = (_compressed_sign(A, st.rank, mode) for mode in (1, 2))
+        assert first == second
+        assert str(classify(st, A)) == f"sign:{first}"
+        labels.add(first)
+    assert labels == {"+", "-"}
 
 
 def test_square_mode_is_one_based():
@@ -247,11 +316,11 @@ def test_classify_unsupported_cases():
     T, _ = sample_rank_r((3, 3, 3), 2, REAL, rng)
     with pytest.raises(UnsupportedStratumError):
         classify(parse_stratum("rank:r=2;shape=3,3,3;field=real"), T)
-    # the mixed saturated case has no invariant, shown on a member
-    mixed = parse_stratum("mrank:r=4,2,2;shape=4,3,3;field=real")
-    (A, _w), = kind_of(mixed).draws(mixed, [rng], DEFAULT_TOL)
+    # complex rank above the generic rank has no invariant, shown on a member
+    above = parse_stratum("rank:r=3;shape=2,2,2;field=complex")
+    (A, _w), = kind_of(above).draws(above, [rng], DEFAULT_TOL)
     with pytest.raises(UnsupportedStratumError):
-        classify(mixed, A)
+        classify(above, A)
 
 
 def test_classify_refuses_non_members():

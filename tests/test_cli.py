@@ -110,13 +110,24 @@ def test_census_is_seed_deterministic(capsys):
     assert run() == run()
 
 
-def test_probe_monodromy_command(capsys):
-    code = main(["probe-monodromy", "--r", "6,2,3", "--n", "6,3,3",
-                 "--seed", "2"])
-    assert code == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["flip_observed"] is True
-    assert "EVIDENCE ONLY" in doc["note"]
+def test_census_refuses_a_trial_count_below_one(capsys):
+    assert main(["census", "--stratum", "mrank:r=2,2;shape=2,2;field=real",
+                 "--trials", "-5", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "N must be at least 1, got -5" in captured.err
+
+
+def test_connect_refuses_a_sample_count_below_one(tmp_path, capsys):
+    rng = SplitMix64(406)
+    a, _ = sample_rank_r((3, 3, 3), 1, REAL, rng)
+    b, _ = sample_rank_r((3, 3, 3), 1, REAL, rng)
+    fa, fb = _write(tmp_path, "a.json", a), _write(tmp_path, "b.json", b)
+    assert main(["connect", fa, fb, "--stratum", "rank:r=1;shape=3,3,3;field=real",
+                 "--samples", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "K must be at least 1, got 0" in captured.err
 
 
 def test_seed_env_fallback_and_flag_priority(capsys, monkeypatch):

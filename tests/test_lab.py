@@ -4,11 +4,11 @@ import sys
 import numpy as np
 import pytest
 
-from tensortopo import (DEFAULT_TOL, REAL, Hypermatrix, SplitMix64, census,
-                        classify, derive_seed,
+from tensortopo import (DEFAULT_TOL, REAL, Hypermatrix, OrientationLoop,
+                        SplitMix64, census, classify, derive_seed,
                         expected_component_count, identifiability_experiment,
-                        monodromy_probe, pairwise_connect_experiment,
-                        parse_stratum, strip_runtime)
+                        mode_multiply, pairwise_connect_experiment,
+                        parse_stratum, strip_runtime, tucker_compress)
 from tensortopo import kinds as kinds_module
 from tensortopo import lab as lab_module
 from tensortopo.certify import brank3_conj_pair, brank3_conj_pairs
@@ -16,8 +16,9 @@ from tensortopo.classifiers import brank3_labels
 from tensortopo.errors import (DegenerateError, RetryExhausted, ToleranceError,
                                UnsupportedStratumError)
 from tensortopo.io import dumps_canonical
-from tensortopo.kinds import kind_of
-from tensortopo.paths import TensorPath, path_verify
+from tensortopo.core import flattening_det_signs, mode_multiply_stack
+from tensortopo.kinds import clear_members, kind_of
+from tensortopo.paths import TensorPath, chebyshev_grid, path_verify
 from tensortopo.sampling import sample_sym_core
 
 CENSUS_KEYS = {"stratum", "seed", "trials", "labels",
@@ -44,7 +45,7 @@ SIGN_TRIPLES = {"sign-triple:+++", "sign-triple:+--", "sign-triple:-+-",
     ("mrank:r=4,2,2;shape=5,2,2;field=real", 1),
     ("mrank:r=4,2,2;shape=4,2,2;field=real", 2),
     ("mrank:r=2,2;shape=2,2;field=real", 2),
-    ("mrank:r=4,2,2;shape=4,3,3;field=real", None),
+    ("rank:r=3;shape=3,3,3;field=real", None),
     ("sym-mrank:d=2;n=4;r=3;field=real", 4),
     ("sym-mrank:d=4;n=3;r=1;field=real", 2),
     ("sym-mrank:d=3;n=4;r=2;field=real", 1),
@@ -370,7 +371,7 @@ def test_census_json_schema():
 
 
 def test_census_without_prediction_is_inconclusive():
-    st = parse_stratum("mrank:r=4,2,2;shape=4,3,3;field=real")
+    st = parse_stratum("rank:r=3;shape=2,2,2;field=complex")
     report = census(st, 8, seed=7, path_samples=12)
     assert report.verdict == "inconclusive"
     assert report.cross_label_connections == 0
@@ -444,52 +445,102 @@ def test_identifiability_rank2():
     assert doc["shape"] == [3, 3, 3] and doc["field"] == REAL
 
 
+def _loop_transport(text, seed):
+    """Per roomy mode m of a drawn member A = core x frames: whether every
+    sample of the orientation loop that carries mode m's frame around
+    (core fixed) is a clear member; whether the loop's holonomy flips the
+    determinant sign of the core's mode-1 flattening; and the set of the
+    record's labels on the loop's samples."""
+    st = parse_stratum(text)
+    (A, _w), = kind_of(st).draws(st, [SplitMix64(seed)], DEFAULT_TOL)
+    rep = tucker_compress(A, st.rank)
+    frames = [point.frame for point in rep.frames]
+    core = rep.core.data
+    grid = np.array([0.0, 1.0] + chebyshev_grid(16))
+    cores = np.broadcast_to(core, grid.shape + core.shape)
+    out = {}
+    for m, (n, r) in enumerate(zip(st.shape, st.rank)):
+        if n == r:
+            continue
+        loop = OrientationLoop(rep.frames[m])
+        mats = list(frames)
+        mats[m] = loop.frame(grid)
+        stack = mode_multiply_stack(cores, mats)
+        moved = mode_multiply(core, [loop.holonomy if k == m else None
+                                     for k in range(len(st.rank))])
+        (before,), (after,) = flattening_det_signs(np.stack([core, moved]), [1])
+        labels = kind_of(st).labels(st, stack, [None] * len(grid), DEFAULT_TOL)
+        out[m + 1] = (all(clear_members(st, stack, DEFAULT_TOL.gap_min, DEFAULT_TOL)),
+                      before != after, {str(label) for label in labels})
+    return A, st, out
+
+
 def test_monodromy_even_exponent_no_flip():
-    report = monodromy_probe((4, 2, 2), (4, 3, 3), seed=12, samples=16)
-    assert not report.flip_observed
-    assert {row["mode"] for row in report.modes} == {2, 3}
-    for row in report.modes:
-        assert row["parity"] == "even"
-        assert not row["flipped"]
-        assert row["in_stratum"]
-    assert "EVIDENCE ONLY" in report.note
+    """Both roomy modes of (4,2,2) in (4,3,3) have flip exponent 2: a loop
+    at either leaves the core's sign alone, and the record's sign label
+    stays A's all the way round."""
+    A, st, modes = _loop_transport("mrank:r=4,2,2;shape=4,3,3;field=real", 12)
+    assert modes == {m: (True, False, {str(classify(st, A))}) for m in (2, 3)}
+    assert str(classify(st, A)).startswith("sign:")
 
 
 def test_monodromy_odd_exponent_flips_in_stratum():
-    report = monodromy_probe((6, 2, 3), (6, 3, 3), seed=13, samples=16)
-    assert report.flip_observed
-    row = report.modes[0]
-    assert row["mode"] == 2 and row["parity"] == "odd"
-    assert row["flipped"] and row["in_stratum"]
-    doc = report.to_json()
-    assert set(doc) == {"r", "n", "seed", "modes", "flip_observed", "note",
-                        "runtime_ms"}
+    """Mode 2 of (6,2,3) in (6,3,3), its one roomy mode, has flip exponent
+    3: its loop stays in the stratum and flips the core's sign, which is
+    why the record labels every member single."""
+    _A, _st, modes = _loop_transport("mrank:r=6,2,3;shape=6,3,3;field=real", 13)
+    assert modes == {2: (True, True, {"single"})}
 
 
-@pytest.mark.parametrize("r,n,seed,pin", [
-    ((4, 2, 2), (4, 3, 3), 12,
-     "c7afb5bcedd7fe61cb09142d1a4fab1c732a475688ba3526dd2ba9424f9f62e0"),
-    ((6, 2, 3), (6, 3, 3), 13,
-     "1c2ac1c943617a3d7ef1d7ba6cafc8b01ca07ac76a11d7746e750b27ed06aaa4"),
-    ((4, 2, 2), (4, 3, 3), 3,
-     "434a9f62d14d01b66138d8755235edcdb7e1b110baa6a03ed7a0b18f7bdc8291"),
-])
-def test_monodromy_reports_are_pinned(r, n, seed, pin):
-    """sha256 of the canonical probe report, runtime_ms stripped."""
-    report = monodromy_probe(r, n, seed=seed, samples=16)
-    doc = dumps_canonical(strip_runtime(report.to_json()))
-    assert hashlib.sha256(doc.encode()).hexdigest() == pin
+SQUARE_BESIDE_ROOMY = {"mrank:r=4,2,2;shape=4,3,2;field=real": 2,
+                 "mrank:r=4,2,2;shape=4,3,3;field=real": 2,
+                 "mrank:r=2,4,2;shape=3,4,2;field=real": 2,
+                 "mrank:r=6,2,3;shape=6,3,3;field=real": 1}
 
 
-@pytest.mark.parametrize("r,n", [
-    ((4, 2, 2), (4, 2, 2)),   # fully saturated: classifier territory
-    ((4, 2, 2), (3, 3, 3)),   # rank exceeds ambient dimension
-    ((3, 2, 2), (3, 3, 3)),   # r_1 != prod of the rest
-    ((4,), (4,)),             # too few modes
-])
-def test_monodromy_rejects_bad_parameters(r, n):
-    with pytest.raises(ValueError):
-        monodromy_probe(r, n, seed=14)
+@pytest.mark.parametrize("text", sorted(SQUARE_BESIDE_ROOMY))
+def test_square_mode_with_roomy_modes_censuses_are_consistent(text):
+    """Where a saturated square mode sits beside roomy ones, the sign rule
+    predicts 2 components when every roomy flip exponent is even and 1
+    otherwise; 30 trials from seed 1 find exactly that many labels, join
+    every within-label pair and no cross-label one."""
+    report = census(parse_stratum(text), 30, 1)
+    assert report.verdict == "consistent"
+    assert len(report.label_counts) == SQUARE_BESIDE_ROOMY[text]
+    assert report.within_passes == report.within_attempts > 0
+    assert report.cross_label_connections == 0
+
+
+def test_pairwise_refuses_exactly_the_pairs_with_different_labels():
+    st = parse_stratum("mrank:r=4,2,2;shape=4,3,2;field=real")
+    N, seed = 10, 14
+    report = pairwise_connect_experiment(st, N, 12, seed)
+    ends = kind_of(st).draws(st, [SplitMix64(derive_seed(seed, j))
+                                  for j in range(2 * N)], DEFAULT_TOL)
+    labels = [classify(st, A) for A, _w in ends]
+    differ = [i for i in range(N) if labels[2 * i] != labels[2 * i + 1]]
+    assert differ and len(differ) < N
+    assert [row["pair"] for row in report.failures] == differ
+    assert {row["status"] for row in report.failures} == {"different-components"}
+    assert report.passes == N - len(differ)
+
+
+def test_counts_below_one_are_refused():
+    st = parse_stratum("mrank:r=2,2;shape=2,2;field=real")
+    for call, message in (
+            (lambda: census(st, -5, 1), "N must be at least 1, got -5"),
+            (lambda: census(st, 0, 1), "N must be at least 1, got 0"),
+            (lambda: census(st, 4, 1, path_samples=0),
+             "path_samples must be at least 1, got 0"),
+            (lambda: pairwise_connect_experiment(st, 0, 12, 1),
+             "N must be at least 1, got 0"),
+            (lambda: pairwise_connect_experiment(st, 4, -1, 1),
+             "K must be at least 1, got -1"),
+            (lambda: identifiability_experiment((3, 3, 3), -2, 1),
+             "N must be at least 1, got -2")):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_strip_runtime_recurses():

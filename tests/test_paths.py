@@ -17,7 +17,7 @@ from tensortopo import (COMPLEX, REAL, DifferentComponents, Hypermatrix,
                         sample_sym_mrank, sample_sym_rank_r, sym_embed,
                         sym_power, sym_tucker_compress)
 import tensortopo
-from tensortopo.classifiers import classify, classify_brank3_222
+from tensortopo.classifiers import ComponentLabel, classify, classify_brank3_222
 from tensortopo.core import DEFAULT_TOL, RankOneFactors
 from tensortopo.io import dumps_canonical
 from tensortopo.kinds import Kind, kind_of
@@ -110,7 +110,6 @@ def test_sym_rank_one_even_order_sign_components():
         connect_sym_rank_one(a, other)
     assert {str(info.value.label_a), str(info.value.label_b)} == \
         {"sign:+", "sign:-"}
-    assert not info.value.conjectural
 
 
 def test_sym_rank_r_odd_order():
@@ -272,7 +271,6 @@ def test_brank3_cross_label_refused():
     b = _brank3_with_label(rng, "sign-triple:-+-")
     with pytest.raises(DifferentComponents) as info:
         connect_brank3_222(a, b)
-    assert not info.value.conjectural
     assert {str(info.value.label_a), str(info.value.label_b)} == \
         {"sign-triple:+++", "sign-triple:-+-"}
 
@@ -429,7 +427,6 @@ def test_mrank_saturated_opposite_sign_refused():
             break
     with pytest.raises(DifferentComponents) as info:
         connect(st, a, b, rng=SplitMix64(9))
-    assert not info.value.conjectural
     assert (str(info.value.label_a), str(info.value.label_b)) == (
         str(classify(st, a)), str(classify(st, b)))
 
@@ -468,7 +465,10 @@ def test_mrank_complex_connects_across_det_phase():
     assert_connects(path, a, b)
 
 
-def test_mrank_mixed_case_is_conjectural_on_mismatch():
+def test_mrank_mixed_case_refuses_only_different_labels():
+    """Both roomy modes of (4,2,2) in (4,3,3) have the even flip exponent
+    2: every refusal is between two different labels, each a
+    ComponentLabel, and every other pair connects."""
     rng = SplitMix64(222)
     st = parse_stratum("mrank:r=4,2,2;shape=4,3,3;field=real")
     outcomes = {"pass": 0, "diff": 0}
@@ -480,9 +480,27 @@ def test_mrank_mixed_case_is_conjectural_on_mismatch():
             assert_connects(path, a, b)
             outcomes["pass"] += 1
         except DifferentComponents as exc:
-            assert exc.conjectural
+            assert isinstance(exc.label_a, ComponentLabel)
+            assert isinstance(exc.label_b, ComponentLabel)
+            assert exc.label_a != exc.label_b
+            assert (exc.label_a, exc.label_b) == (classify(st, a), classify(st, b))
             outcomes["diff"] += 1
     assert outcomes["pass"] + outcomes["diff"] == 6
+    assert outcomes["diff"] > 0
+
+
+@pytest.mark.parametrize("K", [0, -3])
+def test_path_verify_refuses_a_sample_count_below_one(K):
+    """A grid of K < 1 samples would certify only the ends and joints."""
+    rng = SplitMix64(224)
+    a, _ = sample_rank_r((3, 3, 3), 1, REAL, rng)
+    b, _ = sample_rank_r((3, 3, 3), 1, REAL, rng)
+    path = connect(parse_stratum("rank:r=1;shape=3,3,3;field=real"), a, b)
+    for verify in (lambda: path_verify(path, K),
+                   lambda: paths_module.verify_paths([path], K)):
+        with pytest.raises(ValueError) as info:
+            verify()
+        assert str(info.value) == f"K must be at least 1, got {K}"
 
 
 def test_mrank_validates_endpoints():
@@ -498,15 +516,19 @@ def test_mrank_validates_endpoints():
 # four pairs per stratum drawn from SplitMix64(250), recorded when the loops
 # were still chosen by elimination over GF(2): two strata with two square
 # modes, one whose every rank is 1, and one whose mismatches no loop can mend.
+# Three were re-pinned when the sign rule of classifiers.mrank_sign_mode
+# settled their labels: the samples of the two odd-exponent strata are
+# labelled single, and the refusals of (2,2,1) in (2,2,3) carry the record's
+# labels.
 MRANK_LOOP_DIGESTS = {
     "mrank:r=2,2,1;shape=3,2,2;field=real":
-        "c26ddd2a17c01430c3bcc5c14f83b9cfb518ce88f7dc1cae65a71923ee7e249f",
+        "4e529948de54222535b6ae9ffba8ddbb7fb12ebea34b36c98568df3107425e1d",
     "mrank:r=3,3,1;shape=3,4,2;field=real":
-        "d79d0b4ac004e3789034cae914949bbec5d489073b45027333553df28dd8596f",
+        "676b375ef70b0b219a8515ec9bd2533edaf6c9803d874009fdbcff7d76833e86",
     "mrank:r=1,1,1;shape=2,3,2;field=real":
         "d9147d4f9d786dc61e879f3e0f55db28d500042e2eabc7b3a306a2e24ed776a9",
     "mrank:r=2,2,1;shape=2,2,3;field=real":
-        "132144bbabfb433c9d85f3232ceba2e912d7783bef43da6f0f9d3d33dd8dae55",
+        "0cd24de2a16c784f6b3ad3b5af912af24fea2fda951ae723c51791ee2f6a8b66",
 }
 
 
@@ -520,7 +542,7 @@ def _mrank_loop_outcomes(text):
         try:
             path = connect(st, a, b, rng=SplitMix64(i))
         except DifferentComponents as exc:
-            outcomes.append({"refused": str(exc), "conjectural": exc.conjectural})
+            outcomes.append({"refused": str(exc)})
             continue
         outcomes.append({"path": path.to_json(), "report": path_verify(path).to_json()})
     return outcomes
@@ -534,14 +556,14 @@ def test_mrank_loop_documents_are_pinned(text):
 
 def test_mrank_unmendable_mismatch_refusal_is_pinned():
     """Both square modes saturated, and the roomy mode's flip exponent (the
-    other square rank, 2) is even: no loop mends the mismatch."""
+    other square rank, 2) is even: no loop mends the mismatch, and the
+    refusal carries the record's two labels."""
     refusals = [o for o in _mrank_loop_outcomes("mrank:r=2,2,1;shape=2,2,3;field=real")
                 if "refused" in o]
     assert refusals == [{
-        "refused": "endpoints carry different component labels: sign:-- vs "
-                   "sign:++ (square-mode core determinant signs cannot be "
-                   "reconciled by orientation loops) [conjectural separation]",
-        "conjectural": True}] * 2
+        "refused": f"endpoints carry different component labels: {a} vs {b} "
+                   "(square flattening determinant signs differ)"}
+        for a, b in (("sign:-", "sign:+"), ("sign:+", "sign:-"))]
 
 
 @pytest.mark.parametrize("text", sorted(MRANK_LOOP_DIGESTS)
