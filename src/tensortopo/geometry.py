@@ -314,63 +314,53 @@ def sym_tucker_expand(frame: GrassmannPoint, core: SymTensor) -> SymTensor:
 def so_rotation_path(Q: np.ndarray):
     """Callable t -> R(t) with R(0) = I, R(1) = Q, R(t) in SO(r) throughout.
 
-    Q must be real special orthogonal. Uses the real Schur form: rotation
-    angles are scaled by t; -1 eigenvalue pairs become pi-rotations in their
-    invariant planes. The callable takes one t or an array of them, whose
-    matrices come back stacked along a first axis, as do those of
-    orthogonal_interpolator and gl_interpolator.
+    Q must be real special orthogonal. A Givens QR reduction takes Q to I
+    with rotations in the planes (j, i), j < i, in row-major order, each
+    angle a_k read with arctan2 so that every pivot is nonnegative; the
+    last pivot is then det Q = +1, and nothing is left to pair. So
+    Q = G_1(a_1) ... G_K(a_K), G_k(a) the rotation by a in the k-th plane,
+    and R(t) = G_1(t a_1) ... G_K(t a_K). The path is not a geodesic, but
+    its speed is at most sum |a_k|. The callable takes one t or an array of
+    them, whose matrices come back stacked along a first axis, as do those
+    of orthogonal_interpolator and gl_interpolator.
     """
-    import scipy.linalg  # here alone, so a run that takes no Schur form never loads scipy
-
     r = Q.shape[0]
     if np.max(np.abs(Q @ Q.T - np.eye(r))) > 1e-10 or np.linalg.det(Q) < 0:
         raise ValueError("so_rotation_path needs a special orthogonal matrix")
-    T, Z = scipy.linalg.schur(Q, output="real")
-    planes: list[tuple[int, int, float]] = []
-    pending_minus: list[int] = []
-    i = 0
-    while i < r:
-        if i + 1 < r and abs(T[i + 1, i]) > 1e-12:
-            theta = float(np.arctan2(T[i + 1, i], T[i, i]))
-            planes.append((i, i + 1, theta))
-            i += 2
-        else:
-            if T[i, i] < 0:
-                pending_minus.append(i)
-            i += 1
-    if len(pending_minus) % 2 != 0:
-        raise ValueError("determinant is not +1 (odd count of -1 eigenvalues)")
-    for a, b in zip(pending_minus[::2], pending_minus[1::2]):
-        planes.append((a, b, np.pi))
+    planes = [(j, i) for j in range(r - 1) for i in range(j + 1, r)]
+    R, angles = Q.tolist(), []  # Python floats: r is small, numpy calls cost more
+    for j, i in planes:
+        angles.append(math.atan2(R[i][j], R[j][j]))
+        c, s = math.cos(angles[-1]), math.sin(angles[-1])
+        Rj, Ri = R[j], R[i]
+        R[j] = [c * x + s * y for x, y in zip(Rj, Ri)]
+        R[i] = [c * y - s * x for x, y in zip(Rj, Ri)]
+    angles = np.array(angles)
+    J, I = np.array(planes, dtype=np.intp).reshape(-1, 2).T
+    k = np.arange(len(planes))
+    width = 1 << max(len(planes) - 1, 0).bit_length()  # identities pad K to 2^m
 
     def path(t) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
-        M = np.broadcast_to(np.eye(r), t.shape + (r, r)).copy()
-        for a, b, theta in planes:
-            c, s = np.cos(theta * t), np.sin(theta * t)
-            M[..., a, a] = c
-            M[..., a, b] = -s
-            M[..., b, a] = s
-            M[..., b, b] = c
-        return Z @ M @ Z.T
+        G = np.broadcast_to(np.eye(r), t.shape + (width, r, r)).copy()
+        c, s = np.cos(t[..., None] * angles), np.sin(t[..., None] * angles)
+        G[..., k, J, J], G[..., k, J, I] = c, -s
+        G[..., k, I, J], G[..., k, I, I] = s, c
+        while G.shape[-3] > 1:  # the product in plane order, halved per matmul
+            G = G[..., 0::2, :, :] @ G[..., 1::2, :, :]
+        return G[..., 0, :, :]
 
     return path
 
 
 def orthogonal_interpolator(Q0: np.ndarray, Q1: np.ndarray):
-    """Callable t -> Q(t) joining two real orthogonal matrices of equal det sign."""
-    d0, d1 = np.linalg.det(Q0), np.linalg.det(Q1)
-    if d0 * d1 < 0:
-        raise ValueError("cannot join orthogonal matrices of opposite orientation")
-    r = Q0.shape[0]
-    flip = np.eye(r)
-    if d0 < 0:
-        flip[-1, -1] = -1.0
-    A0, A1 = Q0 @ flip, Q1 @ flip
-    inner = so_rotation_path(A0.T @ A1)
+    """Callable t -> Q0 R(t) joining two real orthogonal matrices of equal
+    det sign, where R is so_rotation_path of Q0^T Q1: the Givens product,
+    special orthogonal exactly when the two signs agree."""
+    inner = so_rotation_path(Q0.T @ Q1)
 
     def path(t) -> np.ndarray:
-        return A0 @ inner(t) @ flip
+        return Q0 @ inner(t)
 
     return path
 

@@ -214,34 +214,65 @@ def test_tucker_stack_takes_one_frame_for_a_symmetric_tensor(monkeypatch, d, n):
     assert modes == list(range(1, d + 1))
 
 
+def _plane_turn(n, turns):
+    """I_n turned by angle theta in each plane (a, b) of ``turns``."""
+    Q = np.eye(n)
+    for a, b, theta in turns:
+        G = np.eye(n)
+        G[[a, a, b, b], [a, b, a, b]] = [np.cos(theta), -np.sin(theta),
+                                         np.sin(theta), np.cos(theta)]
+        Q = Q @ G
+    return Q
+
+
 def test_so_rotation_path_endpoints_and_orthogonality():
     rng = SplitMix64(49)
+    cases = []
     for n in (2, 3, 5):
         Q = random_orthogonal(n, rng)
         if np.linalg.det(Q) < 0:
             Q[:, 0] = -Q[:, 0]
+        cases.append(Q)
+    signed_permutation = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
+    assert np.linalg.det(signed_permutation) > 0
+    cases += [np.eye(1), -np.eye(2), -np.eye(4), np.diag([-1.0, -1.0, 1.0]),
+              signed_permutation, _plane_turn(3, [(0, 2, 1e-9)]),
+              _plane_turn(3, [(1, 2, np.pi - 1e-9)]),
+              _plane_turn(4, [(0, 1, 0.7), (2, 3, 0.7)])]
+    for Q in cases:
+        n = Q.shape[0]
         path = so_rotation_path(Q)
-        assert np.allclose(path(0.0), np.eye(n), atol=1e-12)
-        assert np.allclose(path(1.0), Q, atol=1e-10)
+        assert np.array_equal(path(0.0), np.eye(n))
+        assert np.abs(path(1.0) - Q).max() <= 1e-12
         for t in TS:
             R = path(t)
-            assert np.allclose(R.T @ R, np.eye(n), atol=1e-10)
+            assert np.allclose(R.T @ R, np.eye(n), atol=1e-12)
             assert np.linalg.det(R) > 0
 
 
 def test_so_rotation_path_rejects_reflections():
     with pytest.raises(ValueError):
         so_rotation_path(np.diag([-1.0, 1.0]))
+    with pytest.raises(ValueError):
+        so_rotation_path(2.0 * np.eye(2))
 
 
 def test_orthogonal_interpolator_endpoints():
     rng = SplitMix64(50)
+    pairs = []
     for _ in range(4):
         Q0 = random_orthogonal(4, rng)
         Q1 = random_orthogonal(4, rng)
         if np.linalg.det(Q0) * np.linalg.det(Q1) < 0:
             Q1 = Q1.copy()
             Q1[:, 0] = -Q1[:, 0]
+        pairs.append((Q0, Q1))
+    Q0, Q1 = random_orthogonal(4, rng), random_orthogonal(4, rng)
+    Q0[:, 0] *= -np.sign(np.linalg.det(Q0))
+    Q1[:, 0] *= -np.sign(np.linalg.det(Q1))
+    assert np.linalg.det(Q0) < 0 and np.linalg.det(Q1) < 0
+    pairs.append((Q0, Q1))  # two reflections
+    for Q0, Q1 in pairs:
         f = orthogonal_interpolator(Q0, Q1)
         assert np.allclose(f(0.0), Q0, atol=1e-10)
         assert np.allclose(f(1.0), Q1, atol=1e-10)

@@ -354,12 +354,15 @@ def test_conj_pair_margin_identity():
         assert (np.abs(identity - ratio)[clear] <= 1e-9 * np.abs(ratio[clear])).all()
 
 
-def test_border_rank_three_paths_never_load_scipy():
-    """scipy is imported only for a Schur form: a border-rank-three connect
-    and path_verify leave it unloaded, and a saturated-square
-    multilinear-rank connect (a gl_core_track) loads it."""
+def test_paths_run_without_scipy():
+    """No path needs scipy: with every scipy import made to fail, a
+    same-label pair of a border-rank-three stratum, of a saturated-square
+    multilinear-rank stratum (a gl_core_track), of a real 2x2 matrix
+    stratum and of an order-2 symmetric stratum (an eigen_core_track)
+    each connects and passes path_verify."""
     code = """
 import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
 import tensortopo as tt
 from tensortopo.kinds import kind_of
 
@@ -373,12 +376,10 @@ def same_label_pair(text, seed):
         if la == lb:
             return st, a, b
 
-st, a, b = same_label_pair("brank:r=3;shape=2,2,2;field=real", 5)
-assert tt.path_verify(tt.connect(st, a, b)).passed
-assert "scipy" not in sys.modules, "border rank three loaded scipy"
-st, a, b = same_label_pair("mrank:r=4,2,2;shape=4,2,2;field=real", 9)
-tt.connect(st, a, b, rng=tt.SplitMix64(10))
-assert "scipy" in sys.modules, "a saturated-square connect did not load scipy"
+for text in ["brank:r=3;shape=2,2,2;field=real", "mrank:r=4,2,2;shape=4,2,2;field=real",
+             "mrank:r=2,2;shape=2,2;field=real", "sym-mrank:d=2;n=4;r=3;field=real"]:
+    st, a, b = same_label_pair(text, 9)
+    assert tt.path_verify(tt.connect(st, a, b, rng=tt.SplitMix64(10))).passed, text
 """
     root = os.path.dirname(os.path.dirname(tensortopo.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -521,14 +522,18 @@ def test_mrank_validates_endpoints():
 # labelled single, and the refusals of (2,2,1) in (2,2,3) carry the record's
 # labels.
 MRANK_LOOP_DIGESTS = {
+    # re-pinned with so_rotation_path a Givens product: the core track
+    # rotates through it, and margins moved in the last bits
     "mrank:r=2,2,1;shape=3,2,2;field=real":
-        "4e529948de54222535b6ae9ffba8ddbb7fb12ebea34b36c98568df3107425e1d",
+        "93c28df5779ae3e704ef1aeec7e1aedd3770633e3badb989e64766a3e842a88d",
+    # re-pinned with so_rotation_path a Givens product, as above
     "mrank:r=3,3,1;shape=3,4,2;field=real":
-        "676b375ef70b0b219a8515ec9bd2533edaf6c9803d874009fdbcff7d76833e86",
+        "a36c3ffea5a85c1e7e8e9454e34705f5d6a13c02ea7c692182d1c9e3da199711",
     "mrank:r=1,1,1;shape=2,3,2;field=real":
         "d9147d4f9d786dc61e879f3e0f55db28d500042e2eabc7b3a306a2e24ed776a9",
+    # re-pinned with so_rotation_path a Givens product, as above
     "mrank:r=2,2,1;shape=2,2,3;field=real":
-        "0cd24de2a16c784f6b3ad3b5af912af24fea2fda951ae723c51791ee2f6a8b66",
+        "b870c5ed6a33092f5b3d597cbf1d680ae82ca46e8efc778d31a8164bba85c34b",
 }
 
 
@@ -839,6 +844,9 @@ def test_segment_families_keep_kinds_and_witnesses(name):
 # recorded when tracks were still tagged tuples. The brank3 entry was
 # recorded anew when the conjugate-pair segment became a closed form with
 # the short-arc rule and its end factors came from the labelled-term pass.
+# The grid and report of mrank-flip-loop and sym-mrank-order-2 were recorded
+# anew when so_rotation_path became a Givens product, which their gl and
+# eigen core tracks rotate through; their path documents did not move.
 FAMILY_GRID_DIGESTS = {
     "rank-one": ("ff8b28cbd25b0aec755fa8ab25e70d6c9035ad3a65e704bda99085713de1dac5",
                  "48f90068cc9dce570c1039cc6c02765caaae80bd6c379c4b109288bb1c765921",
@@ -852,11 +860,11 @@ FAMILY_GRID_DIGESTS = {
     "sym-rank": ("55382d278e29dc5c47e79552fcbed4f07a7d33841363754ec1de9237b5f52d8d",
                  "f246775ddabcff5d391809ee3db0c8e41d976e142d710512099f2bc46e861930",
                  "ec4c0b203d43c93fe39ee0df8b4a0b4320cd5311958d8f6bdc13f7d9fd344096"),
-    "mrank-flip-loop": ("5f40adc8c9d85cafbd3b968fcf2965c63ead7b6c55f6762984e992af864d7ab0",
-                        "8495b99b23961c0e3cde3caed449f9d77d84d2b366af9e39da18918ec8dcd958",
+    "mrank-flip-loop": ("e7171c4cfbf9faf36e7e4f74c62fea318fc1c4d785ff4ee657535b42a7da6a24",
+                        "a5f3130cb9965dd4731389d887f65b11c03c8871c165ee1913282a17835c8539",
                         "54a37b26e944b9266e717e5b1d187b224a8d6f9ef378dc73bee5f407aed70cb7"),
-    "sym-mrank-order-2": ("b4ed000d0ae940b6bc9b0b6ae15fb3c548de76f9a2268ea26d4d6d990a9f5ec3",
-                          "3bc3b6d33f3412f7d45a06b6038e737eb72100544ffbf4fb3b13b10e8e71ada4",
+    "sym-mrank-order-2": ("99999047ca97400749ed637dba3ede433e90dcbe7bedcdf4a6ab0b1f676a52c3",
+                          "8c25752f01ba9d65a95d8f3de08cad772954ef24a34537295d2a9203a598f798",
                           "eda07b3e358a6a5b161f65684755b63a82aa0613800018f9e9d1bdd9ea4cfeb5"),
     "brank3": ("3a897cfbe50bb65f713d43a78c4afc05d0b917ae320a13822b348952e5b35a1b",
                "0c677604b5fbab205d04e1b5d6d7449a27c75eb8da5427d7fdf072bfbd333d14",
