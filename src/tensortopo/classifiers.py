@@ -17,7 +17,8 @@ from .certify import (_conj_pair_terms, classify_222, hyperdet_signs,
 from .core import (COMPLEX, DEFAULT_TOL, Hypermatrix, REAL, RankOneFactors,
                    SymRankDecomposition, SymTensor, TolerancePolicy,
                    _sym_index_tables, flatten, flattening_det_signs,
-                   numerical_rank, row_norms, sym_embed_stack)
+                   mode_multiply_stack, numerical_rank, row_norms,
+                   sym_embed_stack)
 from .errors import (ToleranceError, UnsupportedStratumError, rejected,
                      settled)
 from .geometry import flip_exponent
@@ -338,6 +339,19 @@ def mrank_sign_mode(stratum: StratumDescriptor) -> int | None:
            for j, (n, r) in enumerate(zip(stratum.shape, stratum.rank))):
         return None
     return i
+
+
+def mrank_sign_labels(stratum: StratumDescriptor, stack: np.ndarray,
+                      frames: list) -> list:
+    """The labels of a stack of members of a real multilinear rank where
+    mrank_sign_mode gives a mode: the determinant sign of that mode's
+    flattening once each roomy mode j is compressed onto ``frames[j]``, the
+    (K, n_j, r_j) frames of the stack's mode-j column spaces (None at a
+    mode with n_j = r_j), with one batched slogdet."""
+    return [sign_label(sign) for (sign,) in flattening_det_signs(
+        mode_multiply_stack(stack, [None if F is None else np.swapaxes(F, 1, 2)
+                                    for F in frames]),
+        [mrank_sign_mode(stratum)])]
 
 
 def square_mode(stratum: StratumDescriptor) -> int | None:

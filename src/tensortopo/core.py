@@ -309,10 +309,13 @@ def sym_mrank_stack(packed: np.ndarray, n: int, d: int,
 
 def flattening_det_signs(data: np.ndarray, modes) -> list[tuple[int, ...]]:
     """Per tensor of a (K, ...) stack, the determinant sign (1, or -1 for a
-    negative or zero determinant) of each listed square flattening (one or
-    more 1-based modes), with one batched slogdet per mode."""
-    signs = [np.linalg.slogdet(flatten_stack(data, m))[0].tolist() for m in modes]
-    return [tuple(1 if s > 0 else -1 for s in row) for row in zip(*signs)]
+    negative or zero determinant) of each listed square flattening (1-based
+    modes; with none listed, every tensor gets the empty tuple), with one
+    batched slogdet per mode and one signs array."""
+    signs = np.empty((len(data), len(modes)))
+    for j, m in enumerate(modes):
+        signs[:, j] = np.linalg.slogdet(flatten_stack(data, m))[0]
+    return list(map(tuple, np.where(signs > 0, 1, -1).tolist()))
 
 
 def row_norms(data: np.ndarray) -> np.ndarray:

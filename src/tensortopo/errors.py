@@ -78,7 +78,7 @@ def rejected(mask, error) -> list:
 
 def settled(verdict):
     """The inverse of ``caught`` for one verdict of a batched routine: the
-    verdict, or the TensorTopoError it holds raised."""
-    if isinstance(verdict, TensorTopoError):
+    verdict, or the error it holds raised."""
+    if isinstance(verdict, Exception):
         raise verdict
     return verdict

@@ -275,22 +275,23 @@ def tucker_expand(rep: TuckerRep) -> Hypermatrix:
 
 
 def sym_tucker_stack(packed: np.ndarray, n: int, d: int, r: int, ranks,
-                     tol: TolerancePolicy = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+                     tol: TolerancePolicy = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, list]:
     """sym_tucker_compress for every row of a (K, L) stack of packed
     symmetric tensors, with one batched product each way: the (K, n, r)
-    frames, unchecked for orthonormality, and the (K, L_r) packed cores, or
-    the first ToleranceError sym_tucker_compress raises on a row. ``ranks``
-    is as for dominant_frames (sym_mrank_stack's read, or None)."""
+    frames, unchecked for orthonormality, the (K, L_r) packed cores, and
+    per row the first ToleranceError sym_tucker_compress raises on it, or
+    None. ``ranks`` is as for dominant_frames (sym_mrank_stack's read, or
+    None)."""
     data = sym_embed_stack(packed, n, d)
     frames, errors = dominant_frames(data, 1, r, ranks, tol)
-    for error in errors:
-        settled(error)
     core = sym_extract_stack(
         mode_multiply_stack(data, [np.conj(np.swapaxes(frames, 1, 2))] * d), tol)
     back = mode_multiply_stack(sym_embed_stack(core, r, d), [frames] * d)
-    for res, sc in zip(row_norms(back - data).tolist(), row_norms(data).tolist()):
-        _check_round_trip(res, sc, "shared-frame", "the symmetric multilinear rank", r)
-    return frames, core
+    errors = [e or caught(_check_round_trip, res, sc, "shared-frame",
+                          "the symmetric multilinear rank", r)
+              for e, res, sc in zip(errors, row_norms(back - data).tolist(),
+                                    row_norms(data).tolist())]
+    return frames, core, errors
 
 
 def sym_tucker_compress(S: SymTensor, r: int,
@@ -302,7 +303,8 @@ def sym_tucker_compress(S: SymTensor, r: int,
     is again symmetric, of dimension r. The one-tensor case of
     sym_tucker_stack.
     """
-    frames, core = sym_tucker_stack(S.packed[None], S.dim, S.order, r, None, tol)
+    frames, core, errors = sym_tucker_stack(S.packed[None], S.dim, S.order, r, None, tol)
+    settled(errors[0])
     return GrassmannPoint(frames[0], S.field), SymTensor(r, S.order, S.field, core[0])
 
 

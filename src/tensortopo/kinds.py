@@ -68,17 +68,16 @@ import numpy as np
 
 from .certify import hyperdet_signs, rank2_certify
 from .classifiers import (SINGLE, _sym_rank2_witnesses, brank3_labelled_terms,
-                          brank3_labels, mrank_sign_mode, sign_label,
+                          brank3_labels, mrank_sign_labels, mrank_sign_mode,
                           sym_matrix_signatures, sym_signatures,
                           sym_signs_rank1, sym_term_coefficients)
 from .core import (COMPLEX, REAL, MultilinearRank, SymRankDecomposition,
-                   flattening_det_signs, mode_multiply_stack, mrank_admissible,
-                   mrank_stack, sym_mrank_stack)
+                   mrank_admissible, mrank_stack, sym_mrank_stack)
 from .errors import (DegenerateError, TensorTopoError, ToleranceError,
                      UnsupportedStratumError, caught, rejected, settled)
 from .geometry import dominant_frames
-from .paths import (_sym_rank1_witness, connect_brank3_222, connect_mrank,
-                    connect_rank_r, connect_sym_mrank, connect_sym_rank_r)
+from .paths import (_mrank_route, _rank_r_route, _sym_mrank_route,
+                    _sym_rank1_witness, _sym_rank_r_route, connect_brank3_222)
 from .sampling import (expected_generic_mrank, fixed_mrank_draws,
                        rank_r_draws, sym_mrank_draws, sym_rank_r_draws)
 
@@ -93,6 +92,11 @@ class Kind:
     error that ended its stream. A witness is a decomposition that
     ``labels`` and ``connect`` take beside the value; kinds without one give
     None.
+
+    ``connect(stratum, a, b, witness_a, witness_b, tol, rng)`` gives the
+    path from a to b, or a route to it: a generator that yields the
+    batched reads its construction waits on, which paths.connect_many
+    serves for many pairs at once.
 
     ``member(stratum, stack, ranks, tol)``, the kind's one membership rule,
     gives ``(ok, notes)`` for a stack: a (K,) mask and one note per value,
@@ -209,7 +213,7 @@ class Rank(Kind):
         return 1 if stratum.rank == 1 else None
 
     def connect(self, stratum, a, b, witness_a, witness_b, tol, rng):
-        return connect_rank_r(a, b, stratum.rank, tol, rng)
+        return _rank_r_route(a, b, stratum.rank, tol, rng)
 
     def member(self, stratum, stack, ranks, tol):
         r = stratum.rank
@@ -289,7 +293,7 @@ class SymRank(Kind):
         found = iter(self._decompositions(stratum, np.stack(bare), tol) if bare else ())
         Da, Db = (settled(next(found)) if w is None else w
                   for w in (witness_a, witness_b))
-        return connect_sym_rank_r(Da, Db, tol, rng)
+        return _sym_rank_r_route(Da, Db, tol, rng)
 
     def _decompositions(self, stratum, stack, tol) -> list:
         """Per row of a stack of values, its decomposition or the error that
@@ -354,31 +358,29 @@ class MRank(Kind):
         return 1 if mrank_sign_mode(stratum) is None else 2
 
     def connect(self, stratum, a, b, witness_a, witness_b, tol, rng):
-        return connect_mrank(a, b, stratum.rank, tol, rng)
+        return _mrank_route(a, b, stratum.rank, tol, rng)
 
     def member(self, stratum, stack, ranks, tol):
         return (ranks == stratum.rank).all(axis=1), [""] * len(ranks)
 
     def labels(self, stratum, stack, witnesses, tol):
-        mode = mrank_sign_mode(stratum)
-        if mode is None:
+        if mrank_sign_mode(stratum) is None:
             return super().labels(stratum, stack, witnesses, tol)
-        # each roomy mode compressed onto an orthonormal frame of its column
-        # space (one batched SVD per mode; a member's rank there is r_j), a
-        # refused frame being the value's label, then one batched slogdet.
-        # With no roomy mode this is det_sign_mrank's label: a member's rank
-        # read has the square flattening at full rank, which is the
-        # singularity check det_sign_mrank makes
+        # an orthonormal frame of each roomy mode's column space (one
+        # batched SVD per mode; a member's rank there is r_j), a refused
+        # frame being the value's label, then mrank_sign_labels. With no
+        # roomy mode this is det_sign_mrank's label: a member's rank read
+        # has the square flattening at full rank, which is the singularity
+        # check det_sign_mrank makes
         errors, frames = [None] * len(stack), []
         for j, (n, r) in enumerate(zip(stratum.shape, stratum.rank)):
-            if n == r:
-                frames.append(None)
-                continue
-            F, found = dominant_frames(stack, j + 1, r, [r] * len(stack), tol)
-            errors = [e or new for e, new in zip(errors, found)]
-            frames.append(np.swapaxes(F, 1, 2))
-        return [error or sign_label(sign) for error, (sign,) in zip(
-            errors, flattening_det_signs(mode_multiply_stack(stack, frames), [mode]))]
+            F = None
+            if n > r:
+                F, found = dominant_frames(stack, j + 1, r, [r] * len(stack), tol)
+                errors = [e or new for e, new in zip(errors, found)]
+            frames.append(F)
+        return [error or label for error, label in zip(
+            errors, mrank_sign_labels(stratum, stack, frames))]
 
 
 class SymMRank(Kind):
@@ -406,7 +408,7 @@ class SymMRank(Kind):
         return 1
 
     def connect(self, stratum, a, b, witness_a, witness_b, tol, rng):
-        return connect_sym_mrank(a, b, stratum.rank, tol, rng)
+        return _sym_mrank_route(a, b, stratum.rank, tol, rng)
 
     def member(self, stratum, stack, ranks, tol):
         return (ranks == stratum.rank).all(axis=1), [""] * len(ranks)

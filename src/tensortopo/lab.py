@@ -7,7 +7,9 @@ refute a predicted component count, never prove it; where a count is
 derived rather than quoted from the paper (the real multilinear-rank rule
 of classifiers.mrank_sign_mode), the census is the check on it. Per-trial
 seeds are derived from the master seed by index, so reports are
-byte-reproducible.
+byte-reproducible. Census and pairwise experiments connect all their pairs
+with one paths.connect_many call, in lockstep rounds, and verify all their
+paths with one verify_paths call.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import (DegenerateError, DifferentComponents, RetryExhausted,
                      TensorTopoError, ToleranceError, UnsupportedStratumError)
 from .io import dumps_canonical
 from .kinds import kind_of
-from .paths import PATH_SAMPLES, connect, verify_paths
+from .paths import PATH_SAMPLES, TensorPath, connect_many, verify_paths
 from .rng import SplitMix64, derive_seed
 from .sampling import random_invertible, rank_r_draws, sample_rank_r
 from .stratum import StratumDescriptor, format_stratum, parse_stratum
@@ -55,32 +57,24 @@ def expected_component_count(stratum: StratumDescriptor) -> int | None:
         return None
 
 
-def _connected(stratum, a, b, wa, wb, rng, tol):
-    """connect's path from a to b, or the status of its refusal: one of
-    different-components / retry-exhausted / error."""
-    try:
-        return connect(stratum, a, b, witness_a=wa, witness_b=wb,
-                       tol=tol, rng=rng)
-    except DifferentComponents:
-        return "different-components"
-    except RetryExhausted:
-        return "retry-exhausted"
-    except (ToleranceError, DegenerateError, UnsupportedStratumError, ValueError):
-        return "error"
+# the status of a refused pair, by its error's type; any other is "error"
+_REFUSALS = {DifferentComponents: "different-components",
+             RetryExhausted: "retry-exhausted"}
 
 
 def _verified(built: list, K: int, tol) -> list:
-    """(status, path, report) per outcome of _connected: every path is
+    """(status, path, report) per outcome of connect_many: every path is
     verified in one verify_paths call, and passes or gets verify-fail; a
-    refusal keeps its status."""
-    reports = iter(verify_paths([p for p in built if not isinstance(p, str)], K, tol))
+    refusal gets its status from _REFUSALS."""
+    reports = iter(verify_paths([p for p in built if isinstance(p, TensorPath)],
+                                K, tol))
     out = []
     for path in built:
-        if isinstance(path, str):
-            out.append((path, None, None))
-            continue
-        report = next(reports)
-        out.append(("pass" if report.passed else "verify-fail", path, report))
+        if isinstance(path, TensorPath):
+            report = next(reports)
+            out.append(("pass" if report.passed else "verify-fail", path, report))
+        else:
+            out.append((_REFUSALS.get(type(path), "error"), None, None))
     return out
 
 
@@ -127,12 +121,13 @@ def census(stratum: StratumDescriptor, N: int, seed: int,
     Within each label group up to 20 representatives are chained by
     connector paths (these must all pass); across groups the first
     representatives of each label pair are attacked (these must all fail).
-    Every pair is connected first, with the witnesses the draws lack
-    computed once per representative in one call of the record (a refused
-    witness is left to connect, which raises the refusal itself); then all
-    built paths are verified with one verify_paths call. The verdict can
-    refute the expected component count, never prove it. N and
-    path_samples (None for the default of 64) below 1 raise ValueError.
+    Every pair is connected first, all in one connect_many call, with the
+    witnesses the draws lack computed once per representative in one call
+    of the record (a refused witness is left to the connector, which
+    raises the refusal itself); then all built paths are verified with one
+    verify_paths call. The verdict can refute the expected component
+    count, never prove it. N and path_samples (None for the default of 64)
+    below 1 raise ValueError.
     """
     t0 = time.perf_counter()
     _count("N", N)
@@ -176,11 +171,11 @@ def census(stratum: StratumDescriptor, N: int, seed: int,
             for index, value, witness in reps if witness is None}
     witnesses = dict(zip(bare, kind.witnesses(
         stratum, stratum.stack(list(bare.values())), tol))) if bare else {}
-    built = [_connected(stratum, va, vb, witnesses.get(ia, wa),
-                        witnesses.get(ib, wb),
-                        SplitMix64(derive_seed(seed, N + pair_index)), tol)
-             for pair_index, (_within, (ia, va, wa), (ib, vb, wb))
-             in enumerate(pairs)]
+    built = connect_many(
+        stratum, [(va, vb, witnesses.get(ia, wa), witnesses.get(ib, wb))
+                  for _within, (ia, va, wa), (ib, vb, wb) in pairs],
+        [SplitMix64(derive_seed(seed, N + pair_index))
+         for pair_index in range(len(pairs))], tol)
     within_attempts = within_passes = 0
     cross_attempts = cross_success = 0
     contradiction = False
@@ -249,14 +244,15 @@ def pairwise_connect_experiment(stratum: StratumDescriptor, N: int, K: int,
     ends = kind.draws(stratum, [SplitMix64(derive_seed(seed, j))
                                 for j in range(2 * N)], tol)
 
-    # every pair connected first, then all its paths verified in one call
-    built = {}
-    for i in range(N):
-        if not any(isinstance(end, TensorTopoError) for end in ends[2 * i:2 * i + 2]):
-            (a, wa), (b, wb) = ends[2 * i:2 * i + 2]
-            built[i] = _connected(stratum, a, b, wa, wb,
-                                  SplitMix64(derive_seed(seed, 2 * N + i)), tol)
-    verified = dict(zip(built, _verified(list(built.values()), K, tol)))
+    # every pair connected first, in lockstep, then all its paths verified
+    # in one call
+    drawn = [i for i in range(N) if not any(
+        isinstance(end, TensorTopoError) for end in ends[2 * i:2 * i + 2])]
+    built = connect_many(
+        stratum, [(a, b, wa, wb) for (a, wa), (b, wb)
+                  in (ends[2 * i:2 * i + 2] for i in drawn)],
+        [SplitMix64(derive_seed(seed, 2 * N + i)) for i in drawn], tol)
+    verified = dict(zip(drawn, _verified(built, K, tol)))
 
     def one(i: int) -> dict:
         if i not in verified:

@@ -37,28 +37,42 @@ symmetric rank r) must pass path_verify, which certifies its whole grid in
 one call of the record, with every margin at least gap_min. A path of one
 such segment carries that report, so path_verify does not certify its
 samples again.
+
+connect_many connects the pairs of a census or pairwise experiment in
+lockstep, as the samplers draw. The stratum's record gives each pair its
+path, or a route: a generator that yields the batched reads its
+construction waits on (the ends' rank read, their Tucker compression and
+core signs, the acceptance of a detour level's pieces) and returns the
+path. All routes run in rounds with one call per read a round, each call
+at most _ROUND_SAMPLES grid samples. Each pair keeps its own route and
+generator, so its path, refusal and generator use are those it gets alone.
+connect is the one-pair case, and each connect_* connector runs its route
+alone.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from types import GeneratorType
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .certify import is_rank_one, rank2_decompositions
 from .classifiers import (ComponentLabel, brank3_labelled_terms, sign_label,
-                          mrank_sign_mode, sym_matrix_signatures)
+                          mrank_sign_labels, mrank_sign_mode,
+                          sym_matrix_signatures)
 from .core import (COMPLEX, DEFAULT_TOL, LOOSE_TOL, Hypermatrix, REAL,
                    RankOneFactors, SymRankDecomposition, SymTensor,
                    TolerancePolicy, _dtype_for, flattening_det_signs,
                    mode_multiply, mode_multiply_stack, outer_stack, row_norms,
                    sym_embed, sym_embed_stack, sym_extract, sym_extract_stack,
                    sym_power_stack)
-from .errors import (DifferentComponents, RetryExhausted, ToleranceError,
-                     UnsupportedStratumError, settled)
+from .errors import (DifferentComponents, RetryExhausted, TensorTopoError,
+                     ToleranceError, UnsupportedStratumError, settled)
 from .geometry import (GrassmannGeodesic, GrassmannPoint, OrientationLoop,
                        flip_exponent, gl_interpolator, orthogonal_interpolator,
                        sym_tucker_stack, tucker_stack)
@@ -73,6 +87,9 @@ _ANTIPODAL = 1e-9      # |<a,b> + 1| below this forces a detour
 _ENDPOINT_TOL = 1e-10  # relative miss allowed between a path end and its input
 _DETOUR_DEPTH = 8      # midpoint detour levels before a construction gives up
 PATH_SAMPLES = 64      # Chebyshev samples of a verification grid
+# grid samples one batched call of a lockstep round reads at most: 16
+# term-sum candidates, each a verification grid with both ends
+_ROUND_SAMPLES = 16 * (PATH_SAMPLES + 2)
 
 
 def _lerp(a, b, s):
@@ -501,6 +518,13 @@ def chebyshev_grid(K: int) -> list[float]:
             for k in range(K)]
 
 
+@functools.lru_cache(maxsize=8)
+def _sample_grid(K: int) -> tuple:
+    """The parameters of a K-sample grid, once per K: both ends, then the K
+    Chebyshev samples."""
+    return (0.0, 1.0, *chebyshev_grid(K))
+
+
 # ---------------------------------------------------------------------------
 # rank-one connectivity
 
@@ -702,34 +726,72 @@ def _match_sym_terms(terms_a: list, terms_b: list, d: int, field: str) -> list:
     return pairs
 
 
-def _detour_route(piece, accept, draw_mid, x0, x1, budget: int) -> list:
-    """Pieces from x0 to x1: ``piece(x0, x1)`` if ``accept`` passes it,
-    else the routes through a random midpoint from ``draw_mid()``, at most
-    ``budget`` levels deep."""
+class _Ask(NamedTuple):
+    """A batched read a route waits on: ``read(*args, *stacks)`` over the
+    rows of ``stacks``, arrays or lists of one row per item; ``size`` grid
+    samples count against a round's cap. _lockstep makes one such call per
+    read and args for the asks of a round, on their stacks joined, and
+    sends each route its rows of the result (a tuple's rows part by part)."""
+
+    read: Callable
+    args: tuple
+    stacks: tuple
+    size: int
+
+
+def _detour_route(piece, accept, draw_mid, x0, x1, budget: int):
+    """A route (see connect_many) to the pieces from x0 to x1:
+    ``piece(x0, x1)`` if ``accept`` passes it, else _detours.
+    ``accept(pieces)``, a route too, gives one verdict per piece."""
     part = piece(x0, x1)
-    if accept(part):
+    (ok,) = yield from accept([part])
+    if ok:
         return [part]
+    return (yield from _detours(piece, accept, draw_mid, x0, x1, budget))
+
+
+def _detours(piece, accept, draw_mid, x0, x1, budget: int):
+    """A route to the pieces from x0 to x1 through a random midpoint from
+    ``draw_mid()``, at most ``budget`` levels deep, the piece from x0 to
+    x1 having been refused. The two pieces of a level are accepted
+    together; a refused one is replaced by its own detours. Midpoints are
+    drawn depth first, the left route's before the right's, as a recursion
+    that accepts one piece at a time draws them. (A module function: a
+    closure that calls itself is a reference cycle, which would hold the
+    route's pieces until a garbage collection.)"""
     if budget <= 0:
         raise RetryExhausted(
             "path construction failed after exhausting random midpoint detours")
     mid = draw_mid()
-    return (_detour_route(piece, accept, draw_mid, x0, mid, budget - 1)
-            + _detour_route(piece, accept, draw_mid, mid, x1, budget - 1))
+    ends = ((x0, mid), (mid, x1))
+    halves = [piece(p, q) for p, q in ends]
+    route = []
+    for (p, q), half, ok in zip(ends, halves, (yield from accept(halves))):
+        route += [half] if ok else (
+            yield from _detours(piece, accept, draw_mid, p, q, budget - 1))
+    return route
+
+
+def _reports(tol: TolerancePolicy, paths: list) -> list:
+    return verify_paths(paths, None, tol)
 
 
 def _term_sum_path(segment, draw_mid, x0, x1, stratum: StratumDescriptor,
-                   tol: TolerancePolicy) -> TensorPath:
-    """Term-sum segments from x0 to x1, each accepted when path_verify
-    passes it as a path of its own with every margin at least gap_min. A
-    route of one segment is returned as the path that was verified, so it
-    carries its report."""
+                   tol: TolerancePolicy):
+    """A route to the term-sum segments from x0 to x1, each accepted when
+    path_verify passes it as a path of its own with every margin at least
+    gap_min (one verify_paths call per round). A route of one segment
+    gives the path that was verified, so it carries its report."""
 
-    def accept(path: TensorPath) -> bool:
-        report = path_verify(path, None, tol)
-        return report.passed and report.min_margin >= tol.gap_min
+    def accept(paths: list):
+        reports = yield _Ask(_reports, (tol,), (paths,),
+                             len(paths) * (PATH_SAMPLES + 2))
+        return [report.passed and report.min_margin >= tol.gap_min
+                for report in reports]
 
-    parts = _detour_route(lambda p, q: TensorPath([segment(p, q)], stratum),
-                          accept, draw_mid, x0, x1, _DETOUR_DEPTH)
+    parts = yield from _detour_route(
+        lambda p, q: TensorPath([segment(p, q)], stratum), accept, draw_mid,
+        x0, x1, _DETOUR_DEPTH)
     if len(parts) == 1:
         return parts[0]
     return TensorPath([part.segments[0] for part in parts], stratum)
@@ -745,6 +807,12 @@ def connect_sym_rank_r(Da: SymRankDecomposition, Db: SymRankDecomposition,
     on the sample grid and repaired through fresh random same-signature
     midpoint decompositions.
     """
+    return _alone(_sym_rank_r_route(Da, Db, tol, rng))
+
+
+def _sym_rank_r_route(Da: SymRankDecomposition, Db: SymRankDecomposition,
+                      tol: TolerancePolicy, rng: SplitMix64 | None):
+    """connect_sym_rank_r as a route (see connect_many)."""
     if (Da.order, Da.field) != (Db.order, Db.field) or len(Da) != len(Db):
         raise ValueError("decompositions must share order, field and length")
     d, field, r = Da.order, Da.field, len(Da)
@@ -769,11 +837,11 @@ def connect_sym_rank_r(Da: SymRankDecomposition, Db: SymRankDecomposition,
                       for ca, ua, cb, ub in pairs)
         return TermSumCurve("sym-term-sum", field, terms, order=d)
 
-    return _term_sum_path(
+    return (yield from _term_sum_path(
         segment,
         lambda: sample_sym_rank_r(n, d, r, signature=signature, field=field,
                                   rng=rng, tol=tol)[1],
-        Da, Db, stratum, tol)
+        Da, Db, stratum, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -834,6 +902,12 @@ def connect_rank_r(A: Hypermatrix, B: Hypermatrix, r: int,
     rather than guessed. (Rank three on real (2, 2, 2) is border rank three;
     ``connect`` routes it to connect_brank3_222.)
     """
+    return _alone(_rank_r_route(A, B, r, tol, rng))
+
+
+def _rank_r_route(A: Hypermatrix, B: Hypermatrix, r: int,
+                  tol: TolerancePolicy, rng: SplitMix64 | None):
+    """connect_rank_r as a route (see connect_many)."""
     if r == 1:
         return connect_rank_one(A, B, tol)
     if r != 2:
@@ -865,28 +939,78 @@ def connect_rank_r(A: Hypermatrix, B: Hypermatrix, r: int,
     # both ends decomposed in one stacked call; A's refusal comes first
     terms_a, terms_b = (list(settled(terms)) for terms in
                         rank2_decompositions(np.stack((A.data, B.data)), tol))
-    return _term_sum_path(
+    return (yield from _term_sum_path(
         build, lambda: sample_rank_r(A.shape, 2, field, rng, tol)[1],
-        terms_a, terms_b, stratum, tol)
+        terms_a, terms_b, stratum, tol))
 
 
 # ---------------------------------------------------------------------------
 # multilinear-rank connectivity
 
 
-def _core_in_grid(stratum: StratumDescriptor, kept, tol: TolerancePolicy):
-    """Acceptance of a TuckerCurve under fixed frames: every core of its
-    sample grid is a member of the core's own ``stratum`` with every margin
-    at least gap_min, and ``kept``, given the stack of cores, passes each
-    (None passes all)."""
-    grid = [0.0, 1.0] + chebyshev_grid(PATH_SAMPLES)
+def _square_modes(ranks: tuple) -> list[int]:
+    """The 0-based modes of a core of ``ranks`` whose flattening is square."""
+    total = math.prod(ranks)
+    return [i for i, r in enumerate(ranks) if r * r == total]
 
-    def accept(seg) -> bool:
-        cores = seg.cores(grid)
-        held = kept(cores) if kept else [True] * len(grid)
-        return all(ok and h for ok, h in zip(
-            kinds.clear_members(stratum, cores, tol.gap_min, tol), held))
+
+def _core_signs(stratum: StratumDescriptor, tol: TolerancePolicy,
+                cores: np.ndarray) -> list:
+    """Per core of a stack of a core stratum's values, what a core path
+    keeps: the determinant signs of its square flattenings over R (a
+    tuple, empty over C or without a square mode), or for a symmetric core
+    its signature over R with order 2 (a label or its refusal), else
+    None."""
+    if stratum.dim is None:
+        modes = _square_modes(stratum.rank) if stratum.field == REAL else []
+        if not modes:
+            return [()] * len(cores)
+        return flattening_det_signs(cores, [i + 1 for i in modes])
+    if stratum.field == REAL and stratum.order == 2:
+        return sym_matrix_signatures(cores, stratum.dim, stratum.rank, tol)
+    return [None] * len(cores)
+
+
+def _core_reads(stratum: StratumDescriptor, tol: TolerancePolicy,
+                cores: np.ndarray) -> tuple:
+    """Per core of a stack of a core stratum's values, whether its record
+    judges it a member with every margin at least gap_min, and
+    _core_signs."""
+    return (kinds.clear_members(stratum, cores, tol.gap_min, tol),
+            _core_signs(stratum, tol, cores))
+
+
+def _core_in_grid(stratum: StratumDescriptor, kept, tol: TolerancePolicy):
+    """Acceptance of TuckerCurves under fixed frames, as a route: per
+    curve, whether every core of its sample grid is a member of the core's
+    own ``stratum`` with every margin at least gap_min and has
+    _core_signs ``kept``. The cores of all curves are read with one ask."""
+    grid = _sample_grid(PATH_SAMPLES)
+
+    def accept(pieces: list):
+        cores = np.concatenate([seg.cores(grid) for seg in pieces])
+        clear, signs = yield _Ask(_core_reads, (stratum, tol), (cores,), len(cores))
+        held = [ok and sign == kept for ok, sign in zip(clear.tolist(), signs)]
+        return [all(held[k:k + len(grid)]) for k in range(0, len(held), len(grid))]
     return accept
+
+
+def _judged(stratum: StratumDescriptor, tol: TolerancePolicy,
+            stack: np.ndarray):
+    return kinds.kind_of(stratum).judge(stratum, stack, tol)
+
+
+def _compressed(ranks: tuple, tol: TolerancePolicy, data: np.ndarray,
+                reads: np.ndarray) -> tuple:
+    """tucker_stack of a stack on its rank read, as one tuple: the frames
+    of every mode, then the cores and the errors."""
+    frames, cores, errors = tucker_stack(data, ranks, reads, tol)
+    return (*frames, cores, errors)
+
+
+def _sym_compressed(n: int, d: int, r: int, tol: TolerancePolicy,
+                    packed: np.ndarray, reads: np.ndarray) -> tuple:
+    return sym_tucker_stack(packed, n, d, r, reads.tolist(), tol)
 
 
 def connect_mrank(A: Hypermatrix, B: Hypermatrix, ranks: tuple[int, ...],
@@ -907,15 +1031,21 @@ def connect_mrank(A: Hypermatrix, B: Hypermatrix, ranks: tuple[int, ...],
     with ambient room whose flip exponent is odd. Without one, which is
     where classifiers.mrank_sign_mode gives a mode, the sign is an
     invariant and the endpoints get DifferentComponents with the record's
-    two labels.
+    two labels, read on the roomy modes' frames of the compression.
     """
+    return _alone(_mrank_route(A, B, ranks, tol, rng))
+
+
+def _mrank_route(A: Hypermatrix, B: Hypermatrix, ranks: tuple[int, ...],
+                 tol: TolerancePolicy, rng: SplitMix64 | None):
+    """connect_mrank as a route (see connect_many)."""
     if A.shape != B.shape or A.field != B.field:
         raise ValueError("endpoints must share shape and field")
     field = A.field
     ranks = tuple(int(r) for r in ranks)
     stratum = StratumDescriptor("mrank", field, ranks, shape=A.shape)
     data = np.stack([A.data, B.data])
-    ends = kinds.kind_of(stratum).judge(stratum, data, tol)
+    ends = yield _Ask(_judged, (stratum, tol), (data,), 2)
     if not ends.ok.all():
         raise ToleranceError(
             f"endpoints do not both have multilinear rank {ranks}")
@@ -923,7 +1053,8 @@ def connect_mrank(A: Hypermatrix, B: Hypermatrix, ranks: tuple[int, ...],
         rng = SplitMix64(0)
     core_stratum = StratumDescriptor("mrank", field, ranks, shape=ranks)
     # both endpoints compressed at once, on the ranks the judge just read
-    frames, cores, errors = tucker_stack(data, ranks, ends.ranks, tol)
+    *frames, cores, errors = yield _Ask(_compressed, (ranks, tol),
+                                        (data, ends.ranks), 2)
     for error in errors:
         settled(error)
     points = [[GrassmannPoint(F[k], field) for F in frames] for k in (0, 1)]
@@ -931,44 +1062,38 @@ def connect_mrank(A: Hypermatrix, B: Hypermatrix, ranks: tuple[int, ...],
     core, core_b = np.ascontiguousarray(cores)
     target_core = mode_multiply(core_b, [g.twist.conj().T for g in geos])
     frames_a = tuple(fixed_frame(p.frame) for p in points[0])
-    total = math.prod(ranks)
-    square_modes = [i for i, r in enumerate(ranks) if r * r == total]
-    signed = field == REAL and bool(square_modes)
-    now, want = (flattening_det_signs(np.stack([core, target_core]),
-                                      [i + 1 for i in square_modes]) if signed
-                 else ((), ()))
+    square_modes = _square_modes(ranks)
+    now, want = yield _Ask(_core_signs, (core_stratum, tol),
+                           (np.stack([core, target_core]),), 2)
     segments: list = []
 
     if now != want:
         if mrank_sign_mode(stratum) is not None:
             raise DifferentComponents(
-                *(settled(label) for label in kinds.kind_of(stratum).labels(
-                    stratum, data, [None] * 2, tol)),
+                *mrank_sign_labels(stratum, data, [
+                    F if n > r else None
+                    for F, n, r in zip(frames, A.shape, ranks)]),
                 detail="square flattening determinant signs differ")
         m = next(m for m in range(A.order) if A.shape[m] > ranks[m]
                  and flip_exponent(ranks, square_modes[0], m) % 2)
         loop = OrientationLoop(points[0][m])
-        frames = list(frames_a)
-        frames[m] = moving_frame("loop", loop)
+        moving = list(frames_a)
+        moving[m] = moving_frame("loop", loop)
         segments.append(TuckerCurve("flip-loop", field, const(core.copy()),
-                                    tuple(frames)))
+                                    tuple(moving)))
         core = mode_multiply(core, [loop.holonomy if j == m else None
                                     for j in range(A.order)])
 
     def segment(core0, core1) -> TuckerCurve:
-        if signed:
+        if want:
             track = gl_core_track(core0, core1, ranks, square_modes[0])
             return TuckerCurve("core-transform", field, track, frames_a)
         return TuckerCurve("core-lerp", field, lerp(core0, core1), frames_a)
 
-    def same_signs(cores) -> list[bool]:
-        return [s == want for s in
-                flattening_det_signs(cores, [i + 1 for i in square_modes])]
-
-    segments.extend(_detour_route(
-        segment, _core_in_grid(core_stratum, same_signs if signed else None, tol),
+    segments.extend((yield from _detour_route(
+        segment, _core_in_grid(core_stratum, want, tol),
         lambda: sample_full_core(ranks, field, square_modes, want, rng, tol),
-        core, target_core, _DETOUR_DEPTH))
+        core, target_core, _DETOUR_DEPTH)))
     segments.append(TuckerCurve("frame-transport", field, const(target_core),
                                 tuple(moving_frame("geodesic", g) for g in geos)))
     return TensorPath(segments, stratum)
@@ -989,6 +1114,12 @@ def connect_sym_mrank(Sa: SymTensor, Sb: SymTensor, r: int,
     obstruction and always connect. Both endpoints must be members, as the
     stratum's record judges them (ToleranceError otherwise).
     """
+    return _alone(_sym_mrank_route(Sa, Sb, r, tol, rng))
+
+
+def _sym_mrank_route(Sa: SymTensor, Sb: SymTensor, r: int,
+                     tol: TolerancePolicy, rng: SplitMix64 | None):
+    """connect_sym_mrank as a route (see connect_many)."""
     if (Sa.dim, Sa.order, Sa.field) != (Sb.dim, Sb.order, Sb.field):
         raise ValueError("endpoints must share dimension, order and field")
     d, field = Sa.order, Sa.field
@@ -998,44 +1129,40 @@ def connect_sym_mrank(Sa: SymTensor, Sb: SymTensor, r: int,
     if rng is None:
         rng = SplitMix64(0)
     packed = np.stack([Sa.packed, Sb.packed])
-    ends = kinds.kind_of(stratum).judge(stratum, packed, tol)
+    ends = yield _Ask(_judged, (stratum, tol), (packed,), 2)
     if not ends.ok.all():
         raise ToleranceError(
             f"endpoints do not both have symmetric multilinear rank {r}")
     # both endpoints compressed at once, on the ranks the judge just read
-    frames, cores = sym_tucker_stack(packed, Sa.dim, d, r,
-                                     ends.ranks[:, 0].tolist(), tol)
+    frames, cores, errors = yield _Ask(_sym_compressed, (Sa.dim, d, r, tol),
+                                       (packed, ends.ranks[:, 0]), 2)
+    for error in errors:
+        settled(error)
     frame_a, frame_b = (GrassmannPoint(F, field) for F in frames)
     core_a, core_b = (SymTensor(r, d, field, core) for core in cores)
-    signature = None
-    if field == REAL and d == 2:
-        label_a, label_b = (settled(label) for label in sym_matrix_signatures(
-            cores, r, r, tol))
-        if label_a != label_b:
-            raise DifferentComponents(label_a, label_b)
-        signature = label_a.value
+    core_stratum = StratumDescriptor("sym-mrank", field, r, dim=r, order=d)
+    # the signature of a real quadratic form's core, else None
+    signs = yield _Ask(_core_signs, (core_stratum, tol), (cores,), 2)
+    label_a, label_b = (settled(label) for label in signs)
+    if label_a != label_b:
+        raise DifferentComponents(label_a, label_b)
     geo = GrassmannGeodesic(frame_a, frame_b)
     twisted = mode_multiply(sym_embed(core_b).data, [geo.twist.conj().T] * d)
     target = sym_extract(Hypermatrix(twisted, field), LOOSE_TOL)
     frame = fixed_frame(frame_a.frame)
-    core_stratum = StratumDescriptor("sym-mrank", field, r, dim=r, order=d)
 
     def segment(core0, core1) -> TuckerCurve:
-        if signature is not None:
+        if label_a is not None:
             # eigenvalue lerp in a shared rotating eigenbasis keeps the
             # signature exactly; a straight lerp does not
             return TuckerCurve("sym-eigen-core", field,
                                eigen_core_track(core0, core1), frame)
         return TuckerCurve("sym-core-lerp", field, lerp(core0, core1), frame)
 
-    def same_signature(cores) -> list[bool]:
-        return [label == label_a
-                for label in sym_matrix_signatures(cores, r, r, tol)]
-
-    segments = _detour_route(
-        segment, _core_in_grid(core_stratum,
-                               None if signature is None else same_signature, tol),
-        lambda: sample_sym_core(r, d, field, signature, rng, tol),
+    segments = yield from _detour_route(
+        segment, _core_in_grid(core_stratum, label_a, tol),
+        lambda: sample_sym_core(r, d, field, None if label_a is None
+                                else label_a.value, rng, tol),
         core_a, target, _DETOUR_DEPTH)
     segments.append(TuckerCurve("sym-frame-transport", field, const(target),
                                 moving_frame("geodesic", geo)))
@@ -1084,23 +1211,96 @@ def connect_brank3_222(A: Hypermatrix, B: Hypermatrix,
 # dispatch, verification, reporting
 
 
-def connect(stratum: StratumDescriptor, a, b, *, witness_a=None,
-            witness_b=None, tol: TolerancePolicy = DEFAULT_TOL,
-            rng: SplitMix64 | None = None) -> TensorPath:
-    """Route to the constructor of the stratum's record (see kinds.py);
-    witnesses are decomposition objects where the construction needs them.
+def _rows(result, rows: slice):
+    """The rows of a batched read's result: of each part of a tuple."""
+    if isinstance(result, tuple):
+        parts = [part[rows] for part in result]
+        return result._make(parts) if hasattr(result, "_make") else tuple(parts)
+    return result[rows]
 
-    Raises ToleranceError when the path does not start at ``a`` and end at
-    ``b`` to within 1e-10 relative to each endpoint's norm, which a witness
-    that does not rebuild its endpoint would give; otherwise records the
-    larger relative miss as the path's ``endpoint_defect``. Both ends are
-    read with one ``values([0.0, 1.0])`` call. Both ends must have the
-    stratum's form (StratumDescriptor.check; ValueError otherwise).
-    """
-    stratum.check(a)
-    stratum.check(b)
-    path = kinds.kind_of(stratum).connect(stratum, a, b, witness_a, witness_b,
-                                          tol, rng)
+
+def _joined(parts: list):
+    """One stack from the stacks of one or more asks: arrays concatenated,
+    lists chained."""
+    if len(parts) == 1:
+        return parts[0]
+    if isinstance(parts[0], np.ndarray):
+        return np.concatenate(parts)
+    return [row for part in parts for row in part]
+
+
+def _refusal(exc: Exception) -> Exception:
+    """``exc`` kept as a pair's outcome, without its traceback: the frames
+    of a traceback lead back to the lists that hold the outcomes, and that
+    cycle would keep every pair's path alive until a garbage collection."""
+    return exc.with_traceback(None)
+
+
+def _lockstep(runs: list) -> list:
+    """Per run (a path, an error or a route), that path or error, or the
+    path its route builds or the error that refuses it. Each round serves
+    the asks the routes wait on with one call per read and args; a call
+    takes its asks in turn while their sizes fit in _ROUND_SAMPLES (at
+    least one), and the rest wait for the next round. A read that raises
+    refuses every route of its call."""
+    out = list(runs)
+    waiting: list = []
+
+    def advance(i: int, answer) -> None:
+        try:
+            waiting.append((i, runs[i].send(answer)))
+        except StopIteration as stop:
+            out[i] = stop.value
+        except (TensorTopoError, ValueError) as exc:
+            out[i] = _refusal(exc)
+
+    for i, run in enumerate(runs):
+        if isinstance(run, GeneratorType):
+            advance(i, None)
+    while waiting:
+        calls: dict = {}  # (read, args): [samples, asks]
+        deferred = []
+        for i, ask in waiting:
+            call = calls.get((ask.read, ask.args))
+            if call is None:
+                call = calls[ask.read, ask.args] = [0, []]
+            elif call[0] + ask.size > _ROUND_SAMPLES:
+                deferred.append((i, ask))
+                continue
+            call[0] += ask.size
+            call[1].append((i, ask))
+        waiting = deferred
+        for (read, args), (_size, call) in calls.items():
+            stacks = [_joined([ask.stacks[c] for _i, ask in call])
+                      for c in range(len(call[0][1].stacks))]
+            try:
+                result = read(*args, *stacks)
+            except (TensorTopoError, ValueError) as exc:
+                for i, _ask in call:
+                    out[i] = _refusal(exc)
+                continue
+            if len(call) == 1:
+                advance(call[0][0], result)
+                continue
+            start = 0
+            for i, ask in call:
+                rows = slice(start, start + len(ask.stacks[0]))
+                start = rows.stop
+                advance(i, _rows(result, rows))
+    return out
+
+
+def _alone(route) -> TensorPath:
+    """The path of one route, its asks served one at a time, or the error
+    that refuses it raised."""
+    (path,) = _lockstep([route])
+    return settled(path)
+
+
+def _measure_ends(path: TensorPath, a, b) -> None:
+    """Record on ``path`` the larger relative miss between its ends and
+    ``a`` and ``b``, both read with one ``values([0.0, 1.0])`` call, or
+    raise ToleranceError when a miss exceeds 1e-10."""
     misses = []
     for t, row, end in zip((0.0, 1.0), path.values([0.0, 1.0]), (a, b)):
         misses.append(value_diff_norm(path.stratum.value(row), end)
@@ -1110,7 +1310,62 @@ def connect(stratum: StratumDescriptor, a, b, *, witness_a=None,
                 f"path misses its endpoint at t={t:g} by {misses[-1]:.3e} "
                 "relative to its norm")
     path.endpoint_defect = max(misses)
-    return path
+
+
+def connect_many(stratum: StratumDescriptor, pairs: list, rngs: list,
+                 tol: TolerancePolicy = DEFAULT_TOL) -> list:
+    """connect for every pair (a, b, witness_a, witness_b) of a list,
+    ``rngs[k]`` being pair k's generator (None for SplitMix64(0)): per
+    pair its path, or the TensorTopoError or ValueError that refuses it.
+
+    The stratum's record gives each pair its path, or a route: a generator
+    that yields the batched reads its construction waits on (``_Ask``) and
+    returns the path. The routes of all pairs run in lockstep rounds
+    (_lockstep): one call per round reads the ends of every pair that waits
+    on it (their ranks, with Kind.judge; their Tucker compression; the
+    determinant signs or signatures of their cores), and one accepts every
+    candidate piece of every detour level that waits (one
+    kinds.clear_members and sign read for Tucker cores, one verify_paths
+    call for term-sum segments). Each pair keeps its own route and
+    generator, and every read gives a row the bits it gives that row
+    alone, so each pair's path, refusal and generator use are those of
+    connecting it alone. A call holds at most _ROUND_SAMPLES grid samples.
+    """
+    runs: list = []
+    for (a, b, witness_a, witness_b), rng in zip(pairs, rngs):
+        try:
+            stratum.check(a)
+            stratum.check(b)
+            runs.append(kinds.kind_of(stratum).connect(
+                stratum, a, b, witness_a, witness_b, tol, rng))
+        except (TensorTopoError, ValueError) as exc:
+            runs.append(_refusal(exc))
+    built = _lockstep(runs)
+    for k, (path, (a, b, _wa, _wb)) in enumerate(zip(built, pairs)):
+        if isinstance(path, TensorPath):
+            try:
+                _measure_ends(path, a, b)
+            except ToleranceError as exc:
+                built[k] = _refusal(exc)
+    return built
+
+
+def connect(stratum: StratumDescriptor, a, b, *, witness_a=None,
+            witness_b=None, tol: TolerancePolicy = DEFAULT_TOL,
+            rng: SplitMix64 | None = None) -> TensorPath:
+    """Route to the constructor of the stratum's record (see kinds.py);
+    witnesses are decomposition objects where the construction needs them.
+    The one-pair case of connect_many.
+
+    Raises ToleranceError when the path does not start at ``a`` and end at
+    ``b`` to within 1e-10 relative to each endpoint's norm, which a witness
+    that does not rebuild its endpoint would give; otherwise records the
+    larger relative miss as the path's ``endpoint_defect``. Both ends are
+    read with one ``values([0.0, 1.0])`` call. Both ends must have the
+    stratum's form (StratumDescriptor.check; ValueError otherwise).
+    """
+    (path,) = connect_many(stratum, [(a, b, witness_a, witness_b)], [rng], tol)
+    return settled(path)
 
 
 @dataclass(slots=True)
@@ -1161,12 +1416,12 @@ def verify_paths(paths: list, K: int | None = None,
         K = PATH_SAMPLES
     if K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
-    grid = [0.0, 1.0] + chebyshev_grid(K)
+    grid = _sample_grid(K)
     todo = {id(path): path for path in paths
             if path._verified is None or path._verified[:2] != (K, tol)}
     groups: dict = {}
     for path in todo.values():
-        ts = sorted(set(grid + path.joints()))
+        ts = sorted(set(grid).union(path.joints()))
         part = path.values(ts)
         groups.setdefault((path.stratum, part.dtype.str), []).append((path, ts, part))
     for (stratum, _dtype), group in groups.items():

@@ -10,6 +10,7 @@ from tensortopo import (COMPLEX, REAL, Hypermatrix, SplitMix64, SymTensor,
                         sym_diagonal_sum, sym_embed, sym_extract,
                         sym_packed_length, sym_power)
 from tensortopo.core import (MultilinearRank, RankOneFactors, fix_phase,
+                             flatten_stack, flattening_det_signs,
                              mode_multiply_stack, mrank_admissible,
                              mrank_stack, sym_embed_stack,
                              sym_extract_stack, sym_mrank_stack,
@@ -301,6 +302,26 @@ def test_array_rank_read_is_the_row_rule_on_edge_cases(field):
     for S, rk, mg in zip(packed, got[0].tolist(), got[1].tolist()):
         one = _scalar_rank_rule(sym_embed(SymTensor(n, d, field, S)).data.reshape(n, -1))
         assert (rk[0], mg[0]) == one
+
+
+def test_flattening_det_signs_are_the_per_tensor_loop():
+    """The signs array gives every tensor the tuple a per-tensor, per-mode
+    slogdet loop gives it: Gaussian cores, a zero core (its zero
+    determinants read -1), and no mode at all (the empty tuple)."""
+    rng = SplitMix64(61)
+    cores = rng.normals((40, 2, 2, 1))
+    cores[3] = 0.0
+
+    def loop(modes):
+        return [tuple(1 if np.linalg.slogdet(flatten_stack(A[None], m)[0])[0] > 0
+                      else -1 for m in modes) for A in cores]
+
+    for modes in ([1], [2], [1, 2], []):
+        got = flattening_det_signs(cores, modes)
+        assert got == loop(modes)
+        assert {type(s) for row in got for s in row} <= {int}
+    assert flattening_det_signs(cores, [1, 2])[3] == (-1, -1)
+    assert {row for row in flattening_det_signs(cores, [1])} == {(1,), (-1,)}
 
 
 def test_checked_raises_on_an_inadmissible_read():

@@ -6,7 +6,7 @@ import pytest
 
 from tensortopo import (COMPLEX, REAL, GrassmannGeodesic, GrassmannPoint,
                         Hypermatrix, OrientationLoop, SplitMix64,
-                        dominant_subspace, geodesic, gl_interpolator,
+                        ToleranceError, dominant_subspace, geodesic, gl_interpolator,
                         mode_multiply, orthogonal_interpolator,
                         random_orthogonal, sym_power, sym_tucker_compress,
                         sym_tucker_expand, tucker_compress, tucker_expand)
@@ -180,12 +180,19 @@ def test_sym_tucker_round_trip():
 @pytest.mark.parametrize("d", [2, 3])
 def test_sym_tucker_stack_rows_match_sym_tucker_compress(field, d):
     """Each row of a stacked compression, on the ranks sym_mrank_stack
-    reads, has the frame and core bits sym_tucker_compress gives it alone."""
+    reads, has the frame and core bits sym_tucker_compress gives it alone,
+    and a row of rank 3 gets the error sym_tucker_compress raises on it
+    alone while the others get None."""
     rng = SplitMix64(50)
     tensors = [sample_sym_mrank(4, d, 2, field, rng) for _ in range(3)]
-    packed = np.stack([S.packed for S in tensors])
+    wide = sample_sym_mrank(4, d, 3, field, rng)
+    packed = np.stack([S.packed for S in tensors] + [wide.packed])
     ranks, _ = sym_mrank_stack(packed, 4, d)
-    frames, cores = sym_tucker_stack(packed, 4, d, 2, ranks[:, 0].tolist())
+    frames, cores, errors = sym_tucker_stack(packed, 4, d, 2, ranks[:, 0].tolist())
+    assert errors[:3] == [None] * 3
+    with pytest.raises(ToleranceError) as info:
+        sym_tucker_compress(wide, 2)
+    assert str(errors[3]) == str(info.value)
     for S, F, core in zip(tensors, frames, cores):
         frame, one = sym_tucker_compress(S, 2)
         assert np.array_equal(F, frame.frame)

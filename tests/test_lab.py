@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import math
 import sys
 
 import numpy as np
@@ -11,6 +13,7 @@ from tensortopo import (DEFAULT_TOL, REAL, Hypermatrix, OrientationLoop,
                         parse_stratum, strip_runtime, tucker_compress)
 from tensortopo import kinds as kinds_module
 from tensortopo import lab as lab_module
+from tensortopo import paths as paths_module
 from tensortopo.certify import brank3_conj_pair, brank3_conj_pairs
 from tensortopo.classifiers import brank3_labels
 from tensortopo.errors import (DegenerateError, RetryExhausted, ToleranceError,
@@ -18,7 +21,7 @@ from tensortopo.errors import (DegenerateError, RetryExhausted, ToleranceError,
 from tensortopo.io import dumps_canonical
 from tensortopo.core import flattening_det_signs, mode_multiply_stack
 from tensortopo.kinds import clear_members, kind_of
-from tensortopo.paths import TensorPath, chebyshev_grid, path_verify
+from tensortopo.paths import PATH_SAMPLES, TensorPath, chebyshev_grid, path_verify
 from tensortopo.sampling import sample_sym_core
 
 CENSUS_KEYS = {"stratum", "seed", "trials", "labels",
@@ -127,7 +130,8 @@ def test_census_labels_its_draws_in_one_call(monkeypatch):
                 and getattr(module, "brank3_labels", None) is brank3_labels):
             monkeypatch.setattr(module, "brank3_labels", counted(brank3_labels))
     # no paths: what is left of the census is its draws and their labels
-    monkeypatch.setattr(lab_module, "_connected", lambda *args: "retry-exhausted")
+    monkeypatch.setattr(lab_module, "connect_many", lambda stratum, pairs, rngs, tol:
+                        [RetryExhausted("no paths")] * len(pairs))
     report = census(parse_stratum("brank:r=3;shape=2,2,2;field=real"), 10,
                     seed=5, path_samples=8)
     assert sum(cnt for _, cnt in report.label_counts) == 10
@@ -178,13 +182,69 @@ def test_census_draws_its_trials_in_lockstep_rounds(monkeypatch, text, trials,
     of one call per trial."""
     judged = _judged(monkeypatch)
     dets = _counted_everywhere(monkeypatch, "hyperdet222")
-    monkeypatch.setattr(lab_module, "_connected", lambda *args: "retry-exhausted")
+    monkeypatch.setattr(lab_module, "connect_many", lambda stratum, pairs, rngs, tol:
+                        [RetryExhausted("no paths")] * len(pairs))
     report = census(parse_stratum(text), trials, seed)
     assert report.rejected == 0
     assert 1 <= len(judged) <= judges
     if judges == 1:
         assert judged == [trials]
     assert len(dets) <= hyperdets
+
+
+@pytest.mark.parametrize("text", ["mrank:r=4,2,2;shape=4,2,2;field=real",
+                                  "sym-rank:d=4;n=4;r=2;field=real"])
+def test_census_connects_its_pairs_in_lockstep_rounds(monkeypatch, text):
+    """A census connects its pairs with one connect_many call, whose
+    Kind.judge calls are bounded by its rounds, not its pairs: one read of
+    every pair's ends (multilinear rank) and one acceptance call per round
+    of candidate pieces, each call at most _ROUND_SAMPLES samples."""
+    judged, connecting = [], []
+    judge = kinds_module.Kind.judge
+
+    def counted(self, stratum, stack, tol):
+        if connecting:
+            judged.append(len(stack))
+        return judge(self, stratum, stack, tol)
+
+    connect_many = lab_module.connect_many
+
+    def lockstep(*args):
+        connecting.append(True)
+        try:
+            return connect_many(*args)
+        finally:
+            connecting.pop()
+
+    monkeypatch.setattr(kinds_module.Kind, "judge", counted)
+    monkeypatch.setattr(lab_module, "connect_many", lockstep)
+    report = census(parse_stratum(text), 300, seed=7)
+    assert report.verdict == "consistent"
+    cap = paths_module._ROUND_SAMPLES
+    rounds = math.ceil(report.within_attempts * (PATH_SAMPLES + 2) / cap)
+    assert 1 <= len(judged) <= rounds + 2 < report.within_attempts
+    assert max(judged) <= cap
+
+
+@pytest.mark.parametrize("text", ["mrank:r=4,2,2;shape=4,2,2;field=real",
+                                  "sym-rank:d=4;n=4;r=2;field=real",
+                                  "brank:r=3;shape=2,2,2;field=real"])
+def test_census_leaves_no_reference_cycles(text):
+    """A census whose pairs are routed, detoured or refused leaves nothing
+    for the garbage collector: a refusal is kept without its traceback,
+    whose frames lead back to the list that holds it, and a route makes no
+    closure that refers to itself. Either cycle would hold every path of
+    the census until a collection, which raised peak memory."""
+    st = parse_stratum(text)
+    census(st, 40, seed=1)
+    gc.collect()
+    gc.disable()
+    try:
+        report = census(st, 200, seed=2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert report.cross_attempts > 0
 
 
 def test_census_rejects_every_trial_whose_screen_never_passes(monkeypatch):
